@@ -58,6 +58,7 @@ from .verifier import (
     refine_periodic_orbit,
     rtbp_derivatives,
     rtbp_hamiltonian,
+    verify_family,
 )
 
 __version__ = "1.0.0"
@@ -111,5 +112,6 @@ __all__ = [
     "sweep_e",
     "true_anomaly",
     "unperturbed_flow",
+    "verify_family",
     "__version__",
 ]

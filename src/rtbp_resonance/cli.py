@@ -19,27 +19,16 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .coefficient import compute_C, sweep_e
 from .errors import RtbpError, ValidationError
-from .levi_civita import (
-    action_angle_from_state,
-    angle_consistency_check,
-    frequencies,
-    integrate_k_flow,
-    k_value,
-    lc_forward,
-    lc_inverse,
-    state_from_action_angle,
-    symplecticity_defect,
-)
+from .levi_civita import regularization_checks
 from .perturbation import ResonantFamily, canonical_families
 from .series import leading_coefficient
-from .verifier import extrapolate_C, monodromy, refine_periodic_orbit
+from .verifier import verify_family
 
 SCHEMA_VERSION = 1
 _DEFAULT_MU_LIST = (1e-4, 3e-5, 1e-5, 3e-6)
@@ -54,27 +43,17 @@ _CSV_HEADER = [
 ]
 
 
-@dataclass
-class ResultRecord:
-    """Serializable record of one CLI invocation."""
-
-    schema_version: int
-    command: str
-    inputs: dict
-    outputs: dict
-    status: str
-    timings: dict = field(default_factory=dict)
-    version: str = __version__
-
-
 def _full_precision(obj):
-    """Round-trip-lossless rendering: floats carry 17 significant digits."""
+    """Convert numpy values, tuples and complex numbers to JSON types.
+
+    Floats stay the same doubles; json.dumps writes them round-trip exact.
+    """
     if isinstance(obj, dict):
         return {k: _full_precision(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_full_precision(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        return float(f"{float(obj):.17g}")
+        return float(obj)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -84,8 +63,18 @@ def _full_precision(obj):
     return obj
 
 
-def _record_json(record: ResultRecord) -> str:
-    return json.dumps(_full_precision(asdict(record)), indent=2, sort_keys=True)
+def _record(command: str, inputs: dict, outputs: dict, status: str, t0: float) -> str:
+    """JSON text of the versioned record of one CLI invocation started at t0."""
+    record = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "inputs": inputs,
+        "outputs": outputs,
+        "status": status,
+        "timings": {"seconds": time.perf_counter() - t0},
+        "version": __version__,
+    }
+    return json.dumps(_full_precision(record), indent=2, sort_keys=True)
 
 
 def _emit(text: str, output: str | None):
@@ -129,16 +118,16 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = {"--output": dict(default=None, help="output file (default stdout)")}
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None)
+    common.add_argument("--output", default=None, help="output file (default stdout)")
 
-    sp = sub.add_parser("coeff", parents=[], help="stability coefficient of both families")
+    sp = sub.add_parser("coeff", parents=[common], help="stability coefficient of both families")
     _family_args(sp)
     sp.add_argument("--e", type=float, required=True, help="eccentricity in (0, 1)")
     sp.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--output", **common["--output"])
 
-    sp = sub.add_parser("sweep", help="CSV sweep of C over an eccentricity grid")
+    sp = sub.add_parser("sweep", parents=[common], help="CSV sweep of C over an eccentricity grid")
     _family_args(sp)
     sp.add_argument("--e-grid", default=None, help="comma-separated eccentricities")
     sp.add_argument("--e-min", type=float, default=None)
@@ -146,16 +135,16 @@ def build_parser() -> _Parser:
     sp.add_argument("--e-step", type=float, default=None)
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--jobs", type=int, default=0, help="worker processes (0 = all cores)")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--output", **common["--output"])
 
-    sp = sub.add_parser("series", help="leading series coefficient of both families")
+    sp = sub.add_parser(
+        "series", parents=[common], help="leading series coefficient of both families"
+    )
     _family_args(sp)
     sp.add_argument("--e", type=float, default=None, help="optionally evaluate c*e^m here")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--output", **common["--output"])
 
-    sp = sub.add_parser("verify", help="monodromy verification against the quadrature")
+    sp = sub.add_parser(
+        "verify", parents=[common], help="monodromy verification against the quadrature"
+    )
     _family_args(sp)
     sp.add_argument("--e", type=float, required=True)
     sp.add_argument("--family", choices=("1", "2", "both"), default="both")
@@ -163,15 +152,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--corrector-tol", type=float, default=1e-10)
     sp.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
     sp.add_argument("--cache-dir", default=None, help="cache directory for verification runs")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--output", **common["--output"])
 
-    sp = sub.add_parser("regularize", help="Levi-Civita self-checks at mu = 0")
+    sp = sub.add_parser("regularize", parents=[common], help="Levi-Civita self-checks at mu = 0")
     sp.add_argument("--jacobi-constant", type=float, default=-1.5)
     sp.add_argument("--angular-momentum", type=float, default=0.3, help="G (twice h)")
     sp.add_argument("--action", type=float, default=0.8, help="action L")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--output", **common["--output"])
 
     return parser
 
@@ -239,15 +224,8 @@ def cmd_coeff(args) -> int:
                 "leading_coefficient": lead.value,
             }
         )
-    record = ResultRecord(
-        schema_version=SCHEMA_VERSION,
-        command="coeff",
-        inputs={"p": args.p, "q": args.q, "e": args.e, "direction": args.direction, "tol": args.tol},
-        outputs=outputs,
-        status="ok",
-        timings={"seconds": time.perf_counter() - t0},
-    )
-    _emit(_record_json(record), args.output)
+    inputs = {"p": args.p, "q": args.q, "e": args.e, "direction": args.direction, "tol": args.tol}
+    _emit(_record("coeff", inputs, outputs, "ok", t0), args.output)
     return 0
 
 
@@ -320,15 +298,8 @@ def cmd_series(args) -> int:
         if args.e is not None:
             entry["leading_term"] = lead.value * args.e**lead.exponent
         outputs["families"].append(entry)
-    record = ResultRecord(
-        schema_version=SCHEMA_VERSION,
-        command="series",
-        inputs={"p": args.p, "q": args.q, "e": args.e, "direction": args.direction},
-        outputs=outputs,
-        status="ok",
-        timings={"seconds": time.perf_counter() - t0},
-    )
-    _emit(_record_json(record), args.output)
+    inputs = {"p": args.p, "q": args.q, "e": args.e, "direction": args.direction}
+    _emit(_record("series", inputs, outputs, "ok", t0), args.output)
     return 0
 
 
@@ -353,32 +324,29 @@ def _cache_store(path: str, text: str):
 
 
 def _verify_family(f: ResonantFamily, mu_list, corrector_tol, quad_tol) -> dict:
-    per_mu = []
-    good = []
-    for mu in mu_list:
-        try:
-            rep = monodromy(refine_periodic_orbit(f, mu, corrector_tol))
-            per_mu.append({"mu": mu, "C_estimate": rep.C_estimate, "status": "ok"})
-            good.append((mu, rep.C_estimate))
-        except RtbpError as exc:
-            per_mu.append({"mu": mu, "C_estimate": None, "status": f"corrector-divergence: {exc}"})
+    res = verify_family(f, mu_list, corrector_tol)
+    per_mu = [
+        {
+            "mu": mu,
+            "C_estimate": est,
+            "status": "ok" if err is None else f"corrector-divergence: {err}",
+        }
+        for mu, est, err in zip(res.mu_list, res.estimates, res.errors)
+    ]
     entry = {"family": _family_record(f), "per_mu": per_mu}
-    if len(good) >= 2:
-        A = np.column_stack([np.ones(len(good)), np.sqrt([m for m, _ in good])])
-        coef, *_ = np.linalg.lstsq(A, np.array([c for _, c in good]), rcond=None)
-        C_fit = float(coef[0])
-        C_quad = compute_C(f, quad_tol).C
-        entry.update(
-            {
-                "extrapolated_C": C_fit,
-                "fit_residual": float(np.max(np.abs(A @ coef - [c for _, c in good]))),
-                "C_quadrature": C_quad,
-                "relative_error": abs(C_fit - C_quad) / abs(C_quad),
-                "status": "ok",
-            }
-        )
-    else:
+    if res.C is None:
         entry.update({"extrapolated_C": None, "status": "corrector-divergence"})
+        return entry
+    C_quad = compute_C(f, quad_tol).C
+    entry.update(
+        {
+            "extrapolated_C": res.C,
+            "fit_residual": res.fit_residual,
+            "C_quadrature": C_quad,
+            "relative_error": abs(res.C - C_quad) / abs(C_quad),
+            "status": "ok",
+        }
+    )
     return entry
 
 
@@ -409,126 +377,25 @@ def cmd_verify(args) -> int:
         _verify_family(f, mu_list, args.corrector_tol, args.tol) for f in selected
     ]}
     all_failed = all(e["status"] != "ok" for e in outputs["families"])
-    record = ResultRecord(
-        schema_version=SCHEMA_VERSION,
-        command="verify",
-        inputs=key | {"e": args.e, "direction": args.direction},
-        outputs=outputs,
-        status="corrector-divergence" if all_failed else "ok",
-        timings={"seconds": time.perf_counter() - t0},
-    )
-    text = _record_json(record)
+    status = "corrector-divergence" if all_failed else "ok"
+    text = _record("verify", key | {"e": args.e, "direction": args.direction}, outputs, status, t0)
     if cache_path:
         _cache_store(cache_path, text)
     _emit(text, args.output)
     return 2 if all_failed else 0
 
 
-def regularization_checks(C: float, G: float, L: float) -> dict:
-    """Run the Levi-Civita self-check battery; returns per-check reports."""
-    if G == 0.0:
-        raise ValidationError("action-angle chart invalid at G = 0")
-    if G + 2.0 * C >= 0.0:
-        raise ValidationError(f"condition G + 2C < 0 violated (G={G}, C={C})")
-    if L <= 0.0 or abs(G) >= 2.0 * L:
-        raise ValidationError("need L > 0 and |G| < 2L")
-
-    checks = {}
-    rng = np.random.default_rng(20260823)
-
-    defect = max(
-        symplecticity_defect(
-            state_from_action_angle(
-                L, G, float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0, 2 * math.pi)), C
-            ),
-            0.0,
-        )
-        for _ in range(20)
-    )
-    checks["symplecticity"] = {"max_defect": defect, "tolerance": 1e-9, "ok": defect <= 1e-9}
-
-    s = state_from_action_angle(L, G, 0.7, 0.4, C)
-    freq_l, freq_g = frequencies(L, G, C)
-    tau_span = 10.0 * 2.0 * math.pi / freq_l
-    taus, states = integrate_k_flow(s, 0.0, tau_span, 2001, tol=1e-13)
-    K0 = k_value(states[0], 0.0)
-    G0 = states[0].angular_momentum_G
-    k_drift = max(abs(k_value(st, 0.0) - K0) for st in states)
-    g_drift = max(abs(st.angular_momentum_G - G0) for st in states)
-    checks["conservation"] = {
-        "K_drift": k_drift,
-        "G_drift": g_drift,
-        "tolerance": 1e-11,
-        "ok": max(k_drift, g_drift) <= 1e-11,
-    }
-
-    aa = action_angle_from_state(s, C)
-    rt_cart = lc_inverse(lc_forward(lc_inverse(s, 0.0), 0.0, C_J=C), 0.0)
-    rt_err = max(
-        abs(a - b) for a, b in zip(rt_cart.as_array(), lc_inverse(s, 0.0).as_array())
-    )
-    act_err = max(abs(aa.L - L), abs(aa.G - G))
-    ang_err = max(abs(aa.l - 0.7), abs(aa.g - 0.4))
-    checks["round_trip"] = {
-        "map_error": rt_err,
-        "action_error": act_err,
-        "angle_error": ang_err,
-        "ok": rt_err <= 1e-12 and act_err <= 1e-10 and ang_err <= 1e-8,
-    }
-
-    sigma = math.copysign(1.0, G)
-    aas = [action_angle_from_state(st, C) for st in states]
-    ls = np.unwrap([a.l for a in aas])
-    pair = np.unwrap([a.g + sigma * a.l / 2.0 for a in aas])
-    gs = pair - sigma * ls / 2.0
-    slope_l = float(np.polyfit(taus, ls, 1)[0])
-    slope_g = float(np.polyfit(taus, gs, 1)[0])
-    checks["frequencies"] = {
-        "dl_dtau_error": abs(slope_l - freq_l),
-        "dg_dtau_error": abs(slope_g - freq_g),
-        "tolerance": 1e-8,
-        "ok": max(abs(slope_l - freq_l), abs(slope_g - freq_g)) <= 1e-8,
-    }
-
-    grid = np.linspace(0.0, 2.0 * math.pi, 201)
-    r_cycle = angle_consistency_check(
-        [state_from_action_angle(L, G, l, 0.4 - sigma * l / 2.0, C) for l in grid], C
-    )
-    th_cycle = angle_consistency_check(
-        [state_from_action_angle(L, G, 0.7, 0.4 + dg, C) for dg in grid], C
-    )
-    cyc_err = max(
-        abs(r_cycle.delta_l - 2.0 * math.pi),
-        abs(r_cycle.delta_pair),
-        abs(th_cycle.delta_l),
-        abs(th_cycle.delta_pair - 2.0 * math.pi),
-    )
-    checks["cycles"] = {
-        "r_cycle": [r_cycle.delta_l, r_cycle.delta_pair],
-        "theta_cycle": [th_cycle.delta_l, th_cycle.delta_pair],
-        "tolerance": 1e-8,
-        "ok": cyc_err <= 1e-8,
-    }
-    return checks
-
-
 def cmd_regularize(args) -> int:
     t0 = time.perf_counter()
     checks = regularization_checks(args.jacobi_constant, args.angular_momentum, args.action)
     all_ok = all(c["ok"] for c in checks.values())
-    record = ResultRecord(
-        schema_version=SCHEMA_VERSION,
-        command="regularize",
-        inputs={
-            "jacobi_constant": args.jacobi_constant,
-            "angular_momentum": args.angular_momentum,
-            "action": args.action,
-        },
-        outputs={"checks": checks},
-        status="ok" if all_ok else "check-failed",
-        timings={"seconds": time.perf_counter() - t0},
-    )
-    _emit(_record_json(record), args.output)
+    inputs = {
+        "jacobi_constant": args.jacobi_constant,
+        "angular_momentum": args.angular_momentum,
+        "action": args.action,
+    }
+    status = "ok" if all_ok else "check-failed"
+    _emit(_record("regularize", inputs, {"checks": checks}, status, t0), args.output)
     return 0 if all_ok else 2
 
 

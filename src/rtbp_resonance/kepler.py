@@ -130,30 +130,6 @@ def solve_kepler(l: float, e: float) -> float:
     raise ConvergenceError(f"Kepler solver did not converge for l={l}, e={e}")
 
 
-def solve_kepler_array(l: np.ndarray, e: float) -> np.ndarray:
-    """Vectorised Kepler solve; falls back to the scalar solver per element."""
-    if not 0.0 <= e < 1.0:
-        raise ValidationError(f"eccentricity must be in [0, 1), got {e}")
-    l = np.asarray(l, dtype=float)
-    if e == 0.0:
-        return l.copy()
-    E = l + e * np.sin(l)
-    for _ in range(_KEPLER_MAX_ITER):
-        f = E - e * np.sin(E) - l
-        if np.all(np.abs(f) <= _KEPLER_TOL):
-            return E
-        E = E - f / (1.0 - e * np.cos(E))
-    f = E - e * np.sin(E) - l
-    bad = np.abs(f) > _KEPLER_TOL
-    if np.any(bad):
-        flat = E.reshape(-1)
-        lflat = l.reshape(-1)
-        for i in np.nonzero(bad.reshape(-1))[0]:
-            flat[i] = solve_kepler(float(lflat[i]), e)
-        E = flat.reshape(l.shape)
-    return E
-
-
 def true_anomaly(E, e):
     """True anomaly from the eccentric anomaly, continuously unwrapped.
 

@@ -380,3 +380,94 @@ def symplecticity_defect(s: RegularizedState, mu: float, h: float = 1e-4) -> flo
         [[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]]
     )
     return float(np.max(np.abs(J.T @ omega @ J - omega)))
+
+
+def regularization_checks(C: float, G: float, L: float) -> dict:
+    """Run the Levi-Civita self-check battery; returns per-check reports."""
+    if G == 0.0:
+        raise ValidationError("action-angle chart invalid at G = 0")
+    if G + 2.0 * C >= 0.0:
+        raise ValidationError(f"condition G + 2C < 0 violated (G={G}, C={C})")
+    if L <= 0.0 or abs(G) >= 2.0 * L:
+        raise ValidationError("need L > 0 and |G| < 2L")
+
+    checks = {}
+    rng = np.random.default_rng(20260823)
+
+    defect = max(
+        symplecticity_defect(
+            state_from_action_angle(
+                L, G, float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0, 2 * math.pi)), C
+            ),
+            0.0,
+        )
+        for _ in range(20)
+    )
+    checks["symplecticity"] = {"max_defect": defect, "tolerance": 1e-9, "ok": defect <= 1e-9}
+
+    s = state_from_action_angle(L, G, 0.7, 0.4, C)
+    freq_l, freq_g = frequencies(L, G, C)
+    tau_span = 10.0 * 2.0 * math.pi / freq_l
+    taus, states = integrate_k_flow(s, 0.0, tau_span, 2001, tol=1e-13)
+    K0 = k_value(states[0], 0.0)
+    G0 = states[0].angular_momentum_G
+    k_drift = max(abs(k_value(st, 0.0) - K0) for st in states)
+    g_drift = max(abs(st.angular_momentum_G - G0) for st in states)
+    checks["conservation"] = {
+        "K_drift": k_drift,
+        "G_drift": g_drift,
+        "tolerance": 1e-11,
+        "ok": max(k_drift, g_drift) <= 1e-11,
+    }
+
+    aa = action_angle_from_state(s, C)
+    rt_cart = lc_inverse(lc_forward(lc_inverse(s, 0.0), 0.0, C_J=C), 0.0)
+    rt_err = max(
+        abs(a - b) for a, b in zip(rt_cart.as_array(), lc_inverse(s, 0.0).as_array())
+    )
+    act_err = max(abs(aa.L - L), abs(aa.G - G))
+    ang_err = max(
+        abs(math.remainder(aa.l - 0.7, 2.0 * math.pi)),
+        abs(math.remainder(aa.g - 0.4, 2.0 * math.pi)),
+    )
+    checks["round_trip"] = {
+        "map_error": rt_err,
+        "action_error": act_err,
+        "angle_error": ang_err,
+        "ok": rt_err <= 1e-12 and act_err <= 1e-10 and ang_err <= 1e-8,
+    }
+
+    sigma = math.copysign(1.0, G)
+    aas = [action_angle_from_state(st, C) for st in states]
+    ls = np.unwrap([a.l for a in aas])
+    pair = np.unwrap([a.g + sigma * a.l / 2.0 for a in aas])
+    gs = pair - sigma * ls / 2.0
+    slope_l = float(np.polyfit(taus, ls, 1)[0])
+    slope_g = float(np.polyfit(taus, gs, 1)[0])
+    checks["frequencies"] = {
+        "dl_dtau_error": abs(slope_l - freq_l),
+        "dg_dtau_error": abs(slope_g - freq_g),
+        "tolerance": 1e-8,
+        "ok": max(abs(slope_l - freq_l), abs(slope_g - freq_g)) <= 1e-8,
+    }
+
+    grid = np.linspace(0.0, 2.0 * math.pi, 201)
+    r_cycle = angle_consistency_check(
+        [state_from_action_angle(L, G, l, 0.4 - sigma * l / 2.0, C) for l in grid], C
+    )
+    th_cycle = angle_consistency_check(
+        [state_from_action_angle(L, G, 0.7, 0.4 + dg, C) for dg in grid], C
+    )
+    cyc_err = max(
+        abs(r_cycle.delta_l - 2.0 * math.pi),
+        abs(r_cycle.delta_pair),
+        abs(th_cycle.delta_l),
+        abs(th_cycle.delta_pair - 2.0 * math.pi),
+    )
+    checks["cycles"] = {
+        "r_cycle": [r_cycle.delta_l, r_cycle.delta_pair],
+        "theta_cycle": [th_cycle.delta_l, th_cycle.delta_pair],
+        "tolerance": 1e-8,
+        "ok": cyc_err <= 1e-8,
+    }
+    return checks

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollisionError, ValidationError
-from .kepler import solve_kepler_array, true_anomaly
+from .kepler import true_anomaly
 
 
 @dataclass(frozen=True)

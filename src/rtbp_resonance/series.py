@@ -346,7 +346,6 @@ def _one_plus_beta_sq_pow(A: OperatorPolynomial, order: int):
 
 
 def _xn_coefficient(
-    q: int,
     k: int,
     x_coeff: Fraction,
     exp_sign: int,
@@ -393,7 +392,6 @@ def xn_series_coefficient(p: int, q: int, n: int, k: int, e_order: int, directio
         raise ValidationError(f"unknown direction {direction!r}")
     D = OperatorPolynomial.identity()
     return _xn_coefficient(
-        q,
         k,
         Fraction(n * p, 2 * q),
         -1 if direction == "retrograde" else 1,
@@ -431,7 +429,7 @@ def _leading_c1_operator(p: int, q: int, direction: str) -> OperatorPolynomial:
         # The orbit lies outside the unit circle: expand in alpha = 1/r,
         # which inverts the shift operator and swaps the target function.
         A, B, C = D, q - D, -q - D
-    series = _xn_coefficient(q, k, Fraction(q * p, 2 * q), exp_sign, A, B, C, m)
+    series = _xn_coefficient(k, Fraction(q * p, 2 * q), exp_sign, A, B, C, m)
     return series[m]
 
 

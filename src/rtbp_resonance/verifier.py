@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import CollisionError, ConvergenceError, ValidationError
+from .errors import CollisionError, ConvergenceError, RtbpError, ValidationError
 from .kepler import RtbpState, delaunay_to_cartesian
 from .perturbation import ResonantFamily, delaunay_initial_state
 
@@ -59,13 +59,19 @@ class MonodromyReport:
 
 @dataclass(frozen=True)
 class ExtrapolationResult:
-    """Fit of C_estimate(mu) = C + c1*sqrt(mu)."""
+    """Per-mu estimates and the fit C_estimate(mu) = C + c1*sqrt(mu).
 
-    C: float
-    sqrt_mu_slope: float
-    fit_residual: float
+    estimates[i] is None and errors[i] holds the caught RtbpError where the
+    corrector or monodromy failed at mu_list[i]; the fit uses the converged
+    mu only, and its fields are None when fewer than two converged.
+    """
+
+    C: float | None
+    sqrt_mu_slope: float | None
+    fit_residual: float | None
     mu_list: tuple
     estimates: tuple
+    errors: tuple
 
 
 def rtbp_hamiltonian(s, mu: float) -> float:
@@ -123,43 +129,29 @@ def rtbp_derivatives(s, mu: float, with_variational: bool = False):
     return f, J
 
 
-def _flow(s0: np.ndarray, t_span: float, mu: float, with_variational: bool = False):
-    """Integrate the state (and optionally the variational matrix from I).
+def _flow(s0: np.ndarray, t_span: float, mu: float):
+    """Integrate the state and its state-transition matrix Phi (from I).
 
-    Returns the final state, or (state, Phi) with Phi the state-transition
-    matrix over [0, t_span].
+    Returns (state, Phi) at t_span.
     """
 
-    if with_variational:
-
-        def rhs(_, z):
-            f, J = rtbp_derivatives(z[:4], mu, with_variational=True)
-            phi = z[4:].reshape(4, 4)
-            return np.concatenate([f, (J @ phi).ravel()])
-
-        z0 = np.concatenate([s0, np.eye(4).ravel()])
-    else:
-
-        def rhs(_, z):
-            return rtbp_derivatives(z, mu)
-
-        z0 = np.asarray(s0, dtype=float)
+    def rhs(_, z):
+        f, J = rtbp_derivatives(z[:4], mu, with_variational=True)
+        phi = z[4:].reshape(4, 4)
+        return np.concatenate([f, (J @ phi).ravel()])
 
     sol = solve_ivp(
         rhs,
         (0.0, t_span),
-        z0,
+        np.concatenate([s0, np.eye(4).ravel()]),
         method="DOP853",
         rtol=_INTEGRATOR_TOL,
         atol=_INTEGRATOR_TOL,
-        dense_output=False,
     )
     if not sol.success:
         raise ConvergenceError(f"integration failed: {sol.message}")
     zf = sol.y[:, -1]
-    if with_variational:
-        return zf[:4], zf[4:].reshape(4, 4)
-    return zf
+    return zf[:4], zf[4:].reshape(4, 4)
 
 
 def _seed_state(f: ResonantFamily) -> RtbpState:
@@ -186,7 +178,7 @@ def refine_periodic_orbit(f: ResonantFamily, mu: float, tol: float = 1e-10) -> P
 
     for _ in range(_NEWTON_MAX_ITER):
         s0 = np.array([0.0, G0 / x0, x0, 0.0])
-        sf, phi = _flow(s0, Th, mu, with_variational=True)
+        sf, phi = _flow(s0, Th, mu)
         res = np.array([sf[3], sf[0]])  # (y, p_x) at T/2
         if max(abs(res[0]), abs(res[1])) <= tol:
             return PeriodicOrbit(
@@ -222,7 +214,7 @@ def refine_periodic_orbit(f: ResonantFamily, mu: float, tol: float = 1e-10) -> P
 def monodromy(o: PeriodicOrbit) -> MonodromyReport:
     """Monodromy matrix over one period, from the variational equations."""
     s0 = o.initial_state.as_array()
-    _, M = _flow(s0, o.period, o.mu, with_variational=True)
+    _, M = _flow(s0, o.period, o.mu)
     tr = float(np.trace(M))
     return MonodromyReport(
         matrix=M,
@@ -233,35 +225,55 @@ def monodromy(o: PeriodicOrbit) -> MonodromyReport:
     )
 
 
+def verify_family(f: ResonantFamily, mu_list, tol: float = 1e-10) -> ExtrapolationResult:
+    """Monodromy estimate (tr M - 4)/mu at each mu, extrapolated to mu -> 0.
+
+    The multipliers are 1 +/- sqrt(C*mu) + O(mu), so the per-mu estimate
+    carries an O(sqrt(mu)) error; a least-squares fit of C + c1*sqrt(mu)
+    over the converged mu removes the leading correction.  A mu whose
+    correction fails is recorded in `errors`, not raised.
+    """
+    mus = tuple(float(m) for m in mu_list)
+    ests, errors = [], []
+    for mu in mus:
+        try:
+            ests.append(monodromy(refine_periodic_orbit(f, mu, tol)).C_estimate)
+            errors.append(None)
+        except RtbpError as exc:
+            ests.append(None)
+            errors.append(exc)
+    good = [(mu, c) for mu, c in zip(mus, ests) if c is not None]
+    C = slope = resid = None
+    if len(good) >= 2:
+        A = np.column_stack([np.ones(len(good)), np.sqrt([mu for mu, _ in good])])
+        y = np.array([c for _, c in good])
+        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+        C, slope = float(coef[0]), float(coef[1])
+        resid = float(np.max(np.abs(A @ coef - y)))
+    return ExtrapolationResult(
+        C=C,
+        sqrt_mu_slope=slope,
+        fit_residual=resid,
+        mu_list=mus,
+        estimates=tuple(ests),
+        errors=tuple(errors),
+    )
+
+
 def extrapolate_C(
     f: ResonantFamily,
     mu_list=(1e-4, 3e-5, 1e-5, 3e-6),
     tol: float = 1e-10,
-    map_fn=map,
 ) -> ExtrapolationResult:
-    """Extrapolate (tr M - 4)/mu to mu -> 0.
-
-    The multipliers are 1 +/- sqrt(C*mu) + O(mu), so the per-mu estimate
-    carries an O(sqrt(mu)) error; a least-squares fit of C + c1*sqrt(mu)
-    removes the leading correction.
-    """
+    """Strict `verify_family`: a strictly decreasing list of at least two mu,
+    every one of which must converge (the first per-mu error is raised)."""
     mus = [float(m) for m in mu_list]
     if len(mus) < 2:
         raise ValidationError("need at least two mu values to extrapolate")
     if any(m2 >= m1 for m1, m2 in zip(mus, mus[1:])):
         raise ValidationError("mu_list must be strictly decreasing")
-
-    def estimate(mu):
-        return monodromy(refine_periodic_orbit(f, mu, tol)).C_estimate
-
-    ests = list(map_fn(estimate, mus))
-    A = np.column_stack([np.ones(len(mus)), np.sqrt(mus)])
-    coef, *_ = np.linalg.lstsq(A, np.array(ests), rcond=None)
-    resid = float(np.max(np.abs(A @ coef - ests)))
-    return ExtrapolationResult(
-        C=float(coef[0]),
-        sqrt_mu_slope=float(coef[1]),
-        fit_residual=resid,
-        mu_list=tuple(mus),
-        estimates=tuple(float(v) for v in ests),
-    )
+    res = verify_family(f, mus, tol)
+    for err in res.errors:
+        if err is not None:
+            raise err
+    return res

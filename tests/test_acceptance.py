@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from rtbp_resonance.cli import regularization_checks
 from rtbp_resonance.coefficient import (
     _trapezoid_pair,
     compute_C,
@@ -33,6 +32,7 @@ from rtbp_resonance.levi_civita import (
     angle_consistency_check,
     frequencies,
     integrate_k_flow,
+    regularization_checks,
     state_from_action_angle,
     symplecticity_defect,
 )

@@ -10,6 +10,8 @@ import sys
 import pytest
 
 from rtbp_resonance.cli import main
+from rtbp_resonance.perturbation import canonical_families
+from rtbp_resonance.verifier import verify_family
 
 E_GRID_12 = ",".join(f"{0.05 * k:.2f}" for k in range(1, 13))
 
@@ -223,6 +225,22 @@ class TestVerify:
         assert per["status"].startswith("corrector-divergence")
         assert per["C_estimate"] is None
 
+    def test_failed_mu_leaves_fit_unchanged(self, capsys):
+        base = ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--family", "1"]
+        code, out, _ = _run(capsys, base + ["--mu-list", "1e-4,0.1,3e-5"])
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["status"] == "ok"
+        fam = rec["outputs"]["families"][0]
+        middle = fam["per_mu"][1]
+        assert middle["C_estimate"] is None
+        assert middle["status"].startswith("corrector-divergence")
+        f = canonical_families(1, 3, 0.3)[0]
+        assert fam["extrapolated_C"] == verify_family(f, (1e-4, 0.1, 3e-5)).C
+        _, out2, _ = _run(capsys, base + ["--mu-list", "1e-4,3e-5"])
+        # a failed mu must not move the fit
+        assert fam["extrapolated_C"] == json.loads(out2)["outputs"]["families"][0]["extrapolated_C"]
+
     def test_empty_mu_list_rejected(self, capsys):
         code, _, _ = _run(
             capsys,
@@ -245,6 +263,12 @@ class TestRegularize:
 
     def test_negative_G_passes(self, capsys):
         code, out, _ = _run(capsys, ["regularize", "--angular-momentum", "-0.3"])
+        assert code == 0
+        assert all(c["ok"] for c in json.loads(out)["outputs"]["checks"].values())
+
+    def test_angles_compared_mod_two_pi(self, capsys):
+        # the chart returns g = 0.4 - 2*pi here: the same angle
+        code, out, _ = _run(capsys, ["regularize", "--angular-momentum", "2.9", "--action", "1.75"])
         assert code == 0
         assert all(c["ok"] for c in json.loads(out)["outputs"]["checks"].values())
 

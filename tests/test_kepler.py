@@ -25,7 +25,6 @@ from rtbp_resonance.kepler import (
     polar_to_delaunay,
     reduce_angle,
     solve_kepler,
-    solve_kepler_array,
     true_anomaly,
     unperturbed_flow,
 )
@@ -72,15 +71,6 @@ class TestSolveKepler:
             solve_kepler(0.1, 1.0)
         with pytest.raises(ValidationError):
             solve_kepler(0.1, -0.1)
-
-    def test_vectorised_matches_scalar(self):
-        rng = np.random.default_rng(7)
-        l = rng.uniform(-20, 20, size=500)
-        for e in (0.05, 0.5, 0.93):
-            E = solve_kepler_array(l, e)
-            assert np.max(np.abs(E - e * np.sin(E) - l)) <= 1e-14
-            for i in range(0, 500, 50):
-                assert E[i] == pytest.approx(solve_kepler(l[i], e), abs=1e-13)
 
 
 class TestTrueAnomaly:

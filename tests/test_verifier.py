@@ -163,6 +163,8 @@ class TestExtrapolation:
             extrapolate_C(f, mu_list=(1e-5,))
         with pytest.raises(ValidationError):
             extrapolate_C(f, mu_list=(1e-5, 1e-4))
+        with pytest.raises(ValidationError):
+            extrapolate_C(f, mu_list=(2e-3, 1e-4))
 
     def test_both_families_match_quadrature(self):
         for f in canonical_families(1, 3, 0.3):
