@@ -304,8 +304,10 @@ def cmd_series(args) -> int:
 
 
 def _cache_path(cache_dir: str, key: dict) -> str:
+    # The package version is part of the key: a record computed by other
+    # code must not answer for this one.
     digest = hashlib.sha256(
-        json.dumps(_full_precision(key), sort_keys=True).encode()
+        json.dumps(_full_precision(key | {"version": __version__}), sort_keys=True).encode()
     ).hexdigest()
     return os.path.join(cache_dir, f"{digest}.json")
 
@@ -335,7 +337,10 @@ def _verify_family(f: ResonantFamily, mu_list, corrector_tol, quad_tol) -> dict:
     ]
     entry = {"family": _family_record(f), "per_mu": per_mu}
     if res.C is None:
-        entry.update({"extrapolated_C": None, "status": "corrector-divergence"})
+        # No fit: a mu diverged, or the list held fewer than two distinct mu.
+        diverged = any(err is not None for err in res.errors)
+        status = "corrector-divergence" if diverged else "insufficient-mu"
+        entry.update({"extrapolated_C": None, "status": status})
         return entry
     C_quad = compute_C(f, quad_tol).C
     entry.update(
@@ -376,13 +381,18 @@ def cmd_verify(args) -> int:
     outputs = {"families": [
         _verify_family(f, mu_list, args.corrector_tol, args.tol) for f in selected
     ]}
-    all_failed = all(e["status"] != "ok" for e in outputs["families"])
-    status = "corrector-divergence" if all_failed else "ok"
+    statuses = {e["status"] for e in outputs["families"]}
+    if "ok" in statuses:
+        status = "ok"
+    elif statuses == {"insufficient-mu"}:
+        status = "insufficient-mu"
+    else:
+        status = "corrector-divergence"
     text = _record("verify", key | {"e": args.e, "direction": args.direction}, outputs, status, t0)
     if cache_path:
         _cache_store(cache_path, text)
     _emit(text, args.output)
-    return 2 if all_failed else 0
+    return 0 if status == "ok" else 2
 
 
 def cmd_regularize(args) -> int:

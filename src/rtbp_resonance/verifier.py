@@ -2,9 +2,16 @@
 
 For mu > 0 the resonant periodic orbit survives as a symmetric periodic
 solution of the rotating-frame equations with both primaries.  This module
-differentially corrects that orbit by Newton shooting, integrates the
-variational equations to obtain its monodromy matrix M, and extracts the
+differentially corrects that orbit by Newton shooting over the half period,
+integrating the variational equations with the state, and extracts the
 coefficient from tr(M) - 4 ~ C*mu, extrapolating the estimate to mu -> 0.
+
+The orbit is symmetric under the reversor R = diag(-1, 1, 1, -1) with
+t -> -t, so its monodromy matrix is M = R Phi(T/2)^-1 R Phi(T/2), where
+Phi(T/2) is the half-period state-transition matrix of the accepted Newton
+iterate.  Phi is symplectic, so Phi^-1 = -Omega Phi^T Omega with
+Omega = [[0, -I], [I, 0]]; no matrix is inverted, and det M = det(Phi)^2
+still measures the integration error.
 
 State order is (p_x, p_y, x, y); the primaries of masses 1-mu and mu sit at
 (-mu, 0) and (1-mu, 0).  The canonical momenta equal the inertial velocity
@@ -14,7 +21,7 @@ components, so xdot = p_x + y and ydot = p_y - x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -26,6 +33,10 @@ from .perturbation import ResonantFamily, delaunay_initial_state
 _COLLISION_RADIUS = 1e-8
 _INTEGRATOR_TOL = 1e-12
 _NEWTON_MAX_ITER = 25
+# The reversor (p_x, p_y, x, y) -> (-p_x, p_y, x, -y) that, with t -> -t,
+# maps solutions to solutions, and the symplectic form in this order.
+_REVERSOR = np.diag([-1.0, 1.0, 1.0, -1.0])
+_OMEGA = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
 
 
 @dataclass(frozen=True)
@@ -34,6 +45,8 @@ class PeriodicOrbit:
 
     The initial state lies on the symmetry section y = 0, p_x = 0; the
     residuals are |y(T/2)| and |p_x(T/2)| after correction.
+    half_period_stm is the state-transition matrix Phi(T/2) of the accepted
+    Newton iterate, from which `monodromy` forms M without integrating.
     """
 
     initial_state: RtbpState
@@ -42,6 +55,7 @@ class PeriodicOrbit:
     family: ResonantFamily
     residual_y: float
     residual_px: float
+    half_period_stm: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -63,7 +77,8 @@ class ExtrapolationResult:
 
     estimates[i] is None and errors[i] holds the caught RtbpError where the
     corrector or monodromy failed at mu_list[i]; the fit uses the converged
-    mu only, and its fields are None when fewer than two converged.
+    mu only, and its fields are None when fewer than two distinct mu
+    converged (the two-parameter fit is then underdetermined).
     """
 
     C: float | None
@@ -90,6 +105,31 @@ def rtbp_hamiltonian(s, mu: float) -> float:
     )
 
 
+def _primary_forces(x: float, y: float, mu: float):
+    """Gradient (gx, gy) and Hessian (gxx, gxy, gyy) of the primaries'
+    potential (1-mu)/d0 + mu/d1 at (x, y), from one set of distances.
+
+    Raises CollisionError within _COLLISION_RADIUS of a primary with mass;
+    the massless primary of mu = 0 is regular there.
+    """
+    dx0, dx1 = x + mu, x - 1.0 + mu
+    d0sq = dx0 * dx0 + y * y
+    d1sq = dx1 * dx1 + y * y
+    if d0sq < _COLLISION_RADIUS**2 or (mu > 0.0 and d1sq < _COLLISION_RADIUS**2):
+        raise CollisionError("trajectory reached a primary")
+    m0, m1 = 1.0 - mu, mu
+    d0_3 = d0sq**-1.5
+    d0_5 = d0_3 / d0sq
+    d1_3 = d1sq**-1.5 if mu > 0.0 else 0.0
+    d1_5 = d1_3 / d1sq if mu > 0.0 else 0.0
+    gx = -m0 * dx0 * d0_3 - m1 * dx1 * d1_3
+    gy = -(m0 * d0_3 + m1 * d1_3) * y
+    gxx = m0 * (3.0 * dx0 * dx0 * d0_5 - d0_3) + m1 * (3.0 * dx1 * dx1 * d1_5 - d1_3)
+    gxy = 3.0 * y * (m0 * dx0 * d0_5 + m1 * dx1 * d1_5)
+    gyy = m0 * (3.0 * y * y * d0_5 - d0_3) + m1 * (3.0 * y * y * d1_5 - d1_3)
+    return gx, gy, gxx, gxy, gyy
+
+
 def rtbp_derivatives(s, mu: float, with_variational: bool = False):
     """Hamilton's equations of the full problem; optionally the Jacobian too.
 
@@ -98,26 +138,11 @@ def rtbp_derivatives(s, mu: float, with_variational: bool = False):
     vector field at s, for propagating variational equations.
     """
     arr = s.as_array() if isinstance(s, RtbpState) else np.asarray(s, dtype=float)
-    p_x, p_y, x, y = arr[:4]
-    dx0, dx1 = x + mu, x - 1.0 + mu
-    d0sq = dx0 * dx0 + y * y
-    d1sq = dx1 * dx1 + y * y
-    # Only a primary with mass attracts; its massless limit is regular there.
-    if d0sq < _COLLISION_RADIUS**2 or (mu > 0.0 and d1sq < _COLLISION_RADIUS**2):
-        raise CollisionError("trajectory reached a primary")
-    d0_3 = d0sq**-1.5
-    d1_3 = d1sq**-1.5 if mu > 0.0 else 0.0
-    m0, m1 = 1.0 - mu, mu
-    gx = -m0 * dx0 * d0_3 - m1 * dx1 * d1_3
-    gy = -(m0 * d0_3 + m1 * d1_3) * y
+    p_x, p_y, x, y = arr[:4].tolist()
+    gx, gy, gxx, gxy, gyy = _primary_forces(x, y, mu)
     f = np.array([p_y + gx, -p_x + gy, p_x + y, p_y - x])
     if not with_variational:
         return f
-    d0_5 = d0_3 / d0sq
-    d1_5 = d1_3 / d1sq
-    gxx = m0 * (3.0 * dx0 * dx0 * d0_5 - d0_3) + m1 * (3.0 * dx1 * dx1 * d1_5 - d1_3)
-    gxy = 3.0 * y * (m0 * dx0 * d0_5 + m1 * dx1 * d1_5)
-    gyy = m0 * (3.0 * y * y * d0_5 - d0_3) + m1 * (3.0 * y * y * d1_5 - d1_3)
     J = np.array(
         [
             [0.0, 1.0, gxx, gxy],
@@ -129,24 +154,43 @@ def rtbp_derivatives(s, mu: float, with_variational: bool = False):
     return f, J
 
 
+def _variational_rhs(_, z, mu: float):
+    """(f, J Phi) for z = (state, Phi row by row), in closed form.
+
+    The same vector field and Jacobian as rtbp_derivatives, written out
+    from the sparsity of J on Python floats: the integrator calls this once
+    per stage, and per-call array building dominated its cost.
+    """
+    (p_x, p_y, x, y,
+     a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = z.tolist()
+    gx, gy, gxx, gxy, gyy = _primary_forces(x, y, mu)
+    # Rows of J: (0, 1, gxx, gxy), (-1, 0, gxy, gyy), (1, 0, 0, 1), (0, 1, -1, 0).
+    return np.array(
+        [
+            p_y + gx, -p_x + gy, p_x + y, p_y - x,
+            b0 + gxx * c0 + gxy * d0, b1 + gxx * c1 + gxy * d1,
+            b2 + gxx * c2 + gxy * d2, b3 + gxx * c3 + gxy * d3,
+            -a0 + gxy * c0 + gyy * d0, -a1 + gxy * c1 + gyy * d1,
+            -a2 + gxy * c2 + gyy * d2, -a3 + gxy * c3 + gyy * d3,
+            a0 + d0, a1 + d1, a2 + d2, a3 + d3,
+            b0 - c0, b1 - c1, b2 - c2, b3 - c3,
+        ]
+    )
+
+
 def _flow(s0: np.ndarray, t_span: float, mu: float):
     """Integrate the state and its state-transition matrix Phi (from I).
 
     Returns (state, Phi) at t_span.
     """
-
-    def rhs(_, z):
-        f, J = rtbp_derivatives(z[:4], mu, with_variational=True)
-        phi = z[4:].reshape(4, 4)
-        return np.concatenate([f, (J @ phi).ravel()])
-
     sol = solve_ivp(
-        rhs,
+        _variational_rhs,
         (0.0, t_span),
         np.concatenate([s0, np.eye(4).ravel()]),
         method="DOP853",
         rtol=_INTEGRATOR_TOL,
         atol=_INTEGRATOR_TOL,
+        args=(mu,),
     )
     if not sol.success:
         raise ConvergenceError(f"integration failed: {sol.message}")
@@ -188,6 +232,7 @@ def refine_periodic_orbit(f: ResonantFamily, mu: float, tol: float = 1e-10) -> P
                 family=f,
                 residual_y=abs(res[0]),
                 residual_px=abs(res[1]),
+                half_period_stm=phi,
             )
         ds0_dx0 = np.array([0.0, -G0 / (x0 * x0), 1.0, 0.0])
         dsf_dx0 = phi @ ds0_dx0
@@ -212,9 +257,14 @@ def refine_periodic_orbit(f: ResonantFamily, mu: float, tol: float = 1e-10) -> P
 
 
 def monodromy(o: PeriodicOrbit) -> MonodromyReport:
-    """Monodromy matrix over one period, from the variational equations."""
-    s0 = o.initial_state.as_array()
-    _, M = _flow(s0, o.period, o.mu)
+    """Monodromy matrix over one period, from the half-period Phi.
+
+    M = R Phi(T/2)^-1 R Phi(T/2) by the reversing symmetry, with the
+    symplectic inverse Phi^-1 = -Omega Phi^T Omega; no integration.
+    """
+    phi = o.half_period_stm
+    phi_inv = -_OMEGA @ phi.T @ _OMEGA
+    M = _REVERSOR @ phi_inv @ _REVERSOR @ phi
     tr = float(np.trace(M))
     return MonodromyReport(
         matrix=M,
@@ -244,7 +294,7 @@ def verify_family(f: ResonantFamily, mu_list, tol: float = 1e-10) -> Extrapolati
             errors.append(exc)
     good = [(mu, c) for mu, c in zip(mus, ests) if c is not None]
     C = slope = resid = None
-    if len(good) >= 2:
+    if len({mu for mu, _ in good}) >= 2:
         A = np.column_stack([np.ones(len(good)), np.sqrt([mu for mu, _ in good])])
         y = np.array([c for _, c in good])
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from rtbp_resonance import cli
 from rtbp_resonance.cli import main
 from rtbp_resonance.perturbation import canonical_families
 from rtbp_resonance.verifier import verify_family
@@ -212,6 +213,17 @@ class TestVerify:
         _run(capsys, base + ["--mu-list", "1e-4,1e-5"])
         assert len(list(cache.glob("*.json"))) == 2
 
+    def test_other_version_misses_cache(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        argv = ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--family", "1",
+                "--mu-list", "1e-4,3e-5", "--cache-dir", str(cache)]
+        monkeypatch.setattr(cli, "__version__", "1.0.0")
+        _run(capsys, argv)
+        monkeypatch.undo()
+        _, out, _ = _run(capsys, argv)
+        assert len(list(cache.glob("*.json"))) == 2
+        assert json.loads(out)["version"] == cli.__version__
+
     def test_large_mu_divergence_reported(self, capsys):
         code, out, err = _run(
             capsys,
@@ -240,6 +252,20 @@ class TestVerify:
         _, out2, _ = _run(capsys, base + ["--mu-list", "1e-4,3e-5"])
         # a failed mu must not move the fit
         assert fam["extrapolated_C"] == json.loads(out2)["outputs"]["families"][0]["extrapolated_C"]
+
+    def test_repeated_mu_flagged_not_fitted(self, capsys):
+        code, out, _ = _run(
+            capsys,
+            ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--family", "1",
+             "--mu-list", "1e-4,1e-4"],
+        )
+        assert code == 2
+        rec = json.loads(out)
+        assert rec["status"] == "insufficient-mu"
+        fam = rec["outputs"]["families"][0]
+        assert fam["status"] == "insufficient-mu"
+        assert fam["extrapolated_C"] is None
+        assert all(p["status"] == "ok" and p["C_estimate"] is not None for p in fam["per_mu"])
 
     def test_empty_mu_list_rejected(self, capsys):
         code, _, _ = _run(
@@ -294,7 +320,7 @@ class TestEntryPoint:
     def test_version_flag(self, capsys):
         code, out, _ = _run(capsys, ["--version"])
         assert code == 0
-        assert out.strip() == "1.0.0"
+        assert out.strip() == "1.1.0"
 
     def test_unknown_command(self, capsys):
         code, _, _ = _run(capsys, ["frobnicate"])

@@ -1,6 +1,7 @@
 """Full-problem verifier tests: vector field and variational block, Newton
-shooting for the symmetric resonant orbits, monodromy structure, and the
-mu -> 0 extrapolation of (tr M - 4)/mu against the quadrature."""
+shooting for the symmetric resonant orbits, the half-period monodromy against
+a full-period integration, monodromy structure, and the mu -> 0
+extrapolation of (tr M - 4)/mu against the quadrature."""
 
 import math
 
@@ -8,16 +9,19 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from rtbp_resonance import verifier
 from rtbp_resonance.coefficient import compute_C
 from rtbp_resonance.errors import CollisionError, ConvergenceError, ValidationError
 from rtbp_resonance.kepler import RtbpState
 from rtbp_resonance.perturbation import ResonantFamily, canonical_families
 from rtbp_resonance.verifier import (
+    _variational_rhs,
     extrapolate_C,
     monodromy,
     refine_periodic_orbit,
     rtbp_derivatives,
     rtbp_hamiltonian,
+    verify_family,
 )
 
 MU = 1e-5
@@ -35,6 +39,20 @@ def _integrate(s0, t, mu, tol=1e-12):
     )
     assert sol.success
     return sol
+
+
+def _full_period_monodromy(o, tol=1e-12):
+    """Oracle: M from the variational equations integrated over the whole
+    period with the unfused rtbp_derivatives Jacobian."""
+
+    def rhs(_, z):
+        f, J = rtbp_derivatives(z[:4], o.mu, with_variational=True)
+        return np.concatenate([f, (J @ z[4:].reshape(4, 4)).ravel()])
+
+    z0 = np.concatenate([o.initial_state.as_array(), np.eye(4).ravel()])
+    sol = solve_ivp(rhs, (0.0, o.period), z0, method="DOP853", rtol=tol, atol=tol)
+    assert sol.success
+    return sol.y[4:, -1].reshape(4, 4)
 
 
 class TestDerivatives:
@@ -64,6 +82,25 @@ class TestDerivatives:
     def test_collision_guard(self):
         with pytest.raises(CollisionError):
             rtbp_derivatives(np.array([0.0, 0.0, 1.0 - 1e-3, 0.0]), 1e-3)
+
+
+class TestFusedVariationalRhs:
+    def test_matches_rtbp_derivatives(self):
+        rng = np.random.default_rng(7)
+        for mu in (0.0, 1e-5, 1e-3):
+            for _ in range(50):
+                z = rng.uniform(-1.5, 1.5, 20)
+                f, J = rtbp_derivatives(z[:4], mu, with_variational=True)
+                want = np.concatenate([f, (J @ z[4:].reshape(4, 4)).ravel()])
+                got = _variational_rhs(0.0, z, mu)
+                assert got.shape == (20,)
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("x", [-1e-3, 1.0 - 1e-3])
+    def test_collision_at_either_primary(self, x):
+        z = np.concatenate([[0.0, 0.0, x, 0.0], np.eye(4).ravel()])
+        with pytest.raises(CollisionError):
+            _variational_rhs(0.0, z, 1e-3)
 
 
 class TestRefinement:
@@ -121,6 +158,27 @@ def reports():
     return out
 
 
+class TestHalfPeriodMonodromy:
+    @pytest.mark.parametrize("family", canonical_families(1, 3, 0.3), ids=["n_l=0", "n_l=1"])
+    def test_matches_full_period_integration(self, family):
+        mu = 1e-4
+        o = refine_periodic_orbit(family, mu)
+        rep = monodromy(o)
+        M = _full_period_monodromy(o)
+        assert np.max(np.abs(rep.matrix - M)) <= 1e-7 * np.max(np.abs(M))
+        C_full = (np.trace(M) - 4.0) / mu
+        assert rep.C_estimate == pytest.approx(C_full, rel=1e-6)
+
+    def test_no_integration(self, monkeypatch):
+        o = refine_periodic_orbit(ResonantFamily(1, 3, 0.3), MU)
+
+        def no_integration(*args, **kwargs):
+            raise AssertionError("monodromy called solve_ivp")
+
+        monkeypatch.setattr(verifier, "solve_ivp", no_integration)
+        monodromy(o)
+
+
 class TestMonodromy:
     def test_symplectic_determinant(self, reports):
         for rep in reports.values():
@@ -176,3 +234,10 @@ class TestExtrapolation:
         r1 = extrapolate_C(canonical_families(1, 3, 0.3)[0])
         r2 = extrapolate_C(canonical_families(1, 3, 0.3)[1])
         assert r1.C * r2.C < 0.0
+
+    def test_repeated_mu_is_not_fitted(self):
+        # one distinct mu cannot separate C from the sqrt(mu) slope
+        res = verify_family(ResonantFamily(1, 3, 0.3), (1e-4, 1e-4))
+        assert res.errors == (None, None)
+        assert res.estimates[0] == res.estimates[1]
+        assert res.C is None and res.sqrt_mu_slope is None and res.fit_residual is None
