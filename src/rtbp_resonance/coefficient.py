@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import CollisionError, ConvergenceError
-from .kepler import DelaunayState, solve_kepler, true_anomaly
+from .kepler import solve_kepler, true_anomaly
 from .perturbation import ResonantFamily, canonical_families, omega_polar, track_arrays, track_integrand
 
 COLLISION_DELTA = 1e-6

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollisionError, ValidationError
-from .kepler import true_anomaly
+from .kepler import DelaunayState, true_anomaly
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,6 @@ def track_integrand(f: ResonantFamily, F):
 
 def delaunay_initial_state(f: ResonantFamily):
     """Delaunay initial conditions of the family (mu = 0)."""
-    from .kepler import DelaunayState
-
     sign = -1.0 if f.retrograde else 1.0
     L = sign * (f.p / f.q) ** (1.0 / 3.0)
     G = L * math.sqrt(1.0 - f.e**2)

@@ -11,6 +11,10 @@ retrograde ones.  Its coefficient is assembled from three pieces:
   * polynomials in the shift operator D = alpha d/dalpha, which transport
     the Laplace coefficients from the mean radius to the instantaneous one.
 
+After the substitution e = 2 beta / (1 + beta^2), each Laurent coefficient is
+one finite sum (`_xn_coefficient`): operator-valued binomials times powers of
+the Catalan series beta(e) times a Bessel e-series.
+
 All series bookkeeping is done exactly over Fractions; floats enter only in
 the final evaluation of the Laplace coefficients and their derivatives.
 """
@@ -24,7 +28,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .perturbation import ResonantFamily
 
 # ---------------------------------------------------------------------------
@@ -105,7 +109,7 @@ def laplace_b(n: int, alpha: float, deriv_order: int = 0):
         if abs(v) * tail_scale < 1e-18 * (abs(sums[deriv_order]) + 1.0) and m > deriv_order + 2:
             break
         if m > 200000:
-            raise ValidationError(f"laplace_b series did not converge at alpha={alpha}")
+            raise ConvergenceError(f"laplace_b series did not converge at alpha={alpha}")
     return sums
 
 
@@ -242,30 +246,34 @@ def _as_dpoly(x) -> OperatorPolynomial:
     return OperatorPolynomial.constant(x)
 
 
+def _binomials(P: OperatorPolynomial, order: int) -> list[OperatorPolynomial]:
+    """[binom(P, 0), ..., binom(P, order)] by binom(P, n) = binom(P, n-1) (P-n+1) / n."""
+    out = [OperatorPolynomial.constant(1)]
+    for n in range(1, order + 1):
+        out.append(out[-1] * (P - (n - 1)) * Fraction(1, n))
+    return out
+
+
 def dpoly_binomial(P: OperatorPolynomial, k: int) -> OperatorPolynomial:
     """binom(P, k) = P (P-1) ... (P-k+1) / k! for an operator polynomial P."""
-    out = OperatorPolynomial.constant(1)
-    for i in range(k):
-        out = out * (P - i)
-    return out * Fraction(1, math.factorial(k))
+    return _binomials(P, k)[-1]
 
 
 # ---------------------------------------------------------------------------
-# Formal power series in e with OperatorPolynomial coefficients
+# Formal power series in e
 # ---------------------------------------------------------------------------
 
 
 def beta_series(order: int) -> list[Fraction]:
-    """Series of beta(e) where e = 2 beta / (1 + beta^2) (beta = e/2 + e^3/8 + ...)."""
+    """Series of beta(e) where e = 2 beta / (1 + beta^2).
+
+    beta = (1 - sqrt(1 - e^2)) / e is the Catalan series
+    sum_n Catalan(n) (e/2)^(2n+1) = e/2 + e^3/8 + e^5/16 + ...
+    """
     b = [Fraction(0)] * (order + 1)
-    for _ in range(order + 1):
-        sq = _scalar_mul(b, b, order)
-        nb = [Fraction(0)] * (order + 1)
-        for j in range(order):
-            # beta = (e/2)(1 + beta^2): shift by the single power of e
-            nb[j + 1] = Fraction(1, 2) * (Fraction(1) if j == 0 else Fraction(0))
-            nb[j + 1] += Fraction(1, 2) * sq[j]
-        b = nb
+    for i in range(1, order + 1, 2):
+        n = i // 2
+        b[i] = Fraction(math.comb(2 * n, n), (n + 1) * 2**i)
     return b
 
 
@@ -278,30 +286,6 @@ def _scalar_mul(a, b, order):
             if i + j > order:
                 break
             out[i + j] += ai * bj
-    return out
-
-
-def _series_zero(order):
-    return [OperatorPolynomial()] * (order + 1)
-
-
-def _series_mul(a, b, order):
-    out = _series_zero(order)
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _scalar_power(s, m, order):
-    out = [Fraction(1)] + [Fraction(0)] * order
-    for _ in range(m):
-        out = _scalar_mul(out, s, order)
     return out
 
 
@@ -328,23 +312,6 @@ def _bessel_scalar_series(k3: int, x_coeff: Fraction, order: int) -> list[Fracti
     return out
 
 
-def _one_plus_beta_sq_pow(A: OperatorPolynomial, order: int):
-    """Series of (1 + beta^2)^A in e, with operator-valued exponent."""
-    beta = beta_series(order)
-    beta2 = _scalar_mul(beta, beta, order)
-    out = _series_zero(order)
-    out[0] = OperatorPolynomial.constant(1)
-    j = 1
-    while 2 * j <= order:
-        coeff = dpoly_binomial(A, j)
-        b2j = _scalar_power(beta2, j, order)
-        for i, x in enumerate(b2j):
-            if x and i <= order:
-                out[i] = out[i] + coeff * x
-        j += 1
-    return out
-
-
 def _xn_coefficient(
     k: int,
     x_coeff: Fraction,
@@ -356,27 +323,39 @@ def _xn_coefficient(
 ):
     """e-series (operator valued) of the z^{k q} coefficient of
     (1+beta^2)^A (1-beta z^-q)^B (1-beta z^q)^C exp(exp_sign * x_coeff * e * (z^q - z^-q)).
+
+    Expanding the three binomial factors gives the finite sum
+
+        sum_{j,m1,m2} binom(A,j) (-1)^(m1+m2) binom(B,m1) binom(C,m2)
+                      * beta^(2j+m1+m2) * J_{k+m1-m2},
+
+    where J_{k3} is the e-series of the z^{k3 q} coefficient of the exponential
+    (`_bessel_scalar_series`).  beta^n starts at e^n and J_{k3} at e^|k3|, so
+    only terms with 2j + m1 + m2 + |k3| <= order contribute; by the triangle
+    inequality they have j <= (order-|k|)/2, m1 <= (order-k)/2, m2 <= (order+k)/2.
     """
     beta = beta_series(order)
-    out = _series_zero(order)
-    for m1 in range(order + 1):
-        bin_b = dpoly_binomial(B, m1) * ((-1) ** m1)
-        if bin_b.is_zero():
-            continue
-        for m2 in range(order + 1 - m1):
+    powers = [[Fraction(1)] + [Fraction(0)] * order]
+    for _ in range(order):
+        powers.append(_scalar_mul(powers[-1], beta, order))
+    bin_a = _binomials(A, (order - abs(k)) // 2)
+    bin_b = _binomials(B, (order - k) // 2)
+    bin_c = _binomials(C, (order + k) // 2)
+    out = [OperatorPolynomial()] * (order + 1)
+    for m1 in range(len(bin_b)):
+        for m2 in range(len(bin_c)):
             k3 = k + m1 - m2
-            if m1 + m2 + abs(k3) > order:
-                continue
-            bin_c = dpoly_binomial(C, m2) * ((-1) ** m2)
-            if bin_c.is_zero():
+            slack = order - m1 - m2 - abs(k3)
+            if slack < 0:
                 continue
             bes = _bessel_scalar_series(k3, exp_sign * x_coeff, order)
-            scal = _scalar_mul(_scalar_power(beta, m1 + m2, order), bes, order)
-            op = bin_b * bin_c
-            for i, x in enumerate(scal):
-                if x:
-                    out[i] = out[i] + op * x
-    return _series_mul(_one_plus_beta_sq_pow(A, order), out, order)
+            bc = bin_b[m1] * bin_c[m2] * (-1) ** (m1 + m2)
+            for j in range(slack // 2 + 1):
+                op = bin_a[j] * bc
+                for i, x in enumerate(_scalar_mul(powers[2 * j + m1 + m2], bes, order)):
+                    if x:
+                        out[i] = out[i] + op * x
+    return out
 
 
 def xn_series_coefficient(p: int, q: int, n: int, k: int, e_order: int, direction: str = "direct"):

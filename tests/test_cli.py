@@ -87,6 +87,13 @@ class TestSeries:
         assert "leading_term" not in fam
         assert fam["leading_exponent"] == 1
 
+    def test_laplace_non_convergence_is_computation_failure(self, capsys):
+        # alpha = (99999/100000)^(2/3) is valid input, but b_q needs more
+        # than the series term cap: a failed computation (exit 2).
+        code, out, err = _run(capsys, ["series", "--p", "99999", "--q", "100000"])
+        assert code == 2 and out == ""
+        assert err.startswith("computation failed:")
+
 
 class TestSweep:
     def test_header_and_rows(self, capsys):

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 import rtbp_resonance.series as series
 from rtbp_resonance.coefficient import compute_C
-from rtbp_resonance.errors import ValidationError
+from rtbp_resonance.errors import ConvergenceError, ValidationError
 from rtbp_resonance.perturbation import ResonantFamily, canonical_families
 from rtbp_resonance.series import (
     OperatorPolynomial,
@@ -89,6 +89,12 @@ class TestLaplace:
     def test_domain(self):
         with pytest.raises(ValidationError):
             laplace_b(1, 1.2)
+
+    def test_non_convergence_is_convergence_error(self):
+        # A valid alpha whose series needs more than the term cap is a
+        # failed computation, not bad input.
+        with pytest.raises(ConvergenceError):
+            laplace_b(1, 0.99999)
 
 
 class TestOperatorPolynomial:
@@ -171,6 +177,62 @@ class TestLaurentMachinery:
         P = series._leading_c1_operator(p, q, "direct")
         Q = closed_form_c1_operator(p, q) * ((-1) ** (p - q))
         assert P.coeffs == Q.coeffs
+
+    @pytest.mark.parametrize(
+        "p,q,direction",
+        [
+            (1, 3, "direct"),
+            (2, 7, "retrograde"),
+            (5, 3, "direct"),
+            (3, 2, "retrograde"),
+            (4, 7, "retrograde"),
+            (7, 2, "direct"),
+            (5, 4, "retrograde"),
+        ],
+    )
+    def test_matches_fourier_cauchy_oracle(self, p, q, direction):
+        # The whole e-series of the operator, evaluated on alpha^D (D -> an
+        # integer eigenvalue), against a double contour integral of the
+        # generating function it expands.  The series starts at e^m (|k| = m)
+        # and the (1+beta^2)^A terms enter only past it, so it is taken two
+        # orders further.
+        m = abs(p - q) if direction == "direct" else p + q
+        k = (p - q) if direction == "direct" else -(p + q)
+        s = -1 if direction == "retrograde" else 1
+        x = Fraction(p, 2)
+        D = OperatorPolynomial.identity()
+        if p < q:
+            A, B, C = -D, D + q, D - q
+        else:
+            A, B, C = D, q - D, -q - D
+        P = series._xn_coefficient(k, x, s, A, B, C, m + 2)
+        for d in range(q, q + m + 1):
+            want = _fourier_cauchy_coefficients(
+                int(A.eval_scalar(d)), int(B.eval_scalar(d)), int(C.eval_scalar(d)), s, float(x), k, m + 2
+            )
+            got = [float(Pi.eval_scalar(d)) for Pi in P]
+            scale = max(abs(g) for g in got)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-8 * scale
+
+
+def _fourier_cauchy_coefficients(a, b, c, s, x, k, m):
+    """e^0..e^m coefficients of the w^k coefficient of
+    (1+beta^2)^a (1-beta/w)^b (1-beta w)^c exp(s x e (w - 1/w)),
+    beta = (1 - sqrt(1 - e^2))/e, by the 96 x 96 trapezoid rule over e on the
+    circle |e| = 0.5 and w on the unit circle (Cauchy's formula in both)."""
+    t = 2.0 * np.pi * np.arange(96) / 96
+    e = 0.5 * np.exp(1j * t)[:, None]
+    w = np.exp(1j * t)[None, :]
+    beta = (1.0 - np.sqrt(1.0 - e * e)) / e
+    f = (
+        (1.0 + beta * beta) ** a
+        * (1.0 - beta / w) ** b
+        * (1.0 - beta * w) ** c
+        * np.exp(s * x * e * (w - 1.0 / w))
+    )
+    fk = np.mean(f * w ** (-k), axis=1)
+    return [np.mean(fk * e[:, 0] ** (-i)) for i in range(m + 1)]
 
 
 def _quadrature_leading(f0: ResonantFamily, e_pair=(0.002, 0.001)):
