@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,10 +21,8 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from . import __version__
-from .coefficient import compute_C, sweep_e
+from .coefficient import SweepRow, compute_C, sweep_e
 from .errors import RtbpError, ValidationError
 from .levi_civita import regularization_checks
 from .perturbation import ResonantFamily, canonical_families
@@ -32,35 +31,6 @@ from .verifier import verify_family
 
 SCHEMA_VERSION = 1
 _DEFAULT_MU_LIST = (1e-4, 3e-5, 1e-5, 3e-6)
-_CSV_HEADER = [
-    "e",
-    "C_family1",
-    "C_family2",
-    "min_delta1_1",
-    "min_delta1_2",
-    "status_1",
-    "status_2",
-]
-
-
-def _full_precision(obj):
-    """Convert numpy values, tuples and complex numbers to JSON types.
-
-    Floats stay the same doubles; json.dumps writes them round-trip exact.
-    """
-    if isinstance(obj, dict):
-        return {k: _full_precision(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_full_precision(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _full_precision(obj.tolist())
-    if isinstance(obj, complex):
-        return {"re": _full_precision(obj.real), "im": _full_precision(obj.imag)}
-    return obj
 
 
 def _record(command: str, inputs: dict, outputs: dict, status: str, t0: float) -> str:
@@ -74,7 +44,7 @@ def _record(command: str, inputs: dict, outputs: dict, status: str, t0: float) -
         "timings": {"seconds": time.perf_counter() - t0},
         "version": __version__,
     }
-    return json.dumps(_full_precision(record), indent=2, sort_keys=True)
+    return json.dumps(record, indent=2, sort_keys=True)
 
 
 def _emit(text: str, output: str | None):
@@ -168,12 +138,14 @@ def _inject_config(argv):
     match the long option names.  Injected flags precede the command line
     ones, so explicit flags override the file.
     """
-    if "--config" not in argv:
+    # argparse itself finds the option, so `--config=FILE` and abbreviations
+    # such as `--conf FILE` count too.  A bare `--config` is left for the
+    # command's own parser to report.
+    finder = argparse.ArgumentParser(add_help=False)
+    finder.add_argument("--config", nargs="?")
+    path = finder.parse_known_args(argv)[0].config
+    if path is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        return argv
-    path = argv[i + 1]
     injected = []
     with open(path) as fh:
         for line in fh:
@@ -193,17 +165,6 @@ def _inject_config(argv):
 # ---------------------------------------------------------------------------
 
 
-def _family_record(f: ResonantFamily) -> dict:
-    return {
-        "p": f.p,
-        "q": f.q,
-        "e": f.e,
-        "n_l": f.n_l,
-        "n_g": f.n_g,
-        "direction": f.direction,
-    }
-
-
 def cmd_coeff(args) -> int:
     t0 = time.perf_counter()
     families = canonical_families(args.p, args.q, args.e, args.direction)
@@ -213,7 +174,7 @@ def cmd_coeff(args) -> int:
         lead = leading_coefficient(f)
         outputs["families"].append(
             {
-                "family": _family_record(f),
+                "family": dataclasses.asdict(f),
                 "C": res.C,
                 "C1": res.C1,
                 "C2": res.C2,
@@ -255,25 +216,15 @@ def cmd_sweep(args) -> int:
     else:
         rows = sweep_e(args.p, args.q, args.direction, grid, args.tol)
 
-    def fmt(v):
-        return "" if v is None else f"{v:.17g}"
+    def cell(v):
+        return "" if v is None else v if isinstance(v, str) else f"{v:.17g}"
 
     out = sys.stdout if args.output in (None, "-") else open(args.output, "w", newline="")
     try:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
+        writer.writerow(field.name for field in dataclasses.fields(SweepRow))
         for row in rows:
-            writer.writerow(
-                [
-                    f"{row.e:.17g}",
-                    fmt(row.C_family1),
-                    fmt(row.C_family2),
-                    fmt(row.min_delta1_1),
-                    fmt(row.min_delta1_2),
-                    row.status_1,
-                    row.status_2,
-                ]
-            )
+            writer.writerow(cell(v) for v in dataclasses.astuple(row))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -291,7 +242,7 @@ def cmd_series(args) -> int:
     for f in families:
         lead = leading_coefficient(f)
         entry = {
-            "family": _family_record(f) | {"e": args.e},
+            "family": dataclasses.asdict(f) | {"e": args.e},
             "leading_exponent": lead.exponent,
             "leading_coefficient": lead.value,
         }
@@ -307,7 +258,7 @@ def _cache_path(cache_dir: str, key: dict) -> str:
     # The package version is part of the key: a record computed by other
     # code must not answer for this one.
     digest = hashlib.sha256(
-        json.dumps(_full_precision(key | {"version": __version__}), sort_keys=True).encode()
+        json.dumps(key | {"version": __version__}, sort_keys=True).encode()
     ).hexdigest()
     return os.path.join(cache_dir, f"{digest}.json")
 
@@ -335,7 +286,7 @@ def _verify_family(f: ResonantFamily, mu_list, corrector_tol, quad_tol) -> dict:
         }
         for mu, est, err in zip(res.mu_list, res.estimates, res.errors)
     ]
-    entry = {"family": _family_record(f), "per_mu": per_mu}
+    entry = {"family": dataclasses.asdict(f), "per_mu": per_mu}
     if res.C is None:
         # No fit: a mu diverged, or the list held fewer than two distinct mu.
         diverged = any(err is not None for err in res.errors)
@@ -365,7 +316,7 @@ def cmd_verify(args) -> int:
 
     key = {
         "command": "verify",
-        "families": [_family_record(f) for f in selected],
+        "families": [dataclasses.asdict(f) for f in selected],
         "mu_list": mu_list,
         "corrector_tol": args.corrector_tol,
         "quad_tol": args.tol,

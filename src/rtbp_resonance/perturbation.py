@@ -97,19 +97,24 @@ def omega_polar(r, theta):
     return 1.0 / d - np.cos(theta) / (r * r) - 1.0 / r
 
 
-def integrand_thetatheta(r, theta):
-    """(r/Delta1)_thetatheta + cos(theta)/r with r held fixed.
+def _integrand_parts(r, theta, d1):
+    """(r/Delta1)_thetatheta with r held fixed, and cos(theta)/r, at Delta1 = d1.
 
-    Closed form: (3 r^3 sin^2(theta) - r^2 cos(theta) Delta1^2) / Delta1^5
-    plus cos(theta)/r.
+    Closed form of the first: (3 r^3 sin^2(theta) - r^2 cos(theta) Delta1^2) / Delta1^5.
     """
     c = np.cos(theta)
     s = np.sin(theta)
-    d2 = 1.0 + r * r - 2.0 * r * c
-    if np.any(d2 <= 0.0) or np.any(np.asarray(r) <= 0.0):
+    d2 = d1 * d1
+    return (3.0 * r**3 * s * s - r * r * c * d2) / d2**2.5, c / r
+
+
+def integrand_thetatheta(r, theta):
+    """(r/Delta1)_thetatheta + cos(theta)/r with r held fixed."""
+    d1 = delta1(r, theta)
+    if not np.all(d1 > 0.0) or np.any(np.asarray(r) <= 0.0):
         raise CollisionError("integrand evaluated at a collision")
-    d5 = d2 ** 2.5
-    return (3.0 * r**3 * s * s - r * r * c * d2) / d5 + c / r
+    c1, c2 = _integrand_parts(r, theta, d1)
+    return c1 + c2
 
 
 def track_arrays(f: ResonantFamily, F):
@@ -145,12 +150,7 @@ def track_integrand(f: ResonantFamily, F):
     r, theta, _, d1 = track_arrays(f, F)
     if np.any(d1 <= 0.0):
         raise CollisionError("resonant track passes through the small primary")
-    c = np.cos(theta)
-    s = np.sin(theta)
-    d2 = d1 * d1
-    c1 = (3.0 * r**3 * s * s - r * r * c * d2) / d2**2.5
-    c2 = c / r
-    return c1, c2
+    return _integrand_parts(r, theta, d1)
 
 
 def delaunay_initial_state(f: ResonantFamily):

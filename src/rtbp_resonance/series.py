@@ -1,22 +1,22 @@
 """Closed-form leading coefficients of C(e,p,q).
 
-The leading power of e in C(e,p,q) is |p-q| for direct families and p+q for
-retrograde ones.  Its coefficient is assembled from three pieces:
+The leading power of e in C(e,p,q) is m = |p-q| for direct families and p+q
+for retrograde ones.  Its coefficient is assembled from two pieces:
 
   * Laplace coefficients b_n(alpha), the Fourier coefficients of
     (1 + alpha^2 - 2 alpha cos(theta))^(-1/2), evaluated by their
     hypergeometric series together with termwise derivatives;
-  * Bessel-function Laurent series of the exponential factor
-    exp(+-(e n p / 2q)(z^q - z^(-q)));
-  * polynomials in the shift operator D = alpha d/dalpha, which transport
+  * a polynomial in the shift operator D = alpha d/dalpha, which transports
     the Laplace coefficients from the mean radius to the instantaneous one.
 
-After the substitution e = 2 beta / (1 + beta^2), each Laurent coefficient is
-one finite sum (`_xn_coefficient`): operator-valued binomials times powers of
-the Catalan series beta(e) times a Bessel e-series.
+The operator is the e^m term of one harmonic of a product of two binomial
+factors in beta(e) = e/2 + ..., a (1+beta^2) power and a Bessel exponential.
+At that order only the lowest term of each factor survives, so it is one
+finite sum over i of binom(X, i) (+-1/2)^i (+-p/2)^(m-i) / (m-i)!
+(`_leading_c1_operator`).
 
-All series bookkeeping is done exactly over Fractions; floats enter only in
-the final evaluation of the Laplace coefficients and their derivatives.
+The operator is exact over Fractions; floats enter only in the final
+evaluation of the Laplace coefficients and their derivatives.
 """
 
 from __future__ import annotations
@@ -277,110 +277,6 @@ def beta_series(order: int) -> list[Fraction]:
     return b
 
 
-def _scalar_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _bessel_scalar_series(k3: int, x_coeff: Fraction, order: int) -> list[Fraction]:
-    """e-series of the coefficient of w^{k3} in exp(x_coeff*e*(w - 1/w)) (w = z^q).
-
-    That coefficient is J_{k3}(2*x_coeff*e); negative orders pick up (-1)^{k3}.
-    """
-    sign = 1
-    k = k3
-    if k < 0:
-        k = -k
-        sign = (-1) ** k
-    out = [Fraction(0)] * (order + 1)
-    m = 0
-    while k + 2 * m <= order:
-        out[k + 2 * m] = (
-            sign
-            * (-1) ** m
-            * x_coeff ** (k + 2 * m)
-            / (math.factorial(m) * math.factorial(m + k))
-        )
-        m += 1
-    return out
-
-
-def _xn_coefficient(
-    k: int,
-    x_coeff: Fraction,
-    exp_sign: int,
-    A: OperatorPolynomial,
-    B: OperatorPolynomial,
-    C: OperatorPolynomial,
-    order: int,
-):
-    """e-series (operator valued) of the z^{k q} coefficient of
-    (1+beta^2)^A (1-beta z^-q)^B (1-beta z^q)^C exp(exp_sign * x_coeff * e * (z^q - z^-q)).
-
-    Expanding the three binomial factors gives the finite sum
-
-        sum_{j,m1,m2} binom(A,j) (-1)^(m1+m2) binom(B,m1) binom(C,m2)
-                      * beta^(2j+m1+m2) * J_{k+m1-m2},
-
-    where J_{k3} is the e-series of the z^{k3 q} coefficient of the exponential
-    (`_bessel_scalar_series`).  beta^n starts at e^n and J_{k3} at e^|k3|, so
-    only terms with 2j + m1 + m2 + |k3| <= order contribute; by the triangle
-    inequality they have j <= (order-|k|)/2, m1 <= (order-k)/2, m2 <= (order+k)/2.
-    """
-    beta = beta_series(order)
-    powers = [[Fraction(1)] + [Fraction(0)] * order]
-    for _ in range(order):
-        powers.append(_scalar_mul(powers[-1], beta, order))
-    bin_a = _binomials(A, (order - abs(k)) // 2)
-    bin_b = _binomials(B, (order - k) // 2)
-    bin_c = _binomials(C, (order + k) // 2)
-    out = [OperatorPolynomial()] * (order + 1)
-    for m1 in range(len(bin_b)):
-        for m2 in range(len(bin_c)):
-            k3 = k + m1 - m2
-            slack = order - m1 - m2 - abs(k3)
-            if slack < 0:
-                continue
-            bes = _bessel_scalar_series(k3, exp_sign * x_coeff, order)
-            bc = bin_b[m1] * bin_c[m2] * (-1) ** (m1 + m2)
-            for j in range(slack // 2 + 1):
-                op = bin_a[j] * bc
-                for i, x in enumerate(_scalar_mul(powers[2 * j + m1 + m2], bes, order)):
-                    if x:
-                        out[i] = out[i] + op * x
-    return out
-
-
-def xn_series_coefficient(p: int, q: int, n: int, k: int, e_order: int, direction: str = "direct"):
-    """Operator-valued e-series of the z^{k q} coefficient of X_n(-D, D+n, D-n).
-
-    X_n is the product of (1+beta^2)^(-D), the two binomial factors
-    (1 - beta z^(-q))^(D+n) and (1 - beta z^q)^(D-n), and the exponential
-    whose argument flips sign between direct and retrograde families.
-    Returns a list of OperatorPolynomial, index = power of e.  The lowest
-    possibly nonzero order is |k|.
-    """
-    if direction not in ("direct", "retrograde"):
-        raise ValidationError(f"unknown direction {direction!r}")
-    D = OperatorPolynomial.identity()
-    return _xn_coefficient(
-        k,
-        Fraction(n * p, 2 * q),
-        -1 if direction == "retrograde" else 1,
-        -D,
-        D + n,
-        D - n,
-        e_order,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Leading coefficients of C1, C2, and C
 # ---------------------------------------------------------------------------
@@ -397,19 +293,32 @@ class LeadingCoefficient:
 
 def _leading_c1_operator(p: int, q: int, direction: str) -> OperatorPolynomial:
     """Operator polynomial giving the e^m coefficient of C1 up to the
-    -2*pi*q^2*(sign) prefactor, from the n = +-q Laurent terms."""
+    -2*pi*q^2*(sign) prefactor, from the n = +-q Laurent terms.
+
+    That coefficient is the e^m term of the w^k harmonic (w = z^q, |k| = m)
+    of (1+beta^2)^A (1 - beta/w)^B (1 - beta w)^C exp(s e (w - 1/w)), with
+    s = p/2 (direct) or -p/2 (retrograde).  beta starts at e/2, so at order
+    |k| only the lowest term of each factor survives (d'Alembert): the
+    (1+beta^2)^A factor drops out and one sum over i remains,
+
+        k < 0:  (-1)^m sum_i binom(B, i) (1/2)^i s^(m-i) / (m-i)!
+        k > 0:         sum_i binom(C, i) (-1/2)^i s^(m-i) / (m-i)!
+
+    k < 0 for retrograde families and direct ones with p < q.  Inside the
+    unit circle (p < q) B = D+q; outside it the expansion is in alpha = 1/r,
+    which inverts the shift operator: B = q-D and C = -q-D.
+    """
     D = OperatorPolynomial.identity()
     m = abs(p - q) if direction == "direct" else p + q
-    k = (p - q) if direction == "direct" else -(p + q)
-    exp_sign = -1 if direction == "retrograde" else 1
-    if p < q:
-        A, B, C = -D, D + q, D - q
+    s = Fraction(p if direction == "direct" else -p, 2)
+    if direction == "direct" and p > q:
+        X, half, sign = -q - D, Fraction(-1, 2), 1
     else:
-        # The orbit lies outside the unit circle: expand in alpha = 1/r,
-        # which inverts the shift operator and swaps the target function.
-        A, B, C = D, q - D, -q - D
-    series = _xn_coefficient(k, Fraction(q * p, 2 * q), exp_sign, A, B, C, m)
-    return series[m]
+        X, half, sign = (D + q if p < q else q - D), Fraction(1, 2), (-1) ** m
+    total = OperatorPolynomial()
+    for i, b in enumerate(_binomials(X, m)):
+        total = total + b * (half**i * s ** (m - i) / math.factorial(m - i))
+    return total * sign
 
 
 def leading_c1_coefficient(f: ResonantFamily) -> float:
@@ -448,36 +357,6 @@ def leading_coefficient(f: ResonantFamily) -> LeadingCoefficient:
     m = abs(f.p - f.q) if f.direction == "direct" else f.p + f.q
     value = -6.0 * math.pi * f.p**2 * (leading_c1_coefficient(f) + leading_c2_coefficient(f))
     return LeadingCoefficient(family=f, exponent=m, value=value)
-
-
-# ---------------------------------------------------------------------------
-# Printed closed forms (finite hypergeometric sums); retained as independent
-# cross-checks of the general Laurent machinery above.
-# ---------------------------------------------------------------------------
-
-
-def closed_form_c1_operator(p: int, q: int) -> OperatorPolynomial:
-    """Finite operator sum for the direct-family e^{|p-q|} coefficient of C1,
-    without the -2*pi*q^2*(-1)^(n_g q + n_l p) prefactor.
-
-    p < q: ((-1)^(q-p)/2^(q-p)) * sum_k binom(D+q, k) p^(q-p-k)/(q-p-k)!
-    p > q: ((-1)^(p-q)/2^(p-q)) * sum_k (-1)^k binom(-D-q, k) p^(p-q-k)/(p-q-k)!
-    (applied to alpha*b_q at alpha=(p/q)^(2/3), resp. b_q at alpha=(q/p)^(2/3)).
-    """
-    D = OperatorPolynomial.identity()
-    m = abs(p - q)
-    total = OperatorPolynomial()
-    if p < q:
-        for k in range(m + 1):
-            total = total + dpoly_binomial(D + q, k) * Fraction(
-                p ** (m - k), math.factorial(m - k)
-            )
-    else:
-        for k in range(m + 1):
-            total = total + dpoly_binomial(-D - q, k) * (
-                (-1) ** k * Fraction(p ** (m - k), math.factorial(m - k))
-            )
-    return total * Fraction((-1) ** m, 2**m)
 
 
 def c2_value(f: ResonantFamily) -> float:

@@ -214,8 +214,7 @@ def refine_periodic_orbit(f: ResonantFamily, mu: float, tol: float = 1e-10) -> P
     """
     if not 0.0 < mu <= 1e-3:
         raise ValidationError(f"mu must be in (0, 1e-3], got {mu}")
-    sign = -1.0 if f.retrograde else 1.0
-    G0 = sign * (f.p / f.q) ** (1.0 / 3.0) * math.sqrt(1.0 - f.e**2)
+    G0 = delaunay_initial_state(f).G
     seed = _seed_state(f)
     x0 = seed.x
     Th = math.pi * f.p

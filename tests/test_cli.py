@@ -160,10 +160,15 @@ class TestSweep:
 
 
 class TestConfig:
-    def test_file_sets_flags(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "spelling",
+        [["--config", "{}"], ["--config={}"], ["--conf", "{}"]],
+        ids=["separate", "equals", "abbreviated"],
+    )
+    def test_file_sets_flags(self, capsys, tmp_path, spelling):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("p = 1\nq = 3\ne = 0.3  # moderate eccentricity\n")
-        code, out, _ = _run(capsys, ["coeff", "--config", str(cfg)])
+        code, out, _ = _run(capsys, ["coeff"] + [s.format(cfg) for s in spelling])
         assert code == 0
         assert json.loads(out)["inputs"]["e"] == 0.3
 

@@ -1,6 +1,7 @@
 """Series-machinery tests: Bessel and Laplace evaluations against integral
-oracles, operator-polynomial identities, the beta substitution, the Laurent
-coefficient machinery, and the leading coefficients against the quadrature."""
+oracles, operator-polynomial identities, the beta substitution, the leading
+operator against the printed formula and a contour integral, and the leading
+coefficients against the quadrature."""
 
 import math
 from fractions import Fraction
@@ -18,12 +19,10 @@ from rtbp_resonance.series import (
     bessel_j,
     beta_series,
     c2_value,
-    closed_form_c1_operator,
     dpoly_binomial,
     laplace_b,
     laplace_b_quadrature,
     leading_coefficient,
-    xn_series_coefficient,
 )
 
 
@@ -138,7 +137,7 @@ class TestBetaSubstitution:
         # beta solves beta = (e/2)(1 + beta^2) as a formal series.
         order = 11
         b = beta_series(order)
-        b2 = series._scalar_mul(b, b, order)
+        b2 = [sum(b[j] * b[i - j] for j in range(i + 1)) for i in range(order + 1)]
         rhs = [Fraction(0)] * (order + 1)
         rhs[1] = Fraction(1, 2)
         for i in range(order):
@@ -152,16 +151,31 @@ class TestBetaSubstitution:
         assert b_series_val == pytest.approx(b_closed, abs=1e-14)
 
 
+def closed_form_c1_operator(p: int, q: int) -> OperatorPolynomial:
+    """Printed finite operator sum for the direct-family e^{|p-q|} coefficient
+    of C1, without the -2*pi*q^2*(-1)^(n_g q + n_l p) prefactor.
+
+    p < q: ((-1)^(q-p)/2^(q-p)) * sum_k binom(D+q, k) p^(q-p-k)/(q-p-k)!
+    p > q: ((-1)^(p-q)/2^(p-q)) * sum_k (-1)^k binom(-D-q, k) p^(p-q-k)/(p-q-k)!
+    (applied to alpha*b_q at alpha=(p/q)^(2/3), resp. b_q at alpha=(q/p)^(2/3)).
+    """
+    D = OperatorPolynomial.identity()
+    m = abs(p - q)
+    total = OperatorPolynomial()
+    if p < q:
+        for k in range(m + 1):
+            total = total + dpoly_binomial(D + q, k) * Fraction(
+                p ** (m - k), math.factorial(m - k)
+            )
+    else:
+        for k in range(m + 1):
+            total = total + dpoly_binomial(-D - q, k) * (
+                (-1) ** k * Fraction(p ** (m - k), math.factorial(m - k))
+            )
+    return total * Fraction((-1) ** m, 2**m)
+
+
 class TestLaurentMachinery:
-    def test_zeroth_order_is_one(self):
-        coeffs = xn_series_coefficient(1, 3, 3, 0, 0)
-        assert coeffs[0].coeffs == (Fraction(1),)
-
-    def test_high_harmonic_truncates_to_zero(self):
-        # the z^{kq} coefficient starts at order e^{|k|}
-        coeffs = xn_series_coefficient(1, 3, 3, 4, 3)
-        assert all(c.is_zero() for c in coeffs)
-
     @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 3), (2, 7), (3, 4)])
     def test_interior_resonance_printed_formula(self, p, q):
         # Orbit inside the unit circle (p < q): the assembled machinery
@@ -191,29 +205,20 @@ class TestLaurentMachinery:
         ],
     )
     def test_matches_fourier_cauchy_oracle(self, p, q, direction):
-        # The whole e-series of the operator, evaluated on alpha^D (D -> an
-        # integer eigenvalue), against a double contour integral of the
-        # generating function it expands.  The series starts at e^m (|k| = m)
-        # and the (1+beta^2)^A terms enter only past it, so it is taken two
-        # orders further.
+        # The leading operator, evaluated on alpha^D (D -> an integer
+        # eigenvalue), against a double contour integral of the generating
+        # function whose e^m term it is; that harmonic (|k| = m) starts at e^m.
         m = abs(p - q) if direction == "direct" else p + q
         k = (p - q) if direction == "direct" else -(p + q)
         s = -1 if direction == "retrograde" else 1
-        x = Fraction(p, 2)
-        D = OperatorPolynomial.identity()
-        if p < q:
-            A, B, C = -D, D + q, D - q
-        else:
-            A, B, C = D, q - D, -q - D
-        P = series._xn_coefficient(k, x, s, A, B, C, m + 2)
+        x = p / 2
+        P = series._leading_c1_operator(p, q, direction)
         for d in range(q, q + m + 1):
-            want = _fourier_cauchy_coefficients(
-                int(A.eval_scalar(d)), int(B.eval_scalar(d)), int(C.eval_scalar(d)), s, float(x), k, m + 2
-            )
-            got = [float(Pi.eval_scalar(d)) for Pi in P]
-            scale = max(abs(g) for g in got)
-            for g, w in zip(got, want):
-                assert abs(g - w) <= 1e-8 * scale
+            a, b, c = (-d, d + q, d - q) if p < q else (d, q - d, -q - d)
+            want = _fourier_cauchy_coefficients(a, b, c, s, x, k, m)
+            got = float(P.eval_scalar(d))
+            assert abs(got - want[m]) <= 1e-8 * abs(got)
+            assert all(abs(w) <= 1e-8 * abs(got) for w in want[:m])
 
 
 def _fourier_cauchy_coefficients(a, b, c, s, x, k, m):
