@@ -44,16 +44,14 @@ from .levi_civita import (
     angle_consistency_check,
     integrate_k_flow,
     k_value,
-    lc_map,
     state_from_action_angle,
 )
-from .perturbation import ResonantFamily, canonical_families, omega_polar, resonant_track
+from .perturbation import ResonantFamily, canonical_families, omega_polar
 from .series import LeadingCoefficient, bessel_j, laplace_b, leading_coefficient
 from .verifier import (
     ExtrapolationResult,
     MonodromyReport,
     PeriodicOrbit,
-    extrapolate_C,
     monodromy,
     refine_periodic_orbit,
     rtbp_derivatives,
@@ -93,18 +91,15 @@ __all__ = [
     "compute_C_via_omega_ll",
     "delaunay_to_cartesian",
     "delaunay_to_polar",
-    "extrapolate_C",
     "integrate_k_flow",
     "k_value",
     "laplace_b",
-    "lc_map",
     "leading_coefficient",
     "monodromy",
     "omega_polar",
     "polar_to_cartesian_rotating",
     "polar_to_delaunay",
     "refine_periodic_orbit",
-    "resonant_track",
     "rtbp_derivatives",
     "rtbp_hamiltonian",
     "solve_kepler",

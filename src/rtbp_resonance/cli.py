@@ -27,10 +27,9 @@ from .errors import RtbpError, ValidationError
 from .levi_civita import regularization_checks
 from .perturbation import ResonantFamily, canonical_families
 from .series import leading_coefficient
-from .verifier import verify_family
+from .verifier import DEFAULT_MU_LIST, verify_family
 
 SCHEMA_VERSION = 1
-_DEFAULT_MU_LIST = (1e-4, 3e-5, 1e-5, 3e-6)
 
 
 def _record(command: str, inputs: dict, outputs: dict, status: str, t0: float) -> str:
@@ -62,6 +61,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
+
+
+class _QuietParser(argparse.ArgumentParser):
+    """argparse that raises ValidationError instead of reporting and exiting."""
+
+    def error(self, message):
+        raise ValidationError(message)
 
 
 def _parse_float_list(text: str):
@@ -118,7 +124,7 @@ def build_parser() -> _Parser:
     _family_args(sp)
     sp.add_argument("--e", type=float, required=True)
     sp.add_argument("--family", choices=("1", "2", "both"), default="both")
-    sp.add_argument("--mu-list", default=",".join(repr(m) for m in _DEFAULT_MU_LIST))
+    sp.add_argument("--mu-list", default=",".join(repr(m) for m in DEFAULT_MU_LIST))
     sp.add_argument("--corrector-tol", type=float, default=1e-10)
     sp.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
     sp.add_argument("--cache-dir", default=None, help="cache directory for verification runs")
@@ -131,19 +137,28 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _inject_config(argv):
+def _inject_config(argv, parser):
     """Expand `--config FILE` into flags placed before the explicit flags.
 
     The file holds one `key = value` pair per line (# comments allowed); keys
     match the long option names.  Injected flags precede the command line
     ones, so explicit flags override the file.
     """
-    # argparse itself finds the option, so `--config=FILE` and abbreviations
-    # such as `--conf FILE` count too.  A bare `--config` is left for the
-    # command's own parser to report.
-    finder = argparse.ArgumentParser(add_help=False)
-    finder.add_argument("--config", nargs="?")
-    path = finder.parse_known_args(argv)[0].config
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return argv
+    # A finder with the command's own option strings resolves the option, so
+    # `--config=FILE` and abbreviations such as `--conf FILE` count too.  An
+    # abbreviation the command finds ambiguous (`--co`) and a bare `--config`
+    # are left for the command's parser to report.
+    finder = _QuietParser(add_help=False)
+    for action in command._actions:
+        finder.add_argument(*action.option_strings, dest=action.dest, nargs="?")
+    try:
+        path = finder.parse_known_args(argv[1:])[0].config
+    except ValidationError:
+        return argv
     if path is None:
         return argv
     injected = []
@@ -325,9 +340,13 @@ def cmd_verify(args) -> int:
     if cache_path and os.path.exists(cache_path):
         with open(cache_path) as fh:
             text = fh.read().rstrip("\n")
-        _emit(text, args.output)
-        record = json.loads(text)
-        return 0 if record.get("status") == "ok" else 2
+        try:
+            record = json.loads(text)
+        except ValueError:
+            record = None
+        if isinstance(record, dict):  # anything else is a miss, overwritten below
+            _emit(text, args.output)
+            return 0 if record.get("status") == "ok" else 2
 
     outputs = {"families": [
         _verify_family(f, mu_list, args.corrector_tol, args.tol) for f in selected
@@ -373,8 +392,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _inject_config(argv)
+        argv = _inject_config(argv, parser)
         args = parser.parse_args(argv)
+        for name in ("tol", "corrector_tol"):
+            value = getattr(args, name, None)
+            if value is not None and not 0.0 < value < math.inf:
+                flag = "--" + name.replace("_", "-")
+                raise ValidationError(f"{flag} must be positive and finite, got {value}")
         return _DISPATCH[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0

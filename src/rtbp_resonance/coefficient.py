@@ -23,11 +23,21 @@ from scipy.optimize import minimize_scalar
 
 from .errors import CollisionError, ConvergenceError
 from .kepler import solve_kepler, true_anomaly
-from .perturbation import ResonantFamily, canonical_families, omega_polar, track_arrays, track_integrand
+from .perturbation import (
+    ResonantFamily,
+    canonical_families,
+    delaunay_initial_state,
+    omega_polar,
+    track_arrays,
+    track_integrand,
+)
 
 COLLISION_DELTA = 1e-6
 NODE_CAP = 2**20
 _N_START = 64
+# Time nodes and finite-difference step of the Omega_ll / Omega_gg oracles.
+_ORACLE_NODES = 2048
+_ORACLE_STEP = 2e-2
 
 
 @dataclass(frozen=True)
@@ -153,8 +163,8 @@ def sweep_e(p, q, direction, e_grid, tol: float = 1e-10, map_fn=map):
 # ---------------------------------------------------------------------------
 # Independent formulations: C from time integrals of Omega_ll and Omega_gg.
 # These deliberately share no code with the track quadrature beyond the
-# coordinate stack: derivatives are taken by finite differences of the
-# disturbing function in Delaunay variables.
+# coordinate stack and the family's initial Delaunay state: derivatives are
+# taken by finite differences of the disturbing function in Delaunay variables.
 # ---------------------------------------------------------------------------
 
 
@@ -177,38 +187,31 @@ def _second_derivative(fun, x, h):
     return (16.0 * bc - ab) / 15.0
 
 
-def _family_angles(f: ResonantFamily, t):
+def _time_integral(f: ResonantFamily, integrand) -> float:
+    """Trapezoid integral over one period T = 2*pi*p of integrand(L, G, l, g)
+    along the mu = 0 family, whose angles advance from their initial values
+    as l' = +-q/p and g' = -1."""
+    d = delaunay_initial_state(f)
     sign = -1.0 if f.retrograde else 1.0
-    L = sign * (f.p / f.q) ** (1.0 / 3.0)
-    G = L * math.sqrt(1.0 - f.e**2)
-    l = f.n_l * math.pi + sign * f.q * t / f.p
-    g = f.n_g * math.pi - t
-    return L, G, l, g
+    T = 2.0 * math.pi * f.p
+    ts = np.arange(_ORACLE_NODES) * (T / _ORACLE_NODES)
+    vals = [integrand(d.L, d.G, d.l + sign * f.q * t / f.p, d.g - t) for t in ts]
+    return (T / _ORACLE_NODES) * fsum(vals)
 
 
-def compute_C_via_omega_ll(f: ResonantFamily, n_nodes: int = 2048, h: float = 2e-2) -> float:
+def compute_C_via_omega_ll(f: ResonantFamily) -> float:
     """C from the time integral of Omega_ll (finite-difference oracle)."""
 
-    def integrand(t):
-        L, G, l, g = _family_angles(f, t)
-        return _second_derivative(lambda ll: omega_delaunay(L, G, ll, g), l, h)
+    def omega_ll(L, G, l, g):
+        return _second_derivative(lambda ll: omega_delaunay(L, G, ll, g), l, _ORACLE_STEP)
 
-    T = 2.0 * math.pi * f.p
-    ts = np.arange(n_nodes) * (T / n_nodes)
-    vals = [integrand(t) for t in ts]
-    integral = (T / n_nodes) * fsum(vals)
-    return -6.0 * math.pi * f.q ** (4.0 / 3.0) / f.p ** (1.0 / 3.0) * integral
+    return -6.0 * math.pi * f.q ** (4.0 / 3.0) / f.p ** (1.0 / 3.0) * _time_integral(f, omega_ll)
 
 
-def compute_C_via_omega_gg(f: ResonantFamily, n_nodes: int = 2048, h: float = 2e-2) -> float:
+def compute_C_via_omega_gg(f: ResonantFamily) -> float:
     """C from the time integral of Omega_gg (finite-difference oracle)."""
 
-    def integrand(t):
-        L, G, l, g = _family_angles(f, t)
-        return _second_derivative(lambda gg: omega_delaunay(L, G, l, gg), g, h)
+    def omega_gg(L, G, l, g):
+        return _second_derivative(lambda gg: omega_delaunay(L, G, l, gg), g, _ORACLE_STEP)
 
-    T = 2.0 * math.pi * f.p
-    ts = np.arange(n_nodes) * (T / n_nodes)
-    vals = [integrand(t) for t in ts]
-    integral = (T / n_nodes) * fsum(vals)
-    return -6.0 * math.pi * f.p ** (5.0 / 3.0) / f.q ** (2.0 / 3.0) * integral
+    return -6.0 * math.pi * f.p ** (5.0 / 3.0) / f.q ** (2.0 / 3.0) * _time_integral(f, omega_gg)

@@ -237,8 +237,3 @@ def unperturbed_flow(s: DelaunayState, t: float) -> DelaunayState:
     if s.L == 0.0:
         raise ValidationError("L = 0")
     return DelaunayState(L=s.L, G=s.G, l=(s.l + t / s.L**3) % TWO_PI, g=(s.g - t) % TWO_PI)
-
-
-def reduce_angle(x: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
-    return x % TWO_PI

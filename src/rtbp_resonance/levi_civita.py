@@ -17,6 +17,9 @@ for G != 0, where G = xi p_nu - nu p_xi is twice the physical angular
 momentum: actions L = (K+1)/sqrt(-G-2C) and L* = L - |G|/2, angles l
 (from u = r^2 = a(1 - e cos l)) and g.  The pair of angles conjugate to
 (L*, G) is (l, g + l/2) for G > 0 and (l, g - l/2) for G < 0.
+
+The module depends on the coordinate stack only: callers pass the Jacobi
+constant C_J of a state explicitly.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ from .errors import ConvergenceError, DegenerateCaseError, ValidationError
 from .kepler import RtbpState
 
 _E_DEGENERATE = 1e-12
-_INTEGRATOR_TOL = 1e-12
+_INTEGRATOR_TOL = 1e-13
+# Step of the central differences in symplecticity_defect.
+_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -74,12 +79,12 @@ class ActionAngle:
     e: float
 
 
-def lc_forward(s: RtbpState, mu: float, C_J: float | None = None) -> RegularizedState:
+def lc_forward(s: RtbpState, mu: float, C_J: float) -> RegularizedState:
     """Cartesian rotating state to Levi-Civita variables, branch xi >= 0.
 
     The map is two-to-one ((xi, nu) and (-xi, -nu) are the same physical
     point); the branch with xi >= 0 (and nu >= 0 when xi = 0) is returned.
-    C_J defaults to the rotating-frame Hamiltonian of s.
+    C_J is the Jacobi constant carried by the result (the energy level of K).
     """
     w = complex(s.x + mu, s.y)
     if w == 0.0:
@@ -88,10 +93,6 @@ def lc_forward(s: RtbpState, mu: float, C_J: float | None = None) -> Regularized
     if z.real < 0.0 or (z.real == 0.0 and z.imag < 0.0):
         z = -z
     xi, nu = z.real, z.imag
-    if C_J is None:
-        from .verifier import rtbp_hamiltonian
-
-        C_J = rtbp_hamiltonian(s, mu)
     return RegularizedState(
         p_xi=2.0 * (xi * s.p_x + nu * s.p_y),
         p_nu=2.0 * (-nu * s.p_x + xi * s.p_y),
@@ -113,15 +114,6 @@ def lc_inverse(s: RegularizedState, mu: float) -> RtbpState:
     p_x = (s.xi * s.p_xi - s.nu * s.p_nu) / (2.0 * rsq)
     p_y = (s.nu * s.p_xi + s.xi * s.p_nu) / (2.0 * rsq)
     return RtbpState(p_x=p_x, p_y=p_y, x=x, y=y)
-
-
-def lc_map(s, mu: float, direction: str):
-    """Dispatch between the forward and inverse Levi-Civita maps."""
-    if direction == "forward":
-        return lc_forward(s, mu)
-    if direction == "inverse":
-        return lc_inverse(s, mu)
-    raise ValidationError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
 def _w_distance(xi: float, nu: float) -> float:
@@ -171,34 +163,24 @@ def k_flow_derivatives(z, C_J: float, mu: float) -> np.ndarray:
     return np.array([-dK_dxi, -dK_dnu, dK_dpxi, dK_dpnu])
 
 
-def integrate_k_flow(
-    s: RegularizedState,
-    mu: float,
-    tau_span: float,
-    n_samples: int = 0,
-    tol: float = _INTEGRATOR_TOL,
-):
-    """Integrate the K-flow from s over [0, tau_span].
+def integrate_k_flow(s: RegularizedState, mu: float, tau_span: float, n_samples: int):
+    """Integrate the K-flow from s over [0, tau_span] (DOP853, tolerance 1e-13).
 
-    With n_samples > 0, returns (taus, states) sampled uniformly (including
-    both endpoints); otherwise returns the final RegularizedState.
+    Returns (taus, states): n_samples >= 2 uniform times including both
+    endpoints and the RegularizedState at each; states[-1] is at tau_span.
     """
-    taus = np.linspace(0.0, tau_span, n_samples) if n_samples > 0 else None
     sol = solve_ivp(
         lambda _, z: k_flow_derivatives(z, s.C_J, mu),
         (0.0, tau_span),
         s.as_array(),
         method="DOP853",
-        rtol=tol,
-        atol=tol,
-        t_eval=taus,
+        rtol=_INTEGRATOR_TOL,
+        atol=_INTEGRATOR_TOL,
+        t_eval=np.linspace(0.0, tau_span, n_samples),
     )
     if not sol.success:
         raise ConvergenceError(f"K-flow integration failed: {sol.message}")
-    if n_samples > 0:
-        states = [RegularizedState.from_array(sol.y[:, i], s.C_J) for i in range(sol.y.shape[1])]
-        return sol.t, states
-    return RegularizedState.from_array(sol.y[:, -1], s.C_J)
+    return sol.t, [RegularizedState.from_array(z, s.C_J) for z in sol.y.T]
 
 
 def _check_conditions(K: float, G: float, C: float):
@@ -233,9 +215,15 @@ def mean_anomaly_integral(l: float, e: float) -> float:
     return 2.0 * (math.pi * k + branch) / math.sqrt(1.0 - e * e)
 
 
-def action_angle_from_state(
-    s: RegularizedState, C: float, giacaglia_uncorrected: bool = False
-) -> ActionAngle:
+def _g_offset_coefficients(L: float, G: float, C: float):
+    """(secular, periodic) coefficients of the offset between g and the polar angle.
+
+    g = theta - secular * integral(dl/(1 - e cos l)) - periodic * sin(l).
+    """
+    return G / (4.0 * L), math.sqrt(L * L - G * G / 4.0) / (2.0 * (-G - 2.0 * C))
+
+
+def action_angle_from_state(s: RegularizedState, C: float) -> ActionAngle:
     """Action-angle variables of the mu = 0 regularized flow at energy C.
 
     Requires G != 0 and the bounded-motion conditions G + 2C < 0, K + 1 > 0,
@@ -244,10 +232,6 @@ def action_angle_from_state(
     otherwise; g subtracts from the polar angle of (xi, nu) the secular part
     (G/(4L)) * integral(dl/(1 - e cos l)) and the periodic part
     sqrt(L^2 - G^2/4) sin(l) / (2(-G - 2C)).
-
-    giacaglia_uncorrected=True reproduces the historical (wrong) formula:
-    the secular factor becomes sqrt(1-e^2)/4 and the periodic term loses the
-    factor 2 in its denominator.
     """
     G = s.angular_momentum_G
     if G == 0.0:
@@ -267,12 +251,7 @@ def action_angle_from_state(
     radial = s.xi * s.p_xi + s.nu * s.p_nu
     l = math.acos(cos_l) if radial >= 0.0 else -math.acos(cos_l)
     theta = math.atan2(s.nu, s.xi)
-    if giacaglia_uncorrected:
-        secular = math.sqrt(1.0 - e2) / 4.0
-        periodic = math.sqrt(L * L - G * G / 4.0) / (-G - 2.0 * C)
-    else:
-        secular = G / (4.0 * L)
-        periodic = math.sqrt(L * L - G * G / 4.0) / (2.0 * (-G - 2.0 * C))
+    secular, periodic = _g_offset_coefficients(L, G, C)
     g = theta - secular * mean_anomaly_integral(l, e) - periodic * math.sin(l)
     return ActionAngle(L=L, L_star=L - 0.5 * abs(G), G=G, l=l, g=g, a=a, e=e)
 
@@ -285,7 +264,7 @@ def state_from_action_angle(L: float, G: float, l: float, g: float, C: float) ->
     if G == 0.0:
         raise ValidationError("action-angle chart invalid at G = 0")
     if G + 2.0 * C >= 0.0:
-        raise ValidationError("condition G + 2C < 0 violated")
+        raise ValidationError(f"condition G + 2C < 0 violated (G={G}, C={C})")
     if L <= 0.0 or G * G >= 4.0 * L * L:
         raise ValidationError("need L > 0 and |G| < 2L")
     s0 = math.sqrt(-G - 2.0 * C)
@@ -293,11 +272,8 @@ def state_from_action_angle(L: float, G: float, l: float, g: float, C: float) ->
     e = math.sqrt(1.0 - G * G / (4.0 * L * L))
     u = a * (1.0 - e * math.cos(l))
     r = math.sqrt(u)
-    theta = (
-        g
-        + (G / (4.0 * L)) * mean_anomaly_integral(l, e)
-        + math.sqrt(L * L - G * G / 4.0) / (2.0 * (-G - 2.0 * C)) * math.sin(l)
-    )
+    secular, periodic = _g_offset_coefficients(L, G, C)
+    theta = g + secular * mean_anomaly_integral(l, e) + periodic * math.sin(l)
     # Radial momentum along u = a(1 - e cos l):
     # R^2 = 4 s0 L e^2 sin^2(l) / (1 - e cos l), sign(R) = sign(sin l).
     R = 2.0 * e * math.sin(l) * math.sqrt(s0 * L / (1.0 - e * math.cos(l)))
@@ -355,11 +331,11 @@ def angle_consistency_check(states, C: float) -> CycleReport:
     )
 
 
-def symplecticity_defect(s: RegularizedState, mu: float, h: float = 1e-4) -> float:
+def symplecticity_defect(s: RegularizedState, mu: float) -> float:
     """Max-norm violation of J^T Omega J = Omega for the inverse Levi-Civita map.
 
     J is the central-difference Jacobian of lc_inverse at s (one Richardson
-    step, O(h^4)) in the variable order (p_xi, p_nu, xi, nu) ->
+    step, O(h^4), h = 1e-4) in the variable order (p_xi, p_nu, xi, nu) ->
     (p_x, p_y, x, y); Omega is the canonical symplectic form in
     momenta-first ordering.
     """
@@ -375,7 +351,7 @@ def symplecticity_defect(s: RegularizedState, mu: float, h: float = 1e-4) -> flo
 
     J = np.empty((4, 4))
     for j in range(4):
-        J[:, j] = (4.0 * column(j, h / 2.0) - column(j, h)) / 3.0
+        J[:, j] = (4.0 * column(j, _FD_STEP / 2.0) - column(j, _FD_STEP)) / 3.0
     omega = np.block(
         [[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]]
     )
@@ -383,14 +359,10 @@ def symplecticity_defect(s: RegularizedState, mu: float, h: float = 1e-4) -> flo
 
 
 def regularization_checks(C: float, G: float, L: float) -> dict:
-    """Run the Levi-Civita self-check battery; returns per-check reports."""
-    if G == 0.0:
-        raise ValidationError("action-angle chart invalid at G = 0")
-    if G + 2.0 * C >= 0.0:
-        raise ValidationError(f"condition G + 2C < 0 violated (G={G}, C={C})")
-    if L <= 0.0 or abs(G) >= 2.0 * L:
-        raise ValidationError("need L > 0 and |G| < 2L")
+    """Run the Levi-Civita self-check battery; returns per-check reports.
 
+    Invalid (C, G, L) raise ValidationError from state_from_action_angle.
+    """
     checks = {}
     rng = np.random.default_rng(20260823)
 
@@ -408,7 +380,7 @@ def regularization_checks(C: float, G: float, L: float) -> dict:
     s = state_from_action_angle(L, G, 0.7, 0.4, C)
     freq_l, freq_g = frequencies(L, G, C)
     tau_span = 10.0 * 2.0 * math.pi / freq_l
-    taus, states = integrate_k_flow(s, 0.0, tau_span, 2001, tol=1e-13)
+    taus, states = integrate_k_flow(s, 0.0, tau_span, 2001)
     K0 = k_value(states[0], 0.0)
     G0 = states[0].angular_momentum_G
     k_drift = max(abs(k_value(st, 0.0) - K0) for st in states)

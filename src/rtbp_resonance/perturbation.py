@@ -73,17 +73,6 @@ def canonical_families(p, q, e, direction="direct"):
     return f0, f0.sibling()
 
 
-@dataclass(frozen=True)
-class TrackPoint:
-    """One point of the resonant track, with unwrapped theta."""
-
-    F: float
-    r: float
-    theta: float
-    t: float
-    delta1: float
-
-
 def delta1(r, theta):
     """Distance to the small primary."""
     return np.sqrt(1.0 + r * r - 2.0 * r * np.cos(theta))
@@ -137,12 +126,6 @@ def track_arrays(f: ResonantFamily, F):
     nu = true_anomaly(E, f.e)
     theta = nu + f.n_g * math.pi - t
     return r, theta, t, delta1(r, theta)
-
-
-def resonant_track(f: ResonantFamily, F: float) -> TrackPoint:
-    """Single point of the resonant track (see track_arrays)."""
-    r, theta, t, d1 = track_arrays(f, float(F))
-    return TrackPoint(F=float(F), r=float(r), theta=float(theta), t=float(t), delta1=float(d1))
 
 
 def track_integrand(f: ResonantFamily, F):

@@ -113,18 +113,6 @@ def laplace_b(n: int, alpha: float, deriv_order: int = 0):
     return sums
 
 
-def laplace_b_quadrature(n: int, alpha: float) -> float:
-    """Independent trapezoid-quadrature evaluation of b_n(alpha)."""
-    n = abs(int(n))
-    N = 4096
-    h = 2.0 * math.pi / N
-    total = math.fsum(
-        math.cos(n * (i * h)) / math.sqrt(1.0 + alpha * alpha - 2.0 * alpha * math.cos(i * h))
-        for i in range(N)
-    )
-    return total * h / math.pi
-
-
 # ---------------------------------------------------------------------------
 # Polynomials in the operator D = alpha d/dalpha
 # ---------------------------------------------------------------------------

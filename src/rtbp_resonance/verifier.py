@@ -33,6 +33,8 @@ from .perturbation import ResonantFamily, delaunay_initial_state
 _COLLISION_RADIUS = 1e-8
 _INTEGRATOR_TOL = 1e-12
 _NEWTON_MAX_ITER = 25
+# The mu at which `verify_family` (and the `verify` command) estimates C.
+DEFAULT_MU_LIST = (1e-4, 3e-5, 1e-5, 3e-6)
 # The reversor (p_x, p_y, x, y) -> (-p_x, p_y, x, -y) that, with t -> -t,
 # maps solutions to solutions, and the symplectic form in this order.
 _REVERSOR = np.diag([-1.0, 1.0, 1.0, -1.0])
@@ -274,7 +276,9 @@ def monodromy(o: PeriodicOrbit) -> MonodromyReport:
     )
 
 
-def verify_family(f: ResonantFamily, mu_list, tol: float = 1e-10) -> ExtrapolationResult:
+def verify_family(
+    f: ResonantFamily, mu_list=DEFAULT_MU_LIST, tol: float = 1e-10
+) -> ExtrapolationResult:
     """Monodromy estimate (tr M - 4)/mu at each mu, extrapolated to mu -> 0.
 
     The multipliers are 1 +/- sqrt(C*mu) + O(mu), so the per-mu estimate
@@ -307,22 +311,3 @@ def verify_family(f: ResonantFamily, mu_list, tol: float = 1e-10) -> Extrapolati
         estimates=tuple(ests),
         errors=tuple(errors),
     )
-
-
-def extrapolate_C(
-    f: ResonantFamily,
-    mu_list=(1e-4, 3e-5, 1e-5, 3e-6),
-    tol: float = 1e-10,
-) -> ExtrapolationResult:
-    """Strict `verify_family`: a strictly decreasing list of at least two mu,
-    every one of which must converge (the first per-mu error is raised)."""
-    mus = [float(m) for m in mu_list]
-    if len(mus) < 2:
-        raise ValidationError("need at least two mu values to extrapolate")
-    if any(m2 >= m1 for m1, m2 in zip(mus, mus[1:])):
-        raise ValidationError("mu_list must be strictly decreasing")
-    res = verify_family(f, mus, tol)
-    for err in res.errors:
-        if err is not None:
-            raise err
-    return res

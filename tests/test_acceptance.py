@@ -27,18 +27,10 @@ from rtbp_resonance.kepler import (
     delaunay_to_cartesian,
     solve_kepler,
 )
-from rtbp_resonance.levi_civita import (
-    action_angle_from_state,
-    angle_consistency_check,
-    frequencies,
-    integrate_k_flow,
-    regularization_checks,
-    state_from_action_angle,
-    symplecticity_defect,
-)
+from rtbp_resonance.levi_civita import regularization_checks
 from rtbp_resonance.perturbation import ResonantFamily, canonical_families
 from rtbp_resonance.series import leading_coefficient
-from rtbp_resonance.verifier import extrapolate_C, monodromy, refine_periodic_orbit
+from rtbp_resonance.verifier import monodromy, refine_periodic_orbit, verify_family
 
 
 def _report(capsys, label, ok, detail=""):
@@ -62,7 +54,7 @@ def _slope(p, q, direction, which, e_grid=(0.003, 0.006, 0.012, 0.024)):
 def test_criterion_1_multiplier_law(capsys, p, q, e):
     details, ok = [], True
     for f in canonical_families(p, q, e):
-        res = extrapolate_C(f)
+        res = verify_family(f)
         c_quad = compute_C(f, tol=1e-12).C
         rel = abs(res.C - c_quad) / abs(c_quad)
         i5 = res.mu_list.index(1e-5)
@@ -264,38 +256,21 @@ def test_criterion_8_monodromy(capsys):
 # -- 9. Levi-Civita suite -----------------------------------------------------
 
 
-def _measured_g_slope(L, G, C, uncorrected):
-    s = state_from_action_angle(L, G, 0.7, 0.4, C)
-    taus, states = integrate_k_flow(s, 0.0, 20.0, 801, tol=1e-13)
-    aas = [
-        action_angle_from_state(st, C, giacaglia_uncorrected=uncorrected)
-        for st in states
-    ]
-    sigma = math.copysign(1.0, G)
-    ls = np.unwrap([a.l for a in aas])
-    pair = np.unwrap([a.g + sigma * a.l / 2.0 for a in aas])
-    gs = pair - sigma * ls / 2.0
-    fit = np.polyfit(taus, gs, 1)
-    resid = float(np.max(np.abs(gs - np.polyval(fit, taus))))
-    return float(fit[0]), resid
-
-
-def test_criterion_9_levi_civita(capsys):
+def test_criterion_9_levi_civita(capsys, measured_frequency_errors):
     C, G, L = -1.5, 0.3, 0.8
     checks = regularization_checks(C, G, L)
     battery_ok = all(c["ok"] for c in checks.values())
 
-    freq_g = frequencies(L, G, C)[1]
-    slope, resid = _measured_g_slope(L, G, C, uncorrected=False)
-    corrected_ok = abs(slope - freq_g) <= 1e-8 and resid <= 1e-8
-    slope_u, resid_u = _measured_g_slope(L, G, C, uncorrected=True)
-    breaks = abs(slope_u - freq_g) > 1e-4 or resid_u > 1e-3
+    _, dg, resid = measured_frequency_errors(L, G, C)
+    corrected_ok = abs(dg) <= 1e-8 and resid <= 1e-8
+    _, dg_u, resid_u = measured_frequency_errors(L, G, C, uncorrected=True)
+    breaks = abs(dg_u) > 1e-4 or resid_u > 1e-3
 
     ok = battery_ok and corrected_ok and breaks
     _report(
         capsys, "criterion 9", ok,
         f"battery {'all pass' if battery_ok else 'FAILED'}; corrected dg/dtau error "
-        f"{abs(slope - freq_g):.1e}; uncorrected formula breaks linearity "
+        f"{abs(dg):.1e}; uncorrected formula breaks linearity "
         f"(residual {resid_u:.2f})",
     )
     assert ok

@@ -190,6 +190,32 @@ class TestConfig:
         )
         assert code == 1
 
+    def test_ambiguous_abbreviation_reported(self, capsys, tmp_path):
+        # for verify, --co could be --config or --corrector-tol: no file is opened
+        code, out, err = _run(
+            capsys,
+            ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--co", str(tmp_path / "nope.cfg")],
+        )
+        assert code == 1 and out == ""
+        assert "ambiguous option: --co could match --config, --corrector-tol" in err
+
+
+@pytest.mark.parametrize("value", ["0", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeff", "--p", "1", "--q", "3", "--e", "0.3", "--tol"],
+        ["sweep", "--p", "1", "--q", "3", "--e-grid", "0.3", "--jobs", "1", "--tol"],
+        ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--tol"],
+        ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--corrector-tol"],
+    ],
+    ids=["coeff-tol", "sweep-tol", "verify-tol", "verify-corrector-tol"],
+)
+def test_tolerance_must_be_positive_and_finite(capsys, argv, value):
+    code, out, err = _run(capsys, argv + [value])
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
 
 class TestVerify:
     def test_cached_rerun_is_identical_and_fast(self, capsys, tmp_path):
@@ -215,6 +241,20 @@ class TestVerify:
         assert fam["C_quadrature"] == pytest.approx(39.21035800269192, rel=1e-9)
         # a two-point fit at these mu is within a few percent of the quadrature
         assert fam["relative_error"] < 0.05
+
+    @pytest.mark.parametrize("junk", ['{"status": "ok", trunc', "[1]"], ids=["truncated", "list"])
+    def test_unparsable_entry_is_recomputed(self, capsys, tmp_path, junk):
+        cache = tmp_path / "cache"
+        argv = ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--family", "1",
+                "--mu-list", "1e-4,3e-5", "--cache-dir", str(cache)]
+        _, fresh, _ = _run(capsys, argv)
+        (entry,) = cache.glob("*.json")
+        entry.write_text(junk)
+        code, out, err = _run(capsys, argv)
+        assert code == 0 and err == ""
+        strip = lambda text: {k: v for k, v in json.loads(text).items() if k != "timings"}
+        assert strip(out) == strip(fresh)
+        assert entry.read_text() == out.rstrip("\n")
 
     def test_key_change_misses_cache(self, capsys, tmp_path):
         cache = tmp_path / "cache"

@@ -21,7 +21,6 @@ from rtbp_resonance.levi_civita import (
     k_value,
     lc_forward,
     lc_inverse,
-    lc_map,
     mean_anomaly_integral,
     state_from_action_angle,
     symplecticity_defect,
@@ -50,7 +49,7 @@ class TestMap:
 
     def test_branch_point_rejected(self):
         with pytest.raises(ValidationError):
-            lc_forward(RtbpState(0.0, 0.0, -0.01, 0.0), 0.01)
+            lc_forward(RtbpState(0.0, 0.0, -0.01, 0.0), 0.01, C_J=0.0)
 
     def test_branch_is_right_half_plane(self):
         rng = np.random.default_rng(5)
@@ -74,14 +73,6 @@ class TestMap:
         flipped = RegularizedState(-s.p_xi, -s.p_nu, -s.xi, -s.nu, s.C_J)
         a, b = lc_inverse(s, 0.0), lc_inverse(flipped, 0.0)
         assert np.max(np.abs(a.as_array() - b.as_array())) <= 1e-14
-
-    def test_dispatch(self):
-        s = RtbpState(0.1, 0.2, 0.5, 0.3)
-        reg = lc_map(s, 0.0, "forward")
-        assert isinstance(reg, RegularizedState)
-        assert isinstance(lc_map(reg, 0.0, "inverse"), RtbpState)
-        with pytest.raises(ValidationError):
-            lc_map(s, 0.0, "sideways")
 
     def test_symplecticity(self):
         rng = np.random.default_rng(11)
@@ -192,8 +183,8 @@ class TestActionAngle:
         # flow from the chart point and recover actions/angles downstream
         freq_l, freq_g = frequencies(L_DEMO, G_DEMO, C_DEMO)
         tau = 0.9 / freq_l  # keeps l on the principal branch
-        s1 = integrate_k_flow(_demo_state(l=0.0, g=0.4), 0.0, tau)
-        aa = action_angle_from_state(s1, C_DEMO)
+        _, states = integrate_k_flow(_demo_state(l=0.0, g=0.4), 0.0, tau, 2)
+        aa = action_angle_from_state(states[-1], C_DEMO)
         assert aa.L == pytest.approx(L_DEMO, abs=1e-10)
         assert aa.G == pytest.approx(G_DEMO, abs=1e-10)
         assert aa.l == pytest.approx(0.9, abs=1e-8)
@@ -246,31 +237,17 @@ class TestActionAngle:
 
 
 class TestFrequencies:
-    def _measured(self, G, uncorrected=False):
-        freq_l, freq_g = frequencies(L_DEMO, G, C_DEMO)
-        s = state_from_action_angle(L_DEMO, G, 0.7, 0.4, C_DEMO)
-        taus, states = integrate_k_flow(s, 0.0, 20.0, 801)
-        aas = [action_angle_from_state(st, C_DEMO, giacaglia_uncorrected=uncorrected) for st in states]
-        sigma = math.copysign(1.0, G)
-        ls = np.unwrap([a.l for a in aas])
-        pair = np.unwrap([a.g + sigma * a.l / 2.0 for a in aas])
-        gs = pair - sigma * ls / 2.0
-        slope_l = np.polyfit(taus, ls, 1)[0]
-        fit_g = np.polyfit(taus, gs, 1)
-        resid_g = float(np.max(np.abs(gs - np.polyval(fit_g, taus))))
-        return (slope_l - freq_l, fit_g[0] - freq_g, resid_g)
-
     @pytest.mark.parametrize("G", [G_DEMO, -G_DEMO])
-    def test_corrected_formula_matches(self, G):
-        dl, dg, resid = self._measured(G)
+    def test_corrected_formula_matches(self, G, measured_frequency_errors):
+        dl, dg, resid = measured_frequency_errors(L_DEMO, G, C_DEMO)
         assert abs(dl) <= 1e-8
         assert abs(dg) <= 1e-8
         assert resid <= 1e-8  # g is exactly linear in tau
 
-    def test_historical_formula_fails(self):
+    def test_historical_formula_fails(self, measured_frequency_errors):
         # the uncorrected secular factor and sin-l coefficient break both the
         # frequency match and the linearity of g
-        dl, dg, resid = self._measured(G_DEMO, uncorrected=True)
+        dl, dg, resid = measured_frequency_errors(L_DEMO, G_DEMO, C_DEMO, uncorrected=True)
         assert abs(dl) <= 1e-8  # l is untouched
         assert abs(dg) > 1e-4 or resid > 1e-3
 

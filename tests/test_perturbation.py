@@ -12,7 +12,6 @@ from rtbp_resonance.perturbation import (
     delaunay_initial_state,
     integrand_thetatheta,
     omega_polar,
-    resonant_track,
     track_arrays,
 )
 
@@ -104,19 +103,19 @@ class TestIntegrand:
 
 class TestTrack:
     def test_perihelion_start(self):
-        tp = resonant_track(ResonantFamily(1, 3, 0.3), 0.0)
-        assert tp.t == 0.0 and tp.theta == 0.0
-        assert tp.r == pytest.approx((1 / 3) ** (2 / 3) * 0.7)
+        r, theta, t, _ = track_arrays(ResonantFamily(1, 3, 0.3), 0.0)
+        assert t == 0.0 and theta == 0.0
+        assert r == pytest.approx((1 / 3) ** (2 / 3) * 0.7)
 
     def test_shifted_family_start(self):
-        tp = resonant_track(ResonantFamily(1, 3, 0.3, n_l=1), 0.0)
-        assert tp.t == pytest.approx(-math.pi / 3)
-        assert tp.theta == pytest.approx(math.pi / 3)
+        r, theta, t, _ = track_arrays(ResonantFamily(1, 3, 0.3, n_l=1), 0.0)
+        assert t == pytest.approx(-math.pi / 3)
+        assert theta == pytest.approx(math.pi / 3)
 
     def test_retrograde_start(self):
-        tp = resonant_track(ResonantFamily(1, 3, 0.3, direction="retrograde"), 0.0)
-        assert tp.t == 0.0 and tp.theta == 0.0
-        assert tp.r == pytest.approx((1 / 3) ** (2 / 3) * 0.7)
+        r, theta, t, _ = track_arrays(ResonantFamily(1, 3, 0.3, direction="retrograde"), 0.0)
+        assert t == 0.0 and theta == 0.0
+        assert r == pytest.approx((1 / 3) ** (2 / 3) * 0.7)
 
     @pytest.mark.parametrize("direction", ["direct", "retrograde"])
     @pytest.mark.parametrize("p,q", [(1, 3), (2, 7), (3, 2)])

@@ -21,7 +21,6 @@ from rtbp_resonance.series import (
     c2_value,
     dpoly_binomial,
     laplace_b,
-    laplace_b_quadrature,
     leading_coefficient,
 )
 
@@ -81,9 +80,6 @@ class TestLaplace:
         want = _laplace_oracle(n, alpha, 2)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-11)
-
-    def test_quadrature_helper_agrees(self):
-        assert laplace_b(3, 0.6)[0] == pytest.approx(laplace_b_quadrature(3, 0.6), abs=1e-13)
 
     def test_domain(self):
         with pytest.raises(ValidationError):

@@ -16,7 +16,6 @@ from rtbp_resonance.kepler import RtbpState
 from rtbp_resonance.perturbation import ResonantFamily, canonical_families
 from rtbp_resonance.verifier import (
     _variational_rhs,
-    extrapolate_C,
     monodromy,
     refine_periodic_orbit,
     rtbp_derivatives,
@@ -215,24 +214,19 @@ class TestMonodromy:
 
 
 class TestExtrapolation:
-    def test_input_validation(self):
-        f = ResonantFamily(1, 3, 0.3)
-        with pytest.raises(ValidationError):
-            extrapolate_C(f, mu_list=(1e-5,))
-        with pytest.raises(ValidationError):
-            extrapolate_C(f, mu_list=(1e-5, 1e-4))
-        with pytest.raises(ValidationError):
-            extrapolate_C(f, mu_list=(2e-3, 1e-4))
+    def test_invalid_mu_recorded(self):
+        res = verify_family(ResonantFamily(1, 3, 0.3), (2e-3, 1e-4))
+        assert isinstance(res.errors[0], ValidationError)
 
     def test_both_families_match_quadrature(self):
         for f in canonical_families(1, 3, 0.3):
-            res = extrapolate_C(f)
+            res = verify_family(f)
             c_quad = compute_C(f).C
             assert res.C == pytest.approx(c_quad, rel=0.01)
             assert len(res.estimates) == 4
         # opposite signs of the two families
-        r1 = extrapolate_C(canonical_families(1, 3, 0.3)[0])
-        r2 = extrapolate_C(canonical_families(1, 3, 0.3)[1])
+        r1 = verify_family(canonical_families(1, 3, 0.3)[0])
+        r2 = verify_family(canonical_families(1, 3, 0.3)[1])
         assert r1.C * r2.C < 0.0
 
     def test_repeated_mu_is_not_fitted(self):
