@@ -59,7 +59,7 @@ from .verifier import (
     verify_family,
 )
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "ActionAngle",

@@ -30,6 +30,7 @@ from .series import leading_coefficient
 from .verifier import DEFAULT_MU_LIST, verify_family
 
 SCHEMA_VERSION = 1
+_QUAD_TOL_HELP = "quadrature tolerance on C1 + C2, relative where |C1 + C2| > 1"
 
 
 def _record(command: str, inputs: dict, outputs: dict, status: str, t0: float) -> str:
@@ -101,7 +102,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("coeff", parents=[common], help="stability coefficient of both families")
     _family_args(sp)
     sp.add_argument("--e", type=float, required=True, help="eccentricity in (0, 1)")
-    sp.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+    sp.add_argument("--tol", type=float, default=1e-10, help=_QUAD_TOL_HELP)
 
     sp = sub.add_parser("sweep", parents=[common], help="CSV sweep of C over an eccentricity grid")
     _family_args(sp)
@@ -109,7 +110,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--e-min", type=float, default=None)
     sp.add_argument("--e-max", type=float, default=None)
     sp.add_argument("--e-step", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float, default=1e-10, help=_QUAD_TOL_HELP)
     sp.add_argument("--jobs", type=int, default=0, help="worker processes (0 = all cores)")
 
     sp = sub.add_parser(
@@ -126,7 +127,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--family", choices=("1", "2", "both"), default="both")
     sp.add_argument("--mu-list", default=",".join(repr(m) for m in DEFAULT_MU_LIST))
     sp.add_argument("--corrector-tol", type=float, default=1e-10)
-    sp.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+    sp.add_argument("--tol", type=float, default=1e-10, help=_QUAD_TOL_HELP)
     sp.add_argument("--cache-dir", default=None, help="cache directory for verification runs")
 
     sp = sub.add_parser("regularize", parents=[common], help="Levi-Civita self-checks at mu = 0")

@@ -4,8 +4,12 @@ C(e,p,q) = -6*pi*p^2 * (C1 + C2) with
     C1 = integral over F in [0, 2*pi) of (r/Delta1)_thetatheta
     C2 = integral over F in [0, 2*pi) of cos(theta)/r
 along the resonant track.  The integrands are periodic and analytic in F,
-so the uniform trapezoid rule converges geometrically; nodes are doubled
-until successive values agree to the requested tolerance.
+so the uniform trapezoid rule converges geometrically, at a rate set by the
+nearest complex collision.  The grid is nested: each doubling evaluates the
+integrands only at the midpoints of the previous grid and keeps every value.
+Doubling stops when successive values of C1 + C2 agree to tol * max(1, |C1 + C2|),
+absolute for small sums and relative for the large sums of grazing tracks,
+whose roundoff floor can lie above a fixed absolute bound.
 
 The module also provides two independent reformulations of C (second
 l- and g-derivatives of the disturbing function integrated over time),
@@ -52,11 +56,7 @@ class CoefficientResult:
 
 def _trapezoid_pair(f: ResonantFamily, n: int):
     """Periodic trapezoid values of (C1, C2) on an n-node uniform F grid."""
-    F = np.arange(n) * (2.0 * math.pi / n)
-    c1, c2 = track_integrand(f, F)
-    h = 2.0 * math.pi / n
-    # fsum keeps roundoff well below the tiny C values reached at small e.
-    return h * fsum(c1), h * fsum(c2)
+    return _sums(*track_integrand(f, np.arange(n) * (2.0 * math.pi / n)), n)
 
 
 def min_delta1(f: ResonantFamily) -> float:
@@ -79,25 +79,37 @@ def min_delta1(f: ResonantFamily) -> float:
 def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
     """Evaluate C(e,p,q) for one family by spectral trapezoid quadrature.
 
-    tol is an absolute tolerance on C1 + C2.  Raises CollisionError when the
-    track comes within COLLISION_DELTA of the small primary, and
-    ConvergenceError if the node cap is hit first.
+    The grid starts at _N_START nodes and doubles; each doubling evaluates the
+    integrands only at the n new midpoints (2k+1)*pi/n and re-sums every value
+    kept so far with fsum.  It stops when successive values of C1 + C2 differ
+    by less than tol * max(1, |C1 + C2|): an absolute tolerance below
+    |C1 + C2| = 1, a relative one above it (tol = 0 never stops).
+
+    Raises CollisionError when the track comes within COLLISION_DELTA of the
+    small primary, and ConvergenceError if the node cap is hit first; both
+    carry the track's minimum Delta1 as their ``min_delta1`` attribute.
     """
     md = min_delta1(f)
     if md <= COLLISION_DELTA:
-        raise CollisionError(
-            f"track reaches Delta1 = {md:.3e} <= {COLLISION_DELTA} for {f}"
+        raise _with_min_delta1(
+            CollisionError(f"track reaches Delta1 = {md:.3e} <= {COLLISION_DELTA} for {f}"), md
         )
     n = _N_START
-    c1, c2 = _trapezoid_pair(f, n)
+    v1, v2 = track_integrand(f, np.arange(n) * (2.0 * math.pi / n))
+    c1, c2 = _sums(v1, v2, n)
     while True:
-        n2 = 2 * n
-        if n2 > NODE_CAP:
-            raise ConvergenceError(f"quadrature did not reach tol={tol} at {n} nodes")
-        c1n, c2n = _trapezoid_pair(f, n2)
-        err = abs((c1n + c2n) - (c1 + c2))
-        n, c1, c2 = n2, c1n, c2n
-        if err < tol:
+        if 2 * n > NODE_CAP:
+            raise _with_min_delta1(
+                ConvergenceError(f"quadrature did not reach tol={tol} at {n} nodes"), md
+            )
+        # The midpoints are bit-equal to the odd nodes of the 2n-node grid.
+        w1, w2 = track_integrand(f, (2 * np.arange(n) + 1) * (math.pi / n))
+        v1, v2 = np.concatenate((v1, w1)), np.concatenate((v2, w2))
+        n *= 2
+        prev = c1 + c2
+        c1, c2 = _sums(v1, v2, n)
+        err = abs((c1 + c2) - prev)
+        if err < tol * max(1.0, abs(c1 + c2)):
             break
     scale = -6.0 * math.pi * f.p**2
     return CoefficientResult(
@@ -108,6 +120,21 @@ def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
         err_estimate=err,
         min_delta1=md,
     )
+
+
+def _sums(v1, v2, n: int):
+    """Trapezoid sums of two value arrays on an n-node grid of [0, 2*pi).
+
+    fsum is correctly rounded, so the sums do not depend on the node order,
+    and it keeps roundoff well below the tiny C values reached at small e.
+    """
+    h = 2.0 * math.pi / n
+    return h * fsum(v1), h * fsum(v2)
+
+
+def _with_min_delta1(exc: Exception, md: float) -> Exception:
+    exc.min_delta1 = md
+    return exc
 
 
 @dataclass(frozen=True)
@@ -127,10 +154,10 @@ def _sweep_entry(task):
     try:
         res = compute_C(fam, tol)
         return res.C, res.min_delta1, "ok"
-    except CollisionError:
-        return None, min_delta1(fam), "collision"
-    except ConvergenceError:
-        return None, min_delta1(fam), "no-convergence"
+    except CollisionError as exc:
+        return None, exc.min_delta1, "collision"
+    except ConvergenceError as exc:
+        return None, exc.min_delta1, "no-convergence"
 
 
 def sweep_e(p, q, direction, e_grid, tol: float = 1e-10, map_fn=map):

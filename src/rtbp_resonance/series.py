@@ -279,6 +279,7 @@ class LeadingCoefficient:
     value: float
 
 
+@lru_cache(maxsize=None)
 def _leading_c1_operator(p: int, q: int, direction: str) -> OperatorPolynomial:
     """Operator polynomial giving the e^m coefficient of C1 up to the
     -2*pi*q^2*(sign) prefactor, from the n = +-q Laurent terms.
@@ -295,6 +296,9 @@ def _leading_c1_operator(p: int, q: int, direction: str) -> OperatorPolynomial:
     k < 0 for retrograde families and direct ones with p < q.  Inside the
     unit circle (p < q) B = D+q; outside it the expansion is in alpha = 1/r,
     which inverts the shift operator: B = q-D and C = -q-D.
+
+    Memoized: the operator depends on neither e nor the family, and it is
+    immutable.
     """
     D = OperatorPolynomial.identity()
     m = abs(p - q) if direction == "direct" else p + q

@@ -372,7 +372,7 @@ class TestEntryPoint:
     def test_version_flag(self, capsys):
         code, out, _ = _run(capsys, ["--version"])
         assert code == 0
-        assert out.strip() == "1.1.0"
+        assert out.strip() == "1.2.0"
 
     def test_unknown_command(self, capsys):
         code, _, _ = _run(capsys, ["frobnicate"])

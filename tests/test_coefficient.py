@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from rtbp_resonance import coefficient
 from rtbp_resonance.coefficient import (
     _trapezoid_pair,
     compute_C,
@@ -65,6 +66,38 @@ class TestComputeC:
     def test_node_cap(self):
         with pytest.raises(ConvergenceError):
             compute_C(ResonantFamily(1, 3, 0.3), tol=0.0)
+
+    @pytest.mark.parametrize("e", [0.55, 0.58])
+    def test_grazing_track_converges(self, e):
+        # 1:2 family 2 grazes the small primary (min Delta1 ~ 5e-3 at 0.58):
+        # |C1 + C2| ~ 1e4, so an absolute 1e-10 sits below roundoff.
+        f = canonical_families(1, 2, e)[1]
+        ref = -6.0 * math.pi * sum(_trapezoid_pair(f, 2**15))
+        assert compute_C(f).C == pytest.approx(ref, rel=1e-9)
+
+    def test_each_node_evaluated_once(self, monkeypatch):
+        points = []
+        integrand = coefficient.track_integrand
+
+        def counted(f, F):
+            points.append(np.size(F))
+            return integrand(f, F)
+
+        monkeypatch.setattr(coefficient, "track_integrand", counted)
+        res = compute_C(ResonantFamily(2, 7, 0.4))
+        assert sum(points) == res.nodes
+
+    @pytest.mark.parametrize(
+        "family",
+        [ResonantFamily(2, 7, 0.4), ResonantFamily(2, 1, 0.3)],
+        ids=["2:7 direct", "2:1 direct"],
+    )
+    def test_nested_grid_matches_uniform_grid(self, family):
+        # The midpoints (2k+1)*pi/n must be the odd nodes of the 2n-node grid.
+        res = compute_C(family)
+        c1, c2 = _trapezoid_pair(family, res.nodes)
+        assert abs(res.C1 - c1) <= 1e-13 * abs(c1)
+        assert abs(res.C2 - c2) <= 1e-13 * abs(c2)
 
     def test_retrograde_value_finite_and_smaller(self):
         res = compute_C(ResonantFamily(1, 2, 0.2, direction="retrograde"), tol=1e-12)
@@ -129,6 +162,28 @@ class TestSweep:
         assert rows[1].status_1 == "collision"
         assert rows[1].C_family1 is None
         assert rows[1].min_delta1_1 is not None
+
+    def test_min_delta1_once_per_family(self, monkeypatch):
+        calls = []
+        md = coefficient.min_delta1
+
+        def counted(f):
+            calls.append(f)
+            return md(f)
+
+        monkeypatch.setattr(coefficient, "min_delta1", counted)
+        monkeypatch.setattr(coefficient, "NODE_CAP", 256)
+        e_star = 1.0 - 3.0 ** (-2.0 / 3.0)
+        grid = [0.1, e_star]
+        rows = sweep_e(3, 1, "direct", grid, tol=0.0)
+        assert [(r.status_1, r.status_2) for r in rows] == [
+            ("no-convergence", "no-convergence"),
+            ("collision", "no-convergence"),
+        ]
+        assert len(calls) == len(set(calls)) == 4
+        for r, e in zip(rows, grid):
+            f1, f2 = canonical_families(3, 1, e)
+            assert (r.min_delta1_1, r.min_delta1_2) == (md(f1), md(f2))
 
     def test_parallel_map_matches_serial(self):
         from multiprocessing import get_context
