@@ -6,7 +6,9 @@ C(e,p,q) = -6*pi*p^2 * (C1 + C2) with
 along the resonant track.  The integrands are periodic and analytic in F,
 so the uniform trapezoid rule converges geometrically, at a rate set by the
 nearest complex collision.  The grid is nested: each doubling evaluates the
-integrands only at the midpoints of the previous grid and keeps every value.
+integrands only at the midpoints of the previous grid and adds them, once,
+to an exact running sum, so every level value is the correctly rounded
+trapezoid sum (the value fsum would give) and no node value is kept.
 Doubling stops when successive values of C1 + C2 agree to tol * max(1, |C1 + C2|),
 absolute for small sums and relative for the large sums of grazing tracks,
 whose roundoff floor can lie above a fixed absolute bound.
@@ -37,8 +39,14 @@ from .perturbation import (
 )
 
 COLLISION_DELTA = 1e-6
+# A level adds at most NODE_CAP / 2 new values, far below the 2**26 values
+# per call up to which _exact_sum is exact.
 NODE_CAP = 2**20
 _N_START = 64
+# frexp exponents of finite doubles lie in [-1073, 1024]; _EXP_OFFSET makes
+# them bincount bins, and an exact sum counts units of 1 / _UNIT.
+_EXP_OFFSET = 1073
+_UNIT = 2 ** (_EXP_OFFSET + 53)
 # Time nodes and finite-difference step of the Omega_ll / Omega_gg oracles.
 _ORACLE_NODES = 2048
 _ORACLE_STEP = 2e-2
@@ -56,7 +64,7 @@ class CoefficientResult:
 
 def _trapezoid_pair(f: ResonantFamily, n: int):
     """Periodic trapezoid values of (C1, C2) on an n-node uniform F grid."""
-    return _sums(*track_integrand(f, np.arange(n) * (2.0 * math.pi / n)), n)
+    return _level(*map(_exact_sum, track_integrand(f, np.arange(n) * (2.0 * math.pi / n))), n)
 
 
 def min_delta1(f: ResonantFamily) -> float:
@@ -80,10 +88,12 @@ def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
     """Evaluate C(e,p,q) for one family by spectral trapezoid quadrature.
 
     The grid starts at _N_START nodes and doubles; each doubling evaluates the
-    integrands only at the n new midpoints (2k+1)*pi/n and re-sums every value
-    kept so far with fsum.  It stops when successive values of C1 + C2 differ
-    by less than tol * max(1, |C1 + C2|): an absolute tolerance below
-    |C1 + C2| = 1, a relative one above it (tol = 0 never stops).
+    integrands only at the n new midpoints (2k+1)*pi/n and adds them to one
+    exact integer sum per integrand; the level values round those sums once,
+    exactly as fsum over all 2n node values would.  It stops when successive
+    values of C1 + C2 differ by less than tol * max(1, |C1 + C2|): an absolute
+    tolerance below |C1 + C2| = 1, a relative one above it (tol = 0 never
+    stops).
 
     Raises CollisionError when the track comes within COLLISION_DELTA of the
     small primary, and ConvergenceError if the node cap is hit first; both
@@ -95,8 +105,8 @@ def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
             CollisionError(f"track reaches Delta1 = {md:.3e} <= {COLLISION_DELTA} for {f}"), md
         )
     n = _N_START
-    v1, v2 = track_integrand(f, np.arange(n) * (2.0 * math.pi / n))
-    c1, c2 = _sums(v1, v2, n)
+    s1, s2 = map(_exact_sum, track_integrand(f, np.arange(n) * (2.0 * math.pi / n)))
+    c1, c2 = _level(s1, s2, n)
     while True:
         if 2 * n > NODE_CAP:
             raise _with_min_delta1(
@@ -104,10 +114,11 @@ def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
             )
         # The midpoints are bit-equal to the odd nodes of the 2n-node grid.
         w1, w2 = track_integrand(f, (2 * np.arange(n) + 1) * (math.pi / n))
-        v1, v2 = np.concatenate((v1, w1)), np.concatenate((v2, w2))
+        s1 += _exact_sum(w1)
+        s2 += _exact_sum(w2)
         n *= 2
         prev = c1 + c2
-        c1, c2 = _sums(v1, v2, n)
+        c1, c2 = _level(s1, s2, n)
         err = abs((c1 + c2) - prev)
         if err < tol * max(1.0, abs(c1 + c2)):
             break
@@ -122,14 +133,39 @@ def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
     )
 
 
-def _sums(v1, v2, n: int):
-    """Trapezoid sums of two value arrays on an n-node grid of [0, 2*pi).
+def _exact_sum(v) -> int:
+    """Exact sum of the finite doubles v, as an integer number of 1 / _UNIT.
 
-    fsum is correctly rounded, so the sums do not depend on the node order,
-    and it keeps roundoff well below the tiny C values reached at small e.
+    With frexp's exponent e, each value is (hi + lo) * 2**(e - 26), hi an
+    integer with |hi| <= 2**26 and lo a multiple of 2**-27 in [0, 1); both
+    splits are exact.  hi and lo are summed per exponent by bincount: for
+    fewer than 2**26 values every partial sum is below 2**53 on its grid, so
+    the bins are exact in any order of addition.  Bin b = e + _EXP_OFFSET
+    holds (hi * 2**27 + lo * 2**27) << b units, and the bins fold into one
+    Python integer.
+    """
+    m, e = np.frexp(v)
+    e += _EXP_OFFSET
+    m *= 2.0**26
+    hi = np.floor(m)
+    m -= hi
+    his = np.bincount(e, weights=hi)
+    los = np.bincount(e, weights=m)
+    bins = np.flatnonzero((his != 0.0) | (los != 0.0))
+    total = 0
+    for b, h, lo in zip(bins.tolist(), his[bins].tolist(), (los[bins] * 2.0**27).tolist()):
+        total += ((int(h) << 27) + int(lo)) << b
+    return total
+
+
+def _level(s1: int, s2: int, n: int):
+    """Trapezoid values of (C1, C2) on an n-node grid from exact node sums.
+
+    Python rounds int / int correctly, ties to even, so each node sum is
+    rounded once to the double that fsum over the node values returns.
     """
     h = 2.0 * math.pi / n
-    return h * fsum(v1), h * fsum(v2)
+    return h * (s1 / _UNIT), h * (s2 / _UNIT)
 
 
 def _with_min_delta1(exc: Exception, md: float) -> Exception:

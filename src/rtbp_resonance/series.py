@@ -352,7 +352,11 @@ def leading_coefficient(f: ResonantFamily) -> LeadingCoefficient:
 
 
 def c2_value(f: ResonantFamily) -> float:
-    """Finite-e value of C2 for q = 1 from its Bessel series (zero for q != 1)."""
+    """Finite-e value of C2 for q = 1 from its Bessel series (zero for q != 1).
+
+    Raises ConvergenceError if the terms have not fallen below 1e-18 of the
+    sum after 1000 of them.
+    """
     if f.q != 1:
         return 0.0
     p, e = f.p, f.e
@@ -370,5 +374,5 @@ def c2_value(f: ResonantFamily) -> float:
         if m > 5 and abs(term) < 1e-18 * (abs(total) + 1e-30):
             break
         if m > 1000:
-            break
+            raise ConvergenceError(f"C2 Bessel series did not converge in 1000 terms for {f}")
     return sign * 2.0 * math.pi * (1.0 + beta * beta) * p ** (-2.0 / 3.0) * total

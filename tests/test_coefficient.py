@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtbp_resonance import coefficient
 from rtbp_resonance.coefficient import (
@@ -102,6 +104,62 @@ class TestComputeC:
     def test_retrograde_value_finite_and_smaller(self):
         res = compute_C(ResonantFamily(1, 2, 0.2, direction="retrograde"), tol=1e-12)
         assert res.C == pytest.approx(-1.0162052346731067, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ResonantFamily(2, 7, 0.4),
+            ResonantFamily(1, 2, 0.2, direction="retrograde"),
+            canonical_families(1, 2, 0.58)[1],
+        ],
+        ids=["2:7 direct", "1:2 retrograde", "1:2 family 2 grazing"],
+    )
+    def test_running_sum_matches_fsum_grid(self, family, monkeypatch):
+        # Replay the level loop with fsum over every node value so far, on the
+        # integrand values compute_C itself receives.
+        calls = []
+        integrand = coefficient.track_integrand
+
+        def recorded(f, F):
+            calls.append(integrand(f, F))
+            return calls[-1]
+
+        monkeypatch.setattr(coefficient, "track_integrand", recorded)
+        res = compute_C(family)
+        v1, v2, levels = np.empty(0), np.empty(0), []
+        for w1, w2 in calls:
+            v1, v2 = np.concatenate((v1, w1)), np.concatenate((v2, w2))
+            h = 2.0 * math.pi / v1.size
+            levels.append((h * math.fsum(v1), h * math.fsum(v2)))
+        (p1, p2), (c1, c2) = levels[-2:]
+        assert (res.C1, res.C2, res.nodes) == (c1, c2, v1.size)
+        assert res.err_estimate == abs((c1 + c2) - (p1 + p2))
+
+
+_SUMMAND = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_subnormal=True)
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SUMMAND, max_size=200), st.lists(st.integers(0, 200), max_size=4))
+    def test_chunked_sum_equals_fsum(self, values, cuts):
+        chunks = np.split(np.array(values, dtype=float), sorted(min(c, len(values)) for c in cuts))
+        total = sum(coefficient._exact_sum(c) for c in chunks)
+        assert total / coefficient._UNIT == math.fsum(values)
+
+    def test_exact_cancellation(self):
+        small = [1.0, -2.0**-60, 3.0e-320, 0.1]
+        values = [1e16, -1e16] * 50 + small + [-1e16, 1e16] * 50
+        v = np.array(values)
+        total = coefficient._exact_sum(v[:101]) + coefficient._exact_sum(v[101:])
+        assert total / coefficient._UNIT == math.fsum(values) == math.fsum(small)
+        # One exponent bin whose high parts cancel while its low parts do not.
+        pair = coefficient._exact_sum(np.array([1.0 + 2.0**-40, -1.0]))
+        assert pair / coefficient._UNIT == 2.0**-40
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            coefficient._exact_sum(np.array([1.5e308, 1.5e308])) / coefficient._UNIT
 
 
 class TestFormulationEquivalence:

@@ -313,3 +313,10 @@ class TestFiniteEccentricityC2:
 
     def test_zero_for_q_not_1(self):
         assert c2_value(ResonantFamily(2, 3, 0.2)) == 0.0
+
+    def test_unconverged_series_raises(self, monkeypatch):
+        # With J = 1 the terms are (m + 1) * beta^m; beta = 0.986 at e = 0.9999
+        # needs ~2,900 terms to fall below 1e-18 of the sum, past the 1000 cap.
+        monkeypatch.setattr(series, "bessel_j", lambda k, x: 1.0)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            c2_value(ResonantFamily(2, 1, 0.9999))
