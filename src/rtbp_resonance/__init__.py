@@ -56,10 +56,10 @@ from .verifier import (
     refine_periodic_orbit,
     rtbp_derivatives,
     rtbp_hamiltonian,
-    verify_family,
+    verify_families,
 )
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "ActionAngle",
@@ -107,6 +107,6 @@ __all__ = [
     "sweep_e",
     "true_anomaly",
     "unperturbed_flow",
-    "verify_family",
+    "verify_families",
     "__version__",
 ]

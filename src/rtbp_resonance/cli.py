@@ -27,7 +27,7 @@ from .errors import RtbpError, ValidationError
 from .levi_civita import regularization_checks
 from .perturbation import ResonantFamily, canonical_families
 from .series import leading_coefficient
-from .verifier import DEFAULT_MU_LIST, verify_family
+from .verifier import DEFAULT_MU_LIST, verify_families
 
 SCHEMA_VERSION = 1
 _QUAD_TOL_HELP = "quadrature tolerance on C1 + C2, relative where |C1 + C2| > 1"
@@ -292,8 +292,7 @@ def _cache_store(path: str, text: str):
         raise
 
 
-def _verify_family(f: ResonantFamily, mu_list, corrector_tol, quad_tol) -> dict:
-    res = verify_family(f, mu_list, corrector_tol)
+def _verify_entry(f: ResonantFamily, res, quad_tol) -> dict:
     per_mu = [
         {
             "mu": mu,
@@ -327,6 +326,8 @@ def cmd_verify(args) -> int:
     mu_list = _parse_float_list(args.mu_list)
     if not mu_list:
         raise ValidationError("--mu-list must contain at least one value")
+    if not all(math.isfinite(mu) for mu in mu_list):
+        raise ValidationError(f"--mu-list must hold finite values, got {args.mu_list}")
     families = canonical_families(args.p, args.q, args.e, args.direction)
     selected = {"1": [families[0]], "2": [families[1]], "both": list(families)}[args.family]
 
@@ -349,8 +350,9 @@ def cmd_verify(args) -> int:
             _emit(text, args.output)
             return 0 if record.get("status") == "ok" else 2
 
+    results = verify_families(selected, mu_list, args.corrector_tol)
     outputs = {"families": [
-        _verify_family(f, mu_list, args.corrector_tol, args.tol) for f in selected
+        _verify_entry(f, res, args.tol) for f, res in zip(selected, results)
     ]}
     statuses = {e["status"] for e in outputs["families"]}
     if "ok" in statuses:

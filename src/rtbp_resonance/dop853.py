@@ -1,0 +1,368 @@
+"""DOP853 for a batch of independent autonomous initial value problems.
+
+Row i of a batch integrates y' = fun(y) from y0[i] over [0, t_end[i]] with
+the explicit Runge-Kutta pair of order 8(5, 3) of Dormand and Prince
+(Hairer, Norsett and Wanner, *Solving Ordinary Differential Equations I*,
+sec. II.10).  Each row takes the steps that scipy's
+``solve_ivp(method="DOP853")`` takes for it alone: the same initial step
+selection, stage sums, combined 5th/3rd-order error norm and step-size
+control, with its own step size, rejection flag and evaluation count.  The
+rows share only the calls: one ``fun`` call per stage for the whole batch
+and one matrix-vector product per stage sum, which is where a one-row
+integrator spends its per-step overhead.
+
+A row leaves the batch when it reaches its end time, or when it fails:
+``fun`` raised an RtbpError for it, or its step fell below ten ulps of its
+time.  The other rows go on.  A row's numbers do not depend on the other
+rows as long as the BLAS matrix-vector product computes each element the
+same way wherever it sits in the vector; OpenBLAS's x86-64 kernels do when
+the row length is a multiple of 4, as the verifier's 20 is.
+"""
+
+from __future__ import annotations
+
+import math
+from array import array
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ConvergenceError, RtbpError
+
+# The tableau of Hairer's DOP853 as scipy distributes it
+# (scipy/integrate/_ivp/dop853_coefficients.py): stage rows A[1..11], the
+# 8th-order weights B, and the 5th- and 3rd-order error weights E5, E3 over
+# the 12 stages plus the derivative at the new point.  The nodes C are not
+# needed for an autonomous field, nor is the dense output.
+N_STAGES = 12
+A = np.zeros((N_STAGES + 1, N_STAGES))
+A[1, 0] = 5.26001519587677318785587544488e-2
+
+A[2, 0] = 1.97250569845378994544595329183e-2
+A[2, 1] = 5.91751709536136983633785987549e-2
+
+A[3, 0] = 2.95875854768068491816892993775e-2
+A[3, 2] = 8.87627564304205475450678981324e-2
+
+A[4, 0] = 2.41365134159266685502369798665e-1
+A[4, 2] = -8.84549479328286085344864962717e-1
+A[4, 3] = 9.24834003261792003115737966543e-1
+
+A[5, 0] = 3.7037037037037037037037037037e-2
+A[5, 3] = 1.70828608729473871279604482173e-1
+A[5, 4] = 1.25467687566822425016691814123e-1
+
+A[6, 0] = 3.7109375e-2
+A[6, 3] = 1.70252211019544039314978060272e-1
+A[6, 4] = 6.02165389804559606850219397283e-2
+A[6, 5] = -1.7578125e-2
+
+A[7, 0] = 3.70920001185047927108779319836e-2
+A[7, 3] = 1.70383925712239993810214054705e-1
+A[7, 4] = 1.07262030446373284651809199168e-1
+A[7, 5] = -1.53194377486244017527936158236e-2
+A[7, 6] = 8.27378916381402288758473766002e-3
+
+A[8, 0] = 6.24110958716075717114429577812e-1
+A[8, 3] = -3.36089262944694129406857109825
+A[8, 4] = -8.68219346841726006818189891453e-1
+A[8, 5] = 2.75920996994467083049415600797e1
+A[8, 6] = 2.01540675504778934086186788979e1
+A[8, 7] = -4.34898841810699588477366255144e1
+
+A[9, 0] = 4.77662536438264365890433908527e-1
+A[9, 3] = -2.48811461997166764192642586468
+A[9, 4] = -5.90290826836842996371446475743e-1
+A[9, 5] = 2.12300514481811942347288949897e1
+A[9, 6] = 1.52792336328824235832596922938e1
+A[9, 7] = -3.32882109689848629194453265587e1
+A[9, 8] = -2.03312017085086261358222928593e-2
+
+A[10, 0] = -9.3714243008598732571704021658e-1
+A[10, 3] = 5.18637242884406370830023853209
+A[10, 4] = 1.09143734899672957818500254654
+A[10, 5] = -8.14978701074692612513997267357
+A[10, 6] = -1.85200656599969598641566180701e1
+A[10, 7] = 2.27394870993505042818970056734e1
+A[10, 8] = 2.49360555267965238987089396762
+A[10, 9] = -3.0467644718982195003823669022
+
+A[11, 0] = 2.27331014751653820792359768449
+A[11, 3] = -1.05344954667372501984066689879e1
+A[11, 4] = -2.00087205822486249909675718444
+A[11, 5] = -1.79589318631187989172765950534e1
+A[11, 6] = 2.79488845294199600508499808837e1
+A[11, 7] = -2.85899827713502369474065508674
+A[11, 8] = -8.87285693353062954433549289258
+A[11, 9] = 1.23605671757943030647266201528e1
+A[11, 10] = 6.43392746015763530355970484046e-1
+
+A[12, 0] = 5.42937341165687622380535766363e-2
+A[12, 5] = 4.45031289275240888144113950566
+A[12, 6] = 1.89151789931450038304281599044
+A[12, 7] = -5.8012039600105847814672114227
+A[12, 8] = 3.1116436695781989440891606237e-1
+A[12, 9] = -1.52160949662516078556178806805e-1
+A[12, 10] = 2.01365400804030348374776537501e-1
+A[12, 11] = 4.47106157277725905176885569043e-2
+
+B = A[N_STAGES]
+
+E3 = np.zeros(N_STAGES + 1)
+E3[:-1] = B
+E3[0] -= 0.244094488188976377952755905512
+E3[8] -= 0.733846688281611857341361741547
+E3[11] -= 0.220588235294117647058823529412e-1
+
+E5 = np.zeros(N_STAGES + 1)
+E5[0] = 0.1312004499419488073250102996e-1
+E5[5] = -0.1225156446376204440720569753e+1
+E5[6] = -0.4957589496572501915214079952
+E5[7] = 0.1664377182454986536961530415e+1
+E5[8] = -0.3503288487499736816886487290
+E5[9] = 0.3341791187130174790297318841
+E5[10] = 0.8192320648511571246570742613e-1
+E5[11] = -0.2235530786388629525884427845e-1
+
+# The weights of stage s over stages 0 .. s-1, for s = 1 .. 11.
+_STAGE_WEIGHTS = [A[s, :s] for s in range(1, N_STAGES)]
+
+# Step-size control: the error of the 7th-order estimator scales as h^8.
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
+ERROR_EXPONENT = -1 / 8
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+@dataclass(frozen=True)
+class BatchSolution:
+    """Final states and work counts of one batched integration.
+
+    y[i] is row i's state at t_end[i], or NaN where errors[i] holds the
+    RtbpError that stopped the row.  row_nfev[i] and row_steps[i] count its
+    evaluations of fun and its accepted steps.  nfev and t follow scipy's
+    OdeResult over the whole batch: nfev is the evaluations summed over
+    rows, and t is 0 followed by the end time of every accepted step of
+    every row, so t.size - 1 is the accepted steps summed over rows.
+    """
+
+    y: np.ndarray
+    errors: list
+    row_nfev: np.ndarray
+    row_steps: np.ndarray
+    t: np.ndarray
+
+    @property
+    def nfev(self) -> int:
+        return int(self.row_nfev.sum())
+
+
+class _Row:
+    """The step control of one row: what a scipy solver keeps per problem."""
+
+    __slots__ = ("index", "t", "t_end", "direction", "h_abs", "min_step", "rejected",
+                 "t_new", "steps", "nfev", "error")
+
+    def __init__(self, index: int, t_end: float):
+        self.index = index
+        self.t = 0.0
+        self.t_end = t_end
+        self.direction = math.copysign(1.0, t_end) if t_end != 0.0 else 1.0
+        self.rejected = False
+        self.steps = 0
+        self.error = None
+
+
+def _rms(x) -> float:
+    """scipy's norm ||x||_2 / sqrt(n), with ||x||_2 taken as np.linalg.norm does."""
+    return math.sqrt(x.dot(x)) / x.size**0.5
+
+
+class _Batch:
+    """The live rows with their states y and derivatives f, and the results
+    of the rows that have left."""
+
+    def __init__(self, fun, y0, params, t_end):
+        n_rows = len(y0)
+        self.fun = fun
+        self.calls = 0
+        self.failed = False
+        self.rows = [_Row(i, float(te)) for i, te in enumerate(t_end)]
+        self.params = list(params)
+        self.y = y0
+        self.f = None
+        self.y_out = np.full_like(y0, np.nan)
+        self.errors = [None] * n_rows
+        self.nfev = np.zeros(n_rows, dtype=np.int64)
+        self.steps = np.zeros(n_rows, dtype=np.int64)
+        self.mesh = array("d", [0.0])  # unboxed: one entry per accepted step
+
+    def eval(self, y):
+        """fun at the live rows y.  Where it raises, each row is evaluated
+        alone; a row that raises fails with its error and gets NaN."""
+        self.calls += 1
+        try:
+            return self.fun(y, self.params)
+        except RtbpError:
+            pass
+        out = np.empty_like(y)
+        for k, (row, param) in enumerate(zip(self.rows, self.params)):
+            try:
+                out[k] = self.fun(y[k:k + 1], [param])[0]
+            except RtbpError as exc:
+                out[k] = np.nan
+                self.fail(row, exc)
+        return out
+
+    def fail(self, row, exc):
+        if row.error is None:
+            row.error, row.nfev = exc, self.calls
+            self.failed = True
+
+    def retire(self, done=()):
+        """Move the rows numbered in `done` and the failed rows out."""
+        keep = []
+        for k, row in enumerate(self.rows):
+            if row.error is None and k not in done:
+                keep.append(k)
+                continue
+            i = row.index
+            if row.error is None:
+                self.y_out[i] = self.y[k]
+                row.nfev = self.calls
+            self.errors[i] = row.error
+            self.nfev[i] = row.nfev
+            self.steps[i] = row.steps
+        self.rows = [self.rows[k] for k in keep]
+        self.params = [self.params[k] for k in keep]
+        self.y, self.f = self.y[keep], self.f[keep]
+        self.failed = False
+
+    def initial_steps(self, rtol, atol):
+        """scipy's select_initial_step for every live row (one evaluation)."""
+        y0, f0 = self.y, self.f
+        scale = atol + np.abs(y0) * rtol
+        h0, d1 = [], []
+        for k, row in enumerate(self.rows):
+            d0 = _rms(y0[k] / scale[k])
+            d1.append(_rms(f0[k] / scale[k]))
+            h = 1e-6 if d0 < 1e-5 or d1[k] < 1e-5 else 0.01 * d0 / d1[k]
+            h0.append(min(h, abs(row.t_end)))
+        hd = np.array([h * row.direction for h, row in zip(h0, self.rows)])
+        f1 = self.eval(y0 + hd[:, None] * f0)
+        for k, (row, h) in enumerate(zip(self.rows, h0)):
+            d2 = _rms((f1[k] - f0[k]) / scale[k]) / h
+            if d1[k] <= 1e-15 and d2 <= 1e-15:
+                h1 = max(1e-6, h * 1e-3)
+            else:
+                h1 = (0.01 / max(d1[k], d2)) ** (1 / 8)
+            row.h_abs = min(100 * h, h1, abs(row.t_end))
+
+    def rk_step(self, h, rtol, atol):
+        """One DOP853 step of every live row, row k with step h[k].
+
+        Returns (y_new, f_new, err5, err3), the error estimates divided by
+        the error scale.  Each stage sum is one product of the (rows * n, s)
+        block of stages with the tableau row.
+        """
+        y = self.y
+        live, n = y.shape
+        K = np.empty((N_STAGES + 1, live, n))
+        K_flat = K.reshape(N_STAGES + 1, live * n)
+        h = h[:, None]
+        K[0] = self.f
+        for s, a in enumerate(_STAGE_WEIGHTS, start=1):
+            dy = K_flat[:s].T.dot(a).reshape(live, n) * h
+            K[s] = self.eval(y + dy)
+        y_new = y + h * K_flat[:N_STAGES].T.dot(B).reshape(live, n)
+        f_new = K[N_STAGES] = self.eval(y_new)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        err5 = K_flat.T.dot(E5).reshape(live, n) / scale
+        err3 = K_flat.T.dot(E3).reshape(live, n) / scale
+        return y_new, f_new, err5, err3
+
+
+def _error_norm(h_abs: float, err5, err3) -> float:
+    """DOP853's combined error norm of one row, as scipy forms it."""
+    e5 = math.sqrt(err5.dot(err5)) ** 2
+    e3 = math.sqrt(err3.dot(err3)) ** 2
+    if e5 == 0 and e3 == 0:
+        return 0.0
+    return h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * err5.size)
+
+
+def solve_ivp(fun, t_end, y0, params, rtol: float, atol: float) -> BatchSolution:
+    """Integrate every row of y0 from t = 0 to its t_end with DOP853.
+
+    fun(y, params) takes the live rows y (k, n) and their entries of params
+    and returns their derivatives (k, n); the field is autonomous.  A row
+    for which fun raises an RtbpError stops with that error, and a row whose
+    step falls below ten ulps of its time stops with a ConvergenceError.
+    """
+    batch = _Batch(fun, np.array(y0, dtype=float), params, t_end)
+    batch.f = batch.eval(batch.y)
+    # A row with nothing to integrate ends where it starts.
+    batch.retire({k for k, row in enumerate(batch.rows) if row.t_end == 0.0})
+    if batch.rows:
+        batch.initial_steps(rtol, atol)
+        batch.retire()
+
+    while batch.rows:
+        h = []
+        for row in batch.rows:
+            if not row.rejected:
+                # A new step: its floor is ten ulps of t.
+                row.min_step = 10 * abs(math.nextafter(row.t, row.direction * math.inf) - row.t)
+                row.h_abs = max(row.h_abs, row.min_step)
+            if row.h_abs < row.min_step:
+                batch.fail(row, ConvergenceError(f"integration failed: {TOO_SMALL_STEP}"))
+                continue
+            row.t_new = row.t + row.h_abs * row.direction
+            if row.direction * (row.t_new - row.t_end) > 0:
+                row.t_new = row.t_end
+            h.append(row.t_new - row.t)
+            row.h_abs = abs(h[-1])
+        if batch.failed:
+            batch.retire()
+            if not batch.rows:
+                break
+        y_new, f_new, err5, err3 = batch.rk_step(np.array(h), rtol, atol)
+
+        accepted, done = [], set()
+        for k, row in enumerate(batch.rows):
+            if row.error is not None:
+                continue
+            error_norm = _error_norm(row.h_abs, err5[k], err3[k])
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+                if row.rejected:
+                    factor = min(1, factor)
+                row.h_abs *= factor
+                row.rejected = False
+                row.t = row.t_new
+                row.steps += 1
+                batch.mesh.append(row.t)
+                accepted.append(k)
+                if row.direction * (row.t - row.t_end) >= 0:
+                    done.add(k)
+            else:
+                row.h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+                row.rejected = True
+        if len(accepted) == len(batch.rows):
+            batch.y, batch.f = y_new, f_new
+        elif accepted:
+            batch.y[accepted], batch.f[accepted] = y_new[accepted], f_new[accepted]
+        if done or batch.failed:
+            batch.retire(done)
+
+    return BatchSolution(
+        y=batch.y_out,
+        errors=batch.errors,
+        row_nfev=batch.nfev,
+        row_steps=batch.steps,
+        t=np.array(batch.mesh),
+    )

@@ -6,6 +6,12 @@ differentially corrects that orbit by Newton shooting over the half period,
 integrating the variational equations with the state, and extracts the
 coefficient from tr(M) - 4 ~ C*mu, extrapolating the estimate to mu -> 0.
 
+`verify_families` corrects every (family, mu) orbit of a request in
+lockstep: each Newton iteration integrates all unfinished orbits as one
+batch with the package's DOP853 (`dop853.solve_ivp`, whose rows take the
+steps scipy's DOP853 takes for each alone), and an orbit leaves when it
+converges or fails.  `refine_periodic_orbit` is the one-orbit case.
+
 The orbit is symmetric under the reversor R = diag(-1, 1, 1, -1) with
 t -> -t, so its monodromy matrix is M = R Phi(T/2)^-1 R Phi(T/2), where
 Phi(T/2) is the half-period state-transition matrix of the accepted Newton
@@ -24,8 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-
+from .dop853 import solve_ivp
 from .errors import CollisionError, ConvergenceError, RtbpError, ValidationError
 from .kepler import RtbpState, delaunay_to_cartesian
 from .perturbation import ResonantFamily, delaunay_initial_state
@@ -33,7 +38,7 @@ from .perturbation import ResonantFamily, delaunay_initial_state
 _COLLISION_RADIUS = 1e-8
 _INTEGRATOR_TOL = 1e-12
 _NEWTON_MAX_ITER = 25
-# The mu at which `verify_family` (and the `verify` command) estimates C.
+# The mu at which `verify_families` (and the `verify` command) estimates C.
 DEFAULT_MU_LIST = (1e-4, 3e-5, 1e-5, 3e-6)
 # The reversor (p_x, p_y, x, y) -> (-p_x, p_y, x, -y) that, with t -> -t,
 # maps solutions to solutions, and the symplectic form in this order.
@@ -156,19 +161,21 @@ def rtbp_derivatives(s, mu: float, with_variational: bool = False):
     return f, J
 
 
-def _variational_rhs(_, z, mu: float):
-    """(f, J Phi) for z = (state, Phi row by row), in closed form.
+def _variational_rhs(Z, mus):
+    """(f, J Phi) for each row z = (state, Phi row by row) of Z, in closed form.
 
-    The same vector field and Jacobian as rtbp_derivatives, written out
-    from the sparsity of J on Python floats: the integrator calls this once
-    per stage, and per-call array building dominated its cost.
+    mus[i] is the mass ratio of row i.  The same vector field and Jacobian
+    as rtbp_derivatives, written out from the sparsity of J on Python
+    floats: the integrator calls this once per stage for the whole batch,
+    and per-call array building dominated its cost.
     """
-    (p_x, p_y, x, y,
-     a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = z.tolist()
-    gx, gy, gxx, gxy, gyy = _primary_forces(x, y, mu)
-    # Rows of J: (0, 1, gxx, gxy), (-1, 0, gxy, gyy), (1, 0, 0, 1), (0, 1, -1, 0).
-    return np.array(
-        [
+    out = []
+    for z, mu in zip(Z.tolist(), mus):
+        (p_x, p_y, x, y,
+         a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = z
+        gx, gy, gxx, gxy, gyy = _primary_forces(x, y, mu)
+        # Rows of J: (0, 1, gxx, gxy), (-1, 0, gxy, gyy), (1, 0, 0, 1), (0, 1, -1, 0).
+        out += [
             p_y + gx, -p_x + gy, p_x + y, p_y - x,
             b0 + gxx * c0 + gxy * d0, b1 + gxx * c1 + gxy * d1,
             b2 + gxx * c2 + gxy * d2, b3 + gxx * c3 + gxy * d3,
@@ -177,27 +184,24 @@ def _variational_rhs(_, z, mu: float):
             a0 + d0, a1 + d1, a2 + d2, a3 + d3,
             b0 - c0, b1 - c1, b2 - c2, b3 - c3,
         ]
-    )
+    return np.fromiter(out, float, len(out)).reshape(Z.shape)
 
 
-def _flow(s0: np.ndarray, t_span: float, mu: float):
-    """Integrate the state and its state-transition matrix Phi (from I).
+def _flow(s0: np.ndarray, t_end, mus):
+    """Integrate each state s0[i] with its state-transition matrix Phi (from
+    I) over [0, t_end[i]] at mass ratio mus[i], all rows in one batch.
 
-    Returns (state, Phi) at t_span.
+    Returns per row (state, Phi) at t_end[i], or the RtbpError that
+    stopped the row's integration.
     """
+    z0 = np.hstack([s0, np.tile(np.eye(4).ravel(), (len(s0), 1))])
     sol = solve_ivp(
-        _variational_rhs,
-        (0.0, t_span),
-        np.concatenate([s0, np.eye(4).ravel()]),
-        method="DOP853",
-        rtol=_INTEGRATOR_TOL,
-        atol=_INTEGRATOR_TOL,
-        args=(mu,),
+        _variational_rhs, t_end, z0, mus, rtol=_INTEGRATOR_TOL, atol=_INTEGRATOR_TOL
     )
-    if not sol.success:
-        raise ConvergenceError(f"integration failed: {sol.message}")
-    zf = sol.y[:, -1]
-    return zf[:4], zf[4:].reshape(4, 4)
+    return [
+        err if err is not None else (zf[:4], zf[4:].reshape(4, 4))
+        for zf, err in zip(sol.y, sol.errors)
+    ]
 
 
 def _seed_state(f: ResonantFamily) -> RtbpState:
@@ -208,53 +212,82 @@ def _seed_state(f: ResonantFamily) -> RtbpState:
     return RtbpState(p_x=0.0, p_y=s.p_y, x=s.x, y=0.0)
 
 
-def refine_periodic_orbit(f: ResonantFamily, mu: float, tol: float = 1e-10) -> PeriodicOrbit:
-    """Newton shooting for the symmetric p:q resonant orbit at given mu.
+def _shoot(orbits, tol: float) -> list:
+    """Newton shooting for the symmetric p:q resonant orbit of every
+    (family, mu) in `orbits`, all in lockstep.
 
     Unknowns are (x0, T/2); p_y(0) = G0/x0 keeps the angular momentum at its
     mu = 0 family value, and the targets are y(T/2) = 0 and p_x(T/2) = 0.
+    Each iteration integrates every unfinished orbit in one batch; an orbit
+    leaves when it converges or fails.  Returns one PeriodicOrbit or
+    RtbpError per entry, each as the orbit's own iteration would give it.
     """
-    if not 0.0 < mu <= 1e-3:
-        raise ValidationError(f"mu must be in (0, 1e-3], got {mu}")
-    G0 = delaunay_initial_state(f).G
-    seed = _seed_state(f)
-    x0 = seed.x
-    Th = math.pi * f.p
+    out = [None] * len(orbits)
+    live = []  # [index, family, mu, G0, x0, T/2]
+    for i, (f, mu) in enumerate(orbits):
+        if not 0.0 < mu <= 1e-3:
+            out[i] = ValidationError(f"mu must be in (0, 1e-3], got {mu}")
+            continue
+        live.append([i, f, mu, delaunay_initial_state(f).G, _seed_state(f).x, math.pi * f.p])
 
     for _ in range(_NEWTON_MAX_ITER):
-        s0 = np.array([0.0, G0 / x0, x0, 0.0])
-        sf, phi = _flow(s0, Th, mu)
-        res = np.array([sf[3], sf[0]])  # (y, p_x) at T/2
-        if max(abs(res[0]), abs(res[1])) <= tol:
-            return PeriodicOrbit(
-                initial_state=RtbpState.from_array(s0),
-                period=2.0 * Th,
-                mu=mu,
-                family=f,
-                residual_y=abs(res[0]),
-                residual_px=abs(res[1]),
-                half_period_stm=phi,
+        if not live:
+            return out
+        s0s = np.array([[0.0, G0 / x0, x0, 0.0] for _, _, _, G0, x0, _ in live])
+        flows = _flow(s0s, [row[5] for row in live], [row[2] for row in live])
+        still = []
+        for row, s0, flow in zip(live, s0s, flows):
+            i, f, mu, G0, x0, Th = row
+            if isinstance(flow, RtbpError):
+                out[i] = flow
+                continue
+            sf, phi = flow
+            res = np.array([sf[3], sf[0]])  # (y, p_x) at T/2
+            if max(abs(res[0]), abs(res[1])) <= tol:
+                out[i] = PeriodicOrbit(
+                    initial_state=RtbpState.from_array(s0),
+                    period=2.0 * Th,
+                    mu=mu,
+                    family=f,
+                    residual_y=abs(res[0]),
+                    residual_px=abs(res[1]),
+                    half_period_stm=phi,
+                )
+                continue
+            ds0_dx0 = np.array([0.0, -G0 / (x0 * x0), 1.0, 0.0])
+            dsf_dx0 = phi @ ds0_dx0
+            dsf_dT = rtbp_derivatives(sf, mu)
+            A = np.array(
+                [
+                    [dsf_dx0[3], dsf_dT[3]],
+                    [dsf_dx0[0], dsf_dT[0]],
+                ]
             )
-        ds0_dx0 = np.array([0.0, -G0 / (x0 * x0), 1.0, 0.0])
-        dsf_dx0 = phi @ ds0_dx0
-        dsf_dT = rtbp_derivatives(sf, mu)
-        A = np.array(
-            [
-                [dsf_dx0[3], dsf_dT[3]],
-                [dsf_dx0[0], dsf_dT[0]],
-            ]
-        )
-        try:
-            delta = np.linalg.solve(A, -res)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("singular shooting Jacobian") from exc
-        if not np.all(np.isfinite(delta)) or abs(delta[0]) > 0.5 * abs(x0):
-            raise ConvergenceError(
-                f"Newton correction diverged for {f} at mu={mu}"
-            )
-        x0 += delta[0]
-        Th += delta[1]
-    raise ConvergenceError(f"shooting did not converge to tol={tol} for {f} at mu={mu}")
+            try:
+                delta = np.linalg.solve(A, -res)
+            except np.linalg.LinAlgError:
+                out[i] = ConvergenceError("singular shooting Jacobian")
+                continue
+            if not np.all(np.isfinite(delta)) or abs(delta[0]) > 0.5 * abs(x0):
+                out[i] = ConvergenceError(f"Newton correction diverged for {f} at mu={mu}")
+                continue
+            still.append([i, f, mu, G0, x0 + delta[0], Th + delta[1]])
+        live = still
+    for i, f, mu, *_ in live:
+        out[i] = ConvergenceError(f"shooting did not converge to tol={tol} for {f} at mu={mu}")
+    return out
+
+
+def refine_periodic_orbit(f: ResonantFamily, mu: float, tol: float = 1e-10) -> PeriodicOrbit:
+    """Newton shooting for the symmetric p:q resonant orbit at given mu.
+
+    The one-orbit case of the lockstep corrector: raises the RtbpError
+    that stopped the orbit.
+    """
+    (orbit,) = _shoot([(f, mu)], tol)
+    if isinstance(orbit, RtbpError):
+        raise orbit
+    return orbit
 
 
 def monodromy(o: PeriodicOrbit) -> MonodromyReport:
@@ -276,25 +309,32 @@ def monodromy(o: PeriodicOrbit) -> MonodromyReport:
     )
 
 
-def verify_family(
-    f: ResonantFamily, mu_list=DEFAULT_MU_LIST, tol: float = 1e-10
-) -> ExtrapolationResult:
-    """Monodromy estimate (tr M - 4)/mu at each mu, extrapolated to mu -> 0.
+def verify_families(
+    families, mu_list=DEFAULT_MU_LIST, tol: float = 1e-10
+) -> list[ExtrapolationResult]:
+    """Monodromy estimate (tr M - 4)/mu at each mu, extrapolated to mu -> 0,
+    for each family; one ExtrapolationResult per family, in order.
 
     The multipliers are 1 +/- sqrt(C*mu) + O(mu), so the per-mu estimate
     carries an O(sqrt(mu)) error; a least-squares fit of C + c1*sqrt(mu)
-    over the converged mu removes the leading correction.  A mu whose
-    correction fails is recorded in `errors`, not raised.
+    over the converged mu removes the leading correction.  Every
+    (family, mu) orbit is corrected in one lockstep Newton iteration; a mu
+    whose correction fails is recorded in `errors`, not raised.
     """
     mus = tuple(float(m) for m in mu_list)
-    ests, errors = [], []
-    for mu in mus:
-        try:
-            ests.append(monodromy(refine_periodic_orbit(f, mu, tol)).C_estimate)
-            errors.append(None)
-        except RtbpError as exc:
-            ests.append(None)
-            errors.append(exc)
+    orbits = _shoot([(f, mu) for f in families for mu in mus], tol)
+    results = []
+    for k in range(len(families)):
+        row = orbits[k * len(mus):(k + 1) * len(mus)]
+        errors = [o if isinstance(o, RtbpError) else None for o in row]
+        ests = [None if err is not None else monodromy(o).C_estimate
+                for o, err in zip(row, errors)]
+        results.append(_fit(mus, ests, errors))
+    return results
+
+
+def _fit(mus, ests, errors) -> ExtrapolationResult:
+    """The C + c1*sqrt(mu) least-squares fit over the converged mu."""
     good = [(mu, c) for mu, c in zip(mus, ests) if c is not None]
     C = slope = resid = None
     if len({mu for mu, _ in good}) >= 2:

@@ -30,7 +30,7 @@ from rtbp_resonance.kepler import (
 from rtbp_resonance.levi_civita import regularization_checks
 from rtbp_resonance.perturbation import ResonantFamily, canonical_families
 from rtbp_resonance.series import leading_coefficient
-from rtbp_resonance.verifier import monodromy, refine_periodic_orbit, verify_family
+from rtbp_resonance.verifier import monodromy, refine_periodic_orbit, verify_families
 
 
 def _report(capsys, label, ok, detail=""):
@@ -53,8 +53,8 @@ def _slope(p, q, direction, which, e_grid=(0.003, 0.006, 0.012, 0.024)):
 @pytest.mark.parametrize("p,q,e", [(1, 3, 0.3), (2, 7, 0.4)], ids=["1:3", "2:7"])
 def test_criterion_1_multiplier_law(capsys, p, q, e):
     details, ok = [], True
-    for f in canonical_families(p, q, e):
-        res = verify_family(f)
+    families = canonical_families(p, q, e)
+    for f, res in zip(families, verify_families(families)):
         c_quad = compute_C(f, tol=1e-12).C
         rel = abs(res.C - c_quad) / abs(c_quad)
         i5 = res.mu_list.index(1e-5)

@@ -12,7 +12,7 @@ import pytest
 from rtbp_resonance import cli
 from rtbp_resonance.cli import main
 from rtbp_resonance.perturbation import canonical_families
-from rtbp_resonance.verifier import verify_family
+from rtbp_resonance.verifier import verify_families
 
 E_GRID_12 = ",".join(f"{0.05 * k:.2f}" for k in range(1, 13))
 
@@ -300,7 +300,7 @@ class TestVerify:
         assert middle["C_estimate"] is None
         assert middle["status"].startswith("corrector-divergence")
         f = canonical_families(1, 3, 0.3)[0]
-        assert fam["extrapolated_C"] == verify_family(f, (1e-4, 0.1, 3e-5)).C
+        assert fam["extrapolated_C"] == verify_families([f], (1e-4, 0.1, 3e-5))[0].C
         _, out2, _ = _run(capsys, base + ["--mu-list", "1e-4,3e-5"])
         # a failed mu must not move the fit
         assert fam["extrapolated_C"] == json.loads(out2)["outputs"]["families"][0]["extrapolated_C"]
@@ -325,6 +325,17 @@ class TestVerify:
             ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--mu-list", ","],
         )
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_mu_rejected(self, capsys, tmp_path, value):
+        # A non-finite mu would be written as Infinity/NaN, which is not JSON.
+        argv = ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--family", "1",
+                "--mu-list", f"1e-4,{value},3e-5", "--cache-dir", str(tmp_path)]
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --mu-list must hold finite values")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRegularize:
@@ -372,7 +383,7 @@ class TestEntryPoint:
     def test_version_flag(self, capsys):
         code, out, _ = _run(capsys, ["--version"])
         assert code == 0
-        assert out.strip() == "1.2.0"
+        assert out.strip() == "1.3.0"
 
     def test_unknown_command(self, capsys):
         code, _, _ = _run(capsys, ["frobnicate"])

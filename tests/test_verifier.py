@@ -20,7 +20,7 @@ from rtbp_resonance.verifier import (
     refine_periodic_orbit,
     rtbp_derivatives,
     rtbp_hamiltonian,
-    verify_family,
+    verify_families,
 )
 
 MU = 1e-5
@@ -91,7 +91,7 @@ class TestFusedVariationalRhs:
                 z = rng.uniform(-1.5, 1.5, 20)
                 f, J = rtbp_derivatives(z[:4], mu, with_variational=True)
                 want = np.concatenate([f, (J @ z[4:].reshape(4, 4)).ravel()])
-                got = _variational_rhs(0.0, z, mu)
+                got = _variational_rhs(z[None], [mu])[0]
                 assert got.shape == (20,)
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -99,7 +99,7 @@ class TestFusedVariationalRhs:
     def test_collision_at_either_primary(self, x):
         z = np.concatenate([[0.0, 0.0, x, 0.0], np.eye(4).ravel()])
         with pytest.raises(CollisionError):
-            _variational_rhs(0.0, z, 1e-3)
+            _variational_rhs(z[None], [1e-3])
 
 
 class TestRefinement:
@@ -215,23 +215,22 @@ class TestMonodromy:
 
 class TestExtrapolation:
     def test_invalid_mu_recorded(self):
-        res = verify_family(ResonantFamily(1, 3, 0.3), (2e-3, 1e-4))
+        (res,) = verify_families([ResonantFamily(1, 3, 0.3)], (2e-3, 1e-4))
         assert isinstance(res.errors[0], ValidationError)
 
     def test_both_families_match_quadrature(self):
-        for f in canonical_families(1, 3, 0.3):
-            res = verify_family(f)
+        families = canonical_families(1, 3, 0.3)
+        r1, r2 = verify_families(families)
+        for f, res in zip(families, (r1, r2)):
             c_quad = compute_C(f).C
             assert res.C == pytest.approx(c_quad, rel=0.01)
             assert len(res.estimates) == 4
         # opposite signs of the two families
-        r1 = verify_family(canonical_families(1, 3, 0.3)[0])
-        r2 = verify_family(canonical_families(1, 3, 0.3)[1])
         assert r1.C * r2.C < 0.0
 
     def test_repeated_mu_is_not_fitted(self):
         # one distinct mu cannot separate C from the sqrt(mu) slope
-        res = verify_family(ResonantFamily(1, 3, 0.3), (1e-4, 1e-4))
+        (res,) = verify_families([ResonantFamily(1, 3, 0.3)], (1e-4, 1e-4))
         assert res.errors == (None, None)
         assert res.estimates[0] == res.estimates[1]
         assert res.C is None and res.sqrt_mu_slope is None and res.fit_residual is None
