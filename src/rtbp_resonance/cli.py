@@ -215,7 +215,10 @@ def _resolve_grid(args):
         raise ValidationError("--e-min, --e-max and --e-step must be given together")
     if args.e_step <= 0.0:
         raise ValidationError("--e-step must be positive")
-    n = int(math.floor((args.e_max - args.e_min) / args.e_step + 1e-9)) + 1
+    span = (args.e_max - args.e_min) / args.e_step
+    if not all(map(math.isfinite, (args.e_min, args.e_max, args.e_step, span))):
+        raise ValidationError("--e-min, --e-max, --e-step and their step count must be finite")
+    n = int(math.floor(span + 1e-9)) + 1
     return [args.e_min + i * args.e_step for i in range(max(0, n))]
 
 

@@ -259,8 +259,11 @@ def action_angle_from_state(s: RegularizedState, C: float) -> ActionAngle:
 def state_from_action_angle(L: float, G: float, l: float, g: float, C: float) -> RegularizedState:
     """Inverse chart: the mu = 0 regularized state with the given actions and angles.
 
-    Valid for L > 0, G != 0, G + 2C < 0 and G^2 < 4L^2.
+    Valid for finite L, G and C with L > 0, G != 0, G + 2C < 0 and
+    G^2 < 4L^2, where the radius does not underflow to 0.
     """
+    if not all(map(math.isfinite, (L, G, C))):
+        raise ValidationError(f"need finite L, G and C (L={L}, G={G}, C={C})")
     if G == 0.0:
         raise ValidationError("action-angle chart invalid at G = 0")
     if G + 2.0 * C >= 0.0:
@@ -272,6 +275,8 @@ def state_from_action_angle(L: float, G: float, l: float, g: float, C: float) ->
     e = math.sqrt(1.0 - G * G / (4.0 * L * L))
     u = a * (1.0 - e * math.cos(l))
     r = math.sqrt(u)
+    if r == 0.0:
+        raise ValidationError(f"radius underflows to 0 at L={L}, G={G}, C={C}")
     secular, periodic = _g_offset_coefficients(L, G, C)
     theta = g + secular * mean_anomaly_integral(l, e) + periodic * math.sin(l)
     # Radial momentum along u = a(1 - e cos l):

@@ -15,8 +15,9 @@ At that order only the lowest term of each factor survives, so it is one
 finite sum over i of binom(X, i) (+-1/2)^i (+-p/2)^(m-i) / (m-i)!
 (`_leading_c1_operator`).
 
-The operator is exact over Fractions; floats enter only in the final
-evaluation of the Laplace coefficients and their derivatives.
+The operator P is a plain tuple of exact Fraction coefficients, D^0 first,
+with no trailing zeros, so len(P) - 1 is its degree; floats enter only in
+the final evaluation of the Laplace coefficients and their derivatives.
 """
 
 from __future__ import annotations
@@ -128,122 +129,44 @@ def _stirling2(k: int, j: int) -> int:
     return j * _stirling2(k - 1, j) + _stirling2(k - 1, j - 1)
 
 
-class OperatorPolynomial:
-    """Polynomial in D = alpha d/dalpha with exact rational coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        c = [Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
-
-    @staticmethod
-    def constant(x) -> "OperatorPolynomial":
-        return OperatorPolynomial((Fraction(x),))
-
-    @staticmethod
-    def identity() -> "OperatorPolynomial":
-        """The operator D itself."""
-        return OperatorPolynomial((0, 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        other = _as_dpoly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return OperatorPolynomial(
-            tuple(
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            )
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return OperatorPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-_as_dpoly(other))
-
-    def __rsub__(self, other):
-        return _as_dpoly(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, OperatorPolynomial):
-            if self.is_zero() or other.is_zero():
-                return OperatorPolynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return OperatorPolynomial(tuple(out))
-        return OperatorPolynomial(tuple(c * Fraction(other) for c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, OperatorPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"OperatorPolynomial({list(self.coeffs)})"
-
-    def eval_scalar(self, n) -> Fraction:
-        """P(n): the eigenvalue on alpha^n, since D(alpha^n) = n alpha^n."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(n) + c
-        return acc
-
-    def apply(self, derivs, alpha: float) -> float:
-        """Apply P(D) to a function given [f, f', f'', ...] at alpha."""
-        if self.degree >= len(derivs):
-            raise ValidationError(
-                f"need {self.degree + 1} derivatives to apply degree-{self.degree} operator"
-            )
-        total = 0.0
-        for k, ck in enumerate(self.coeffs):
-            if ck == 0:
-                continue
-            inner = 0.0
-            ap = 1.0
-            for j in range(k + 1):
-                s = _stirling2(k, j)
-                if s:
-                    inner += s * ap * derivs[j]
-                ap *= alpha
-            total += float(ck) * inner
-        return total
-
-
-def _as_dpoly(x) -> OperatorPolynomial:
-    if isinstance(x, OperatorPolynomial):
-        return x
-    return OperatorPolynomial.constant(x)
-
-
-def _binomials(P: OperatorPolynomial, order: int) -> list[OperatorPolynomial]:
-    """[binom(P, 0), ..., binom(P, order)] by binom(P, n) = binom(P, n-1) (P-n+1) / n."""
-    out = [OperatorPolynomial.constant(1)]
-    for n in range(1, order + 1):
-        out.append(out[-1] * (P - (n - 1)) * Fraction(1, n))
+def _mul(a, b) -> list:
+    """Product of two polynomials in D given as coefficient sequences."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
     return out
 
 
-def dpoly_binomial(P: OperatorPolynomial, k: int) -> OperatorPolynomial:
-    """binom(P, k) = P (P-1) ... (P-k+1) / k! for an operator polynomial P."""
+def apply(P, derivs, alpha: float) -> float:
+    """Apply P(D) to a function given [f, f', f'', ...] at alpha."""
+    if len(P) > len(derivs):
+        raise ValidationError(f"need {len(P)} derivatives to apply degree-{len(P) - 1} operator")
+    total = 0.0
+    for k, ck in enumerate(P):
+        if ck == 0:
+            continue
+        inner = 0.0
+        ap = 1.0
+        for j in range(k + 1):
+            s = _stirling2(k, j)
+            if s:
+                inner += s * ap * derivs[j]
+            ap *= alpha
+        total += float(ck) * inner
+    return total
+
+
+def _binomials(P, order: int) -> list[tuple]:
+    """[binom(P, 0), ..., binom(P, order)] by binom(P, n) = binom(P, n-1) (P-n+1) / n."""
+    out = [(Fraction(1),)]
+    for n in range(1, order + 1):
+        out.append(tuple(c / n for c in _mul(out[-1], (P[0] - (n - 1), *P[1:]))))
+    return out
+
+
+def dpoly_binomial(P, k: int) -> tuple:
+    """binom(P, k) = P (P-1) ... (P-k+1) / k! for a coefficient tuple P."""
     return _binomials(P, k)[-1]
 
 
@@ -280,9 +203,10 @@ class LeadingCoefficient:
 
 
 @lru_cache(maxsize=None)
-def _leading_c1_operator(p: int, q: int, direction: str) -> OperatorPolynomial:
-    """Operator polynomial giving the e^m coefficient of C1 up to the
-    -2*pi*q^2*(sign) prefactor, from the n = +-q Laurent terms.
+def _leading_c1_operator(p: int, q: int, direction: str) -> tuple:
+    """Coefficients (D^0 first) of the polynomial in D giving the e^m
+    coefficient of C1 up to the -2*pi*q^2*(sign) prefactor, from the n = +-q
+    Laurent terms.
 
     That coefficient is the e^m term of the w^k harmonic (w = z^q, |k| = m)
     of (1+beta^2)^A (1 - beta/w)^B (1 - beta w)^C exp(s e (w - 1/w)), with
@@ -300,17 +224,21 @@ def _leading_c1_operator(p: int, q: int, direction: str) -> OperatorPolynomial:
     Memoized: the operator depends on neither e nor the family, and it is
     immutable.
     """
-    D = OperatorPolynomial.identity()
     m = abs(p - q) if direction == "direct" else p + q
     s = Fraction(p if direction == "direct" else -p, 2)
     if direction == "direct" and p > q:
-        X, half, sign = -q - D, Fraction(-1, 2), 1
+        X, half, sign = (-q, -1), Fraction(-1, 2), 1
     else:
-        X, half, sign = (D + q if p < q else q - D), Fraction(1, 2), (-1) ** m
-    total = OperatorPolynomial()
+        X, half, sign = ((q, 1) if p < q else (q, -1)), Fraction(1, 2), (-1) ** m
+    total = [Fraction(0)] * (m + 1)
     for i, b in enumerate(_binomials(X, m)):
-        total = total + b * (half**i * s ** (m - i) / math.factorial(m - i))
-    return total * sign
+        w = half**i * s ** (m - i) / math.factorial(m - i)
+        for k, c in enumerate(b):
+            total[k] += c * w
+    total = [c * sign for c in total]
+    while total and total[-1] == 0:  # len(P) - 1 sets the derivative order
+        total.pop()
+    return tuple(total)
 
 
 def leading_c1_coefficient(f: ResonantFamily) -> float:
@@ -318,7 +246,7 @@ def leading_c1_coefficient(f: ResonantFamily) -> float:
     p, q = f.p, f.q
     P = _leading_c1_operator(p, q, f.direction)
     sign = (-1) ** (q * f.n_g + p * f.n_l)
-    nder = max(P.degree, 0)
+    nder = max(len(P) - 1, 0)
     if p < q:
         alpha = (p / q) ** (2.0 / 3.0)
         b = laplace_b(q, alpha, nder + 1)
@@ -326,7 +254,7 @@ def leading_c1_coefficient(f: ResonantFamily) -> float:
     else:
         alpha = (q / p) ** (2.0 / 3.0)
         derivs = laplace_b(q, alpha, nder)
-    return -2.0 * math.pi * q * q * sign * P.apply(derivs, alpha)
+    return -2.0 * math.pi * q * q * sign * apply(P, derivs, alpha)
 
 
 def leading_c2_coefficient(f: ResonantFamily) -> float:

@@ -126,6 +126,23 @@ class TestSweep:
         )
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--e-step=nan"],
+            ["--e-min=nan"],
+            ["--e-max=inf"],
+            ["--e-step=inf"],
+            ["--e-min=-1e308", "--e-max=1e308", "--e-step=1"],
+        ],
+    )
+    def test_non_finite_range_rejected(self, capsys, flags):
+        argv = ["sweep", "--p", "1", "--q", "3", "--e-min=0.1", "--e-max=0.3",
+                "--e-step=0.1", *flags, "--jobs", "1"]
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --e-min, --e-max, --e-step and their step count")
+
     def test_empty_grid_emits_header_only(self, capsys):
         code, out, _ = _run(capsys, ["sweep", "--p", "1", "--q", "3", "--jobs", "1"])
         assert code == 0
@@ -368,6 +385,20 @@ class TestRegularize:
     def test_unbound_rejected(self, capsys):
         code, _, err = _run(capsys, ["regularize", "--jacobi-constant", "0.5"])
         assert code == 1 and "G + 2C" in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--jacobi-constant=nan", "--jacobi-constant=-inf", "--action=inf"]
+    )
+    def test_non_finite_input_rejected(self, capsys, flag):
+        code, out, err = _run(capsys, ["regularize", flag])
+        assert code == 1 and out == ""
+        assert err.startswith("error: need finite L, G and C")
+
+    def test_underflowing_radius_rejected(self, capsys):
+        # -2C overflows to inf, so a = L / sqrt(-G - 2C) and the radius are 0.
+        code, out, err = _run(capsys, ["regularize", "--jacobi-constant=-1e308"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: radius underflows to 0")
 
 
 class TestEntryPoint:

@@ -214,6 +214,15 @@ class TestActionAngle:
         with pytest.raises(ValidationError):
             action_angle_from_state(_demo_state(), C=0.5)  # G + 2C > 0
 
+    @pytest.mark.parametrize(
+        "L,G,C",
+        [(L_DEMO, G_DEMO, math.nan), (math.nan, G_DEMO, C_DEMO), (L_DEMO, math.nan, C_DEMO),
+         (L_DEMO, G_DEMO, -1e308)],
+    )
+    def test_inverse_chart_rejects_non_finite_and_zero_radius(self, L, G, C):
+        with pytest.raises(ValidationError):
+            state_from_action_angle(L, G, 0.7, 0.4, C)
+
     def test_circular_degenerate(self):
         # G = 2L exactly: e = 0, the radial angle is undefined.
         s0 = math.sqrt(-G_DEMO - 2.0 * C_DEMO)
