@@ -11,8 +11,6 @@ from .coefficient import (
     CoefficientResult,
     SweepRow,
     compute_C,
-    compute_C_via_omega_gg,
-    compute_C_via_omega_ll,
     sweep_e,
 )
 from .errors import (
@@ -24,7 +22,6 @@ from .errors import (
 )
 from .kepler import (
     DelaunayState,
-    OrbitalElements,
     PolarState,
     RtbpState,
     cartesian_to_delaunay,
@@ -35,7 +32,6 @@ from .kepler import (
     polar_to_delaunay,
     solve_kepler,
     true_anomaly,
-    unperturbed_flow,
 )
 from .levi_civita import (
     ActionAngle,
@@ -46,7 +42,7 @@ from .levi_civita import (
     k_value,
     state_from_action_angle,
 )
-from .perturbation import ResonantFamily, canonical_families, omega_polar
+from .perturbation import ResonantFamily, canonical_families
 from .series import LeadingCoefficient, bessel_j, laplace_b, leading_coefficient
 from .verifier import (
     ExtrapolationResult,
@@ -71,7 +67,6 @@ __all__ = [
     "ExtrapolationResult",
     "LeadingCoefficient",
     "MonodromyReport",
-    "OrbitalElements",
     "PeriodicOrbit",
     "PolarState",
     "RegularizedState",
@@ -87,8 +82,6 @@ __all__ = [
     "cartesian_to_delaunay",
     "cartesian_to_polar_rotating",
     "compute_C",
-    "compute_C_via_omega_gg",
-    "compute_C_via_omega_ll",
     "delaunay_to_cartesian",
     "delaunay_to_polar",
     "integrate_k_flow",
@@ -96,7 +89,6 @@ __all__ = [
     "laplace_b",
     "leading_coefficient",
     "monodromy",
-    "omega_polar",
     "polar_to_cartesian_rotating",
     "polar_to_delaunay",
     "refine_periodic_orbit",
@@ -106,7 +98,6 @@ __all__ = [
     "state_from_action_angle",
     "sweep_e",
     "true_anomaly",
-    "unperturbed_flow",
     "verify_families",
     "__version__",
 ]

@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -30,6 +31,8 @@ from .series import leading_coefficient
 from .verifier import DEFAULT_MU_LIST, verify_families
 
 SCHEMA_VERSION = 1
+# Most points an --e-min/--e-max/--e-step grid may hold.
+_GRID_MAX = 10**6
 _QUAD_TOL_HELP = "quadrature tolerance on C1 + C2, relative where |C1 + C2| > 1"
 
 
@@ -56,7 +59,12 @@ def _emit(text: str, output: str | None):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with exit code 1 on usage/validation errors."""
+    """argparse with exit code 1 on usage/validation errors, which reads a
+    negative number in exponent notation (`-1.5e0`) as a value, not a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -64,7 +72,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-class _QuietParser(argparse.ArgumentParser):
+class _QuietParser(_Parser):
     """argparse that raises ValidationError instead of reporting and exiting."""
 
     def error(self, message):
@@ -216,8 +224,13 @@ def _resolve_grid(args):
     if args.e_step <= 0.0:
         raise ValidationError("--e-step must be positive")
     span = (args.e_max - args.e_min) / args.e_step
-    if not all(map(math.isfinite, (args.e_min, args.e_max, args.e_step, span))):
-        raise ValidationError("--e-min, --e-max, --e-step and their step count must be finite")
+    finite = all(map(math.isfinite, (args.e_min, args.e_max, args.e_step, span)))
+    # Bounded before the grid is built: a tiny finite step asks for an unbounded list.
+    if not finite or span + 1e-9 >= _GRID_MAX:
+        raise ValidationError(
+            "--e-min, --e-max, --e-step and their step count must be finite,"
+            f" with at most {_GRID_MAX} grid points"
+        )
     n = int(math.floor(span + 1e-9)) + 1
     return [args.e_min + i * args.e_step for i in range(max(0, n))]
 
@@ -228,6 +241,8 @@ def cmd_sweep(args) -> int:
         raise ValidationError("eccentricity grid must lie in (0, 1)")
     # Validate the family parameters up front (empty grids skip the workers).
     ResonantFamily(args.p, args.q, 0.5, 0, 0, args.direction)
+    if args.jobs < 0:
+        raise ValidationError(f"--jobs must be 0 (all cores) or positive, got {args.jobs}")
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     if grid and jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, 2 * len(grid))) as pool:

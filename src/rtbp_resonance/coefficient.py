@@ -12,31 +12,18 @@ trapezoid sum (the value fsum would give) and no node value is kept.
 Doubling stops when successive values of C1 + C2 agree to tol * max(1, |C1 + C2|),
 absolute for small sums and relative for the large sums of grazing tracks,
 whose roundoff floor can lie above a fixed absolute bound.
-
-The module also provides two independent reformulations of C (second
-l- and g-derivatives of the disturbing function integrated over time),
-used to cross-validate the main quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import fsum
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import CollisionError, ConvergenceError
-from .kepler import solve_kepler, true_anomaly
-from .perturbation import (
-    ResonantFamily,
-    canonical_families,
-    delaunay_initial_state,
-    omega_polar,
-    track_arrays,
-    track_integrand,
-)
+from .perturbation import ResonantFamily, canonical_families, track_arrays, track_integrand
 
 COLLISION_DELTA = 1e-6
 # A level adds at most NODE_CAP / 2 new values, far below the 2**26 values
@@ -47,9 +34,6 @@ _N_START = 64
 # them bincount bins, and an exact sum counts units of 1 / _UNIT.
 _EXP_OFFSET = 1073
 _UNIT = 2 ** (_EXP_OFFSET + 53)
-# Time nodes and finite-difference step of the Omega_ll / Omega_gg oracles.
-_ORACLE_NODES = 2048
-_ORACLE_STEP = 2e-2
 
 
 @dataclass(frozen=True)
@@ -60,11 +44,6 @@ class CoefficientResult:
     nodes: int
     err_estimate: float
     min_delta1: float
-
-
-def _trapezoid_pair(f: ResonantFamily, n: int):
-    """Periodic trapezoid values of (C1, C2) on an n-node uniform F grid."""
-    return _level(*map(_exact_sum, track_integrand(f, np.arange(n) * (2.0 * math.pi / n))), n)
 
 
 def min_delta1(f: ResonantFamily) -> float:
@@ -222,59 +201,3 @@ def sweep_e(p, q, direction, e_grid, tol: float = 1e-10, map_fn=map):
         )
     return rows
 
-
-# ---------------------------------------------------------------------------
-# Independent formulations: C from time integrals of Omega_ll and Omega_gg.
-# These deliberately share no code with the track quadrature beyond the
-# coordinate stack and the family's initial Delaunay state: derivatives are
-# taken by finite differences of the disturbing function in Delaunay variables.
-# ---------------------------------------------------------------------------
-
-
-def omega_delaunay(L: float, G: float, l: float, g: float) -> float:
-    """Disturbing function as a function of the Delaunay variables."""
-    e = math.sqrt(max(0.0, 1.0 - G * G / (L * L)))
-    E = solve_kepler(l, e)
-    r = L * L * (1.0 - e * math.cos(E))
-    theta = float(true_anomaly(E, e)) + g
-    return float(omega_polar(r, theta))
-
-
-def _second_derivative(fun, x, h):
-    """Central second difference with two Richardson steps (O(h^6))."""
-    f0 = fun(x)
-    d2 = lambda hh: (fun(x + hh) - 2.0 * f0 + fun(x - hh)) / (hh * hh)
-    a, b, c = d2(h), d2(h / 2.0), d2(h / 4.0)
-    ab = (4.0 * b - a) / 3.0
-    bc = (4.0 * c - b) / 3.0
-    return (16.0 * bc - ab) / 15.0
-
-
-def _time_integral(f: ResonantFamily, integrand) -> float:
-    """Trapezoid integral over one period T = 2*pi*p of integrand(L, G, l, g)
-    along the mu = 0 family, whose angles advance from their initial values
-    as l' = +-q/p and g' = -1."""
-    d = delaunay_initial_state(f)
-    sign = -1.0 if f.retrograde else 1.0
-    T = 2.0 * math.pi * f.p
-    ts = np.arange(_ORACLE_NODES) * (T / _ORACLE_NODES)
-    vals = [integrand(d.L, d.G, d.l + sign * f.q * t / f.p, d.g - t) for t in ts]
-    return (T / _ORACLE_NODES) * fsum(vals)
-
-
-def compute_C_via_omega_ll(f: ResonantFamily) -> float:
-    """C from the time integral of Omega_ll (finite-difference oracle)."""
-
-    def omega_ll(L, G, l, g):
-        return _second_derivative(lambda ll: omega_delaunay(L, G, ll, g), l, _ORACLE_STEP)
-
-    return -6.0 * math.pi * f.q ** (4.0 / 3.0) / f.p ** (1.0 / 3.0) * _time_integral(f, omega_ll)
-
-
-def compute_C_via_omega_gg(f: ResonantFamily) -> float:
-    """C from the time integral of Omega_gg (finite-difference oracle)."""
-
-    def omega_gg(L, G, l, g):
-        return _second_derivative(lambda gg: omega_delaunay(L, G, l, gg), g, _ORACLE_STEP)
-
-    return -6.0 * math.pi * f.p ** (5.0 / 3.0) / f.q ** (2.0 / 3.0) * _time_integral(f, omega_gg)

@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 
-TWO_PI = 2.0 * math.pi
-
 _KEPLER_TOL = 1e-14
 _KEPLER_MAX_ITER = 50
 
@@ -63,16 +61,6 @@ class PolarState:
     def __post_init__(self):
         if self.r <= 0.0:
             raise ValidationError("r must be positive")
-
-
-@dataclass(frozen=True)
-class OrbitalElements:
-    """Geometric elements plus the two anomalies of one orbital position."""
-
-    a: float
-    e: float
-    E: float
-    nu: float
 
 
 @dataclass(frozen=True)
@@ -144,13 +132,6 @@ def true_anomaly(E, e):
     return E + 2.0 * np.arctan(beta * np.sin(E) / (1.0 - beta * np.cos(E)))
 
 
-def elements_from_delaunay(s: DelaunayState) -> OrbitalElements:
-    """Orbital elements (a, e, E, nu) at the phase given by s.l."""
-    e = s.eccentricity
-    E = solve_kepler(s.l, e)
-    return OrbitalElements(a=s.semimajor_axis, e=e, E=E, nu=float(true_anomaly(E, e)))
-
-
 def delaunay_to_polar(s: DelaunayState) -> PolarState:
     """Map Delaunay variables to the polar canonical chart.
 
@@ -160,10 +141,10 @@ def delaunay_to_polar(s: DelaunayState) -> PolarState:
     e = s.eccentricity
     if not 0.0 < e < 1.0:
         raise ValidationError(f"delaunay_to_polar requires 0 < e < 1, got e={e}")
-    el = elements_from_delaunay(s)
-    r = el.a * (1.0 - e * math.cos(el.E))
-    R = e * math.sin(el.E) / (s.L * (1.0 - e * math.cos(el.E)))
-    return PolarState(R=R, G=s.G, r=r, theta=el.nu + s.g)
+    E = solve_kepler(s.l, e)
+    r = s.semimajor_axis * (1.0 - e * math.cos(E))
+    R = e * math.sin(E) / (s.L * (1.0 - e * math.cos(E)))
+    return PolarState(R=R, G=s.G, r=r, theta=float(true_anomaly(E, e)) + s.g)
 
 
 def polar_to_delaunay(s: PolarState) -> DelaunayState:
@@ -228,12 +209,3 @@ def delaunay_to_cartesian(s: DelaunayState) -> RtbpState:
 def cartesian_to_delaunay(s: RtbpState) -> DelaunayState:
     return polar_to_delaunay(cartesian_to_polar_rotating(s))
 
-
-def unperturbed_flow(s: DelaunayState, t: float) -> DelaunayState:
-    """Exact mu=0 flow: ldot = L^-3, gdot = -1, L and G constant.
-
-    Angles are reduced mod 2*pi (this is an API-boundary operation).
-    """
-    if s.L == 0.0:
-        raise ValidationError("L = 0")
-    return DelaunayState(L=s.L, G=s.G, l=(s.l + t / s.L**3) % TWO_PI, g=(s.g - t) % TWO_PI)

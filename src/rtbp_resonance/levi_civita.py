@@ -309,14 +309,6 @@ class CycleReport:
     G_sign: float
 
 
-def _unwrap(values):
-    out = [values[0]]
-    for v in values[1:]:
-        prev = out[-1]
-        out.append(prev + math.remainder(v - prev, 2.0 * math.pi))
-    return out
-
-
 def angle_consistency_check(states, C: float) -> CycleReport:
     """Total increments of (l, g + sign(G) l/2) along a sampled closed cycle.
 
@@ -327,11 +319,11 @@ def angle_consistency_check(states, C: float) -> CycleReport:
         raise ValidationError("need at least 3 samples along the cycle")
     aas = [action_angle_from_state(s, C) for s in states]
     sigma = math.copysign(1.0, aas[0].G)
-    ls = _unwrap([aa.l for aa in aas])
-    pairs = _unwrap([aa.g + sigma * aa.l / 2.0 for aa in aas])
+    ls = np.unwrap([aa.l for aa in aas])
+    pairs = np.unwrap([aa.g + sigma * aa.l / 2.0 for aa in aas])
     return CycleReport(
-        delta_l=ls[-1] - ls[0],
-        delta_pair=pairs[-1] - pairs[0],
+        delta_l=float(ls[-1] - ls[0]),
+        delta_pair=float(pairs[-1] - pairs[0]),
         G_sign=sigma,
     )
 

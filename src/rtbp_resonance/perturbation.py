@@ -1,4 +1,4 @@
-"""Disturbing function and the resonant-track integrand.
+"""The resonant track and its quadrature integrands.
 
 The stability quadrature integrates
     (r/Delta1)_thetatheta + cos(theta)/r
@@ -78,14 +78,6 @@ def delta1(r, theta):
     return np.sqrt(1.0 + r * r - 2.0 * r * np.cos(theta))
 
 
-def omega_polar(r, theta):
-    """Disturbing function 1/Delta1 - cos(theta)/r^2 - 1/r."""
-    d = delta1(r, theta)
-    if np.any(d == 0.0) or np.any(np.asarray(r) <= 0.0):
-        raise CollisionError("disturbing function evaluated at a collision")
-    return 1.0 / d - np.cos(theta) / (r * r) - 1.0 / r
-
-
 def _integrand_parts(r, theta, d1):
     """(r/Delta1)_thetatheta with r held fixed, and cos(theta)/r, at Delta1 = d1.
 
@@ -95,15 +87,6 @@ def _integrand_parts(r, theta, d1):
     s = np.sin(theta)
     d2 = d1 * d1
     return (3.0 * r**3 * s * s - r * r * c * d2) / d2**2.5, c / r
-
-
-def integrand_thetatheta(r, theta):
-    """(r/Delta1)_thetatheta + cos(theta)/r with r held fixed."""
-    d1 = delta1(r, theta)
-    if not np.all(d1 > 0.0) or np.any(np.asarray(r) <= 0.0):
-        raise CollisionError("integrand evaluated at a collision")
-    c1, c2 = _integrand_parts(r, theta, d1)
-    return c1 + c2
 
 
 def track_arrays(f: ResonantFamily, F):

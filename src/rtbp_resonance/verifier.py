@@ -137,35 +137,22 @@ def _primary_forces(x: float, y: float, mu: float):
     return gx, gy, gxx, gxy, gyy
 
 
-def rtbp_derivatives(s, mu: float, with_variational: bool = False):
-    """Hamilton's equations of the full problem; optionally the Jacobian too.
+def rtbp_derivatives(s, mu: float):
+    """Hamilton's equations of the full problem.
 
-    Accepts an RtbpState or a length-4 array (p_x, p_y, x, y).  With
-    with_variational=True, returns (f, J) where J is the 4x4 Jacobian of the
-    vector field at s, for propagating variational equations.
+    Accepts an RtbpState or a length-4 array (p_x, p_y, x, y).
     """
     arr = s.as_array() if isinstance(s, RtbpState) else np.asarray(s, dtype=float)
     p_x, p_y, x, y = arr[:4].tolist()
-    gx, gy, gxx, gxy, gyy = _primary_forces(x, y, mu)
-    f = np.array([p_y + gx, -p_x + gy, p_x + y, p_y - x])
-    if not with_variational:
-        return f
-    J = np.array(
-        [
-            [0.0, 1.0, gxx, gxy],
-            [-1.0, 0.0, gxy, gyy],
-            [1.0, 0.0, 0.0, 1.0],
-            [0.0, 1.0, -1.0, 0.0],
-        ]
-    )
-    return f, J
+    gx, gy, *_ = _primary_forces(x, y, mu)
+    return np.array([p_y + gx, -p_x + gy, p_x + y, p_y - x])
 
 
 def _variational_rhs(Z, mus):
     """(f, J Phi) for each row z = (state, Phi row by row) of Z, in closed form.
 
-    mus[i] is the mass ratio of row i.  The same vector field and Jacobian
-    as rtbp_derivatives, written out from the sparsity of J on Python
+    mus[i] is the mass ratio of row i.  The vector field of rtbp_derivatives
+    and its Jacobian J, written out from the sparsity of J on Python
     floats: the integrator calls this once per stage for the whole batch,
     and per-call array building dominated its cost.
     """

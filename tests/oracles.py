@@ -1,0 +1,137 @@
+"""Reference implementations the tests compare the package against.
+
+None of these is run by a CLI command; each is an independent or unfused
+route to a quantity the package computes another way:
+
+- `trapezoid_pair`: the plain (non-nested) trapezoid values of (C1, C2).
+- `compute_C_via_omega_ll`, `compute_C_via_omega_gg`: C from time integrals
+  of Omega_ll and Omega_gg.  They share no code with the track quadrature
+  beyond the coordinate stack and the family's initial Delaunay state:
+  derivatives are taken by finite differences of the disturbing function
+  `omega_polar` in Delaunay variables.
+- `integrand_thetatheta`: the quadrature kernel at an arbitrary (r, theta),
+  for finite-difference checks of the closed form `compute_C` runs.
+- `unperturbed_flow`: the exact mu = 0 Delaunay flow.
+- `rtbp_jacobian`: the 4x4 Jacobian of the full problem's vector field,
+  the unfused reference for the verifier's variational equations.
+"""
+
+from __future__ import annotations
+
+import math
+from math import fsum
+
+import numpy as np
+
+from rtbp_resonance.coefficient import _exact_sum, _level
+from rtbp_resonance.errors import CollisionError, ValidationError
+from rtbp_resonance.kepler import DelaunayState, solve_kepler, true_anomaly
+from rtbp_resonance.perturbation import (
+    ResonantFamily,
+    _integrand_parts,
+    delaunay_initial_state,
+    delta1,
+    track_integrand,
+)
+from rtbp_resonance.verifier import _primary_forces
+
+TWO_PI = 2.0 * math.pi
+# Time nodes and finite-difference step of the Omega_ll / Omega_gg oracles.
+_ORACLE_NODES = 2048
+_ORACLE_STEP = 2e-2
+
+
+def trapezoid_pair(f: ResonantFamily, n: int):
+    """Periodic trapezoid values of (C1, C2) on an n-node uniform F grid."""
+    return _level(*map(_exact_sum, track_integrand(f, np.arange(n) * (2.0 * math.pi / n))), n)
+
+
+def omega_polar(r, theta):
+    """Disturbing function 1/Delta1 - cos(theta)/r^2 - 1/r."""
+    d = delta1(r, theta)
+    if np.any(d == 0.0) or np.any(np.asarray(r) <= 0.0):
+        raise CollisionError("disturbing function evaluated at a collision")
+    return 1.0 / d - np.cos(theta) / (r * r) - 1.0 / r
+
+
+def integrand_thetatheta(r, theta):
+    """(r/Delta1)_thetatheta + cos(theta)/r with r held fixed."""
+    d1 = delta1(r, theta)
+    if not np.all(d1 > 0.0) or np.any(np.asarray(r) <= 0.0):
+        raise CollisionError("integrand evaluated at a collision")
+    c1, c2 = _integrand_parts(r, theta, d1)
+    return c1 + c2
+
+
+def omega_delaunay(L: float, G: float, l: float, g: float) -> float:
+    """Disturbing function as a function of the Delaunay variables."""
+    e = math.sqrt(max(0.0, 1.0 - G * G / (L * L)))
+    E = solve_kepler(l, e)
+    r = L * L * (1.0 - e * math.cos(E))
+    theta = float(true_anomaly(E, e)) + g
+    return float(omega_polar(r, theta))
+
+
+def _second_derivative(fun, x, h):
+    """Central second difference with two Richardson steps (O(h^6))."""
+    f0 = fun(x)
+    d2 = lambda hh: (fun(x + hh) - 2.0 * f0 + fun(x - hh)) / (hh * hh)
+    a, b, c = d2(h), d2(h / 2.0), d2(h / 4.0)
+    ab = (4.0 * b - a) / 3.0
+    bc = (4.0 * c - b) / 3.0
+    return (16.0 * bc - ab) / 15.0
+
+
+def _time_integral(f: ResonantFamily, integrand) -> float:
+    """Trapezoid integral over one period T = 2*pi*p of integrand(L, G, l, g)
+    along the mu = 0 family, whose angles advance from their initial values
+    as l' = +-q/p and g' = -1."""
+    d = delaunay_initial_state(f)
+    sign = -1.0 if f.retrograde else 1.0
+    T = 2.0 * math.pi * f.p
+    ts = np.arange(_ORACLE_NODES) * (T / _ORACLE_NODES)
+    vals = [integrand(d.L, d.G, d.l + sign * f.q * t / f.p, d.g - t) for t in ts]
+    return (T / _ORACLE_NODES) * fsum(vals)
+
+
+def compute_C_via_omega_ll(f: ResonantFamily) -> float:
+    """C from the time integral of Omega_ll (finite-difference oracle)."""
+
+    def omega_ll(L, G, l, g):
+        return _second_derivative(lambda ll: omega_delaunay(L, G, ll, g), l, _ORACLE_STEP)
+
+    return -6.0 * math.pi * f.q ** (4.0 / 3.0) / f.p ** (1.0 / 3.0) * _time_integral(f, omega_ll)
+
+
+def compute_C_via_omega_gg(f: ResonantFamily) -> float:
+    """C from the time integral of Omega_gg (finite-difference oracle)."""
+
+    def omega_gg(L, G, l, g):
+        return _second_derivative(lambda gg: omega_delaunay(L, G, l, gg), g, _ORACLE_STEP)
+
+    return -6.0 * math.pi * f.p ** (5.0 / 3.0) / f.q ** (2.0 / 3.0) * _time_integral(f, omega_gg)
+
+
+def unperturbed_flow(s: DelaunayState, t: float) -> DelaunayState:
+    """Exact mu=0 flow: ldot = L^-3, gdot = -1, L and G constant.
+
+    Angles are reduced mod 2*pi (this is an API-boundary operation).
+    """
+    if s.L == 0.0:
+        raise ValidationError("L = 0")
+    return DelaunayState(L=s.L, G=s.G, l=(s.l + t / s.L**3) % TWO_PI, g=(s.g - t) % TWO_PI)
+
+
+def rtbp_jacobian(s, mu: float) -> np.ndarray:
+    """4x4 Jacobian of the full problem's vector field at the state s
+    (p_x, p_y, x, y), for propagating variational equations."""
+    _, _, x, y = np.asarray(s, dtype=float)[:4].tolist()
+    _, _, gxx, gxy, gyy = _primary_forces(x, y, mu)
+    return np.array(
+        [
+            [0.0, 1.0, gxx, gxy],
+            [-1.0, 0.0, gxy, gyy],
+            [1.0, 0.0, 0.0, 1.0],
+            [0.0, 1.0, -1.0, 0.0],
+        ]
+    )

@@ -13,15 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from rtbp_resonance.coefficient import (
-    _trapezoid_pair,
-    compute_C,
-    compute_C_via_omega_gg,
-    compute_C_via_omega_ll,
-    sweep_e,
-)
+from oracles import TWO_PI, compute_C_via_omega_gg, compute_C_via_omega_ll, trapezoid_pair
+from rtbp_resonance.coefficient import compute_C, sweep_e
 from rtbp_resonance.kepler import (
-    TWO_PI,
     DelaunayState,
     cartesian_to_delaunay,
     delaunay_to_cartesian,
@@ -194,8 +188,8 @@ def test_criterion_6_sweep_curves(capsys, p, q):
     smooth = 0.0
     for r in rows:
         f = canonical_families(p, q, r.e)[0]
-        c_n = -6.0 * math.pi * p * p * sum(_trapezoid_pair(f, 1024))
-        c_2n = -6.0 * math.pi * p * p * sum(_trapezoid_pair(f, 2048))
+        c_n = -6.0 * math.pi * p * p * sum(trapezoid_pair(f, 1024))
+        c_2n = -6.0 * math.pi * p * p * sum(trapezoid_pair(f, 2048))
         smooth = max(smooth, abs(c_2n - c_n) / max(1.0, abs(c_2n)))
     ok = signs_ok and monotone_sign and vanish_ok and smooth <= 1e-8
     _report(capsys, f"criterion 6 [{p}:{q}]", ok,

@@ -134,6 +134,9 @@ class TestSweep:
             ["--e-max=inf"],
             ["--e-step=inf"],
             ["--e-min=-1e308", "--e-max=1e308", "--e-step=1"],
+            # finite, but 2e11 and 2e299 grid points: rejected before the list is built
+            ["--e-step=1e-12"],
+            ["--e-step=1e-300"],
         ],
     )
     def test_non_finite_range_rejected(self, capsys, flags):
@@ -142,6 +145,12 @@ class TestSweep:
         code, out, err = _run(capsys, argv)
         assert code == 1 and out == ""
         assert err.startswith("error: --e-min, --e-max, --e-step and their step count")
+
+    @pytest.mark.parametrize("grid", [["--e-grid", "0.3"], []], ids=["grid", "empty"])
+    def test_negative_jobs_rejected(self, capsys, grid):
+        code, out, err = _run(capsys, ["sweep", "--p", "1", "--q", "3", *grid, "--jobs", "-3"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: --jobs must be 0 (all cores) or positive")
 
     def test_empty_grid_emits_header_only(self, capsys):
         code, out, _ = _run(capsys, ["sweep", "--p", "1", "--q", "3", "--jobs", "1"])
@@ -397,6 +406,15 @@ class TestRegularize:
     def test_underflowing_radius_rejected(self, capsys):
         # -2C overflows to inf, so a = L / sqrt(-G - 2C) and the radius are 0.
         code, out, err = _run(capsys, ["regularize", "--jacobi-constant=-1e308"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: radius underflows to 0")
+
+
+    def test_negative_exponent_value_is_read_as_a_number(self, capsys):
+        code, out, _ = _run(capsys, ["regularize", "--jacobi-constant", "-1.5e0"])
+        assert code == 0
+        assert json.loads(out)["inputs"]["jacobi_constant"] == -1.5
+        code, out, err = _run(capsys, ["regularize", "--jacobi-constant", "-1e308"])
         assert code == 1 and out == ""
         assert err.startswith("error: radius underflows to 0")
 

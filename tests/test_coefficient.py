@@ -9,15 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import compute_C_via_omega_gg, compute_C_via_omega_ll, trapezoid_pair
 from rtbp_resonance import coefficient
-from rtbp_resonance.coefficient import (
-    _trapezoid_pair,
-    compute_C,
-    compute_C_via_omega_gg,
-    compute_C_via_omega_ll,
-    min_delta1,
-    sweep_e,
-)
+from rtbp_resonance.coefficient import compute_C, min_delta1, sweep_e
 from rtbp_resonance.errors import CollisionError, ConvergenceError
 from rtbp_resonance.perturbation import ResonantFamily, canonical_families
 
@@ -39,8 +33,8 @@ class TestComputeC:
 
     def test_spectral_convergence(self):
         f = ResonantFamily(2, 7, 0.4)
-        ref = sum(_trapezoid_pair(f, 8192))
-        errs = [abs(sum(_trapezoid_pair(f, n)) - ref) for n in (256, 512, 1024)]
+        ref = sum(trapezoid_pair(f, 8192))
+        errs = [abs(sum(trapezoid_pair(f, n)) - ref) for n in (256, 512, 1024)]
         for a, b in zip(errs, errs[1:]):
             if a < 1e-14:
                 break
@@ -74,7 +68,7 @@ class TestComputeC:
         # 1:2 family 2 grazes the small primary (min Delta1 ~ 5e-3 at 0.58):
         # |C1 + C2| ~ 1e4, so an absolute 1e-10 sits below roundoff.
         f = canonical_families(1, 2, e)[1]
-        ref = -6.0 * math.pi * sum(_trapezoid_pair(f, 2**15))
+        ref = -6.0 * math.pi * sum(trapezoid_pair(f, 2**15))
         assert compute_C(f).C == pytest.approx(ref, rel=1e-9)
 
     def test_each_node_evaluated_once(self, monkeypatch):
@@ -97,7 +91,7 @@ class TestComputeC:
     def test_nested_grid_matches_uniform_grid(self, family):
         # The midpoints (2k+1)*pi/n must be the odd nodes of the 2n-node grid.
         res = compute_C(family)
-        c1, c2 = _trapezoid_pair(family, res.nodes)
+        c1, c2 = trapezoid_pair(family, res.nodes)
         assert abs(res.C1 - c1) <= 1e-13 * abs(c1)
         assert abs(res.C2 - c2) <= 1e-13 * abs(c2)
 

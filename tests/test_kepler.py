@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from oracles import TWO_PI, unperturbed_flow
 from rtbp_resonance.errors import ValidationError
 from rtbp_resonance.kepler import (
-    TWO_PI,
     DelaunayState,
     PolarState,
     RtbpState,
@@ -20,12 +20,10 @@ from rtbp_resonance.kepler import (
     cartesian_to_polar_rotating,
     delaunay_to_cartesian,
     delaunay_to_polar,
-    elements_from_delaunay,
     polar_to_cartesian_rotating,
     polar_to_delaunay,
     solve_kepler,
     true_anomaly,
-    unperturbed_flow,
 )
 from rtbp_resonance.verifier import rtbp_derivatives
 
@@ -111,14 +109,17 @@ class TestDelaunayState:
         s = DelaunayState(L=1.0, G=0.8, l=0.0, g=0.3)
         assert s.eccentricity == pytest.approx(0.6)
         assert s.semimajor_axis == 1.0
-        el = elements_from_delaunay(s)
-        assert el.E == 0.0 and el.nu == 0.0
-        # r = a(1 - e cos E) > 0 and the anomaly identity at a generic phase
-        el2 = elements_from_delaunay(DelaunayState(L=1.0, G=0.8, l=2.1, g=0.0))
-        assert el2.a * (1 - el2.e * math.cos(el2.E)) > 0
-        assert math.cos(el2.nu) * (1 - el2.e * math.cos(el2.E)) == pytest.approx(
-            math.cos(el2.E) - el2.e, abs=1e-13
-        )
+        # l = 0 is the perihelion: E = 0 (R = 0, r = a(1 - e)) and nu = theta - g = 0
+        p = delaunay_to_polar(s)
+        assert p.R == 0.0 and p.r == s.semimajor_axis * (1 - s.eccentricity)
+        assert p.theta - s.g == 0.0
+        # r = a(1 - e cos E) > 0 and the anomaly identity at a generic phase,
+        # with cos E = (1 - r/a)/e and nu = theta - g
+        s2 = DelaunayState(L=1.0, G=0.8, l=2.1, g=0.0)
+        p2 = delaunay_to_polar(s2)
+        e, rho = s2.eccentricity, p2.r / s2.semimajor_axis
+        assert p2.r > 0
+        assert math.cos(p2.theta - s2.g) * rho == pytest.approx((1 - rho) / e - e, abs=1e-13)
 
 
 class TestDelaunayPolar:

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import integrand_thetatheta, omega_polar
 from rtbp_resonance.errors import CollisionError, ValidationError
 from rtbp_resonance.perturbation import (
     ResonantFamily,
     canonical_families,
     delaunay_initial_state,
-    integrand_thetatheta,
-    omega_polar,
     track_arrays,
 )
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from oracles import rtbp_jacobian
 from rtbp_resonance import verifier
 from rtbp_resonance.coefficient import compute_C
 from rtbp_resonance.errors import CollisionError, ConvergenceError, ValidationError
@@ -42,10 +43,10 @@ def _integrate(s0, t, mu, tol=1e-12):
 
 def _full_period_monodromy(o, tol=1e-12):
     """Oracle: M from the variational equations integrated over the whole
-    period with the unfused rtbp_derivatives Jacobian."""
+    period with the unfused Jacobian rtbp_jacobian."""
 
     def rhs(_, z):
-        f, J = rtbp_derivatives(z[:4], o.mu, with_variational=True)
+        f, J = rtbp_derivatives(z[:4], o.mu), rtbp_jacobian(z[:4], o.mu)
         return np.concatenate([f, (J @ z[4:].reshape(4, 4)).ravel()])
 
     z0 = np.concatenate([o.initial_state.as_array(), np.eye(4).ravel()])
@@ -69,7 +70,7 @@ class TestDerivatives:
     def test_variational_block_matches_finite_differences(self):
         mu = 1e-3
         z0 = np.array([0.2, 0.8, 0.9, 0.3])
-        _, J = rtbp_derivatives(z0, mu, with_variational=True)
+        J = rtbp_jacobian(z0, mu)
         h = 1e-6
         for j in range(4):
             zp, zm = z0.copy(), z0.copy()
@@ -89,7 +90,7 @@ class TestFusedVariationalRhs:
         for mu in (0.0, 1e-5, 1e-3):
             for _ in range(50):
                 z = rng.uniform(-1.5, 1.5, 20)
-                f, J = rtbp_derivatives(z[:4], mu, with_variational=True)
+                f, J = rtbp_derivatives(z[:4], mu), rtbp_jacobian(z[:4], mu)
                 want = np.concatenate([f, (J @ z[4:].reshape(4, 4)).ravel()])
                 got = _variational_rhs(z[None], [mu])[0]
                 assert got.shape == (20,)
