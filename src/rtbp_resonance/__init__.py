@@ -43,7 +43,7 @@ from .levi_civita import (
     state_from_action_angle,
 )
 from .perturbation import ResonantFamily, canonical_families
-from .series import LeadingCoefficient, bessel_j, laplace_b, leading_coefficient
+from .series import LeadingCoefficient, laplace_b, leading_coefficient
 from .verifier import (
     ExtrapolationResult,
     MonodromyReport,
@@ -77,7 +77,6 @@ __all__ = [
     "ValidationError",
     "action_angle_from_state",
     "angle_consistency_check",
-    "bessel_j",
     "canonical_families",
     "cartesian_to_delaunay",
     "cartesian_to_polar_rotating",

@@ -23,7 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .coefficient import SweepRow, compute_C, sweep_e
+from .coefficient import SweepRow, _compute_C_status, compute_C, sweep_e
 from .errors import RtbpError, ValidationError
 from .levi_civita import regularization_checks
 from .perturbation import ResonantFamily, canonical_families
@@ -34,6 +34,10 @@ SCHEMA_VERSION = 1
 # Most points an --e-min/--e-max/--e-step grid may hold.
 _GRID_MAX = 10**6
 _QUAD_TOL_HELP = "quadrature tolerance on C1 + C2, relative where |C1 + C2| > 1"
+# A verify record takes the first of its families' statuses in this order.
+_VERIFY_STATUS_ORDER = (
+    "ok", "corrector-divergence", "collision", "no-convergence", "insufficient-mu",
+)
 
 
 def _record(command: str, inputs: dict, outputs: dict, status: str, t0: float) -> str:
@@ -119,7 +123,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--e-max", type=float, default=None)
     sp.add_argument("--e-step", type=float, default=None)
     sp.add_argument("--tol", type=float, default=1e-10, help=_QUAD_TOL_HELP)
-    sp.add_argument("--jobs", type=int, default=0, help="worker processes (0 = all cores)")
+    sp.add_argument(
+        "--jobs", type=int, default=0, help="worker processes, at most one per core (0 = all cores)"
+    )
 
     sp = sub.add_parser(
         "series", parents=[common], help="leading series coefficient of both families"
@@ -243,7 +249,9 @@ def cmd_sweep(args) -> int:
     ResonantFamily(args.p, args.q, 0.5, 0, 0, args.direction)
     if args.jobs < 0:
         raise ValidationError(f"--jobs must be 0 (all cores) or positive, got {args.jobs}")
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+    # At most one worker per core: a pool forks all of its workers at once.
+    cores = os.cpu_count() or 1
+    jobs = min(args.jobs, cores) if args.jobs > 0 else cores
     if grid and jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, 2 * len(grid))) as pool:
             rows = sweep_e(args.p, args.q, args.direction, grid, args.tol, map_fn=pool.map)
@@ -326,14 +334,17 @@ def _verify_entry(f: ResonantFamily, res, quad_tol) -> dict:
         status = "corrector-divergence" if diverged else "insufficient-mu"
         entry.update({"extrapolated_C": None, "status": status})
         return entry
-    C_quad = compute_C(f, quad_tol).C
+    # A quadrature that collides or hits its node cap keeps the fit and
+    # takes the family's status, as in `sweep`.
+    quad, _, status = _compute_C_status(f, quad_tol)
+    C_quad = None if quad is None else quad.C
     entry.update(
         {
             "extrapolated_C": res.C,
             "fit_residual": res.fit_residual,
             "C_quadrature": C_quad,
-            "relative_error": abs(res.C - C_quad) / abs(C_quad),
-            "status": "ok",
+            "relative_error": None if quad is None else abs(res.C - C_quad) / abs(C_quad),
+            "status": status,
         }
     )
     return entry
@@ -373,12 +384,7 @@ def cmd_verify(args) -> int:
         _verify_entry(f, res, args.tol) for f, res in zip(selected, results)
     ]}
     statuses = {e["status"] for e in outputs["families"]}
-    if "ok" in statuses:
-        status = "ok"
-    elif statuses == {"insufficient-mu"}:
-        status = "insufficient-mu"
-    else:
-        status = "corrector-divergence"
+    status = next(s for s in _VERIFY_STATUS_ORDER if s in statuses)
     text = _record("verify", key | {"e": args.e, "direction": args.direction}, outputs, status, t0)
     if cache_path:
         _cache_store(cache_path, text)

@@ -163,16 +163,25 @@ class SweepRow:
     status_2: str
 
 
-def _sweep_entry(task):
-    p, q, direction, e, tol, which = task
-    fam = canonical_families(p, q, e, direction)[which]
+def _compute_C_status(f: ResonantFamily, tol: float):
+    """(result, min_delta1, status) of compute_C(f, tol).
+
+    A collision or a node cap is returned, not raised: the result is None and
+    the status "collision" or "no-convergence"; otherwise the status is "ok".
+    """
     try:
-        res = compute_C(fam, tol)
-        return res.C, res.min_delta1, "ok"
+        res = compute_C(f, tol)
+        return res, res.min_delta1, "ok"
     except CollisionError as exc:
         return None, exc.min_delta1, "collision"
     except ConvergenceError as exc:
         return None, exc.min_delta1, "no-convergence"
+
+
+def _sweep_entry(task):
+    p, q, direction, e, tol, which = task
+    res, md, status = _compute_C_status(canonical_families(p, q, e, direction)[which], tol)
+    return (None if res is None else res.C), md, status
 
 
 def sweep_e(p, q, direction, e_grid, tol: float = 1e-10, map_fn=map):

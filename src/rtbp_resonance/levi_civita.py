@@ -260,7 +260,8 @@ def state_from_action_angle(L: float, G: float, l: float, g: float, C: float) ->
     """Inverse chart: the mu = 0 regularized state with the given actions and angles.
 
     Valid for finite L, G and C with L > 0, G != 0, G + 2C < 0 and
-    G^2 < 4L^2, where the radius does not underflow to 0.
+    G^2 < 4L^2, where e = sqrt(1 - G^2/(4L^2)) does not round to 1 and the
+    radius does not underflow to 0.
     """
     if not all(map(math.isfinite, (L, G, C))):
         raise ValidationError(f"need finite L, G and C (L={L}, G={G}, C={C})")
@@ -272,7 +273,13 @@ def state_from_action_angle(L: float, G: float, l: float, g: float, C: float) ->
         raise ValidationError("need L > 0 and |G| < 2L")
     s0 = math.sqrt(-G - 2.0 * C)
     a = L / s0
-    e = math.sqrt(1.0 - G * G / (4.0 * L * L))
+    x = G * G / (4.0 * L * L)
+    e = math.sqrt(1.0 - x)
+    if e == 1.0:
+        raise ValidationError(
+            f"G^2/(4L^2) = {x:.3g} at L={L}, G={G} is too small:"
+            " the eccentricity sqrt(1 - G^2/(4L^2)) rounds to 1"
+        )
     u = a * (1.0 - e * math.cos(l))
     r = math.sqrt(u)
     if r == 0.0:

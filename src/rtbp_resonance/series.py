@@ -33,42 +33,6 @@ from .errors import ConvergenceError, ValidationError
 from .perturbation import ResonantFamily
 
 # ---------------------------------------------------------------------------
-# Bessel functions by power series
-# ---------------------------------------------------------------------------
-
-
-def bessel_j(k: int, x: float) -> float:
-    """Bessel function J_k(x) of integer order by its power series.
-
-    Valid for |x| <= 50; the alternating series is summed in extended
-    precision when cancellation would otherwise spoil the float result.
-    J_{-k}(x) = (-1)^k J_k(x).
-    """
-    k = int(k)
-    if k < 0:
-        return (-1.0) ** k * bessel_j(-k, x)
-    if abs(x) > 50.0:
-        raise ValidationError(f"bessel_j series evaluation restricted to |x| <= 50, got {x}")
-    if x == 0.0:
-        return 1.0 if k == 0 else 0.0
-    # Worst-case cancellation loses ~ 2|x|/ln(10) digits; pad generously.
-    dps = 20 + int(abs(x))
-    with mpmath.workdps(dps):
-        xm = mpmath.mpf(x)
-        half = xm / 2
-        term = half**k / mpmath.factorial(k)
-        total = term
-        m = 0
-        while True:
-            m += 1
-            term = -term * half * half / (m * (m + k))
-            total += term
-            if abs(term) < mpmath.mpf(10) ** (-dps) * (abs(total) + 1):
-                break
-        return float(total)
-
-
-# ---------------------------------------------------------------------------
 # Laplace coefficients
 # ---------------------------------------------------------------------------
 
@@ -282,20 +246,22 @@ def leading_coefficient(f: ResonantFamily) -> LeadingCoefficient:
 def c2_value(f: ResonantFamily) -> float:
     """Finite-e value of C2 for q = 1 from its Bessel series (zero for q != 1).
 
-    Raises ConvergenceError if the terms have not fallen below 1e-18 of the
-    sum after 1000 of them.
+    C2 = +-2 pi (1 + beta^2) p^(-2/3) sum_m (m + 1) beta^m J_k(e p), with J_k
+    from mpmath, k = p - 1 - m (direct) or p + 1 + m (retrograde) and beta =
+    e / (1 + sqrt(1 - e^2)).  Raises ConvergenceError if the terms have not
+    fallen below 1e-18 of the sum after 1000 of them.
     """
     if f.q != 1:
         return 0.0
     p, e = f.p, f.e
-    beta = (1.0 - math.sqrt(1.0 - e * e)) / e
+    beta = e / (1.0 + math.sqrt(1.0 - e * e))
     sign = (-1) ** (f.n_g + f.n_l * p)
     total = 0.0
     m = 0
     bm = 1.0
     while True:
         k = (p - 1 - m) if f.direction == "direct" else (m + p + 1)
-        term = (m + 1) * bm * bessel_j(k, e * p)
+        term = (m + 1) * bm * float(mpmath.besselj(k, e * p))
         total += term
         bm *= beta
         m += 1

@@ -14,6 +14,8 @@ route to a quantity the package computes another way:
 - `unperturbed_flow`: the exact mu = 0 Delaunay flow.
 - `rtbp_jacobian`: the 4x4 Jacobian of the full problem's vector field,
   the unfused reference for the verifier's variational equations.
+- `c2_series_mp`: the Bessel series of `series.c2_value` summed in 50-digit
+  mpmath arithmetic.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from math import fsum
 
+import mpmath
 import numpy as np
 
 from rtbp_resonance.coefficient import _exact_sum, _level
@@ -135,3 +138,27 @@ def rtbp_jacobian(s, mu: float) -> np.ndarray:
             [0.0, 1.0, -1.0, 0.0],
         ]
     )
+
+
+def c2_series_mp(f: ResonantFamily) -> float:
+    """C2 of a q = 1 family from the series of `series.c2_value` in 50 digits.
+
+    beta and e p are formed in 50 digits from the exact float e, and the sum
+    runs until it is past the largest |J_k| (m > 2p) and a term falls below
+    1e-50 of it.
+    """
+    p = f.p
+    with mpmath.workdps(50):
+        e = mpmath.mpf(f.e)
+        beta = (1 - mpmath.sqrt(1 - e * e)) / e
+        total = mpmath.mpf(0)
+        m = 0
+        while True:
+            k = (p - 1 - m) if f.direction == "direct" else (m + p + 1)
+            term = (m + 1) * beta**m * mpmath.besselj(k, e * p)
+            total += term
+            m += 1
+            if m > 2 * p and abs(term) < mpmath.mpf("1e-50") * abs(total):
+                break
+        sign = (-1) ** (f.n_g + f.n_l * p)
+        return float(sign * 2 * mpmath.pi * (1 + beta**2) * mpmath.cbrt(p) ** -2 * total)

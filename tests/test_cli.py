@@ -173,6 +173,32 @@ class TestSweep:
         assert row[1] == ""  # no value, flagged instead of dropped
         assert float(row[3]) < 1e-6
 
+    @pytest.mark.parametrize("jobs", ["0", "2", "3", "100000"])
+    def test_workers_capped_by_core_count(self, capsys, monkeypatch, jobs):
+        # A pool forks all of its workers at once; this one records its size
+        # and maps in-process, starting none.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ["sweep", "--p", "1", "--q", "3", "--e-grid", "0.1,0.2,0.3"]
+        code, out, _ = _run(capsys, argv + ["--jobs", jobs])
+        assert code == 0 and sizes == [2]
+        assert out == _run(capsys, argv + ["--jobs", "1"])[1]
+
     def test_parallel_matches_serial(self, capsys, tmp_path):
         argv = ["sweep", "--p", "1", "--q", "3", "--e-grid", "0.1,0.2,0.3"]
         _, serial, _ = _run(capsys, argv + ["--jobs", "1"])
@@ -345,6 +371,33 @@ class TestVerify:
         assert fam["extrapolated_C"] is None
         assert all(p["status"] == "ok" and p["C_estimate"] is not None for p in fam["per_mu"])
 
+    def test_quadrature_failure_keeps_the_fits(self, capsys, tmp_path):
+        # Family 1's grazing track runs to the quadrature's node cap; both
+        # Newton fits converge, and family 2's quadrature does too.
+        argv = ["verify", "--p", "5", "--q", "9", "--e", "0.55", "--direction", "retrograde",
+                "--mu-list", "1e-4,3e-5"]
+        code, out, err = _run(capsys, argv)
+        assert code == 0 and err == ""
+        rec = json.loads(out)
+        assert rec["status"] == "ok"
+        fam1, fam2 = rec["outputs"]["families"]
+        assert fam1["status"] == "no-convergence"
+        assert fam1["C_quadrature"] is None and fam1["relative_error"] is None
+        assert fam1["extrapolated_C"] is not None and fam1["fit_residual"] is not None
+        assert all(p["status"] == "ok" for p in fam1["per_mu"])
+        assert fam2["status"] == "ok" and fam2["C_quadrature"] is not None
+
+        # Alone, the family makes a no-convergence record, cached and exiting 2.
+        cached = argv + ["--family", "1", "--cache-dir", str(tmp_path)]
+        code, out, err = _run(capsys, cached)
+        assert code == 2 and err == ""
+        rec = json.loads(out)
+        assert rec["status"] == "no-convergence"
+        assert rec["outputs"]["families"] == [fam1]
+        (entry,) = tmp_path.glob("*.json")
+        assert entry.read_text() == out.rstrip("\n")
+        assert _run(capsys, cached) == (2, out, "")
+
     def test_empty_mu_list_rejected(self, capsys):
         code, _, _ = _run(
             capsys,
@@ -409,6 +462,13 @@ class TestRegularize:
         assert code == 1 and out == ""
         assert err.startswith("error: radius underflows to 0")
 
+    @pytest.mark.parametrize("action", ["1e8", "1e10", "1e308"])
+    def test_eccentricity_rounding_to_one_rejected(self, capsys, action):
+        # G^2/(4L^2) below half an ulp of 1: the chart's e = sqrt(1 - G^2/(4L^2)) is 1.
+        code, out, err = _run(capsys, ["regularize", "--action", action])
+        assert code == 1 and out == ""
+        assert err.startswith("error: G^2/(4L^2) = ")
+        assert f"at L={float(action)}, G=0.3 is too small" in err
 
     def test_negative_exponent_value_is_read_as_a_number(self, capsys):
         code, out, _ = _run(capsys, ["regularize", "--jacobi-constant", "-1.5e0"])

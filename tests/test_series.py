@@ -1,7 +1,8 @@
-"""Series-machinery tests: Bessel and Laplace evaluations against integral
-oracles, identities of operator polynomials (coefficient tuples, D^0 first),
-the beta substitution, the leading operator against the printed formula and a
-contour integral, and the leading coefficients against the quadrature."""
+"""Series-machinery tests: Laplace evaluations against integral oracles,
+identities of operator polynomials (coefficient tuples, D^0 first), the beta
+substitution, the leading operator against the printed formula and a contour
+integral, the leading coefficients against the quadrature, and the finite-e
+C2 against the quadrature and an extended-precision sum of its series."""
 
 import math
 from fractions import Fraction
@@ -10,42 +11,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import c2_series_mp
 import rtbp_resonance.series as series
 from rtbp_resonance.coefficient import compute_C
 from rtbp_resonance.errors import ConvergenceError, ValidationError
 from rtbp_resonance.perturbation import ResonantFamily, canonical_families
 from rtbp_resonance.series import (
     apply,
-    bessel_j,
     beta_series,
     c2_value,
     dpoly_binomial,
     laplace_b,
     leading_coefficient,
 )
-
-
-class TestBessel:
-    def test_at_origin(self):
-        assert bessel_j(0, 0.0) == 1.0
-        assert bessel_j(3, 0.0) == 0.0
-
-    def test_small_argument_leading_term(self):
-        x = 1e-4
-        assert bessel_j(3, x) == pytest.approx(x**3 / 48.0, rel=1e-8)
-
-    @pytest.mark.parametrize("k,x", [(1, 1.5), (0, 2.7), (4, 11.0), (2, 40.0)])
-    def test_integral_oracle(self, k, x):
-        oracle = quad(lambda t: math.cos(k * t - x * math.sin(t)), 0.0, math.pi, limit=300)[0] / math.pi
-        assert bessel_j(k, x) == pytest.approx(oracle, abs=1e-12)
-
-    def test_negative_order_parity(self):
-        for k in (1, 2, 5):
-            assert bessel_j(-k, 1.3) == (-1) ** k * bessel_j(k, 1.3)
-
-    def test_range_guard(self):
-        with pytest.raises(ValidationError):
-            bessel_j(0, 51.0)
 
 
 def _laplace_oracle(n, alpha, order):
@@ -336,6 +314,28 @@ class TestFiniteEccentricityC2:
     def test_unconverged_series_raises(self, monkeypatch):
         # With J = 1 the terms are (m + 1) * beta^m; beta = 0.986 at e = 0.9999
         # needs ~2,900 terms to fall below 1e-18 of the sum, past the 1000 cap.
-        monkeypatch.setattr(series, "bessel_j", lambda k, x: 1.0)
+        monkeypatch.setattr(series.mpmath, "besselj", lambda k, x: 1.0)
         with pytest.raises(ConvergenceError, match="did not converge"):
             c2_value(ResonantFamily(2, 1, 0.9999))
+
+    @pytest.mark.parametrize(
+        "p,e,direction",
+        [
+            (15, 0.01, "direct"),
+            (15, 0.01, "retrograde"),
+            (7, 0.01, "retrograde"),
+            (14, 0.6, "retrograde"),
+            (2, 0.9, "direct"),
+        ],
+    )
+    def test_matches_extended_precision_series(self, p, e, direction):
+        # At e = 0.01 the 15:1 direct series starts at J_14(0.15) = 2.0e-27.
+        for f in canonical_families(p, 1, e, direction):
+            ref = c2_series_mp(f)
+            assert abs(c2_value(f) - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("direction", ["direct", "retrograde"])
+    def test_large_argument(self, direction):
+        # e p = 54.9, where the alternating power series of J_k cancels catastrophically.
+        f = ResonantFamily(61, 1, 0.9, direction=direction)
+        assert c2_value(f) == pytest.approx(compute_C(f, tol=1e-13).C2, rel=0, abs=1e-12)
