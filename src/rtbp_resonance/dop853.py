@@ -239,10 +239,10 @@ class _Batch:
         self.y, self.f = self.y[keep], self.f[keep]
         self.failed = False
 
-    def initial_steps(self, rtol, atol):
+    def initial_steps(self, tol):
         """scipy's select_initial_step for every live row (one evaluation)."""
         y0, f0 = self.y, self.f
-        scale = atol + np.abs(y0) * rtol
+        scale = tol + np.abs(y0) * tol
         h0, d1 = [], []
         for k, row in enumerate(self.rows):
             d0 = _rms(y0[k] / scale[k])
@@ -259,7 +259,7 @@ class _Batch:
                 h1 = (0.01 / max(d1[k], d2)) ** (1 / 8)
             row.h_abs = min(100 * h, h1, abs(row.t_end))
 
-    def rk_step(self, h, rtol, atol):
+    def rk_step(self, h, tol):
         """One DOP853 step of every live row, row k with step h[k].
 
         Returns (y_new, f_new, err5, err3), the error estimates divided by
@@ -277,7 +277,7 @@ class _Batch:
             K[s] = self.eval(y + dy)
         y_new = y + h * K_flat[:N_STAGES].T.dot(B).reshape(live, n)
         f_new = K[N_STAGES] = self.eval(y_new)
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
         err5 = K_flat.T.dot(E5).reshape(live, n) / scale
         err3 = K_flat.T.dot(E3).reshape(live, n) / scale
         return y_new, f_new, err5, err3
@@ -292,20 +292,22 @@ def _error_norm(h_abs: float, err5, err3) -> float:
     return h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * err5.size)
 
 
-def solve_ivp(fun, t_end, y0, params, rtol: float, atol: float) -> BatchSolution:
+def solve_ivp(fun, t_end, y0, params, tol: float) -> BatchSolution:
     """Integrate every row of y0 from t = 0 to its t_end with DOP853.
 
     fun(y, params) takes the live rows y (k, n) and their entries of params
     and returns their derivatives (k, n); the field is autonomous.  A row
     for which fun raises an RtbpError stops with that error, and a row whose
     step falls below ten ulps of its time stops with a ConvergenceError.
+    tol is scipy's rtol and atol at once: the error scale is
+    tol + max(|y|, |y_new|) * tol.
     """
     batch = _Batch(fun, np.array(y0, dtype=float), params, t_end)
     batch.f = batch.eval(batch.y)
     # A row with nothing to integrate ends where it starts.
     batch.retire({k for k, row in enumerate(batch.rows) if row.t_end == 0.0})
     if batch.rows:
-        batch.initial_steps(rtol, atol)
+        batch.initial_steps(tol)
         batch.retire()
 
     while batch.rows:
@@ -327,7 +329,7 @@ def solve_ivp(fun, t_end, y0, params, rtol: float, atol: float) -> BatchSolution
             batch.retire()
             if not batch.rows:
                 break
-        y_new, f_new, err5, err3 = batch.rk_step(np.array(h), rtol, atol)
+        y_new, f_new, err5, err3 = batch.rk_step(np.array(h), tol)
 
         accepted, done = [], set()
         for k, row in enumerate(batch.rows):

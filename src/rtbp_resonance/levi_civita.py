@@ -35,6 +35,10 @@ from .kepler import RtbpState
 
 _E_DEGENERATE = 1e-12
 _INTEGRATOR_TOL = 1e-13
+# Most evaluations of the K-flow field one integration may take.  The
+# regularization battery's 10-period flow needs about 1,300 per unit of L
+# (139,004 at L = 100, dense output included).
+_MAX_RHS_EVALS = 200_000
 # Step of the central differences in symplecticity_defect.
 _FD_STEP = 1e-4
 
@@ -168,9 +172,23 @@ def integrate_k_flow(s: RegularizedState, mu: float, tau_span: float, n_samples:
 
     Returns (taus, states): n_samples >= 2 uniform times including both
     endpoints and the RegularizedState at each; states[-1] is at tau_span.
+    Raises ConvergenceError when the field has been evaluated
+    _MAX_RHS_EVALS times before tau_span.
     """
+    calls = 0
+
+    def rhs(_, z):
+        nonlocal calls
+        calls += 1
+        if calls > _MAX_RHS_EVALS:
+            raise ConvergenceError(
+                f"K-flow integration over tau = {tau_span:.6g} exceeded its budget"
+                f" of {_MAX_RHS_EVALS} right-hand-side evaluations"
+            )
+        return k_flow_derivatives(z, s.C_J, mu)
+
     sol = solve_ivp(
-        lambda _, z: k_flow_derivatives(z, s.C_J, mu),
+        rhs,
         (0.0, tau_span),
         s.as_array(),
         method="DOP853",

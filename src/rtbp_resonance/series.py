@@ -4,8 +4,8 @@ The leading power of e in C(e,p,q) is m = |p-q| for direct families and p+q
 for retrograde ones.  Its coefficient is assembled from two pieces:
 
   * Laplace coefficients b_n(alpha), the Fourier coefficients of
-    (1 + alpha^2 - 2 alpha cos(theta))^(-1/2), evaluated by their
-    hypergeometric series together with termwise derivatives;
+    (1 + alpha^2 - 2 alpha cos(theta))^(-1/2), summed as their
+    hypergeometric power series in alpha;
   * a polynomial in the shift operator D = alpha d/dalpha, which transports
     the Laplace coefficients from the mean radius to the instantaneous one.
 
@@ -16,8 +16,9 @@ finite sum over i of binom(X, i) (+-1/2)^i (+-p/2)^(m-i) / (m-i)!
 (`_leading_c1_operator`).
 
 The operator P is a plain tuple of exact Fraction coefficients, D^0 first,
-with no trailing zeros, so len(P) - 1 is its degree; floats enter only in
-the final evaluation of the Laplace coefficients and their derivatives.
+with no trailing zeros, so len(P) - 1 is its degree.  Since D alpha^x =
+x alpha^x, P(D) acts on the Laplace series term by term as the number P(x)
+(`laplace_b`); floats enter only in that final sum.
 """
 
 from __future__ import annotations
@@ -37,60 +38,50 @@ from .perturbation import ResonantFamily
 # ---------------------------------------------------------------------------
 
 
-def laplace_b(n: int, alpha: float, deriv_order: int = 0):
-    """Laplace coefficient b_n(alpha) and its first derivatives.
+def laplace_b(n: int, alpha: float, P=(1,), shift: int = 0) -> float:
+    """P(D) applied to alpha^shift * b_n(alpha), with D = alpha d/dalpha.
 
     b_n is defined by 1/sqrt(1 + alpha^2 - 2 alpha cos(theta))
     = (1/2) * sum_n b_n(alpha) exp(i n theta), i.e.
     b_n(alpha) = 2 sum_{m>=0} c_m alpha^(n+2m) with
     c_m = (1/2)_m (1/2)_(n+m) / (m! (n+m)!).
 
-    Returns the list [b_n, b_n', ..., b_n^(deriv_order)] evaluated at alpha;
-    derivatives are taken termwise.  Requires 0 < alpha < 1.
+    D alpha^x = x alpha^x, so P(D) multiplies the term v alpha^x,
+    x = n + 2m + shift, by the number P(x) (Horner on the float coefficients
+    of P, D^0 first).  The sum stops once v x^deg(P) of the next term is
+    below 1e-18 of its positive sum so far.  Requires 0 < alpha < 1.
     """
     n = abs(int(n))
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"laplace_b requires 0 < alpha < 1, got {alpha}")
-    if deriv_order < 0:
-        raise ValidationError("deriv_order must be >= 0")
-    sums = [0.0] * (deriv_order + 1)
+    coeffs = [float(c) for c in reversed(P)]
+    deg = max(len(P) - 1, 0)
     # c_0 = (1/2)_n / n!
     c = 1.0
     for i in range(n):
         c *= (0.5 + i) / (i + 1.0)
-    v = 2.0 * c * alpha**n  # running term of the j=0 series
+    v = 2.0 * c * alpha ** (n + shift)  # running term of the series of alpha^shift b_n
+    total = scale = 0.0
     m = 0
     while True:
-        power = n + 2 * m
-        sums[0] += v
-        ff = 1.0
-        for j in range(1, deriv_order + 1):
-            ff *= (power - j + 1) / alpha
-            sums[j] += v * ff
-        # bound on the largest remaining contribution across all j
-        tail_scale = ((power + 2) / alpha) ** deriv_order if deriv_order else 1.0
+        x = n + 2 * m + shift
+        Px = 0.0
+        for a in coeffs:
+            Px = Px * x + a
+        total += v * Px
+        scale += v * x**deg
         v *= (0.5 + m) * (0.5 + n + m) / ((m + 1.0) * (n + m + 1.0)) * alpha * alpha
         m += 1
-        if abs(v) * tail_scale < 1e-18 * (abs(sums[deriv_order]) + 1.0) and m > deriv_order + 2:
+        if v * (x + 2) ** deg < 1e-18 * (scale + 1.0) and m > deg + 2:
             break
         if m > 200000:
             raise ConvergenceError(f"laplace_b series did not converge at alpha={alpha}")
-    return sums
+    return total
 
 
 # ---------------------------------------------------------------------------
 # Polynomials in the operator D = alpha d/dalpha
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _stirling2(k: int, j: int) -> int:
-    """Stirling numbers of the second kind: D^k = sum_j S(k,j) alpha^j d^j/dalpha^j."""
-    if k == j == 0:
-        return 1
-    if k == 0 or j == 0 or j > k:
-        return 0
-    return j * _stirling2(k - 1, j) + _stirling2(k - 1, j - 1)
 
 
 def _mul(a, b) -> list:
@@ -100,25 +91,6 @@ def _mul(a, b) -> list:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
-
-
-def apply(P, derivs, alpha: float) -> float:
-    """Apply P(D) to a function given [f, f', f'', ...] at alpha."""
-    if len(P) > len(derivs):
-        raise ValidationError(f"need {len(P)} derivatives to apply degree-{len(P) - 1} operator")
-    total = 0.0
-    for k, ck in enumerate(P):
-        if ck == 0:
-            continue
-        inner = 0.0
-        ap = 1.0
-        for j in range(k + 1):
-            s = _stirling2(k, j)
-            if s:
-                inner += s * ap * derivs[j]
-            ap *= alpha
-        total += float(ck) * inner
-    return total
 
 
 def _binomials(P, order: int) -> list[tuple]:
@@ -200,7 +172,7 @@ def _leading_c1_operator(p: int, q: int, direction: str) -> tuple:
         for k, c in enumerate(b):
             total[k] += c * w
     total = [c * sign for c in total]
-    while total and total[-1] == 0:  # len(P) - 1 sets the derivative order
+    while total and total[-1] == 0:  # len(P) - 1 is the degree
         total.pop()
     return tuple(total)
 
@@ -210,15 +182,11 @@ def leading_c1_coefficient(f: ResonantFamily) -> float:
     p, q = f.p, f.q
     P = _leading_c1_operator(p, q, f.direction)
     sign = (-1) ** (q * f.n_g + p * f.n_l)
-    nder = max(len(P) - 1, 0)
-    if p < q:
-        alpha = (p / q) ** (2.0 / 3.0)
-        b = laplace_b(q, alpha, nder + 1)
-        derivs = [alpha * b[0]] + [alpha * b[j] + j * b[j - 1] for j in range(1, nder + 1)]
+    if p < q:  # P acts on alpha * b_q
+        value = laplace_b(q, (p / q) ** (2.0 / 3.0), P, shift=1)
     else:
-        alpha = (q / p) ** (2.0 / 3.0)
-        derivs = laplace_b(q, alpha, nder)
-    return -2.0 * math.pi * q * q * sign * apply(P, derivs, alpha)
+        value = laplace_b(q, (q / p) ** (2.0 / 3.0), P)
+    return -2.0 * math.pi * q * q * sign * value
 
 
 def leading_c2_coefficient(f: ResonantFamily) -> float:

@@ -182,9 +182,7 @@ def _flow(s0: np.ndarray, t_end, mus):
     stopped the row's integration.
     """
     z0 = np.hstack([s0, np.tile(np.eye(4).ravel(), (len(s0), 1))])
-    sol = solve_ivp(
-        _variational_rhs, t_end, z0, mus, rtol=_INTEGRATOR_TOL, atol=_INTEGRATOR_TOL
-    )
+    sol = solve_ivp(_variational_rhs, t_end, z0, mus, tol=_INTEGRATOR_TOL)
     return [
         err if err is not None else (zf[:4], zf[4:].reshape(4, 4))
         for zf, err in zip(sol.y, sol.errors)

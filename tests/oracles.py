@@ -16,6 +16,8 @@ route to a quantity the package computes another way:
   the unfused reference for the verifier's variational equations.
 - `c2_series_mp`: the Bessel series of `series.c2_value` summed in 50-digit
   mpmath arithmetic.
+- `leading_c1_mp`: the Laplace series of `series.leading_c1_coefficient`
+  summed in extended-precision mpmath arithmetic.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from rtbp_resonance.perturbation import (
     delta1,
     track_integrand,
 )
+from rtbp_resonance.series import _leading_c1_operator
 from rtbp_resonance.verifier import _primary_forces
 
 TWO_PI = 2.0 * math.pi
@@ -162,3 +165,37 @@ def c2_series_mp(f: ResonantFamily) -> float:
                 break
         sign = (-1) ** (f.n_g + f.n_l * p)
         return float(sign * 2 * mpmath.pi * (1 + beta**2) * mpmath.cbrt(p) ** -2 * total)
+
+
+def leading_c1_mp(f: ResonantFamily, dps: int = 40) -> float:
+    """Coefficient of e^m in C1 from the series of `series.laplace_b`, summed
+    in dps digits.
+
+    alpha is the package's float alpha.  Each term 2 c_m P(x) alpha^x,
+    x = q + 2m + shift, takes P(x) exactly in Fractions; the sum runs until
+    the bound v x^deg(P) on the next term falls below 10^-dps of the positive
+    sum of v x^deg(P), v being the term without P.
+    """
+    p, q = f.p, f.q
+    P = _leading_c1_operator(p, q, f.direction)
+    shift, alpha = (1, (p / q) ** (2.0 / 3.0)) if p < q else (0, (q / p) ** (2.0 / 3.0))
+    deg = len(P) - 1
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        eps = mpmath.mpf(10) ** -dps
+        v = 2 * a ** (q + shift)
+        for i in range(q):
+            v *= mpmath.mpf(2 * i + 1) / (2 * i + 2)
+        total = scale = mpmath.mpf(0)
+        m = 0
+        while True:
+            x = q + 2 * m + shift
+            Px = sum(c * x**k for k, c in enumerate(P))
+            total += v * Px.numerator / Px.denominator
+            scale += v * x**deg
+            v *= mpmath.mpf((2 * m + 1) * (2 * q + 2 * m + 1)) / (4 * (m + 1) * (q + m + 1)) * a * a
+            m += 1
+            if v * (x + 2) ** deg < eps * scale and m > deg + 2:
+                break
+        sign = (-1) ** (q * f.n_g + p * f.n_l)
+        return float(-2 * mpmath.pi * q * q * sign * total)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from rtbp_resonance import cli
+from rtbp_resonance import cli, levi_civita
 from rtbp_resonance.cli import main
 from rtbp_resonance.perturbation import canonical_families
 from rtbp_resonance.verifier import verify_families
@@ -469,6 +469,13 @@ class TestRegularize:
         assert code == 1 and out == ""
         assert err.startswith("error: G^2/(4L^2) = ")
         assert f"at L={float(action)}, G=0.3 is too small" in err
+
+    def test_large_action_stops_at_the_evaluation_budget(self, capsys):
+        # e = 1 - 1.1e-10: the 10-period K-flow would need ~1e7 evaluations.
+        code, out, err = _run(capsys, ["regularize", "--action", "1e4"])
+        assert code == 2 and out == ""
+        assert err.startswith("computation failed: K-flow integration")
+        assert f"budget of {levi_civita._MAX_RHS_EVALS} right-hand-side evaluations" in err
 
     def test_negative_exponent_value_is_read_as_a_number(self, capsys):
         code, out, _ = _run(capsys, ["regularize", "--jacobi-constant", "-1.5e0"])

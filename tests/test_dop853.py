@@ -49,7 +49,7 @@ ROWS = _first_iterates()
 def _ours(rows):
     return dop853.solve_ivp(
         _variational_rhs, [r[1] for r in rows], [r[0] for r in rows], [r[2] for r in rows],
-        rtol=TOL, atol=TOL,
+        tol=TOL,
     )
 
 
@@ -140,7 +140,7 @@ def test_step_control_edge_cases():
     ]
     sol = dop853.solve_ivp(
         _toy_field, [r[1] for r in rows], [r[0] for r in rows], [r[2] for r in rows],
-        rtol=TOL, atol=TOL,
+        tol=TOL,
     )
     for k, (y0, t_end, params) in enumerate(rows):
         if t_end == 0.0:

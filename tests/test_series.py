@@ -1,8 +1,10 @@
-"""Series-machinery tests: Laplace evaluations against integral oracles,
-identities of operator polynomials (coefficient tuples, D^0 first), the beta
-substitution, the leading operator against the printed formula and a contour
-integral, the leading coefficients against the quadrature, and the finite-e
-C2 against the quadrature and an extended-precision sum of its series."""
+"""Series-machinery tests: polynomials in D = alpha d/dalpha applied to
+Laplace coefficients against integral oracles, identities of operator
+polynomials (coefficient tuples, D^0 first), the beta substitution, the
+leading operator against the printed formula and a contour integral, the
+leading coefficients against the quadrature and an extended-precision sum of
+their series, and the finite-e C2 against the quadrature and an
+extended-precision sum of its series."""
 
 import math
 from fractions import Fraction
@@ -11,13 +13,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import c2_series_mp
+from oracles import c2_series_mp, leading_c1_mp
 import rtbp_resonance.series as series
 from rtbp_resonance.coefficient import compute_C
 from rtbp_resonance.errors import ConvergenceError, ValidationError
 from rtbp_resonance.perturbation import ResonantFamily, canonical_families
 from rtbp_resonance.series import (
-    apply,
     beta_series,
     c2_value,
     dpoly_binomial,
@@ -47,17 +48,26 @@ def _laplace_oracle(n, alpha, order):
 
 class TestLaplace:
     def test_constant_mode_limit(self):
-        assert laplace_b(0, 1e-6)[0] == pytest.approx(2.0, abs=1e-11)
+        assert laplace_b(0, 1e-6) == pytest.approx(2.0, abs=1e-11)
 
     def test_higher_modes_vanish(self):
-        assert abs(laplace_b(2, 1e-4)[0]) < 1e-7
+        assert abs(laplace_b(2, 1e-4)) < 1e-7
 
     @pytest.mark.parametrize("n,alpha", [(1, (1 / 3) ** (2 / 3)), (2, 0.35), (7, 0.8)])
     def test_oracle_with_derivatives(self, n, alpha):
-        got = laplace_b(n, alpha, deriv_order=2)
-        want = _laplace_oracle(n, alpha, 2)
-        for g, w in zip(got, want):
-            assert g == pytest.approx(w, abs=1e-11)
+        # P(D) from b, b' and b'': D b = alpha b', D^2 b = alpha^2 b'' + alpha b',
+        # and D (alpha b) = alpha b + alpha^2 b' (shift=1).
+        b0, b1, b2 = _laplace_oracle(n, alpha, 2)
+        mixed = (Fraction(3, 2), -2, Fraction(1, 3))
+        cases = [
+            (laplace_b(n, alpha), b0),
+            (laplace_b(n, alpha, (0, 1)), alpha * b1),
+            (laplace_b(n, alpha, (0, 0, 1)), alpha**2 * b2 + alpha * b1),
+            (laplace_b(n, alpha, mixed), 1.5 * b0 - 2 * alpha * b1 + (alpha**2 * b2 + alpha * b1) / 3),
+            (laplace_b(n, alpha, (0, 1), shift=1), alpha * b0 + alpha**2 * b1),
+        ]
+        for got, want in cases:
+            assert got == pytest.approx(want, abs=1e-11)
 
     def test_domain(self):
         with pytest.raises(ValidationError):
@@ -104,21 +114,6 @@ class TestOperatorPolynomial:
                 P = dpoly_binomial((q, 1), k)
                 for n in range(0, 7):
                     assert _eval(P, n) == Fraction(math.comb(n + q, k))
-
-    def test_apply_matches_eval_on_monomials(self):
-        # P applied through (value, derivative, ...) data of alpha^n agrees
-        # with the eigenvalue route.
-        P = series._mul(dpoly_binomial((2, 1), 2), (-1, 1))
-        alpha, n = 0.7, 4
-        derivs = [alpha**n]
-        for j in range(1, len(P)):
-            c = 1.0
-            for i in range(j):
-                c *= n - i
-            derivs.append(c * alpha ** (n - j))
-        assert apply(P, derivs, alpha) == pytest.approx(
-            float(_eval(P, n)) * alpha**n, rel=1e-13
-        )
 
     def test_ring_operations(self):
         D2_minus_1 = _combine([(1, series._mul(D, D)), (-1, (1,))])
@@ -271,6 +266,23 @@ class TestLeadingCoefficient:
         lead = leading_coefficient(f)
         assert lead.exponent == (abs(p - q) if direction == "direct" else p + q)
         assert lead.value == pytest.approx(_quadrature_leading(f), rel=rel)
+
+    @pytest.mark.parametrize(
+        "p,q,direction",
+        [
+            (5, 14, "retrograde"),
+            (5, 13, "retrograde"),
+            (13, 11, "retrograde"),
+            (1, 3, "direct"),
+            (2, 7, "retrograde"),
+        ],
+    )
+    def test_matches_extended_precision_series(self, p, q, direction):
+        # Operators of degree 2 to 24: the float sum stays within a few ulps
+        # of the same series summed in 40 digits.
+        for f in canonical_families(p, q, 0.1, direction):
+            ref = leading_c1_mp(f)
+            assert abs(series.leading_c1_coefficient(f) - ref) <= 5e-15 * abs(ref)
 
     def test_exterior_q1_includes_tangential_term(self):
         # p = 2, q = 1: the cos(theta)/r integral contributes at the same
