@@ -30,6 +30,9 @@ COLLISION_DELTA = 1e-6
 # per call up to which _exact_sum is exact.
 NODE_CAP = 2**20
 _N_START = 64
+# Midpoints per integrand call: bounds a level's memory.  The exact sums are
+# additive, so the result does not depend on it.
+_CHUNK = 2**13
 # frexp exponents of finite doubles lie in [-1073, 1024]; _EXP_OFFSET makes
 # them bincount bins, and an exact sum counts units of 1 / _UNIT.
 _EXP_OFFSET = 1073
@@ -91,10 +94,13 @@ def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
             raise _with_min_delta1(
                 ConvergenceError(f"quadrature did not reach tol={tol} at {n} nodes"), md
             )
-        # The midpoints are bit-equal to the odd nodes of the 2n-node grid.
-        w1, w2 = track_integrand(f, (2 * np.arange(n) + 1) * (math.pi / n))
-        s1 += _exact_sum(w1)
-        s2 += _exact_sum(w2)
+        # The midpoints are bit-equal to the odd nodes of the 2n-node grid;
+        # they are evaluated and summed _CHUNK at a time.
+        for k in range(0, n, _CHUNK):
+            mid = (2 * np.arange(k, min(k + _CHUNK, n)) + 1) * (math.pi / n)
+            w1, w2 = track_integrand(f, mid)
+            s1 += _exact_sum(w1)
+            s2 += _exact_sum(w2)
         n *= 2
         prev = c1 + c2
         c1, c2 = _level(s1, s2, n)

@@ -5,6 +5,12 @@ The stability quadrature integrates
 over one period of the track F -> (r(F), theta(F)) of a p:q resonant
 Keplerian orbit, where Delta1^2 = 1 + r^2 - 2 r cos(theta) is the squared
 distance to the small primary (placed at radius 1 in the mu -> 0 limit).
+
+Delta1^2 is computed in the equal half-angle form (r - 1)^2 + 4 r sin^2(theta/2),
+a sum of two non-negative terms: the definition's form cancels on grazing
+tracks (r ~ 1, theta ~ 0), and Delta1^-5 in the integrand amplifies that loss.
+The integrand kernel takes sin(theta/2) and cos(theta/2) once per node and
+derives sin(theta) and cos(theta) from them.
 """
 
 from __future__ import annotations
@@ -73,29 +79,30 @@ def canonical_families(p, q, e, direction="direct"):
     return f0, f0.sibling()
 
 
+def _delta1_sq(r, sh):
+    """Delta1^2 = (r - 1)^2 + 4 r sh^2 at sh = sin(theta/2)."""
+    return (r - 1.0) ** 2 + 4.0 * r * (sh * sh)
+
+
 def delta1(r, theta):
     """Distance to the small primary."""
-    return np.sqrt(1.0 + r * r - 2.0 * r * np.cos(theta))
+    return np.sqrt(_delta1_sq(r, np.sin(0.5 * theta)))
 
 
-def _integrand_parts(r, theta, d1):
-    """(r/Delta1)_thetatheta with r held fixed, and cos(theta)/r, at Delta1 = d1.
+def _integrand_parts(r, sh, ch, d2):
+    """(r/Delta1)_thetatheta with r held fixed, and cos(theta)/r, at
+    sh = sin(theta/2), ch = cos(theta/2) and Delta1^2 = d2.
 
-    Closed form of the first: (3 r^3 sin^2(theta) - r^2 cos(theta) Delta1^2) / Delta1^5.
+    Closed form of the first: (3 r^3 sin^2(theta) - r^2 cos(theta) Delta1^2) / Delta1^5,
+    with sin(theta) = 2 sh ch and cos(theta) = 1 - 2 sh^2.
     """
-    c = np.cos(theta)
-    s = np.sin(theta)
-    d2 = d1 * d1
-    return (3.0 * r**3 * s * s - r * r * c * d2) / d2**2.5, c / r
+    s = 2.0 * sh * ch
+    c = 1.0 - 2.0 * sh * sh
+    return r * r * (3.0 * r * s * s - c * d2) / (d2 * d2 * np.sqrt(d2)), c / r
 
 
-def track_arrays(f: ResonantFamily, F):
-    """Vectorised resonant track: returns (r, theta, t, delta1) at the given F.
-
-    E = q*F, l = E - e*sin(E); direct orbits have t = (l - n_l*pi)*p/q and
-    retrograde ones t = (n_l*pi - l)*p/q; theta = nu + n_g*pi - t with nu
-    continuously unwrapped, so theta is continuous in F.
-    """
+def _track(f: ResonantFamily, F):
+    """(r, theta, t) along the track at the given F; see track_arrays."""
     F = np.asarray(F, dtype=float)
     E = f.q * F
     sinE = np.sin(E)
@@ -107,16 +114,29 @@ def track_arrays(f: ResonantFamily, F):
         t = (l - f.n_l * math.pi) * f.p / f.q
     r = f.semimajor_axis * (1.0 - f.e * cosE)
     nu = true_anomaly(E, f.e)
-    theta = nu + f.n_g * math.pi - t
+    return r, nu + f.n_g * math.pi - t, t
+
+
+def track_arrays(f: ResonantFamily, F):
+    """Vectorised resonant track: returns (r, theta, t, delta1) at the given F.
+
+    E = q*F, l = E - e*sin(E); direct orbits have t = (l - n_l*pi)*p/q and
+    retrograde ones t = (n_l*pi - l)*p/q; theta = nu + n_g*pi - t with nu
+    continuously unwrapped, so theta is continuous in F.
+    """
+    r, theta, t = _track(f, F)
     return r, theta, t, delta1(r, theta)
 
 
 def track_integrand(f: ResonantFamily, F):
     """The two quadrature integrands along the track: ((r/Delta1)_tt, cos(theta)/r)."""
-    r, theta, _, d1 = track_arrays(f, F)
-    if np.any(d1 <= 0.0):
+    r, theta, _ = _track(f, F)
+    half = 0.5 * theta
+    sh = np.sin(half)
+    d2 = _delta1_sq(r, sh)
+    if np.any(d2 <= 0.0):
         raise CollisionError("resonant track passes through the small primary")
-    return _integrand_parts(r, theta, d1)
+    return _integrand_parts(r, sh, np.cos(half), d2)
 
 
 def delaunay_initial_state(f: ResonantFamily):

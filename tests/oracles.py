@@ -30,9 +30,10 @@ import numpy as np
 
 from rtbp_resonance.coefficient import _exact_sum, _level
 from rtbp_resonance.errors import CollisionError, ValidationError
-from rtbp_resonance.kepler import DelaunayState, solve_kepler, true_anomaly
+from rtbp_resonance.kepler import DelaunayState, true_anomaly
 from rtbp_resonance.perturbation import (
     ResonantFamily,
+    _delta1_sq,
     _integrand_parts,
     delaunay_initial_state,
     delta1,
@@ -42,9 +43,11 @@ from rtbp_resonance.series import _leading_c1_operator
 from rtbp_resonance.verifier import _primary_forces
 
 TWO_PI = 2.0 * math.pi
-# Time nodes and finite-difference step of the Omega_ll / Omega_gg oracles.
+# Default time nodes and finite-difference step of the Omega_ll / Omega_gg
+# oracles, and the Newton steps of their Kepler solve.
 _ORACLE_NODES = 2048
 _ORACLE_STEP = 2e-2
+_KEPLER_NEWTON_STEPS = 12
 
 
 def trapezoid_pair(f: ResonantFamily, n: int):
@@ -62,20 +65,32 @@ def omega_polar(r, theta):
 
 def integrand_thetatheta(r, theta):
     """(r/Delta1)_thetatheta + cos(theta)/r with r held fixed."""
-    d1 = delta1(r, theta)
-    if not np.all(d1 > 0.0) or np.any(np.asarray(r) <= 0.0):
+    half = 0.5 * np.asarray(theta)
+    sh = np.sin(half)
+    d2 = _delta1_sq(r, sh)
+    if not np.all(d2 > 0.0) or np.any(np.asarray(r) <= 0.0):
         raise CollisionError("integrand evaluated at a collision")
-    c1, c2 = _integrand_parts(r, theta, d1)
+    c1, c2 = _integrand_parts(r, sh, np.cos(half), d2)
     return c1 + c2
 
 
-def omega_delaunay(L: float, G: float, l: float, g: float) -> float:
-    """Disturbing function as a function of the Delaunay variables."""
+def _eccentric_anomaly(l, e: float):
+    """E - e*sin(E) = l for an array of l: Newton from E = pi within each
+    2*pi period of l, which converges for every 0 <= e < 1; its fixed steps
+    reach roundoff for e <= 0.99."""
+    l = np.asarray(l, dtype=float)
+    E = l - np.mod(l, TWO_PI) + math.pi
+    for _ in range(_KEPLER_NEWTON_STEPS):
+        E = E - (E - e * np.sin(E) - l) / (1.0 - e * np.cos(E))
+    return E
+
+
+def omega_delaunay(L: float, G: float, l, g):
+    """Disturbing function as a function of the Delaunay variables (l, g arrays)."""
     e = math.sqrt(max(0.0, 1.0 - G * G / (L * L)))
-    E = solve_kepler(l, e)
-    r = L * L * (1.0 - e * math.cos(E))
-    theta = float(true_anomaly(E, e)) + g
-    return float(omega_polar(r, theta))
+    E = _eccentric_anomaly(l, e)
+    r = L * L * (1.0 - e * np.cos(E))
+    return omega_polar(r, true_anomaly(E, e) + g)
 
 
 def _second_derivative(fun, x, h):
@@ -88,34 +103,36 @@ def _second_derivative(fun, x, h):
     return (16.0 * bc - ab) / 15.0
 
 
-def _time_integral(f: ResonantFamily, integrand) -> float:
+def _time_integral(f: ResonantFamily, integrand, nodes: int) -> float:
     """Trapezoid integral over one period T = 2*pi*p of integrand(L, G, l, g)
-    along the mu = 0 family, whose angles advance from their initial values
-    as l' = +-q/p and g' = -1."""
+    on `nodes` equal time steps along the mu = 0 family, whose angles advance
+    from their initial values as l' = +-q/p and g' = -1."""
     d = delaunay_initial_state(f)
     sign = -1.0 if f.retrograde else 1.0
     T = 2.0 * math.pi * f.p
-    ts = np.arange(_ORACLE_NODES) * (T / _ORACLE_NODES)
-    vals = [integrand(d.L, d.G, d.l + sign * f.q * t / f.p, d.g - t) for t in ts]
-    return (T / _ORACLE_NODES) * fsum(vals)
+    ts = np.arange(nodes) * (T / nodes)
+    vals = integrand(d.L, d.G, d.l + sign * f.q * ts / f.p, d.g - ts)
+    return (T / nodes) * fsum(vals.tolist())
 
 
-def compute_C_via_omega_ll(f: ResonantFamily) -> float:
+def compute_C_via_omega_ll(f: ResonantFamily, nodes=_ORACLE_NODES, step=_ORACLE_STEP) -> float:
     """C from the time integral of Omega_ll (finite-difference oracle)."""
 
     def omega_ll(L, G, l, g):
-        return _second_derivative(lambda ll: omega_delaunay(L, G, ll, g), l, _ORACLE_STEP)
+        return _second_derivative(lambda ll: omega_delaunay(L, G, ll, g), l, step)
 
-    return -6.0 * math.pi * f.q ** (4.0 / 3.0) / f.p ** (1.0 / 3.0) * _time_integral(f, omega_ll)
+    scale = -6.0 * math.pi * f.q ** (4.0 / 3.0) / f.p ** (1.0 / 3.0)
+    return scale * _time_integral(f, omega_ll, nodes)
 
 
-def compute_C_via_omega_gg(f: ResonantFamily) -> float:
+def compute_C_via_omega_gg(f: ResonantFamily, nodes=_ORACLE_NODES, step=_ORACLE_STEP) -> float:
     """C from the time integral of Omega_gg (finite-difference oracle)."""
 
     def omega_gg(L, G, l, g):
-        return _second_derivative(lambda gg: omega_delaunay(L, G, l, gg), g, _ORACLE_STEP)
+        return _second_derivative(lambda gg: omega_delaunay(L, G, l, gg), g, step)
 
-    return -6.0 * math.pi * f.p ** (5.0 / 3.0) / f.q ** (2.0 / 3.0) * _time_integral(f, omega_gg)
+    scale = -6.0 * math.pi * f.p ** (5.0 / 3.0) / f.q ** (2.0 / 3.0)
+    return scale * _time_integral(f, omega_gg, nodes)
 
 
 def unperturbed_flow(s: DelaunayState, t: float) -> DelaunayState:
@@ -172,7 +189,7 @@ def leading_c1_mp(f: ResonantFamily, dps: int = 40) -> float:
     in dps digits.
 
     alpha is the package's float alpha.  Each term 2 c_m P(x) alpha^x,
-    x = q + 2m + shift, takes P(x) exactly in Fractions; the sum runs until
+    x = q + 2m + shift, takes P(x) exactly in integers; the sum runs until
     the bound v x^deg(P) on the next term falls below 10^-dps of the positive
     sum of v x^deg(P), v being the term without P.
     """
@@ -180,6 +197,9 @@ def leading_c1_mp(f: ResonantFamily, dps: int = 40) -> float:
     P = _leading_c1_operator(p, q, f.direction)
     shift, alpha = (1, (p / q) ** (2.0 / 3.0)) if p < q else (0, (q / p) ** (2.0 / 3.0))
     deg = len(P) - 1
+    # P = N / den with integer coefficients N: P(x) by integer Horner.
+    den = math.lcm(*(c.denominator for c in P))
+    N = [int(c * den) for c in reversed(P)]
     with mpmath.workdps(dps):
         a = mpmath.mpf(alpha)
         eps = mpmath.mpf(10) ** -dps
@@ -190,8 +210,10 @@ def leading_c1_mp(f: ResonantFamily, dps: int = 40) -> float:
         m = 0
         while True:
             x = q + 2 * m + shift
-            Px = sum(c * x**k for k, c in enumerate(P))
-            total += v * Px.numerator / Px.denominator
+            Px = 0
+            for c in N:
+                Px = Px * x + c
+            total += v * Px / den
             scale += v * x**deg
             v *= mpmath.mpf((2 * m + 1) * (2 * q + 2 * m + 1)) / (4 * (m + 1) * (q + m + 1)) * a * a
             m += 1

@@ -36,7 +36,7 @@ def _coeff(capsys, p, q, e, direction):
 
 def test_node_cap_is_no_convergence(capsys):
     # A retrograde grazing track whose first family runs to the node cap.
-    req, code, out, err = _coeff(capsys, 5, 9, 0.55, "retrograde")
+    req, code, out, err = _coeff(capsys, 5, 7, 0.25, "retrograde")
     assert code == 2
     outcomes = [r["outcome"] for r in _check().check_coeff(req, code, out, err)]
     assert outcomes == ["no-convergence", "no-convergence"]

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from oracles import compute_C_via_omega_gg, leading_c1_mp
 from rtbp_resonance import cli, levi_civita
 from rtbp_resonance.cli import main
 from rtbp_resonance.perturbation import canonical_families
@@ -66,6 +67,19 @@ class TestCoeff:
         assert json.loads(path.read_text())["command"] == "coeff"
 
 
+    def test_grazing_retrograde_family_converges(self, capsys):
+        # 5:9 retrograde at e = 0.55 grazes the small primary (min Delta1
+        # 1.9e-3); family 1 converges with the cancellation-free Delta1 and
+        # matches the Omega_gg time integral on a fine grid.
+        argv = ["coeff", "--p", "5", "--q", "9", "--e", "0.55", "--direction", "retrograde"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        fam1 = json.loads(out)["outputs"]["families"][0]
+        f = canonical_families(5, 9, 0.55, "retrograde")[0]
+        ref = compute_C_via_omega_gg(f, nodes=2**17, step=1e-3)
+        assert abs(fam1["C"] - ref) <= 1e-8 * abs(ref)
+
+
 class TestSeries:
     def test_leading_term_tracks_quadrature(self, capsys):
         e = 0.01
@@ -86,6 +100,24 @@ class TestSeries:
         fam = json.loads(out)["outputs"]["families"][0]
         assert "leading_term" not in fam
         assert fam["leading_exponent"] == 1
+
+    def test_high_order_retrograde_leading_coefficient(self, capsys):
+        # m = p + q = 79: the bound x^79 of the series' stopping test leaves
+        # the float range, the leading coefficient does not.
+        code, out, _ = _run(capsys, ["series", "--p", "39", "--q", "40", "--direction", "retrograde"])
+        assert code == 0
+        fam = json.loads(out)["outputs"]["families"][0]
+        assert fam["leading_exponent"] == 79
+        f = canonical_families(39, 40, 0.1, "retrograde")[0]
+        ref = -6.0 * math.pi * 39**2 * leading_c1_mp(f)
+        assert abs(fam["leading_coefficient"] - ref) <= 1e-12 * abs(ref)
+
+    def test_leading_coefficient_beyond_float_range_is_computation_failure(self, capsys):
+        # m = 199: the operator's D^199 coefficient underflows a float.
+        argv = ["series", "--p", "99", "--q", "100", "--direction", "retrograde"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("computation failed:") and "degree 199" in err
 
     def test_laplace_non_convergence_is_computation_failure(self, capsys):
         # alpha = (99999/100000)^(2/3) is valid input, but b_q needs more
@@ -374,7 +406,7 @@ class TestVerify:
     def test_quadrature_failure_keeps_the_fits(self, capsys, tmp_path):
         # Family 1's grazing track runs to the quadrature's node cap; both
         # Newton fits converge, and family 2's quadrature does too.
-        argv = ["verify", "--p", "5", "--q", "9", "--e", "0.55", "--direction", "retrograde",
+        argv = ["verify", "--p", "5", "--q", "7", "--e", "0.25", "--direction", "retrograde",
                 "--mu-list", "1e-4,3e-5"]
         code, out, err = _run(capsys, argv)
         assert code == 0 and err == ""
@@ -499,7 +531,7 @@ class TestEntryPoint:
     def test_version_flag(self, capsys):
         code, out, _ = _run(capsys, ["--version"])
         assert code == 0
-        assert out.strip() == "1.3.0"
+        assert out.strip() == "1.4.0"
 
     def test_unknown_command(self, capsys):
         code, _, _ = _run(capsys, ["frobnicate"])

@@ -83,6 +83,15 @@ class TestComputeC:
         res = compute_C(ResonantFamily(2, 7, 0.4))
         assert sum(points) == res.nodes
 
+    def test_chunked_levels_are_bit_identical(self, monkeypatch):
+        # A grazing family that converges at 131,072 nodes: summed 64
+        # midpoints at a time, every field is the same as in full chunks.
+        f = canonical_families(5, 7, 0.55, "retrograde")[0]
+        res = compute_C(f)
+        assert res.nodes >= 2**17
+        monkeypatch.setattr(coefficient, "_CHUNK", 64)
+        assert compute_C(f) == res
+
     @pytest.mark.parametrize(
         "family",
         [ResonantFamily(2, 7, 0.4), ResonantFamily(2, 1, 0.3)],

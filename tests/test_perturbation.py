@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from rtbp_resonance.perturbation import (
     ResonantFamily,
     canonical_families,
     delaunay_initial_state,
+    delta1,
     track_arrays,
 )
 
@@ -75,6 +77,32 @@ def _fd_thetatheta(r, theta, h=1e-2):
     ab = (4.0 * b - a) / 3.0
     bc = (4.0 * c - b) / 3.0
     return (16.0 * bc - ab) / 15.0
+
+
+class TestDelta1:
+    @pytest.mark.parametrize(
+        "r,theta",
+        [
+            (1.0 + 1e-6, 1e-6),
+            (1.0 - 1e-6, 1e-6),
+            (1.0 + 1e-6, -1e-6),
+            (1.0 - 1e-6, -1e-6),
+            (1.0 + 1e-6, 0.0),
+            (1.0 - 1e-6, 0.0),
+            (1.0, 1e-6),
+            (0.5, 0.3),
+            (1.7, 2.4),
+            (0.93, -5.1),
+            (2.5, 40.0),
+        ],
+    )
+    def test_matches_50_digit_value(self, r, theta):
+        # 1 + r^2 - 2 r cos(theta) cancels at r ~ 1, theta ~ 0; the computed
+        # form must not lose digits there.
+        with mpmath.workdps(50):
+            ref = mpmath.sqrt(1 + mpmath.mpf(r) ** 2 - 2 * r * mpmath.cos(mpmath.mpf(theta)))
+            got = delta1(r, theta)
+            assert abs((got - ref) / ref) <= 4e-16
 
 
 class TestIntegrand:
