@@ -37,9 +37,6 @@ from .perturbation import ResonantFamily
 # Laplace coefficients
 # ---------------------------------------------------------------------------
 
-# Integers x**deg below this convert to floats, and times v <= 2 stay finite.
-_FLOAT_POWERS = 2**1000
-
 
 def laplace_b(n: int, alpha: float, P=(1,), shift: int = 0) -> float:
     """P(D) applied to alpha^shift * b_n(alpha), with D = alpha d/dalpha.
@@ -53,8 +50,9 @@ def laplace_b(n: int, alpha: float, P=(1,), shift: int = 0) -> float:
     x = n + 2m + shift, by the number P(x) (Horner on the float coefficients
     of P, D^0 first).  The sum stops once v x^deg(P) of the next term is
     below 1e-18 of its positive sum so far.  Requires 0 < alpha < 1.  Raises
-    ConvergenceError if a coefficient of P or the sum leaves the float range
-    (deg(P) of about 130 and more).
+    ConvergenceError if x^deg(P) or a coefficient of P is beyond the float
+    range (retrograde leading coefficients with deg(P) = p + q >= 79 and
+    p/q near 1, whose series run to large x).
     """
     n = abs(int(n))
     if not 0.0 < alpha < 1.0:
@@ -62,64 +60,31 @@ def laplace_b(n: int, alpha: float, P=(1,), shift: int = 0) -> float:
     deg = max(len(P) - 1, 0)
     try:
         coeffs = [float(c) for c in reversed(P)]
-        in_range = all(a != 0.0 for a, c in zip(coeffs, reversed(P)) if c)
-        total = _laplace_sum(n, alpha, coeffs, deg, shift) if in_range else math.inf
+        # c_0 = (1/2)_n / n!
+        c = 1.0
+        for i in range(n):
+            c *= (0.5 + i) / (i + 1.0)
+        v = 2.0 * c * alpha ** (n + shift)  # running term of the series of alpha^shift b_n
+        total = scale = 0.0
+        m = 0
+        while True:
+            x = n + 2 * m + shift
+            Px = 0.0
+            for a in coeffs:
+                Px = Px * x + a
+            total += v * Px
+            scale += v * x**deg
+            v *= (0.5 + m) * (0.5 + n + m) / ((m + 1.0) * (n + m + 1.0)) * alpha * alpha
+            m += 1
+            if v * (x + 2) ** deg < 1e-18 * (scale + 1.0) and m > deg + 2:
+                break
+            if m > 200000:
+                raise ConvergenceError(f"laplace_b series did not converge at alpha={alpha}")
     except OverflowError:
-        total = math.inf
-    if not math.isfinite(total):
         raise ConvergenceError(
             f"laplace_b for an operator of degree {deg} leaves the float range at alpha={alpha}"
-        )
+        ) from None
     return total
-
-
-def _laplace_sum(n: int, alpha: float, coeffs: list, deg: int, shift: int) -> float:
-    """The series of laplace_b with P's float coefficients, highest first.
-
-    The positive sum of the stopping test and its floor 1 are held times
-    2**-k, k growing in steps of 600, so that x^deg of large degrees does
-    not overflow them.  While k = 0 the test is the unscaled one.
-    """
-    # c_0 = (1/2)_n / n!
-    c = 1.0
-    for i in range(n):
-        c *= (0.5 + i) / (i + 1.0)
-    v = 2.0 * c * alpha ** (n + shift)  # running term of the series of alpha^shift b_n
-    total = scale = 0.0
-    k, one = 0, 1.0
-    w = _bound(v, n + shift, deg, k)  # v x^deg of the next term, times 2**-k
-    m = 0
-    while True:
-        x = n + 2 * m + shift
-        Px = 0.0
-        for a in coeffs:
-            Px = Px * x + a
-        total += v * Px
-        scale += w
-        v *= (0.5 + m) * (0.5 + n + m) / ((m + 1.0) * (n + m + 1.0)) * alpha * alpha
-        m += 1
-        if scale > 2.0**600:
-            k += 600
-            scale, one = math.ldexp(scale, -600), math.ldexp(1.0, -k)
-        w = _bound(v, x + 2, deg, k)
-        if w < 1e-18 * (scale + one) and m > deg + 2:
-            return total
-        if m > 200000:
-            raise ConvergenceError(f"laplace_b series did not converge at alpha={alpha}")
-
-
-def _bound(v: float, x: int, deg: int, k: int) -> float:
-    """v * x**deg * 2**-k, rounded as the float product v * x**deg is.
-
-    Below 2**1000 and at k = 0 that is the product itself (v <= 2).  Beyond,
-    x**deg = y * 2**s with y its correctly rounded 53-bit float, and the
-    scalings by powers of two are exact.
-    """
-    xd = x**deg
-    if k == 0 and xd < _FLOAT_POWERS:
-        return v * xd
-    s = max(0, xd.bit_length() - 53)
-    return math.ldexp(v * (xd / (1 << s)), s - k)
 
 
 # ---------------------------------------------------------------------------

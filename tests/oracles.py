@@ -189,7 +189,7 @@ def leading_c1_mp(f: ResonantFamily, dps: int = 40) -> float:
     in dps digits.
 
     alpha is the package's float alpha.  Each term 2 c_m P(x) alpha^x,
-    x = q + 2m + shift, takes P(x) exactly in integers; the sum runs until
+    x = q + 2m + shift, takes P(x) exactly in Fractions; the sum runs until
     the bound v x^deg(P) on the next term falls below 10^-dps of the positive
     sum of v x^deg(P), v being the term without P.
     """
@@ -197,9 +197,6 @@ def leading_c1_mp(f: ResonantFamily, dps: int = 40) -> float:
     P = _leading_c1_operator(p, q, f.direction)
     shift, alpha = (1, (p / q) ** (2.0 / 3.0)) if p < q else (0, (q / p) ** (2.0 / 3.0))
     deg = len(P) - 1
-    # P = N / den with integer coefficients N: P(x) by integer Horner.
-    den = math.lcm(*(c.denominator for c in P))
-    N = [int(c * den) for c in reversed(P)]
     with mpmath.workdps(dps):
         a = mpmath.mpf(alpha)
         eps = mpmath.mpf(10) ** -dps
@@ -210,10 +207,8 @@ def leading_c1_mp(f: ResonantFamily, dps: int = 40) -> float:
         m = 0
         while True:
             x = q + 2 * m + shift
-            Px = 0
-            for c in N:
-                Px = Px * x + c
-            total += v * Px / den
+            Px = sum(c * x**k for k, c in enumerate(P))
+            total += v * Px.numerator / Px.denominator
             scale += v * x**deg
             v *= mpmath.mpf((2 * m + 1) * (2 * q + 2 * m + 1)) / (4 * (m + 1) * (q + m + 1)) * a * a
             m += 1
