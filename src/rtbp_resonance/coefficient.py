@@ -5,10 +5,15 @@ C(e,p,q) = -6*pi*p^2 * (C1 + C2) with
     C2 = integral over F in [0, 2*pi) of cos(theta)/r
 along the resonant track.  The integrands are periodic and analytic in F,
 so the uniform trapezoid rule converges geometrically, at a rate set by the
-nearest complex collision.  The grid is nested: each doubling evaluates the
-integrands only at the midpoints of the previous grid and adds them, once,
-to an exact running sum, so every level value is the correctly rounded
-trapezoid sum (the value fsum would give) and no node value is kept.
+nearest complex collision.  Both are even about F_c = n_l*pi/q (the
+family's reversing symmetry), so on the grid F_c + j*2*pi/n the sum over a
+period is the sum over [F_c, F_c + pi] with its two end nodes counted once
+and every interior node twice: an n-node level evaluates the integrands
+n/2 + 1 times.  The grid is nested: each doubling evaluates the integrands
+only at the new midpoints of that half period and adds them, doubled, to an
+exact running sum, so every level value is the correctly rounded trapezoid
+sum (the value fsum would give over the n node values) and no node value
+is kept.
 Doubling stops when successive values of C1 + C2 agree to tol * max(1, |C1 + C2|),
 absolute for small sums and relative for the large sums of grazing tracks,
 whose roundoff floor can lie above a fixed absolute bound.
@@ -26,7 +31,7 @@ from .errors import CollisionError, ConvergenceError
 from .perturbation import ResonantFamily, canonical_families, track_arrays, track_integrand
 
 COLLISION_DELTA = 1e-6
-# A level adds at most NODE_CAP / 2 new values, far below the 2**26 values
+# A level evaluates at most NODE_CAP / 4 new nodes, far below the 2**26 values
 # per call up to which _exact_sum is exact.
 NODE_CAP = 2**20
 _N_START = 64
@@ -69,10 +74,13 @@ def min_delta1(f: ResonantFamily) -> float:
 def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
     """Evaluate C(e,p,q) for one family by spectral trapezoid quadrature.
 
-    The grid starts at _N_START nodes and doubles; each doubling evaluates the
-    integrands only at the n new midpoints (2k+1)*pi/n and adds them to one
-    exact integer sum per integrand; the level values round those sums once,
-    exactly as fsum over all 2n node values would.  It stops when successive
+    The grid F_c + j*2*pi/n, F_c = n_l*pi/q, starts at _N_START nodes and
+    doubles.  The integrands are even about F_c, so only the n/2 + 1 nodes of
+    [F_c, F_c + pi] are evaluated: the two ends count once and the others
+    twice.  Each doubling evaluates the n/2 new midpoints F_c + (2k+1)*pi/n
+    and adds twice their sum to one exact integer sum per integrand; the level
+    values round those sums once, exactly as fsum over all 2n node values
+    would.  ``nodes`` is the full-period n.  It stops when successive
     values of C1 + C2 differ by less than tol * max(1, |C1 + C2|): an absolute
     tolerance below |C1 + C2| = 1, a relative one above it (tol = 0 never
     stops).
@@ -87,20 +95,25 @@ def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
             CollisionError(f"track reaches Delta1 = {md:.3e} <= {COLLISION_DELTA} for {f}"), md
         )
     n = _N_START
-    s1, s2 = map(_exact_sum, track_integrand(f, np.arange(n) * (2.0 * math.pi / n)))
+    Fc = f.n_l * math.pi / f.q
+    s1, s2 = (
+        2 * _exact_sum(w) - _exact_sum(w[[0, -1]])
+        for w in track_integrand(f, Fc + np.arange(n // 2 + 1) * (2.0 * math.pi / n))
+    )
     c1, c2 = _level(s1, s2, n)
     while True:
         if 2 * n > NODE_CAP:
             raise _with_min_delta1(
                 ConvergenceError(f"quadrature did not reach tol={tol} at {n} nodes"), md
             )
-        # The midpoints are bit-equal to the odd nodes of the 2n-node grid;
+        # The midpoints are the odd nodes of the 2n-node grid inside
+        # (F_c, F_c + pi), each standing for itself and its mirror image;
         # they are evaluated and summed _CHUNK at a time.
-        for k in range(0, n, _CHUNK):
-            mid = (2 * np.arange(k, min(k + _CHUNK, n)) + 1) * (math.pi / n)
+        for k in range(0, n // 2, _CHUNK):
+            mid = Fc + (2 * np.arange(k, min(k + _CHUNK, n // 2)) + 1) * (math.pi / n)
             w1, w2 = track_integrand(f, mid)
-            s1 += _exact_sum(w1)
-            s2 += _exact_sum(w2)
+            s1 += 2 * _exact_sum(w1)
+            s2 += 2 * _exact_sum(w2)
         n *= 2
         prev = c1 + c2
         c1, c2 = _level(s1, s2, n)

@@ -118,18 +118,21 @@ def solve_kepler(l: float, e: float) -> float:
     raise ConvergenceError(f"Kepler solver did not converge for l={l}, e={e}")
 
 
-def true_anomaly(E, e):
+def true_anomaly(E, e, sinE=None, cosE=None):
     """True anomaly from the eccentric anomaly, continuously unwrapped.
 
     Uses nu = E + 2*arctan(beta*sin(E) / (1 - beta*cos(E))) with
     beta = e / (1 + sqrt(1 - e^2)); the correction term is bounded, so the
     result satisfies nu(E + 2*pi) = nu(E) + 2*pi and sin(nu) has the sign
-    of sin(E).  Works on scalars and arrays.
+    of sin(E).  Works on scalars and arrays.  A caller that already holds
+    sin(E) and cos(E) passes them as sinE and cosE.
     """
     if not 0.0 <= e < 1.0:
         raise ValidationError(f"eccentricity must be in [0, 1), got {e}")
+    if sinE is None:
+        sinE, cosE = np.sin(E), np.cos(E)
     beta = e / (1.0 + math.sqrt(1.0 - e * e))
-    return E + 2.0 * np.arctan(beta * np.sin(E) / (1.0 - beta * np.cos(E)))
+    return E + 2.0 * np.arctan(beta * sinE / (1.0 - beta * cosE))
 
 
 def delaunay_to_polar(s: DelaunayState) -> PolarState:

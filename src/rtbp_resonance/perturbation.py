@@ -113,7 +113,7 @@ def _track(f: ResonantFamily, F):
     else:
         t = (l - f.n_l * math.pi) * f.p / f.q
     r = f.semimajor_axis * (1.0 - f.e * cosE)
-    nu = true_anomaly(E, f.e)
+    nu = true_anomaly(E, f.e, sinE, cosE)
     return r, nu + f.n_g * math.pi - t, t
 
 

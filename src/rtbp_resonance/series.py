@@ -81,10 +81,14 @@ def laplace_b(n: int, alpha: float, P=(1,), shift: int = 0) -> float:
             if m > 200000:
                 raise ConvergenceError(f"laplace_b series did not converge at alpha={alpha}")
     except OverflowError:
-        raise ConvergenceError(
-            f"laplace_b for an operator of degree {deg} leaves the float range at alpha={alpha}"
-        ) from None
+        raise _float_range_error(deg, alpha) from None
     return total
+
+
+def _float_range_error(deg: int, alpha: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"laplace_b for an operator of degree {deg} leaves the float range at alpha={alpha}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +190,25 @@ def _leading_c1_operator(p: int, q: int, direction: str) -> tuple:
 
 
 def leading_c1_coefficient(f: ResonantFamily) -> float:
-    """Coefficient of e^m in C1 (m = |p-q| direct, p+q retrograde)."""
+    """Coefficient of e^m in C1 (m = |p-q| direct, p+q retrograde).
+
+    The operator has degree m, and laplace_b runs at least m + 3 terms, so its
+    stopping test forms x^m at some x >= q + 2m + 4: once that is beyond the
+    float range, laplace_b's ConvergenceError is raised before the exact
+    operator is built, whose cost grows faster than m^2.
+    """
     p, q = f.p, f.q
+    if p < q:  # P acts on alpha * b_q
+        alpha, shift = (p / q) ** (2.0 / 3.0), 1
+    else:
+        alpha, shift = (q / p) ** (2.0 / 3.0), 0
+    m = abs(p - q) if f.direction == "direct" else p + q
+    # x >= 2**(bit_length - 1), so x^m >= 2**1024 overflows for certain
+    if m * ((q + 2 * m + 4 + shift).bit_length() - 1) >= 1024:
+        raise _float_range_error(m, alpha)
     P = _leading_c1_operator(p, q, f.direction)
     sign = (-1) ** (q * f.n_g + p * f.n_l)
-    if p < q:  # P acts on alpha * b_q
-        value = laplace_b(q, (p / q) ** (2.0 / 3.0), P, shift=1)
-    else:
-        value = laplace_b(q, (q / p) ** (2.0 / 3.0), P)
-    return -2.0 * math.pi * q * q * sign * value
+    return -2.0 * math.pi * q * q * sign * laplace_b(q, alpha, P, shift)
 
 
 def leading_c2_coefficient(f: ResonantFamily) -> float:

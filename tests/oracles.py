@@ -50,9 +50,11 @@ _ORACLE_STEP = 2e-2
 _KEPLER_NEWTON_STEPS = 12
 
 
-def trapezoid_pair(f: ResonantFamily, n: int):
-    """Periodic trapezoid values of (C1, C2) on an n-node uniform F grid."""
-    return _level(*map(_exact_sum, track_integrand(f, np.arange(n) * (2.0 * math.pi / n))), n)
+def trapezoid_pair(f: ResonantFamily, n: int, shift: float = 0.0):
+    """Periodic trapezoid values of (C1, C2) on the n-node uniform F grid
+    shift + j*2*pi/n, j = 0 ... n-1."""
+    F = shift + np.arange(n) * (2.0 * math.pi / n)
+    return _level(*map(_exact_sum, track_integrand(f, F)), n)
 
 
 def omega_polar(r, theta):

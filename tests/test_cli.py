@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from oracles import compute_C_via_omega_gg
-from rtbp_resonance import cli, levi_civita
+from rtbp_resonance import cli, levi_civita, series
 from rtbp_resonance.cli import main
 from rtbp_resonance.perturbation import canonical_families
 from rtbp_resonance.verifier import verify_families
@@ -110,6 +110,18 @@ class TestSeries:
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""
         assert err.startswith("computation failed:") and f"degree {p + q} " in err
+
+    def test_float_range_failure_comes_before_the_operator(self, capsys, monkeypatch):
+        # 400:401 retrograde, m = 801: the series must leave the float range,
+        # so the request fails before building the exact degree-801 operator,
+        # whose cost grows faster than m^2 (it ran past 30 s).
+        def build(*args):
+            raise AssertionError("the operator was built")
+
+        monkeypatch.setattr(series, "_leading_c1_operator", build)
+        code, out, err = _run(capsys, ["series", "--p", "400", "--q", "401", "--direction", "retrograde"])
+        assert code == 2 and out == ""
+        assert err.startswith("computation failed:") and "degree 801 " in err
 
     def test_laplace_non_convergence_is_computation_failure(self, capsys):
         # alpha = (99999/100000)^(2/3) is valid input, but b_q needs more
@@ -523,7 +535,7 @@ class TestEntryPoint:
     def test_version_flag(self, capsys):
         code, out, _ = _run(capsys, ["--version"])
         assert code == 0
-        assert out.strip() == "1.4.0"
+        assert out.strip() == "1.5.0"
 
     def test_unknown_command(self, capsys):
         code, _, _ = _run(capsys, ["frobnicate"])

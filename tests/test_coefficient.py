@@ -13,7 +13,7 @@ from oracles import compute_C_via_omega_gg, compute_C_via_omega_ll, trapezoid_pa
 from rtbp_resonance import coefficient
 from rtbp_resonance.coefficient import compute_C, min_delta1, sweep_e
 from rtbp_resonance.errors import CollisionError, ConvergenceError
-from rtbp_resonance.perturbation import ResonantFamily, canonical_families
+from rtbp_resonance.perturbation import ResonantFamily, canonical_families, track_integrand
 
 
 def _fit_slope(p, q, direction, which, e_grid=(0.003, 0.006, 0.012, 0.024)):
@@ -81,7 +81,8 @@ class TestComputeC:
 
         monkeypatch.setattr(coefficient, "track_integrand", counted)
         res = compute_C(ResonantFamily(2, 7, 0.4))
-        assert sum(points) == res.nodes
+        # the n-node grid is summed over the n/2 + 1 nodes of half a period
+        assert sum(points) == res.nodes // 2 + 1
 
     def test_chunked_levels_are_bit_identical(self, monkeypatch):
         # A grazing family that converges at 131,072 nodes: summed 64
@@ -99,10 +100,33 @@ class TestComputeC:
     )
     def test_nested_grid_matches_uniform_grid(self, family):
         # The midpoints (2k+1)*pi/n must be the odd nodes of the 2n-node grid.
+        # The half-period sum takes node n - j as the mirror image of node j,
+        # so it may differ from the uniform grid's by h * sum |w[n-j] - w[j]|,
+        # the roundoff asymmetry of those node values.  That bound holds C2 of
+        # 2:7 (an exact zero, summed to roundoff); 1e-13 relative holds the rest.
         res = compute_C(family)
-        c1, c2 = trapezoid_pair(family, res.nodes)
-        assert abs(res.C1 - c1) <= 1e-13 * abs(c1)
-        assert abs(res.C2 - c2) <= 1e-13 * abs(c2)
+        n = res.nodes
+        h = 2.0 * math.pi / n
+        values = track_integrand(family, np.arange(n) * h)
+        for got, ref, w in zip((res.C1, res.C2), trapezoid_pair(family, n), values):
+            asymmetry = h * math.fsum(np.abs(w[1 : n // 2] - w[: n // 2 : -1]))
+            assert abs(got - ref) <= max(1e-13 * abs(ref), asymmetry)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ResonantFamily(1, 3, 0.3, n_l=1),
+            ResonantFamily(3, 7, 0.3, n_l=1),
+            ResonantFamily(1, 3, 0.5, n_l=1, direction="retrograde"),
+        ],
+        ids=["1:3 direct", "3:7 direct", "1:3 retrograde"],
+    )
+    def test_shifted_family_matches_shifted_grid(self, family):
+        # An n_l = 1 family is even about F_c = pi/q, so its grid is the
+        # uniform one shifted by pi/q, off the unshifted nodes for q = 3, 7.
+        res = compute_C(family)
+        ref = sum(trapezoid_pair(family, res.nodes, shift=math.pi / family.q))
+        assert abs((res.C1 + res.C2) - ref) <= 1e-13 * abs(ref)
 
     def test_retrograde_value_finite_and_smaller(self):
         res = compute_C(ResonantFamily(1, 2, 0.2, direction="retrograde"), tol=1e-12)
@@ -118,24 +142,30 @@ class TestComputeC:
         ids=["2:7 direct", "1:2 retrograde", "1:2 family 2 grazing"],
     )
     def test_running_sum_matches_fsum_grid(self, family, monkeypatch):
-        # Replay the level loop with fsum over every node value so far, on the
+        # Replay the last two levels with fsum over the node values so far in
+        # F order, weighted 1, 2, ..., 2, 1 over the half period, on the
         # integrand values compute_C itself receives.
         calls = []
         integrand = coefficient.track_integrand
 
         def recorded(f, F):
-            calls.append(integrand(f, F))
-            return calls[-1]
+            calls.append((F, *integrand(f, F)))
+            return calls[-1][1:]
 
         monkeypatch.setattr(coefficient, "track_integrand", recorded)
         res = compute_C(family)
-        v1, v2, levels = np.empty(0), np.empty(0), []
-        for w1, w2 in calls:
-            v1, v2 = np.concatenate((v1, w1)), np.concatenate((v2, w2))
-            h = 2.0 * math.pi / v1.size
-            levels.append((h * math.fsum(v1), h * math.fsum(v2)))
-        (p1, p2), (c1, c2) = levels[-2:]
-        assert (res.C1, res.C2, res.nodes) == (c1, c2, v1.size)
+        F, v1, v2 = (np.concatenate(x) for x in zip(*calls))
+        assert F.size == res.nodes // 2 + 1
+        levels = []
+        for n in (res.nodes // 2, res.nodes):
+            order = np.argsort(F[: n // 2 + 1])
+            assert np.allclose(np.diff(F[order]), 2.0 * math.pi / n, rtol=1e-9)
+            weights = np.full(order.size, 2.0)
+            weights[[0, -1]] = 1.0
+            h = 2.0 * math.pi / n
+            levels.append(tuple(h * math.fsum(weights * v[order]) for v in (v1, v2)))
+        (p1, p2), (c1, c2) = levels
+        assert (res.C1, res.C2) == (c1, c2)
         assert res.err_estimate == abs((c1 + c2) - (p1 + p2))
 
 

@@ -14,7 +14,12 @@ from rtbp_resonance.perturbation import (
     delaunay_initial_state,
     delta1,
     track_arrays,
+    track_integrand,
 )
+
+_COPRIME = [
+    (p, q) for p in range(1, 16) for q in range(1, 16) if p != q and math.gcd(p, q) == 1
+]
 
 
 class TestResonantFamily:
@@ -155,6 +160,20 @@ class TestTrack:
         assert np.max(np.abs(r2 - r1)) <= 1e-12
         assert np.max(np.abs(d2 - d1)) <= 1e-12
         assert np.max(np.abs(th2 - th1 - winding)) <= 1e-10
+
+    @pytest.mark.parametrize("e", [0.05, 0.3, 0.6, 0.85])
+    @pytest.mark.parametrize("direction", ["direct", "retrograde"])
+    def test_integrands_even_about_symmetry_point(self, direction, e):
+        # Reversing symmetry: both integrands are even about F_c = n_l*pi/q,
+        # which the half-period quadrature relies on.  Roundoff in the phase
+        # theta, amplified by 1/Delta1 on close passes, is the only difference.
+        u = np.linspace(0.0, math.pi, 513)[1:]
+        for p, q in _COPRIME:
+            for f in canonical_families(p, q, e, direction):
+                Fc = f.n_l * math.pi / q
+                scale = 1e-12 / min(1.0, float(np.min(track_arrays(f, Fc + u)[3])))
+                for a, b in zip(track_integrand(f, Fc + u), track_integrand(f, Fc - u)):
+                    assert np.max(np.abs(a - b)) <= scale * np.max(np.abs(a)), f
 
     def test_theta_continuous(self):
         f = ResonantFamily(2, 7, 0.4)
