@@ -5,6 +5,10 @@ Single-run commands emit a versioned JSON record; `sweep` emits CSV with the
 fixed header `e,C_family1,C_family2,min_delta1_1,min_delta1_2,status_1,status_2`.
 A plain-text key=value config file can pre-set any flag (flags win).  Exit
 codes: 0 success, 1 validation error, 2 computation failure.
+
+`main` builds its argument parser once per process and reuses it, with a
+fresh namespace per call; values read when it is built (the version string,
+the default mu list) are frozen then.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -152,6 +157,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The parser of `main`, built once per process."""
+    return build_parser()
+
+
+@functools.lru_cache(maxsize=None)
+def _config_finder(command: argparse.ArgumentParser) -> _QuietParser:
+    """A parser with a subcommand's option strings, each taking an optional value."""
+    finder = _QuietParser(add_help=False)
+    for action in command._actions:
+        finder.add_argument(*action.option_strings, dest=action.dest, nargs="?")
+    return finder
+
+
 def _inject_config(argv, parser):
     """Expand `--config FILE` into flags placed before the explicit flags.
 
@@ -167,11 +187,8 @@ def _inject_config(argv, parser):
     # `--config=FILE` and abbreviations such as `--conf FILE` count too.  An
     # abbreviation the command finds ambiguous (`--co`) and a bare `--config`
     # are left for the command's parser to report.
-    finder = _QuietParser(add_help=False)
-    for action in command._actions:
-        finder.add_argument(*action.option_strings, dest=action.dest, nargs="?")
     try:
-        path = finder.parse_known_args(argv[1:])[0].config
+        path = _config_finder(command).parse_known_args(argv[1:])[0].config
     except ValidationError:
         return argv
     if path is None:
@@ -417,7 +434,7 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         argv = _inject_config(argv, parser)
         args = parser.parse_args(argv)

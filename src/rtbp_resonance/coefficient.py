@@ -17,6 +17,10 @@ is kept.
 Doubling stops when successive values of C1 + C2 agree to tol * max(1, |C1 + C2|),
 absolute for small sums and relative for the large sums of grazing tracks,
 whose roundoff floor can lie above a fixed absolute bound.
+
+The collision guard takes the track's minimum Delta1 (min_delta1) from a
+uniform sample, half of it for n_l = 0 by the same symmetry, refined by a
+few parabolic steps on Delta1^2; no scipy is involved.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import CollisionError, ConvergenceError
 from .perturbation import ResonantFamily, canonical_families, track_arrays, track_integrand
@@ -42,6 +45,13 @@ _CHUNK = 2**13
 # them bincount bins, and an exact sum counts units of 1 / _UNIT.
 _EXP_OFFSET = 1073
 _UNIT = 2 ** (_EXP_OFFSET + 53)
+# min_delta1: grid samples per period, and the refinement's evaluation
+# budget, least predicted relative drop of Delta1^2 and shortest step in F.
+_SAMPLES = 4096
+_REFINE_STEPS = 40
+_REFINE_RTOL = 1e-16
+_REFINE_XTOL = 1e-10
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 @dataclass(frozen=True)
@@ -55,20 +65,62 @@ class CoefficientResult:
 
 
 def min_delta1(f: ResonantFamily) -> float:
-    """Global minimum of Delta1 over the track, by dense sampling plus refinement."""
-    n = 4096
-    F = np.arange(n) * (2.0 * math.pi / n)
-    _, _, _, d1 = track_arrays(f, F)
-    i = int(np.argmin(d1))
-    h = 2.0 * math.pi / n
+    """Global minimum of Delta1 over the track: the least of _SAMPLES uniform
+    samples j*2*pi/_SAMPLES, refined inside its two grid neighbours.
 
-    def d(Fv):
-        return track_arrays(f, Fv)[3]
+    Delta1 is even about F_c = n_l*pi/q.  For n_l = 0 the grid is symmetric
+    about F_c = 0, so only j = 0 ... _SAMPLES/2 are evaluated; for n_l = 1 it
+    is not, and all _SAMPLES are.  The grid values at j = -1 and one past the
+    last sample are evaluated too, so the sampled minimum always has both
+    neighbours (_refine_min).
+    """
+    h = 2.0 * math.pi / _SAMPLES
+    last = _SAMPLES // 2 if f.n_l == 0 else _SAMPLES - 1
+    F = np.arange(-1, last + 2) * h
+    d1 = track_arrays(f, F)[3]
+    i = 1 + int(np.argmin(d1[1:-1]))
+    return _refine_min(lambda x: float(track_arrays(f, x)[3]), F[i - 1 : i + 2], d1[i - 1 : i + 2])
 
-    res = minimize_scalar(
-        d, bounds=(F[i] - h, F[i] + h), method="bounded", options={"xatol": 1e-10}
-    )
-    return float(min(res.fun, d1[i]))
+
+def _refine_min(d, x, v) -> float:
+    """Least value of d found inside [x0, x2] by safeguarded successive
+    parabolic steps on d^2, from the bracket x0 < x1 < x2 with values v.
+
+    d^2 is smooth where d = Delta1 has a corner at a collision, so the
+    parabola through the three best points predicts its minimum.  A step that
+    is not convex or leaves the bracket is a golden-section step into the
+    larger side instead.  The loop stops once the parabola predicts a drop
+    of d^2 below _REFINE_RTOL of its value (d at its float resolution) or a
+    step of at most _REFINE_XTOL (inside the roundoff of d, whose phase
+    carries ~1e-14 absolute error), or after _REFINE_STEPS evaluations.
+    """
+    (a, b, c), (da, db, dc) = x.tolist(), v.tolist()
+    for _ in range(_REFINE_STEPS):
+        gb = db * db
+        u, w = a - b, c - b
+        A, C = da * da - gb, dc * dc - gb
+        k = (A / u - C / w) / (u - w)  # d^2 ~ gb + s (x - b) + k (x - b)^2
+        s = A / u - k * u
+        t = b - 0.5 * s / k if k > 0.0 else b
+        # predicted drop s^2 / 4k negligible, or a step inside the roundoff
+        if k > 0.0 and (s * s <= 4.0 * k * _REFINE_RTOL * gb or abs(t - b) <= _REFINE_XTOL):
+            break
+        if not a < t < c or t == b:
+            t = b + _GOLDEN * (w if w > -u else u)
+            if t == b:
+                break
+        dt = d(t)
+        if dt < db:
+            if t < b:
+                c, dc = b, db
+            else:
+                a, da = b, db
+            b, db = t, dt
+        elif t < b:
+            a, da = t, dt
+        else:
+            c, dc = t, dt
+    return db
 
 
 def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:

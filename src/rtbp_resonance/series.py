@@ -192,23 +192,36 @@ def _leading_c1_operator(p: int, q: int, direction: str) -> tuple:
 def leading_c1_coefficient(f: ResonantFamily) -> float:
     """Coefficient of e^m in C1 (m = |p-q| direct, p+q retrograde).
 
+    It is the family's sign (-1)^(q*n_g + p*n_l) times _leading_c1_unsigned,
+    which depends on (p, q, direction) alone; multiplying by +-1 is exact, so
+    the value is the same as (-2*pi*q^2*sign) * laplace_b(...).
+    """
+    return (-1) ** (f.q * f.n_g + f.p * f.n_l) * _leading_c1_unsigned(f.p, f.q, f.direction)
+
+
+@lru_cache(maxsize=None)
+def _leading_c1_unsigned(p: int, q: int, direction: str) -> float:
+    """-2*pi*q^2 * laplace_b(q, alpha, P, shift): the e^m coefficient of C1
+    of the family with n_l = n_g = 0.
+
     The operator has degree m, and laplace_b runs at least m + 3 terms, so its
     stopping test forms x^m at some x >= q + 2m + 4: once that is beyond the
     float range, laplace_b's ConvergenceError is raised before the exact
     operator is built, whose cost grows faster than m^2.
+
+    Memoized: both families of a resonance, and every e, share it.  A raised
+    error is not cached.
     """
-    p, q = f.p, f.q
     if p < q:  # P acts on alpha * b_q
         alpha, shift = (p / q) ** (2.0 / 3.0), 1
     else:
         alpha, shift = (q / p) ** (2.0 / 3.0), 0
-    m = abs(p - q) if f.direction == "direct" else p + q
+    m = abs(p - q) if direction == "direct" else p + q
     # x >= 2**(bit_length - 1), so x^m >= 2**1024 overflows for certain
     if m * ((q + 2 * m + 4 + shift).bit_length() - 1) >= 1024:
         raise _float_range_error(m, alpha)
-    P = _leading_c1_operator(p, q, f.direction)
-    sign = (-1) ** (q * f.n_g + p * f.n_l)
-    return -2.0 * math.pi * q * q * sign * laplace_b(q, alpha, P, shift)
+    P = _leading_c1_operator(p, q, direction)
+    return -2.0 * math.pi * q * q * laplace_b(q, alpha, P, shift)
 
 
 def leading_c2_coefficient(f: ResonantFamily) -> float:

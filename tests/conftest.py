@@ -1,5 +1,10 @@
 """Shared test helpers.
 
+Every test starts and ends with an empty memo of the leading C1 values
+(`series._leading_c1_unsigned`), so a test that monkeypatches `laplace_b`
+or `_leading_c1_operator` neither sees values cached before it nor leaves
+its own behind.
+
 `measured_frequency_errors` fits the action-angle frequencies along a
 sampled mu = 0 K-flow.  With uncorrected=True, g comes from the historical
 formula of the collision-adapted chart instead of the corrected one: the
@@ -11,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from rtbp_resonance import series
 from rtbp_resonance.levi_civita import (
     action_angle_from_state,
     frequencies,
@@ -51,3 +57,10 @@ def _measured_frequency_errors(L, G, C, uncorrected=False):
 @pytest.fixture
 def measured_frequency_errors():
     return _measured_frequency_errors
+
+
+@pytest.fixture(autouse=True)
+def fresh_leading_c1_memo():
+    series._leading_c1_unsigned.cache_clear()
+    yield
+    series._leading_c1_unsigned.cache_clear()

@@ -4,6 +4,8 @@ None of these is run by a CLI command; each is an independent or unfused
 route to a quantity the package computes another way:
 
 - `trapezoid_pair`: the plain (non-nested) trapezoid values of (C1, C2).
+- `min_delta1_brent`: the minimum of Delta1 from the full 4096-point sample
+  and scipy's bounded Brent search (the package's former `min_delta1`).
 - `compute_C_via_omega_ll`, `compute_C_via_omega_gg`: C from time integrals
   of Omega_ll and Omega_gg.  They share no code with the track quadrature
   beyond the coordinate stack and the family's initial Delaunay state:
@@ -27,6 +29,7 @@ from math import fsum
 
 import mpmath
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from rtbp_resonance.coefficient import _exact_sum, _level
 from rtbp_resonance.errors import CollisionError, ValidationError
@@ -37,6 +40,7 @@ from rtbp_resonance.perturbation import (
     _integrand_parts,
     delaunay_initial_state,
     delta1,
+    track_arrays,
     track_integrand,
 )
 from rtbp_resonance.series import _leading_c1_operator
@@ -55,6 +59,24 @@ def trapezoid_pair(f: ResonantFamily, n: int, shift: float = 0.0):
     shift + j*2*pi/n, j = 0 ... n-1."""
     F = shift + np.arange(n) * (2.0 * math.pi / n)
     return _level(*map(_exact_sum, track_integrand(f, F)), n)
+
+
+def min_delta1_brent(f: ResonantFamily) -> float:
+    """Least of Delta1 on the grid j*2*pi/4096, j = 0 ... 4095, refined by
+    scipy's bounded Brent search inside the argmin's two grid neighbours."""
+    n = 4096
+    F = np.arange(n) * (2.0 * math.pi / n)
+    _, _, _, d1 = track_arrays(f, F)
+    i = int(np.argmin(d1))
+    h = 2.0 * math.pi / n
+
+    def d(Fv):
+        return track_arrays(f, Fv)[3]
+
+    res = minimize_scalar(
+        d, bounds=(F[i] - h, F[i] + h), method="bounded", options={"xatol": 1e-10}
+    )
+    return float(min(res.fun, d1[i]))
 
 
 def omega_polar(r, theta):

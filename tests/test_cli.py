@@ -288,6 +288,56 @@ class TestConfig:
         assert "ambiguous option: --co could match --config, --corrector-tol" in err
 
 
+class TestParserReuse:
+    """main builds its parser once per process; a call must not see state
+    left by an earlier one."""
+
+    @staticmethod
+    def _fresh_parsers():
+        cli._parser.cache_clear()
+        cli._config_finder.cache_clear()
+
+    @staticmethod
+    def _strip_timings(out):
+        try:
+            record = json.loads(out)
+        except ValueError:
+            return out
+        record.pop("timings", None)
+        return record
+
+    def test_sequence_matches_fresh_parsers(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p = 1\nq = 3\ne = 0.3\ndirection = retrograde\ntol = 1e-9\n")
+        calls = [
+            ["coeff", "--config", str(cfg)],
+            ["coeff", "--p", "1", "--q", "3", "--e", "0.3"],  # the file's flags must not carry over
+            ["coeff", "--e", "0.2"],
+            ["--version"],
+            ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--co", str(cfg)],
+            ["coeff", "--p", "1", "--q", "2", "--e", "0.25"],
+            ["sweep", "--p", "1", "--q", "3", "--e-grid", "0.2,0.3", "--jobs", "1"],
+            ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--family", "1",
+             "--mu-list", "1e-4,3e-5"],
+        ]
+        fresh = []
+        for argv in calls:
+            self._fresh_parsers()
+            fresh.append(_run(capsys, argv))
+        self._fresh_parsers()
+        reused = [_run(capsys, argv) for argv in calls]
+        assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 1, 0, 0, 0]
+        for argv, (code, out, err), (code2, out2, err2) in zip(calls, fresh, reused):
+            assert (code2, err2) == (code, err), argv
+            assert self._strip_timings(out2) == self._strip_timings(out), argv
+        assert cli._parser.cache_info().misses == 1
+        configured, plain = (json.loads(reused[i][1])["inputs"] for i in (0, 1))
+        assert (configured["direction"], configured["tol"]) == ("retrograde", 1e-9)
+        assert (plain["direction"], plain["tol"]) == ("direct", 1e-10)
+        assert "--p, --q" in reused[2][2]
+        assert reused[3][1] == cli.__version__ + "\n"
+
+
 @pytest.mark.parametrize("value", ["0", "nan"])
 @pytest.mark.parametrize(
     "argv",

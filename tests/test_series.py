@@ -312,6 +312,40 @@ class TestLeadingCoefficient:
         with pytest.raises(ValidationError):
             ResonantFamily(1, 1, 0.1)
 
+    def test_cached_value_is_bit_identical(self):
+        # All 284 (p, q, direction) with coprime p != q <= 15: the memoized
+        # -2*pi*q^2*laplace_b times the family's sign is the uncached formula
+        # (-2*pi*q^2*sign)*laplace_b, since multiplying by +-1 is exact.
+        resonances = 0
+        for p in range(1, 16):
+            for q in range(1, 16):
+                if p == q or math.gcd(p, q) != 1:
+                    continue
+                alpha, shift = ((p / q) ** (2.0 / 3.0), 1) if p < q else ((q / p) ** (2.0 / 3.0), 0)
+                for direction in ("direct", "retrograde"):
+                    resonances += 1
+                    P = series._leading_c1_operator(p, q, direction)
+                    for f in canonical_families(p, q, 0.1, direction):
+                        sign = (-1) ** (q * f.n_g + p * f.n_l)
+                        c1 = -2.0 * math.pi * q * q * sign * laplace_b(q, alpha, P, shift)
+                        c = -6.0 * math.pi * p**2 * (c1 + series.leading_c2_coefficient(f))
+                        assert leading_coefficient(f).value.hex() == c.hex(), f
+        assert resonances == 284
+
+    def test_one_laplace_sum_per_resonance(self, monkeypatch):
+        calls = []
+        original = series.laplace_b
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(series, "laplace_b", counted)
+        for e in (0.1, 0.3):
+            for f in canonical_families(3, 5, e, "retrograde"):
+                leading_coefficient(f)
+        assert len(calls) == 1
+
 
 class TestFiniteEccentricityC2:
     @pytest.mark.parametrize("direction", ["direct", "retrograde"])
