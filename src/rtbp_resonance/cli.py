@@ -33,7 +33,7 @@ from .errors import RtbpError, ValidationError
 from .levi_civita import regularization_checks
 from .perturbation import ResonantFamily, canonical_families
 from .series import leading_coefficient
-from .verifier import DEFAULT_MU_LIST, verify_families
+from .verifier import CORRECTOR_TOL, DEFAULT_MU_LIST, verify_families
 
 SCHEMA_VERSION = 1
 # Most points an --e-min/--e-max/--e-step grid may hold.
@@ -145,7 +145,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--e", type=float, required=True)
     sp.add_argument("--family", choices=("1", "2", "both"), default="both")
     sp.add_argument("--mu-list", default=",".join(repr(m) for m in DEFAULT_MU_LIST))
-    sp.add_argument("--corrector-tol", type=float, default=1e-10)
+    sp.add_argument(
+        "--corrector-tol", type=float, default=CORRECTOR_TOL,
+        help="Newton closure tolerance on y and p_x at the half period",
+    )
     sp.add_argument("--tol", type=float, default=1e-10, help=_QUAD_TOL_HELP)
     sp.add_argument("--cache-dir", default=None, help="cache directory for verification runs")
 

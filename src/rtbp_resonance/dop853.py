@@ -16,7 +16,7 @@ A row leaves the batch when it reaches its end time, or when it fails:
 time.  The other rows go on.  A row's numbers do not depend on the other
 rows as long as the BLAS matrix-vector product computes each element the
 same way wherever it sits in the vector; OpenBLAS's x86-64 kernels do when
-the row length is a multiple of 4, as the verifier's 20 is.
+the row length is a multiple of 4, as the verifier's 20 and 24 are.
 """
 
 from __future__ import annotations

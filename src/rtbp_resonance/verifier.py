@@ -6,11 +6,22 @@ differentially corrects that orbit by Newton shooting over the half period,
 integrating the variational equations with the state, and extracts the
 coefficient from tr(M) - 4 ~ C*mu, extrapolating the estimate to mu -> 0.
 
+The orbit is the mu = 0 Kepler ellipse continued in mu, so each orbit's
+unknowns are the seed's plus mu times their mu derivative plus O(mu^2).
+Before Newton runs, one integration at mu = 0 per family carries the state,
+its state-transition matrix Phi and w = dz/dmu; the shooting matrix and the
+residual's mu derivative at the seed then predict every mu's starting point
+(natural-parameter continuation's predictor step: Allgower and Georg,
+*Introduction to Numerical Continuation Methods*, 1990, ch. 2).  The first
+Newton residual is O(mu^2) instead of O(mu).
+
 `verify_families` corrects every (family, mu) orbit of a request in
 lockstep: each Newton iteration integrates all unfinished orbits as one
 batch with the package's DOP853 (`dop853.solve_ivp`, whose rows take the
 steps scipy's DOP853 takes for each alone), and an orbit leaves when it
-converges or fails.  `refine_periodic_orbit` is the one-orbit case.
+converges to CORRECTOR_TOL (or the given tol), fails, or stalls.
+`refine_periodic_orbit` is the one-orbit case; the predictor is per family,
+so an orbit's numbers do not depend on the other orbits of its batch.
 
 The orbit is symmetric under the reversor R = diag(-1, 1, 1, -1) with
 t -> -t, so its monodromy matrix is M = R Phi(T/2)^-1 R Phi(T/2), where
@@ -38,6 +49,10 @@ from .perturbation import ResonantFamily, delaunay_initial_state
 _COLLISION_RADIUS = 1e-8
 _INTEGRATOR_TOL = 1e-12
 _NEWTON_MAX_ITER = 25
+# Integrations without a new best residual after which an orbit has stalled.
+_NEWTON_STALL = 3
+# Newton's default closure tolerance on (y, p_x)(T/2).
+CORRECTOR_TOL = 1e-12
 # The mu at which `verify_families` (and the `verify` command) estimates C.
 DEFAULT_MU_LIST = (1e-4, 3e-5, 1e-5, 3e-6)
 # The reversor (p_x, p_y, x, y) -> (-p_x, p_y, x, -y) that, with t -> -t,
@@ -197,38 +212,143 @@ def _seed_state(f: ResonantFamily) -> RtbpState:
     return RtbpState(p_x=0.0, p_y=s.p_y, x=s.x, y=0.0)
 
 
+def _tangent_rhs(Z, _params):
+    """(f, J Phi, J w + df/dmu) at mu = 0 for each row z = (state, Phi row by
+    row, w) of Z, with w = dz/dmu along the mu = 0 flow.
+
+    The first 20 entries of a row are those of `_variational_rhs` at mu = 0.
+    Only the momentum rows of df/dmu are non-zero: x d0^-3 - (x-1) d1^-3 + gxx
+    and y d0^-3 - y d1^-3 + gxy, with d1 the distance to (1, 0) and, at
+    mu = 0, x d0^-3 = -gx and y d0^-3 = -gy.  Raises CollisionError within
+    _COLLISION_RADIUS of (1, 0), as the mu > 0 field does.
+    """
+    out = []
+    for z in Z.tolist():
+        (p_x, p_y, x, y,
+         a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3,
+         w0, w1, w2, w3) = z
+        gx, gy, gxx, gxy, gyy = _primary_forces(x, y, 0.0)
+        dx1 = x - 1.0
+        d1sq = dx1 * dx1 + y * y
+        if d1sq < _COLLISION_RADIUS**2:
+            raise CollisionError("trajectory reached a primary")
+        d1_3 = d1sq**-1.5
+        out += [
+            p_y + gx, -p_x + gy, p_x + y, p_y - x,
+            b0 + gxx * c0 + gxy * d0, b1 + gxx * c1 + gxy * d1,
+            b2 + gxx * c2 + gxy * d2, b3 + gxx * c3 + gxy * d3,
+            -a0 + gxy * c0 + gyy * d0, -a1 + gxy * c1 + gyy * d1,
+            -a2 + gxy * c2 + gyy * d2, -a3 + gxy * c3 + gyy * d3,
+            a0 + d0, a1 + d1, a2 + d2, a3 + d3,
+            b0 - c0, b1 - c1, b2 - c2, b3 - c3,
+            w1 + gxx * w2 + gxy * w3 - gx - dx1 * d1_3 + gxx,
+            -w0 + gxy * w2 + gyy * w3 - gy - y * d1_3 + gxy,
+            w0 + w3, w1 - w2,
+        ]
+    return np.fromiter(out, float, len(out)).reshape(Z.shape)
+
+
+def _shooting_matrix(sf, phi, G0: float, x0: float, mu: float) -> np.ndarray:
+    """d(y, p_x)(T/2) / d(x0, T/2) from the end state sf and Phi(T/2) of an
+    orbit started at (0, G0/x0, x0, 0)."""
+    dsf_dx0 = phi @ np.array([0.0, -G0 / (x0 * x0), 1.0, 0.0])
+    dsf_dT = rtbp_derivatives(sf, mu)
+    return np.array([[dsf_dx0[3], dsf_dT[3]], [dsf_dx0[0], dsf_dT[0]]])
+
+
+def _correction(A, res, x0: float, f, mu: float):
+    """The Newton correction -A^-1 res to (x0, T/2), or the ConvergenceError
+    of a singular A or of a step that moves x0 by more than half of it."""
+    try:
+        delta = np.linalg.solve(A, -res)
+    except np.linalg.LinAlgError:
+        return ConvergenceError("singular shooting Jacobian")
+    if not np.all(np.isfinite(delta)) or abs(delta[0]) > 0.5 * abs(x0):
+        return ConvergenceError(f"Newton correction diverged for {f} at mu={mu}")
+    return delta
+
+
+def _predictors(seeds: dict) -> dict:
+    """The first-order mu-predictor of each family's orbit.
+
+    seeds maps a family to its mu = 0 seed (G0, x0, T/2).  One batched
+    integration at mu = 0 carries (state, Phi, w = dz/dmu) for every family,
+    24 entries a row, so that the rows stay independent (see `dop853`).
+    Returns per family (A0, r0, r_mu): the shooting matrix and the residual
+    (y, p_x)(T/2) of the seed, which is at roundoff level, and its mu
+    derivative, so that the residual at (seed + delta, mu) is
+    r0 + mu r_mu + A0 delta + O(mu^2, |delta|^2).  w starts at 0: the initial
+    state (0, G0/x0, x0, 0) does not depend on mu.  A family whose mu = 0
+    integration fails is left out.
+    """
+    fams = list(seeds)
+    z0 = [[0.0, G0 / x0, x0, 0.0, *np.eye(4).ravel(), 0.0, 0.0, 0.0, 0.0]
+          for G0, x0, _ in seeds.values()]
+    t_end = [Th for _, _, Th in seeds.values()]
+    sol = solve_ivp(_tangent_rhs, t_end, z0, [0.0] * len(fams), tol=_INTEGRATOR_TOL)
+    out = {}
+    for f, zf, err in zip(fams, sol.y, sol.errors):
+        if err is None:
+            G0, x0, _ = seeds[f]
+            sf, w = zf[:4], zf[20:]
+            A0 = _shooting_matrix(sf, zf[4:20].reshape(4, 4), G0, x0, 0.0)
+            out[f] = (A0, np.array([sf[3], sf[0]]), np.array([w[3], w[0]]))
+    return out
+
+
 def _shoot(orbits, tol: float) -> list:
     """Newton shooting for the symmetric p:q resonant orbit of every
     (family, mu) in `orbits`, all in lockstep.
 
     Unknowns are (x0, T/2); p_y(0) = G0/x0 keeps the angular momentum at its
     mu = 0 family value, and the targets are y(T/2) = 0 and p_x(T/2) = 0.
-    Each iteration integrates every unfinished orbit in one batch; an orbit
-    leaves when it converges or fails.  Returns one PeriodicOrbit or
-    RtbpError per entry, each as the orbit's own iteration would give it.
+    Each orbit starts from its family's mu = 0 seed moved by the first-order
+    mu-predictor of `_predictors` (a guarded Newton step on the predicted
+    residual), or from the bare seed where the family's mu = 0 integration
+    failed.  Each iteration integrates every unfinished orbit in one batch;
+    an orbit leaves when it converges or fails, and fails as stalled when its
+    residual has not fallen below its best for _NEWTON_STALL successive
+    integrations.  Returns one PeriodicOrbit or RtbpError per entry, each as
+    the orbit's own iteration would give it.
     """
     out = [None] * len(orbits)
-    live = []  # [index, family, mu, G0, x0, T/2]
+    seeds = {}
     for i, (f, mu) in enumerate(orbits):
         if not 0.0 < mu <= 1e-3:
             out[i] = ValidationError(f"mu must be in (0, 1e-3], got {mu}")
+        elif f not in seeds:
+            seeds[f] = (delaunay_initial_state(f).G, _seed_state(f).x, math.pi * f.p)
+    predictors = _predictors(seeds) if seeds else {}
+
+    live = []  # [index, family, mu, G0, x0, T/2, best residual, integrations since]
+    for i, (f, mu) in enumerate(orbits):
+        if out[i] is not None:
             continue
-        live.append([i, f, mu, delaunay_initial_state(f).G, _seed_state(f).x, math.pi * f.p])
+        G0, x0, Th = seeds[f]
+        if f in predictors:
+            A0, r0, r_mu = predictors[f]
+            delta = _correction(A0, r0 + mu * r_mu, x0, f, mu)
+            if isinstance(delta, RtbpError):
+                out[i] = delta
+                continue
+            x0, Th = x0 + delta[0], Th + delta[1]
+        live.append([i, f, mu, G0, x0, Th, math.inf, 0])
 
     for _ in range(_NEWTON_MAX_ITER):
         if not live:
             return out
-        s0s = np.array([[0.0, G0 / x0, x0, 0.0] for _, _, _, G0, x0, _ in live])
+        s0s = np.array([[0.0, G0 / x0, x0, 0.0] for _, _, _, G0, x0, *_ in live])
         flows = _flow(s0s, [row[5] for row in live], [row[2] for row in live])
         still = []
         for row, s0, flow in zip(live, s0s, flows):
-            i, f, mu, G0, x0, Th = row
+            i, f, mu, G0, x0, Th, best, stale = row
             if isinstance(flow, RtbpError):
                 out[i] = flow
                 continue
             sf, phi = flow
             res = np.array([sf[3], sf[0]])  # (y, p_x) at T/2
-            if max(abs(res[0]), abs(res[1])) <= tol:
+            r = max(abs(res[0]), abs(res[1]))
+            if r <= tol:
                 out[i] = PeriodicOrbit(
                     initial_state=RtbpState.from_array(s0),
                     period=2.0 * Th,
@@ -239,35 +359,32 @@ def _shoot(orbits, tol: float) -> list:
                     half_period_stm=phi,
                 )
                 continue
-            ds0_dx0 = np.array([0.0, -G0 / (x0 * x0), 1.0, 0.0])
-            dsf_dx0 = phi @ ds0_dx0
-            dsf_dT = rtbp_derivatives(sf, mu)
-            A = np.array(
-                [
-                    [dsf_dx0[3], dsf_dT[3]],
-                    [dsf_dx0[0], dsf_dT[0]],
-                ]
-            )
-            try:
-                delta = np.linalg.solve(A, -res)
-            except np.linalg.LinAlgError:
-                out[i] = ConvergenceError("singular shooting Jacobian")
+            best, stale = (r, 0) if r < best else (best, stale + 1)
+            if stale == _NEWTON_STALL:
+                out[i] = ConvergenceError(
+                    f"shooting stalled at residual {best:.3g} above tol={tol} for {f} at mu={mu}"
+                )
                 continue
-            if not np.all(np.isfinite(delta)) or abs(delta[0]) > 0.5 * abs(x0):
-                out[i] = ConvergenceError(f"Newton correction diverged for {f} at mu={mu}")
+            delta = _correction(_shooting_matrix(sf, phi, G0, x0, mu), res, x0, f, mu)
+            if isinstance(delta, RtbpError):
+                out[i] = delta
                 continue
-            still.append([i, f, mu, G0, x0 + delta[0], Th + delta[1]])
+            still.append([i, f, mu, G0, x0 + delta[0], Th + delta[1], best, stale])
         live = still
     for i, f, mu, *_ in live:
         out[i] = ConvergenceError(f"shooting did not converge to tol={tol} for {f} at mu={mu}")
     return out
 
 
-def refine_periodic_orbit(f: ResonantFamily, mu: float, tol: float = 1e-10) -> PeriodicOrbit:
-    """Newton shooting for the symmetric p:q resonant orbit at given mu.
+def refine_periodic_orbit(
+    f: ResonantFamily, mu: float, tol: float = CORRECTOR_TOL
+) -> PeriodicOrbit:
+    """Newton shooting for the symmetric p:q resonant orbit at given mu,
+    from the first-order mu-predictor, to max(|y|, |p_x|)(T/2) <= tol.
 
     The one-orbit case of the lockstep corrector: raises the RtbpError
-    that stopped the orbit.
+    that stopped the orbit (a ConvergenceError when the Newton step
+    diverges, the residual stalls above tol, or 25 integrations pass).
     """
     (orbit,) = _shoot([(f, mu)], tol)
     if isinstance(orbit, RtbpError):
@@ -295,7 +412,7 @@ def monodromy(o: PeriodicOrbit) -> MonodromyReport:
 
 
 def verify_families(
-    families, mu_list=DEFAULT_MU_LIST, tol: float = 1e-10
+    families, mu_list=DEFAULT_MU_LIST, tol: float = CORRECTOR_TOL
 ) -> list[ExtrapolationResult]:
     """Monodromy estimate (tr M - 4)/mu at each mu, extrapolated to mu -> 0,
     for each family; one ExtrapolationResult per family, in order.
@@ -303,8 +420,10 @@ def verify_families(
     The multipliers are 1 +/- sqrt(C*mu) + O(mu), so the per-mu estimate
     carries an O(sqrt(mu)) error; a least-squares fit of C + c1*sqrt(mu)
     over the converged mu removes the leading correction.  Every
-    (family, mu) orbit is corrected in one lockstep Newton iteration; a mu
-    whose correction fails is recorded in `errors`, not raised.
+    (family, mu) orbit is corrected to tol in one lockstep Newton iteration,
+    started from one mu = 0 predictor integration per family; a mu whose
+    correction fails (diverges, stalls above tol or runs out of iterations)
+    is recorded in `errors`, not raised.
     """
     mus = tuple(float(m) for m in mu_list)
     orbits = _shoot([(f, mu) for f in families for mu in mus], tol)

@@ -484,6 +484,30 @@ class TestVerify:
         assert entry.read_text() == out.rstrip("\n")
         assert _run(capsys, cached) == (2, out, "")
 
+    @pytest.mark.parametrize("e", [0.97, 0.99])
+    def test_near_collision_families_right_or_flagged(self, capsys, e):
+        # Perihelion 0.014 and 0.0048 from the large primary.  Family 1 is
+        # within 1% of the quadrature; family 2's Newton residual stalls above
+        # the corrector tolerance at every default mu, so it carries a typed
+        # failure instead of an `ok` fit.
+        argv = ["verify", "--p", "1", "--q", "3", "--e", repr(e)]
+        code, out, err = _run(capsys, argv)
+        assert err == ""
+        rec = json.loads(out)
+        fam1, fam2 = rec["outputs"]["families"]
+        assert fam1["status"] == "ok" and fam1["relative_error"] < 0.01
+        assert fam2["status"] == "corrector-divergence" and fam2["extrapolated_C"] is None
+        assert all(
+            p["status"].startswith("corrector-divergence: shooting stalled at residual")
+            for p in fam2["per_mu"]
+        )
+        # The record is `ok` because a family is; family 2 alone exits 2.
+        assert code == 0 and rec["status"] == "ok"
+        if e == 0.97:
+            code, out, _ = _run(capsys, argv + ["--family", "2"])
+            assert code == 2
+            assert json.loads(out)["outputs"]["families"] == [fam2]
+
     def test_empty_mu_list_rejected(self, capsys):
         code, _, _ = _run(
             capsys,
@@ -585,7 +609,7 @@ class TestEntryPoint:
     def test_version_flag(self, capsys):
         code, out, _ = _run(capsys, ["--version"])
         assert code == 0
-        assert out.strip() == "1.5.0"
+        assert out.strip() == "1.6.0"
 
     def test_unknown_command(self, capsys):
         code, _, _ = _run(capsys, ["frobnicate"])

@@ -170,12 +170,13 @@ def test_step_control_edge_cases():
 class TestLockstepCorrector:
     """Every (family, mu) orbit of one request in one Newton iteration."""
 
-    DIVERGING = (canonical_families(1, 5, 0.95)[1], 1e-3)
+    # A row whose Newton correction fails the divergence guard.
+    DIVERGING = (canonical_families(1, 4, 0.9)[0], 1e-3)
 
     def test_failing_rows_leave_the_others_unchanged(self):
         orbits = [(f, mu) for f in canonical_families(1, 3, 0.3) for mu in (1e-4, 3e-5)]
         batch = orbits[:1] + [self.DIVERGING] + orbits[1:] + [(orbits[0][0], 0.1)]
-        got = verifier._shoot(batch, 1e-10)
+        got = verifier._shoot(batch, verifier.CORRECTOR_TOL)
         f, mu = self.DIVERGING
         assert type(got[1]) is ConvergenceError
         assert str(got[1]) == f"Newton correction diverged for {f} at mu={mu}"

@@ -1,9 +1,11 @@
-"""Full-problem verifier tests: vector field and variational block, Newton
-shooting for the symmetric resonant orbits, the half-period monodromy against
+"""Full-problem verifier tests: vector field and variational block, the
+mu-predictor's tangent field, Newton shooting for the symmetric resonant
+orbits and its stopping rules, the half-period monodromy against
 a full-period integration, monodromy structure, and the mu -> 0
 extrapolation of (tr M - 4)/mu against the quadrature."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from rtbp_resonance.errors import CollisionError, ConvergenceError, ValidationEr
 from rtbp_resonance.kepler import RtbpState
 from rtbp_resonance.perturbation import ResonantFamily, canonical_families
 from rtbp_resonance.verifier import (
+    _tangent_rhs,
     _variational_rhs,
     monodromy,
     refine_periodic_orbit,
@@ -103,6 +106,111 @@ class TestFusedVariationalRhs:
             _variational_rhs(z[None], [1e-3])
 
 
+def _away_from_primaries(rng, n):
+    """n random (state, Phi, w) rows whose positions keep 0.2 from (0, 0)
+    and from (1, 0)."""
+    rows = []
+    while len(rows) < n:
+        z = rng.uniform(-1.5, 1.5, 24)
+        if min(math.hypot(z[2], z[3]), math.hypot(z[2] - 1.0, z[3])) > 0.2:
+            rows.append(z)
+    return rows
+
+
+class TestTangentRhs:
+    """(f, J Phi, J w + df/dmu) at mu = 0, the mu-predictor's field."""
+
+    def test_stm_block_is_the_variational_rhs(self):
+        for z in _away_from_primaries(np.random.default_rng(3), 50):
+            got = _tangent_rhs(z[None], [0.0])[0]
+            assert got.shape == (24,)
+            assert np.array_equal(got[:20], _variational_rhs(z[None, :20], [0.0])[0])
+
+    def test_forcing_matches_forward_difference_in_mu(self):
+        # one-sided, second order: mu <= 0 zeroes the second primary's terms
+        h = 1e-6
+        for z in _away_from_primaries(np.random.default_rng(5), 50):
+            s, w = z[:4], z[20:]
+            f0, f1, f2 = (rtbp_derivatives(s, k * h) for k in range(3))
+            want = rtbp_jacobian(s, 0.0) @ w + (4.0 * f1 - f2 - 3.0 * f0) / (2.0 * h)
+            got = _tangent_rhs(z[None], [0.0])[0][20:]
+            # measured 1.4e-9
+            assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
+
+    def test_collision_guard_at_the_second_primary(self):
+        z = np.concatenate([[0.0, 0.0, 1.0 + 5e-9, 0.0], np.eye(4).ravel(), np.zeros(4)])
+        # the mu = 0 field is regular there; its mu derivative is not
+        assert np.all(np.isfinite(_variational_rhs(z[None, :20], [0.0])))
+        with pytest.raises(CollisionError):
+            _tangent_rhs(z[None], [0.0])
+
+
+def _first_residuals(monkeypatch, orbits):
+    """max(|y|, |p_x|)(T/2) of each orbit's first Newton integration."""
+    first = []
+    flow = verifier._flow
+
+    def spy(s0, t_end, mus):
+        flows = flow(s0, t_end, mus)
+        if not first:
+            first.extend(max(abs(sf[3]), abs(sf[0])) for sf, _ in flows)
+        return flows
+
+    monkeypatch.setattr(verifier, "_flow", spy)
+    verifier._shoot(orbits, verifier.CORRECTOR_TOL)
+    monkeypatch.undo()
+    return first
+
+
+def _count_integrations(monkeypatch):
+    """The fields of every verifier.solve_ivp call, by name, with their row counts."""
+    calls = []
+    solve = verifier.solve_ivp
+
+    def spy(fun, t_end, y0, params, tol):
+        calls.append((fun.__name__, len(y0)))
+        return solve(fun, t_end, y0, params, tol)
+
+    monkeypatch.setattr(verifier, "solve_ivp", spy)
+    return calls
+
+
+class TestPredictor:
+    @pytest.mark.parametrize("family", canonical_families(1, 3, 0.3), ids=["n_l=0", "n_l=1"])
+    def test_first_residual_is_second_order_in_mu(self, monkeypatch, family):
+        # measured 1.9e-5 vs 1.9e-7 and 9.3e-6 vs 9.3e-8; the bare seed gives
+        # 1.6e-2 vs 1.6e-3 (first order)
+        r4, r5 = _first_residuals(monkeypatch, [(family, 1e-4), (family, 1e-5)])
+        assert r4 >= 50.0 * r5
+
+    def test_at_most_three_integrations_per_orbit(self, monkeypatch):
+        calls = _count_integrations(monkeypatch)
+        for res in verify_families(canonical_families(1, 3, 0.3)):
+            assert res.errors == (None,) * 4
+        # one mu = 0 row per family; an orbit is in each Newton batch once
+        assert calls[0] == ("_tangent_rhs", 2)
+        assert all(name == "_variational_rhs" for name, _ in calls[1:])
+        assert len(calls) - 1 <= 3
+
+    def test_failed_predictor_starts_from_the_bare_seed(self, monkeypatch):
+        f = ResonantFamily(1, 3, 0.3)
+        starts = []
+        flow = verifier._flow
+
+        def fail(Z, params):
+            raise CollisionError("trajectory reached a primary")
+
+        def spy(s0, t_end, mus):
+            starts.append(s0[0, 2])
+            return flow(s0, t_end, mus)
+
+        monkeypatch.setattr(verifier, "_tangent_rhs", fail)
+        monkeypatch.setattr(verifier, "_flow", spy)
+        o = refine_periodic_orbit(f, MU)
+        assert starts[0] == verifier._seed_state(f).x
+        assert max(o.residual_y, o.residual_px) <= verifier.CORRECTOR_TOL
+
+
 class TestRefinement:
     def test_period_near_unperturbed(self):
         o = refine_periodic_orbit(ResonantFamily(1, 3, 0.3), MU)
@@ -148,6 +256,24 @@ class TestRefinement:
         # a deliberately absurd tolerance cannot be met
         with pytest.raises(ConvergenceError):
             refine_periodic_orbit(ResonantFamily(1, 3, 0.3), MU, tol=1e-16)
+
+    def test_residual_floor_stalls_early(self, monkeypatch):
+        # 1:3 e=0.97 family 2 (perihelion 0.014) closes only to 1.8e-12 ...
+        # 3.9e-10 over the default mu, above the default tol: each orbit stops
+        # three integrations after its best residual, well inside the
+        # 25-integration cap (measured: at most 9)
+        f = canonical_families(1, 3, 0.97)[1]
+        calls = _count_integrations(monkeypatch)
+        (res,) = verify_families([f])
+        assert res.C is None
+        for mu, err in zip(verifier.DEFAULT_MU_LIST, res.errors):
+            assert type(err) is ConvergenceError
+            assert re.fullmatch(
+                rf"shooting stalled at residual \S+ above tol=1e-12 for {re.escape(str(f))} "
+                rf"at mu={mu}",
+                str(err),
+            )
+        assert len([c for c in calls if c[0] == "_variational_rhs"]) <= 10
 
 
 @pytest.fixture(scope="module")
