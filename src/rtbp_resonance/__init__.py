@@ -55,7 +55,7 @@ from .verifier import (
     verify_families,
 )
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "ActionAngle",

@@ -13,10 +13,23 @@ n/2 + 1 times.  The grid is nested: each doubling evaluates the integrands
 only at the new midpoints of that half period and adds them, doubled, to an
 exact running sum, so every level value is the correctly rounded trapezoid
 sum (the value fsum would give over the n node values) and no node value
-is kept.
-Doubling stops when successive values of C1 + C2 agree to tol * max(1, |C1 + C2|),
-absolute for small sums and relative for the large sums of grazing tracks,
-whose roundoff floor can lie above a fixed absolute bound.
+is kept.  Every node is F_c + i*pi/n for an integer i, and the integrands
+are evaluated from i with their phases reduced exactly (track_integrand
+with n given; see perturbation).
+
+With T_n = C1 + C2 on n nodes, d_n = |T_n - T_{n/2}| and
+b = tol * max(1, |T_n|) (absolute for small sums, relative for the large
+sums of grazing tracks, whose roundoff floor can lie above a fixed absolute
+bound), doubling stops at T_n when
+  - d_n^2 < b * d_{n/2}, d_n < d_{n/2}/4 and d_{n/2} < d_{n/4}/4
+    (err_estimate d_n^2 / d_{n/2}), or else when
+  - d_n < b (err_estimate d_n).
+The first rule reads geometric convergence off two contractions in a row
+and predicts the error of T_n from the ratio d_n / d_{n/2}, which saves the
+last doubling, about half of a family's evaluations.  err_estimate is a
+truncation error only, with no roundoff floor: on a close pass the node
+values' roundoff, amplified by the cancellation between their large
+positive and negative parts, can exceed it.
 
 The collision guard takes the track's minimum Delta1 (min_delta1) from a
 uniform sample, half of it for n_l = 0 by the same symmetry, refined by a
@@ -132,10 +145,11 @@ def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
     twice.  Each doubling evaluates the n/2 new midpoints F_c + (2k+1)*pi/n
     and adds twice their sum to one exact integer sum per integrand; the level
     values round those sums once, exactly as fsum over all 2n node values
-    would.  ``nodes`` is the full-period n.  It stops when successive
-    values of C1 + C2 differ by less than tol * max(1, |C1 + C2|): an absolute
-    tolerance below |C1 + C2| = 1, a relative one above it (tol = 0 never
-    stops).
+    would.  ``nodes`` is the full-period n.  It stops by either rule of the
+    module docstring: a predicted error within tol * max(1, |C1 + C2|) after
+    two contractions by more than 4, or successive values of C1 + C2 within
+    it (an absolute tolerance below |C1 + C2| = 1, a relative one above it);
+    tol = 0 never stops.
 
     Raises CollisionError when the track comes within COLLISION_DELTA of the
     small primary, and ConvergenceError if the node cap is hit first; both
@@ -147,31 +161,38 @@ def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
             CollisionError(f"track reaches Delta1 = {md:.3e} <= {COLLISION_DELTA} for {f}"), md
         )
     n = _N_START
-    Fc = f.n_l * math.pi / f.q
+    # The level's nodes F_c + j*2*pi/n, j = 0 ... n/2, are the even indices of
+    # the grid F_c + i*pi/n.
     s1, s2 = (
         2 * _exact_sum(w) - _exact_sum(w[[0, -1]])
-        for w in track_integrand(f, Fc + np.arange(n // 2 + 1) * (2.0 * math.pi / n))
+        for w in track_integrand(f, np.arange(0, n + 1, 2), n)
     )
     c1, c2 = _level(s1, s2, n)
+    d_prev = d_prev2 = math.nan  # d_{n/2} and d_{n/4}; nan fails every comparison
     while True:
         if 2 * n > NODE_CAP:
             raise _with_min_delta1(
                 ConvergenceError(f"quadrature did not reach tol={tol} at {n} nodes"), md
             )
-        # The midpoints are the odd nodes of the 2n-node grid inside
+        # The midpoints are the odd indices of the grid F_c + i*pi/n inside
         # (F_c, F_c + pi), each standing for itself and its mirror image;
         # they are evaluated and summed _CHUNK at a time.
         for k in range(0, n // 2, _CHUNK):
-            mid = Fc + (2 * np.arange(k, min(k + _CHUNK, n // 2)) + 1) * (math.pi / n)
-            w1, w2 = track_integrand(f, mid)
+            w1, w2 = track_integrand(f, 2 * np.arange(k, min(k + _CHUNK, n // 2)) + 1, n)
             s1 += 2 * _exact_sum(w1)
             s2 += 2 * _exact_sum(w2)
         n *= 2
         prev = c1 + c2
         c1, c2 = _level(s1, s2, n)
-        err = abs((c1 + c2) - prev)
-        if err < tol * max(1.0, abs(c1 + c2)):
+        d = abs((c1 + c2) - prev)
+        bound = tol * max(1.0, abs(c1 + c2))
+        if d * d < bound * d_prev and 4.0 * d < d_prev and 4.0 * d_prev < d_prev2:
+            err = d * d / d_prev
             break
+        if d < bound:
+            err = d
+            break
+        d_prev, d_prev2 = d, d_prev
     scale = -6.0 * math.pi * f.p**2
     return CoefficientResult(
         C=scale * (c1 + c2),

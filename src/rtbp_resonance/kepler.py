@@ -131,8 +131,14 @@ def true_anomaly(E, e, sinE=None, cosE=None):
         raise ValidationError(f"eccentricity must be in [0, 1), got {e}")
     if sinE is None:
         sinE, cosE = np.sin(E), np.cos(E)
+    return E + anomaly_offset(e, sinE, cosE)
+
+
+def anomaly_offset(e, sinE, cosE):
+    """nu - E = 2*arctan(beta*sin(E) / (1 - beta*cos(E))), beta = e / (1 + sqrt(1 - e^2)),
+    from sin(E) and cos(E): bounded, and 2*pi-periodic in E."""
     beta = e / (1.0 + math.sqrt(1.0 - e * e))
-    return E + 2.0 * np.arctan(beta * sinE / (1.0 - beta * cosE))
+    return 2.0 * np.arctan(beta * sinE / (1.0 - beta * cosE))
 
 
 def delaunay_to_polar(s: DelaunayState) -> PolarState:

@@ -11,6 +11,17 @@ a sum of two non-negative terms: the definition's form cancels on grazing
 tracks (r ~ 1, theta ~ 0), and Delta1^-5 in the integrand amplifies that loss.
 The integrand kernel takes sin(theta/2) and cos(theta/2) once per node and
 derives sin(theta) and cos(theta) from them.
+
+On the quadrature grid F = F_c + i*pi/n (F_c = n_l*pi/q, n a power of two)
+every phase is an integer multiple of pi/n plus a bounded term:
+    E = n_l*pi + q*i*pi/n,
+    theta/2 = (n_l + n_g)*pi/2 + k*i*pi/(2n) + (w +- (p/q)*e*sin(E))/2,
+with w = nu - E, k = q - p and + for direct orbits, k = q + p and - for
+retrograde ones.  The integer parts are reduced exactly in int64 (mod 2n and
+4n, by a mask), so the angles passed to sin and cos lie in [0, 2*pi) plus
+O(1) and carry roundoff of a few ulps of 2*pi.  The float phases E = q*F and
+theta, up to (p + q)*pi, carry roundoff proportional to p + q instead, which
+Delta1^-5 amplifies on a close pass.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollisionError, ValidationError
-from .kepler import DelaunayState, true_anomaly
+from .kepler import DelaunayState, anomaly_offset, true_anomaly
 
 
 @dataclass(frozen=True)
@@ -128,10 +139,33 @@ def track_arrays(f: ResonantFamily, F):
     return r, theta, t, delta1(r, theta)
 
 
-def track_integrand(f: ResonantFamily, F):
-    """The two quadrature integrands along the track: ((r/Delta1)_tt, cos(theta)/r)."""
-    r, theta, _ = _track(f, F)
-    half = 0.5 * theta
+def _grid_track(f: ResonantFamily, i, n: int):
+    """(r, theta/2) at the grid nodes F_c + i*pi/n from int64 indices i, the
+    integer phases reduced exactly (see the module docstring)."""
+    i = np.asarray(i, dtype=np.int64)
+    E = ((f.n_l * n + f.q * i) & (2 * n - 1)) * (math.pi / n)
+    sinE = np.sin(E)
+    cosE = np.cos(E)
+    k, sign = (f.q + f.p, -1.0) if f.retrograde else (f.q - f.p, 1.0)
+    bounded = anomaly_offset(f.e, sinE, cosE) + sign * (f.p / f.q) * f.e * sinE
+    j = ((f.n_l + f.n_g) * n + k * i) & (4 * n - 1)
+    return f.semimajor_axis * (1.0 - f.e * cosE), j * (0.5 * math.pi / n) + 0.5 * bounded
+
+
+def track_integrand(f: ResonantFamily, F, n: int | None = None):
+    """The two quadrature integrands along the track: ((r/Delta1)_tt, cos(theta)/r).
+
+    F holds the nodes: values of F, or, when the power of two n is given,
+    integer indices i of the grid nodes F_c + i*pi/n (F_c = n_l*pi/q), whose
+    phases are then reduced exactly.
+    """
+    if n is None:
+        r, theta, _ = _track(f, F)
+        half = 0.5 * theta
+    elif n < 1 or n & (n - 1):
+        raise ValidationError(f"grid index base n must be a power of two, got {n}")
+    else:
+        r, half = _grid_track(f, F, n)
     sh = np.sin(half)
     d2 = _delta1_sq(r, sh)
     if np.any(d2 <= 0.0):

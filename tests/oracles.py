@@ -4,6 +4,10 @@ None of these is run by a CLI command; each is an independent or unfused
 route to a quantity the package computes another way:
 
 - `trapezoid_pair`: the plain (non-nested) trapezoid values of (C1, C2).
+- `trapezoid_pair_longdouble`: the same trapezoid values from the float
+  track formulas (E = q*F, theta unreduced) evaluated in numpy's long double
+  (80-bit extended on x86), whose phase roundoff lies far below the float
+  kernel's.
 - `min_delta1_brent`: the minimum of Delta1 from the full 4096-point sample
   and scipy's bounded Brent search (the package's former `min_delta1`).
 - `compute_C_via_omega_ll`, `compute_C_via_omega_gg`: C from time integrals
@@ -52,6 +56,8 @@ TWO_PI = 2.0 * math.pi
 _ORACLE_NODES = 2048
 _ORACLE_STEP = 2e-2
 _KEPLER_NEWTON_STEPS = 12
+# Nodes per long double evaluation: bounds the oracle's memory.
+_LONGDOUBLE_CHUNK = 2**16
 
 
 def trapezoid_pair(f: ResonantFamily, n: int, shift: float = 0.0):
@@ -59,6 +65,32 @@ def trapezoid_pair(f: ResonantFamily, n: int, shift: float = 0.0):
     shift + j*2*pi/n, j = 0 ... n-1."""
     F = shift + np.arange(n) * (2.0 * math.pi / n)
     return _level(*map(_exact_sum, track_integrand(f, F)), n)
+
+
+def trapezoid_pair_longdouble(f: ResonantFamily, n: int):
+    """(C1, C2) of the n-node grid F_c + j*2*pi/n, F_c = n_l*pi/q, summed in
+    long double from the float track formulas of `track_arrays` with the
+    family's float e and semimajor axis as inputs, rounded to float at the end."""
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    e, a, ratio = ld(f.e), ld(f.semimajor_axis), ld(f.p) / ld(f.q)
+    beta = e / (1 + np.sqrt(1 - e * e))
+    sums = [ld(0), ld(0)]
+    for start in range(0, n, _LONGDOUBLE_CHUNK):
+        j = np.arange(start, min(start + _LONGDOUBLE_CHUNK, n)).astype(ld)
+        F = f.n_l * pi / f.q + j * (2 * pi / n)
+        E = f.q * F
+        sinE, cosE = np.sin(E), np.cos(E)
+        t = (E - e * sinE - f.n_l * pi) * ratio
+        if f.retrograde:
+            t = -t
+        theta = E + 2 * np.arctan(beta * sinE / (1 - beta * cosE)) + f.n_g * pi - t
+        r = a * (1 - e * cosE)
+        half = theta / 2
+        sh = np.sin(half)
+        for k, w in enumerate(_integrand_parts(r, sh, np.cos(half), _delta1_sq(r, sh))):
+            sums[k] += np.sum(w)
+    return tuple(float(s * (2 * pi / n)) for s in sums)
 
 
 def min_delta1_brent(f: ResonantFamily) -> float:

@@ -408,8 +408,12 @@ class TestVerify:
         argv = ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--family", "1",
                 "--mu-list", "1e-4,3e-5", "--cache-dir", str(cache)]
         monkeypatch.setattr(cli, "__version__", "1.0.0")
-        _run(capsys, argv)
-        monkeypatch.undo()
+        try:
+            _run(capsys, argv)
+        finally:
+            monkeypatch.undo()
+            # the parser is built once per process and keeps the version it read
+            cli._parser.cache_clear()
         _, out, _ = _run(capsys, argv)
         assert len(list(cache.glob("*.json"))) == 2
         assert json.loads(out)["version"] == cli.__version__
@@ -458,28 +462,28 @@ class TestVerify:
         assert all(p["status"] == "ok" and p["C_estimate"] is not None for p in fam["per_mu"])
 
     def test_quadrature_failure_keeps_the_fits(self, capsys, tmp_path):
-        # Family 1's grazing track runs to the quadrature's node cap; both
-        # Newton fits converge, and family 2's quadrature does too.
-        argv = ["verify", "--p", "5", "--q", "7", "--e", "0.25", "--direction", "retrograde",
-                "--mu-list", "1e-4,3e-5"]
+        # Family 2's grazing track runs to the quadrature's node cap; both
+        # Newton fits converge, and family 1's quadrature does too.
+        argv = ["verify", "--p", "10", "--q", "9", "--e", "0.07798046698579171",
+                "--direction", "retrograde", "--mu-list", "1e-4,3e-5"]
         code, out, err = _run(capsys, argv)
         assert code == 0 and err == ""
         rec = json.loads(out)
         assert rec["status"] == "ok"
         fam1, fam2 = rec["outputs"]["families"]
-        assert fam1["status"] == "no-convergence"
-        assert fam1["C_quadrature"] is None and fam1["relative_error"] is None
-        assert fam1["extrapolated_C"] is not None and fam1["fit_residual"] is not None
-        assert all(p["status"] == "ok" for p in fam1["per_mu"])
-        assert fam2["status"] == "ok" and fam2["C_quadrature"] is not None
+        assert fam2["status"] == "no-convergence"
+        assert fam2["C_quadrature"] is None and fam2["relative_error"] is None
+        assert fam2["extrapolated_C"] is not None and fam2["fit_residual"] is not None
+        assert all(p["status"] == "ok" for p in fam2["per_mu"])
+        assert fam1["status"] == "ok" and fam1["C_quadrature"] is not None
 
         # Alone, the family makes a no-convergence record, cached and exiting 2.
-        cached = argv + ["--family", "1", "--cache-dir", str(tmp_path)]
+        cached = argv + ["--family", "2", "--cache-dir", str(tmp_path)]
         code, out, err = _run(capsys, cached)
         assert code == 2 and err == ""
         rec = json.loads(out)
         assert rec["status"] == "no-convergence"
-        assert rec["outputs"]["families"] == [fam1]
+        assert rec["outputs"]["families"] == [fam2]
         (entry,) = tmp_path.glob("*.json")
         assert entry.read_text() == out.rstrip("\n")
         assert _run(capsys, cached) == (2, out, "")
@@ -609,7 +613,7 @@ class TestEntryPoint:
     def test_version_flag(self, capsys):
         code, out, _ = _run(capsys, ["--version"])
         assert code == 0
-        assert out.strip() == "1.6.0"
+        assert out.strip() == "1.7.0"
 
     def test_unknown_command(self, capsys):
         code, _, _ = _run(capsys, ["frobnicate"])

@@ -15,6 +15,7 @@ from oracles import (
     compute_C_via_omega_ll,
     min_delta1_brent,
     trapezoid_pair,
+    trapezoid_pair_longdouble,
 )
 from rtbp_resonance import coefficient
 from rtbp_resonance.coefficient import compute_C, min_delta1, sweep_e
@@ -82,13 +83,33 @@ class TestComputeC:
         ref = -6.0 * math.pi * sum(trapezoid_pair(f, 2**15))
         assert compute_C(f).C == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 2.0**-60, reason="long double is not extended precision"
+    )
+    def test_grazing_track_within_tol_of_extended_precision(self):
+        # 6:7 retrograde family 2 passes at Delta1 = 7.4e-3, where the float
+        # phases' roundoff put C 1.1e-9 off on C1 + C2 (|C1 + C2| = 0.084,
+        # so tol is absolute); the long double sums at 2^17 and 2^18 nodes
+        # agree to 2e-12 on C.
+        f = canonical_families(6, 7, 0.1, "retrograde")[1]
+        tol = 1e-10
+        ref = -6.0 * math.pi * 36 * sum(trapezoid_pair_longdouble(f, 2**17))
+        assert abs(compute_C(f, tol).C - ref) <= 6.0 * math.pi * 36 * tol
+
+    def test_early_stop_needs_two_contractions(self):
+        # 7:15 retrograde family 2 has C1 + C2 ~ 1e-19 (long double sums);
+        # with only the last contraction ratio checked, the predicted-error
+        # rule stops it at 256 nodes at C1 + C2 = 0.24, 2e9 times tol off.
+        f = canonical_families(7, 15, 0.11, "retrograde")[1]
+        assert compute_C(f).nodes > 256
+
     def test_each_node_evaluated_once(self, monkeypatch):
         points = []
         integrand = coefficient.track_integrand
 
-        def counted(f, F):
-            points.append(np.size(F))
-            return integrand(f, F)
+        def counted(f, i, n):
+            points.append(np.size(i))
+            return integrand(f, i, n)
 
         monkeypatch.setattr(coefficient, "track_integrand", counted)
         res = compute_C(ResonantFamily(2, 7, 0.4))
@@ -153,31 +174,44 @@ class TestComputeC:
         ids=["2:7 direct", "1:2 retrograde", "1:2 family 2 grazing"],
     )
     def test_running_sum_matches_fsum_grid(self, family, monkeypatch):
-        # Replay the last two levels with fsum over the node values so far in
-        # F order, weighted 1, 2, ..., 2, 1 over the half period, on the
-        # integrand values compute_C itself receives.
+        # Replay every level with fsum over the node values so far in F
+        # order, weighted 1, 2, ..., 2, 1 over the half period, on the
+        # integrand values compute_C itself receives, and replay the
+        # stopping rule on the level values.
         calls = []
         integrand = coefficient.track_integrand
 
-        def recorded(f, F):
-            calls.append((F, *integrand(f, F)))
+        def recorded(f, i, n):
+            # node F_c + i*pi/n sits at u*pi past F_c; i/n is exact
+            calls.append((i / n, *integrand(f, i, n)))
             return calls[-1][1:]
 
         monkeypatch.setattr(coefficient, "track_integrand", recorded)
-        res = compute_C(family)
-        F, v1, v2 = (np.concatenate(x) for x in zip(*calls))
-        assert F.size == res.nodes // 2 + 1
-        levels = []
-        for n in (res.nodes // 2, res.nodes):
-            order = np.argsort(F[: n // 2 + 1])
-            assert np.allclose(np.diff(F[order]), 2.0 * math.pi / n, rtol=1e-9)
+        tol = 1e-10
+        res = compute_C(family, tol)
+        u, v1, v2 = (np.concatenate(x) for x in zip(*calls))
+        assert u.size == res.nodes // 2 + 1
+        levels, n = [], coefficient._N_START
+        while n <= res.nodes:
+            order = np.argsort(u[: n // 2 + 1])
+            assert np.all(np.diff(u[order]) == 2.0 / n)
             weights = np.full(order.size, 2.0)
             weights[[0, -1]] = 1.0
             h = 2.0 * math.pi / n
             levels.append(tuple(h * math.fsum(weights * v[order]) for v in (v1, v2)))
-        (p1, p2), (c1, c2) = levels
-        assert (res.C1, res.C2) == (c1, c2)
-        assert res.err_estimate == abs((c1 + c2) - (p1 + p2))
+            n *= 2
+        assert (res.C1, res.C2) == levels[-1]
+        t = [c1 + c2 for c1, c2 in levels]
+        d = [math.nan] + [abs(b - a) for a, b in zip(t, t[1:])]  # d[k] = |t[k] - t[k-1]|
+        stops = []  # err_estimate if compute_C stops at level k >= 1, else None
+        for k in range(1, len(t)):
+            bound = tol * max(1.0, abs(t[k]))
+            early = k >= 3 and (
+                d[k] ** 2 < bound * d[k - 1] and d[k] < d[k - 1] / 4 and d[k - 1] < d[k - 2] / 4
+            )
+            stops.append(d[k] ** 2 / d[k - 1] if early else d[k] if d[k] < bound else None)
+        assert stops[:-1] == [None] * (len(stops) - 1)
+        assert res.err_estimate == stops[-1]
 
 
 _SUMMAND = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_subnormal=True)

@@ -175,6 +175,28 @@ class TestTrack:
                 for a, b in zip(track_integrand(f, Fc + u), track_integrand(f, Fc - u)):
                     assert np.max(np.abs(a - b)) <= scale * np.max(np.abs(a)), f
 
+    @pytest.mark.parametrize("e", [0.05, 0.4, 0.8])
+    def test_grid_kernel_matches_float_kernel(self, e):
+        # The integer-phase kernel on the nodes F_c + i*pi/n against the float
+        # kernel at the same F over one period.  The difference is the float
+        # phases' roundoff (up to (p + q)*pi), amplified on close passes.
+        n = 1024
+        i = np.arange(2 * n)
+        for p, q in _COPRIME:
+            if max(p, q) > 11:
+                continue
+            for direction in ("direct", "retrograde"):
+                for f in canonical_families(p, q, e, direction):
+                    F = f.n_l * math.pi / q + i * (math.pi / n)
+                    for a, b in zip(track_integrand(f, F), track_integrand(f, i, n)):
+                        assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(a)), f
+
+    @pytest.mark.parametrize("n", [0, 3, 96])
+    def test_grid_kernel_needs_power_of_two(self, n):
+        # the phases are reduced by a mask, which is a modulus only for 2^k
+        with pytest.raises(ValidationError):
+            track_integrand(ResonantFamily(1, 3, 0.3), np.arange(4), n)
+
     def test_theta_continuous(self):
         f = ResonantFamily(2, 7, 0.4)
         F = np.linspace(0.0, 2.0 * math.pi, 4001)
