@@ -11,6 +11,7 @@ from .coefficient import (
     CoefficientResult,
     SweepRow,
     compute_C,
+    compute_Cs,
     sweep_e,
 )
 from .errors import (
@@ -81,6 +82,7 @@ __all__ = [
     "cartesian_to_delaunay",
     "cartesian_to_polar_rotating",
     "compute_C",
+    "compute_Cs",
     "delaunay_to_cartesian",
     "delaunay_to_polar",
     "integrate_k_flow",

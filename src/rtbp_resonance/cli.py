@@ -28,7 +28,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .coefficient import SweepRow, _compute_C_status, compute_C, sweep_e
+from .coefficient import SweepRow, compute_Cs, quadrature_status, sweep_e
 from .errors import RtbpError, ValidationError
 from .levi_civita import regularization_checks
 from .perturbation import ResonantFamily, canonical_families
@@ -219,8 +219,9 @@ def cmd_coeff(args) -> int:
     t0 = time.perf_counter()
     families = canonical_families(args.p, args.q, args.e, args.direction)
     outputs = {"families": []}
-    for f in families:
-        res = compute_C(f, args.tol)
+    for f, res in zip(families, compute_Cs(families, args.tol)):
+        if isinstance(res, Exception):
+            raise res
         lead = leading_coefficient(f)
         outputs["families"].append(
             {
@@ -272,9 +273,13 @@ def cmd_sweep(args) -> int:
     # At most one worker per core: a pool forks all of its workers at once.
     cores = os.cpu_count() or 1
     jobs = min(args.jobs, cores) if args.jobs > 0 else cores
-    if grid and jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, 2 * len(grid))) as pool:
-            rows = sweep_e(args.p, args.q, args.direction, grid, args.tol, map_fn=pool.map)
+    # One contiguous block of the grid per worker.
+    workers = min(jobs, len(grid))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = sweep_e(
+                args.p, args.q, args.direction, grid, args.tol, map_fn=pool.map, blocks=workers
+            )
     else:
         rows = sweep_e(args.p, args.q, args.direction, grid, args.tol)
 
@@ -338,7 +343,7 @@ def _cache_store(path: str, text: str):
         raise
 
 
-def _verify_entry(f: ResonantFamily, res, quad_tol) -> dict:
+def _verify_entry(f: ResonantFamily, res, quad) -> dict:
     per_mu = [
         {
             "mu": mu,
@@ -356,14 +361,14 @@ def _verify_entry(f: ResonantFamily, res, quad_tol) -> dict:
         return entry
     # A quadrature that collides or hits its node cap keeps the fit and
     # takes the family's status, as in `sweep`.
-    quad, _, status = _compute_C_status(f, quad_tol)
-    C_quad = None if quad is None else quad.C
+    status = quadrature_status(quad)
+    C_quad = quad.C if status == "ok" else None
     entry.update(
         {
             "extrapolated_C": res.C,
             "fit_residual": res.fit_residual,
             "C_quadrature": C_quad,
-            "relative_error": None if quad is None else abs(res.C - C_quad) / abs(C_quad),
+            "relative_error": None if C_quad is None else abs(res.C - C_quad) / abs(C_quad),
             "status": status,
         }
     )
@@ -400,8 +405,11 @@ def cmd_verify(args) -> int:
             return 0 if record.get("status") == "ok" else 2
 
     results = verify_families(selected, mu_list, args.corrector_tol)
+    # The quadrature reference, in one lockstep, of every family with a fit.
+    fitted = [f for f, res in zip(selected, results) if res.C is not None]
+    quads = dict(zip(fitted, compute_Cs(fitted, args.tol)))
     outputs = {"families": [
-        _verify_entry(f, res, args.tol) for f, res in zip(selected, results)
+        _verify_entry(f, res, quads.get(f)) for f, res in zip(selected, results)
     ]}
     statuses = {e["status"] for e in outputs["families"]}
     status = next(s for s in _VERIFY_STATUS_ORDER if s in statuses)

@@ -17,6 +17,18 @@ is kept.  Every node is F_c + i*pi/n for an integer i, and the integrands
 are evaluated from i with their phases reduced exactly (track_integrand
 with n given; see perturbation).
 
+compute_Cs runs a batch of families in lockstep: all start at _N_START
+nodes and double together, each leaving on its own stopping rule, node cap
+or collision, so each result is the one compute_C (the one-family case)
+gives alone.  A level evaluates the integrands of every family still in the
+batch in one call per _CHUNK nodes (the bound is on families times indices
+per call, so memory does not grow with the batch), with the indices shared
+as one broadcast row: sin E and cos E are then taken once per distinct
+(n_l, q), e.g. one or two rows for the 34 families of a sweep over 17 e.
+The call's values go through one exact-sum pass (_exact_sums), which bins
+every (family, integrand) value by exponent at once and folds the bins into
+a few floats per family and integrand before the Python integer sum.
+
 With T_n = C1 + C2 on n nodes, d_n = |T_n - T_{n/2}| and
 b = tol * max(1, |T_n|) (absolute for small sums, relative for the large
 sums of grazing tracks, whose roundoff floor can lie above a fixed absolute
@@ -47,17 +59,24 @@ from .errors import CollisionError, ConvergenceError
 from .perturbation import ResonantFamily, canonical_families, track_arrays, track_integrand
 
 COLLISION_DELTA = 1e-6
-# A level evaluates at most NODE_CAP / 4 new nodes, far below the 2**26 values
-# per call up to which _exact_sum is exact.
+# A level evaluates at most NODE_CAP / 4 new nodes per family, summed in rows
+# of at most _CHUNK values: within the 2**13 a row (_ROW) up to which
+# _exact_sums' folds of 13 exponent bins are exact.
 NODE_CAP = 2**20
 _N_START = 64
-# Midpoints per integrand call: bounds a level's memory.  The exact sums are
+# Nodes per integrand call across a compute_Cs batch (families times
+# indices): bounds a level's memory.  At most _ROW.  The exact sums are
 # additive, so the result does not depend on it.
 _CHUNK = 2**13
 # frexp exponents of finite doubles lie in [-1073, 1024]; _EXP_OFFSET makes
-# them bincount bins, and an exact sum counts units of 1 / _UNIT.
+# them bit offsets, and an exact sum counts units of 1 / _UNIT.  _exact_sums
+# folds _FOLD adjacent exponent bins into one float, exact for rows of at
+# most _ROW values.
 _EXP_OFFSET = 1073
 _UNIT = 2 ** (_EXP_OFFSET + 53)
+_FOLD = 13
+_ROW = 2**13
+_FOLD_WEIGHTS = 2.0 ** np.arange(_FOLD)
 # min_delta1: grid samples per period, and the refinement's evaluation
 # budget, least predicted relative drop of Delta1^2 and shortest step in F.
 _SAMPLES = 4096
@@ -136,6 +155,87 @@ def _refine_min(d, x, v) -> float:
     return db
 
 
+@dataclass
+class _Track:
+    """One family's state in compute_Cs: its exact node sums (units of
+    1 / _UNIT), level values and last two level differences."""
+
+    index: int
+    family: ResonantFamily
+    md: float
+    s1: int = 0
+    s2: int = 0
+    c1: float = math.nan
+    c2: float = math.nan
+    d_prev: float = math.nan  # d_{n/2}; nan fails every comparison
+    d_prev2: float = math.nan  # d_{n/4}
+
+
+def compute_Cs(families, tol: float = 1e-10) -> list:
+    """compute_C(f, tol) for each of the families, in lockstep.
+
+    Every family starts at _N_START nodes and all double together: a level
+    costs one integrand call and one exact-sum pass per chunk of at most
+    _CHUNK nodes for the whole batch.  Each family leaves on its own stopping
+    rule, at the node cap or at the collision guard.  The list holds, in the
+    order of families, each one's CoefficientResult or the CollisionError or
+    ConvergenceError compute_C would raise, whatever else is in the batch.
+    """
+    out = [None] * len(families)
+    live = []
+    for k, f in enumerate(families):
+        md = min_delta1(f)
+        if md <= COLLISION_DELTA:
+            out[k] = _with_min_delta1(
+                CollisionError(f"track reaches Delta1 = {md:.3e} <= {COLLISION_DELTA} for {f}"), md
+            )
+        else:
+            live.append(_Track(k, f, md))
+    n = _N_START
+    # The first level's nodes F_c + j*2*pi/n, j = 0 ... n/2, are the even
+    # grid indices 0 ... n; the two ends count once, the others twice.
+    doubled = np.ones(n // 2 + 1, dtype=np.int64)
+    doubled[[0, -1]] = 0
+    _add_node_sums(live, n, 0, doubled)
+    for t in live:
+        t.c1, t.c2 = _level(t.s1, t.s2, n)
+    while live:
+        if 2 * n > NODE_CAP:
+            for t in live:
+                out[t.index] = _with_min_delta1(
+                    ConvergenceError(f"quadrature did not reach tol={tol} at {n} nodes"), t.md
+                )
+            break
+        # The midpoints are the odd grid indices inside (F_c, F_c + pi), each
+        # standing for itself and its mirror image.
+        _add_node_sums(live, n, 1, np.broadcast_to(1, n // 2))
+        n *= 2
+        going = []
+        for t in live:
+            prev = t.c1 + t.c2
+            t.c1, t.c2 = _level(t.s1, t.s2, n)
+            d = abs((t.c1 + t.c2) - prev)
+            bound = tol * max(1.0, abs(t.c1 + t.c2))
+            if d * d < bound * t.d_prev and 4.0 * d < t.d_prev and 4.0 * t.d_prev < t.d_prev2:
+                err = d * d / t.d_prev
+            elif d < bound:
+                err = d
+            else:
+                t.d_prev, t.d_prev2 = d, t.d_prev
+                going.append(t)
+                continue
+            out[t.index] = CoefficientResult(
+                C=-6.0 * math.pi * t.family.p**2 * (t.c1 + t.c2),
+                C1=t.c1,
+                C2=t.c2,
+                nodes=n,
+                err_estimate=err,
+                min_delta1=t.md,
+            )
+        live = going
+    return out
+
+
 def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
     """Evaluate C(e,p,q) for one family by spectral trapezoid quadrature.
 
@@ -149,84 +249,92 @@ def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
     module docstring: a predicted error within tol * max(1, |C1 + C2|) after
     two contractions by more than 4, or successive values of C1 + C2 within
     it (an absolute tolerance below |C1 + C2| = 1, a relative one above it);
-    tol = 0 never stops.
+    tol = 0 never stops.  This is the one-family case of compute_Cs.
 
     Raises CollisionError when the track comes within COLLISION_DELTA of the
     small primary, and ConvergenceError if the node cap is hit first; both
     carry the track's minimum Delta1 as their ``min_delta1`` attribute.
     """
-    md = min_delta1(f)
-    if md <= COLLISION_DELTA:
-        raise _with_min_delta1(
-            CollisionError(f"track reaches Delta1 = {md:.3e} <= {COLLISION_DELTA} for {f}"), md
-        )
-    n = _N_START
-    # The level's nodes F_c + j*2*pi/n, j = 0 ... n/2, are the even indices of
-    # the grid F_c + i*pi/n.
-    s1, s2 = (
-        2 * _exact_sum(w) - _exact_sum(w[[0, -1]])
-        for w in track_integrand(f, np.arange(0, n + 1, 2), n)
-    )
-    c1, c2 = _level(s1, s2, n)
-    d_prev = d_prev2 = math.nan  # d_{n/2} and d_{n/4}; nan fails every comparison
-    while True:
-        if 2 * n > NODE_CAP:
-            raise _with_min_delta1(
-                ConvergenceError(f"quadrature did not reach tol={tol} at {n} nodes"), md
-            )
-        # The midpoints are the odd indices of the grid F_c + i*pi/n inside
-        # (F_c, F_c + pi), each standing for itself and its mirror image;
-        # they are evaluated and summed _CHUNK at a time.
-        for k in range(0, n // 2, _CHUNK):
-            w1, w2 = track_integrand(f, 2 * np.arange(k, min(k + _CHUNK, n // 2)) + 1, n)
-            s1 += 2 * _exact_sum(w1)
-            s2 += 2 * _exact_sum(w2)
-        n *= 2
-        prev = c1 + c2
-        c1, c2 = _level(s1, s2, n)
-        d = abs((c1 + c2) - prev)
-        bound = tol * max(1.0, abs(c1 + c2))
-        if d * d < bound * d_prev and 4.0 * d < d_prev and 4.0 * d_prev < d_prev2:
-            err = d * d / d_prev
-            break
-        if d < bound:
-            err = d
-            break
-        d_prev, d_prev2 = d, d_prev
-    scale = -6.0 * math.pi * f.p**2
-    return CoefficientResult(
-        C=scale * (c1 + c2),
-        C1=c1,
-        C2=c2,
-        nodes=n,
-        err_estimate=err,
-        min_delta1=md,
-    )
+    (res,) = compute_Cs([f], tol)
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
-def _exact_sum(v) -> int:
-    """Exact sum of the finite doubles v, as an integer number of 1 / _UNIT.
+def _add_node_sums(tracks, n: int, first: int, shift):
+    """Add to each track's s1 and s2 the exact sums of its two integrands at
+    the grid indices first, first + 2, ..., one per entry of shift, each value
+    times 2**shift.
 
-    With frexp's exponent e, each value is (hi + lo) * 2**(e - 26), hi an
-    integer with |hi| <= 2**26 and lo a multiple of 2**-27 in [0, 1); both
-    splits are exact.  hi and lo are summed per exponent by bincount: for
-    fewer than 2**26 values every partial sum is below 2**53 on its grid, so
-    the bins are exact in any order of addition.  Bin b = e + _EXP_OFFSET
-    holds (hi * 2**27 + lo * 2**27) << b units, and the bins fold into one
-    Python integer.
+    The integrands are evaluated for the whole batch at once, on at most
+    _CHUNK nodes per call: all tracks share the indices, passed as one
+    broadcast row per family.
     """
+    for a in range(0, len(tracks), _CHUNK):
+        block = tracks[a : a + _CHUNK]
+        fams = [t.family for t in block]
+        step = _CHUNK // len(block)
+        for b in range(0, shift.size, step):
+            i = first + 2 * np.arange(b, min(b + step, shift.size))
+            w1, w2 = track_integrand(fams, np.broadcast_to(i, (len(block), i.size)), n)
+            sums = _exact_sums(np.concatenate((w1, w2)), shift[b : b + step])
+            for t, s1, s2 in zip(block, sums, sums[len(block) :]):
+                t.s1 += s1
+                t.s2 += s2
+
+
+def _exact_sums(v, shift=0) -> list:
+    """Exact sums of the rows of v, finite doubles with at most _ROW values a
+    row, each value times 2**shift (shift broadcasts along a row), as integer
+    numbers of 1 / _UNIT.
+
+    With frexp's exponent e, each value is (hi * 2**27 + lo) * 2**(e - 53),
+    hi an integer with |hi| <= 2**26 and lo an integer in [0, 2**27); both
+    splits are exact.  Two bincounts over all rows at once put lo in bin e
+    and hi in bin e + 27 of its row, the bins cut to the exponent span of the
+    call.
+    Then _FOLD adjacent bins fold into one float, bin t of a fold weighted
+    2**t.  A value adds to a fold at most once (its two bins are 27 apart),
+    less than 2**27 * 2**(_FOLD - 1) = 2**39 in size, so N <= _ROW = 2**13
+    values keep every partial sum of a fold below 2**52: the bins and folds
+    are exact in any order of addition.  The few folds of a row then add up
+    as Python integers, each shifted by its lowest bin.
+    """
+    rows = v.shape[0]
+    if not v.size:
+        return [0] * rows
     m, e = np.frexp(v)
-    e += _EXP_OFFSET
+    e += shift
     m *= 2.0**26
     hi = np.floor(m)
     m -= hi
-    his = np.bincount(e, weights=hi)
-    los = np.bincount(e, weights=m)
-    bins = np.flatnonzero((his != 0.0) | (los != 0.0))
-    total = 0
-    for b, h, lo in zip(bins.tolist(), his[bins].tolist(), (los[bins] * 2.0**27).tolist()):
-        total += ((int(h) << 27) + int(lo)) << b
-    return total
+    m *= 2.0**27
+    low = int(e.min())
+    width = -(-(int(e.max()) + 28 - low) // _FOLD) * _FOLD
+    e -= low
+    b = e + (np.arange(rows) * width)[:, None]
+    bins = np.bincount(b.ravel(), m.ravel(), rows * width)
+    b += 27
+    bins += np.bincount(b.ravel(), hi.ravel(), rows * width)
+    folds = (bins.reshape(rows, -1, _FOLD) @ _FOLD_WEIGHTS).astype(np.int64)
+    sums = []
+    for row in folds[:, ::-1].tolist():
+        total = 0
+        for x in row:
+            total = (total << _FOLD) + x
+        sums.append(total << (low + _EXP_OFFSET))
+    return sums
+
+
+def _exact_sum(v) -> int:
+    """Exact sum of the finite doubles v, of any length, as an integer number
+    of 1 / _UNIT: _exact_sums over rows of at most _ROW = 2**13 values, the
+    most for which its folds of _FOLD = 13 exponent bins stay exact."""
+    v = np.ravel(v)
+    rows = max(1, -(-v.size // _ROW))
+    padded = np.zeros((rows, -(-v.size // rows)))  # the zeros add nothing
+    padded.flat[: v.size] = v
+    return sum(_exact_sums(padded))
 
 
 def _level(s1: int, s2: int, n: int):
@@ -255,50 +363,47 @@ class SweepRow:
     status_2: str
 
 
-def _compute_C_status(f: ResonantFamily, tol: float):
-    """(result, min_delta1, status) of compute_C(f, tol).
-
-    A collision or a node cap is returned, not raised: the result is None and
-    the status "collision" or "no-convergence"; otherwise the status is "ok".
-    """
-    try:
-        res = compute_C(f, tol)
-        return res, res.min_delta1, "ok"
-    except CollisionError as exc:
-        return None, exc.min_delta1, "collision"
-    except ConvergenceError as exc:
-        return None, exc.min_delta1, "no-convergence"
+def quadrature_status(res) -> str:
+    """Status of one compute_Cs entry: "collision" or "no-convergence" for
+    its two errors, "ok" for a result."""
+    if isinstance(res, CollisionError):
+        return "collision"
+    if isinstance(res, ConvergenceError):
+        return "no-convergence"
+    return "ok"
 
 
-def _sweep_entry(task):
-    p, q, direction, e, tol, which = task
-    res, md, status = _compute_C_status(canonical_families(p, q, e, direction)[which], tol)
-    return (None if res is None else res.C), md, status
-
-
-def sweep_e(p, q, direction, e_grid, tol: float = 1e-10, map_fn=map):
-    """Evaluate both canonical families over an e grid.
-
-    Rows with collision or convergence failures are flagged in their status
-    columns rather than dropped.  map_fn allows a parallel map (the worker is
-    a picklable top-level function; rows stay in grid order regardless of
-    schedule).
-    """
-    tasks = [(p, q, direction, float(e), tol, which) for e in e_grid for which in (0, 1)]
-    results = list(map_fn(_sweep_entry, tasks))
+def _sweep_block(task):
+    p, q, direction, grid, tol = task
+    results = compute_Cs([f for e in grid for f in canonical_families(p, q, e, direction)], tol)
     rows = []
-    for i, e in enumerate(e_grid):
-        (c1, d1, s1), (c2, d2, s2) = results[2 * i], results[2 * i + 1]
+    for e, r1, r2 in zip(grid, results[::2], results[1::2]):
+        s1, s2 = quadrature_status(r1), quadrature_status(r2)
         rows.append(
             SweepRow(
-                e=float(e),
-                C_family1=c1,
-                C_family2=c2,
-                min_delta1_1=d1,
-                min_delta1_2=d2,
+                e=e,
+                C_family1=r1.C if s1 == "ok" else None,
+                C_family2=r2.C if s2 == "ok" else None,
+                min_delta1_1=r1.min_delta1,
+                min_delta1_2=r2.min_delta1,
                 status_1=s1,
                 status_2=s2,
             )
         )
     return rows
 
+
+def sweep_e(p, q, direction, e_grid, tol: float = 1e-10, map_fn=map, blocks: int = 1):
+    """Evaluate both canonical families over an e grid.
+
+    Rows with collision or convergence failures are flagged in their status
+    columns rather than dropped.  The grid is cut into `blocks` contiguous
+    blocks, each one compute_Cs lockstep, and map_fn maps them, so a parallel
+    map runs one block per worker (the worker is a picklable top-level
+    function; rows stay in grid order, and equal, regardless of schedule).
+    """
+    grid = [float(e) for e in e_grid]
+    blocks = max(1, min(blocks, len(grid)))
+    cuts = [len(grid) * b // blocks for b in range(blocks + 1)]
+    tasks = [(p, q, direction, grid[a:b], tol) for a, b in zip(cuts, cuts[1:])]
+    return [row for rows in map_fn(_sweep_block, tasks) for row in rows]

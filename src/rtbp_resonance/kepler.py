@@ -131,13 +131,18 @@ def true_anomaly(E, e, sinE=None, cosE=None):
         raise ValidationError(f"eccentricity must be in [0, 1), got {e}")
     if sinE is None:
         sinE, cosE = np.sin(E), np.cos(E)
-    return E + anomaly_offset(e, sinE, cosE)
+    return E + anomaly_offset(anomaly_beta(e), sinE, cosE)
 
 
-def anomaly_offset(e, sinE, cosE):
-    """nu - E = 2*arctan(beta*sin(E) / (1 - beta*cos(E))), beta = e / (1 + sqrt(1 - e^2)),
-    from sin(E) and cos(E): bounded, and 2*pi-periodic in E."""
-    beta = e / (1.0 + math.sqrt(1.0 - e * e))
+def anomaly_beta(e):
+    """beta = e / (1 + sqrt(1 - e^2)), the eccentricity term of anomaly_offset."""
+    return e / (1.0 + math.sqrt(1.0 - e * e))
+
+
+def anomaly_offset(beta, sinE, cosE):
+    """nu - E = 2*arctan(beta*sin(E) / (1 - beta*cos(E))) at beta = anomaly_beta(e),
+    from sin(E) and cos(E): bounded, and 2*pi-periodic in E.  beta may be an
+    array that broadcasts against them."""
     return 2.0 * np.arctan(beta * sinE / (1.0 - beta * cosE))
 
 

@@ -21,7 +21,9 @@ retrograde ones.  The integer parts are reduced exactly in int64 (mod 2n and
 4n, by a mask), so the angles passed to sin and cos lie in [0, 2*pi) plus
 O(1) and carry roundoff of a few ulps of 2*pi.  The float phases E = q*F and
 theta, up to (p + q)*pi, carry roundoff proportional to p + q instead, which
-Delta1^-5 amplifies on a close pass.
+Delta1^-5 amplifies on a close pass.  The grid kernel takes a batch of
+families, one row of indices each; E depends only on (n_l, q), so families
+that share both and their index row share sin E and cos E.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollisionError, ValidationError
-from .kepler import DelaunayState, anomaly_offset, true_anomaly
+from .kepler import DelaunayState, anomaly_beta, anomaly_offset, true_anomaly
 
 
 @dataclass(frozen=True)
@@ -139,25 +141,48 @@ def track_arrays(f: ResonantFamily, F):
     return r, theta, t, delta1(r, theta)
 
 
-def _grid_track(f: ResonantFamily, i, n: int):
-    """(r, theta/2) at the grid nodes F_c + i*pi/n from int64 indices i, the
-    integer phases reduced exactly (see the module docstring)."""
+def _col(values):
+    return np.array(values)[:, None]
+
+
+def _grid_track(families, i, n: int):
+    """(r, theta/2) at the grid nodes F_c + i*pi/n of each family, from int64
+    indices i with one row per family, the integer phases reduced exactly
+    (see the module docstring).
+
+    E depends on the family only through (n_l, q).  Index rows broadcast from
+    one shared row (stride 0, as np.broadcast_to makes them) therefore take
+    sin E and cos E once per distinct (n_l, q); other rows once per family.
+    """
     i = np.asarray(i, dtype=np.int64)
-    E = ((f.n_l * n + f.q * i) & (2 * n - 1)) * (math.pi / n)
-    sinE = np.sin(E)
-    cosE = np.cos(E)
-    k, sign = (f.q + f.p, -1.0) if f.retrograde else (f.q - f.p, 1.0)
-    bounded = anomaly_offset(f.e, sinE, cosE) + sign * (f.p / f.q) * f.e * sinE
-    j = ((f.n_l + f.n_g) * n + k * i) & (4 * n - 1)
-    return f.semimajor_axis * (1.0 - f.e * cosE), j * (0.5 * math.pi / n) + 0.5 * bounded
+    keys = [(f.n_l, f.q) for f in families] if i.strides[0] == 0 else range(len(families))
+    rows = {}  # key -> (its row of E, its first family)
+    row = [rows.setdefault(key, (len(rows), k))[0] for k, key in enumerate(keys)]
+    first = [k for _, k in rows.values()]
+    n_l = _col([families[k].n_l for k in first])
+    q = _col([families[k].q for k in first])
+    E = ((n_l * n + q * i[first]) & (2 * n - 1)) * (math.pi / n)
+    sinE, cosE = np.sin(E), np.cos(E)
+    if len(first) < len(row):
+        sinE, cosE = sinE[row], cosE[row]
+    k, sign = zip(*((f.q + f.p, -1.0) if f.retrograde else (f.q - f.p, 1.0) for f in families))
+    e = _col([f.e for f in families])
+    beta = _col([anomaly_beta(f.e) for f in families])
+    ecc = _col([s * (f.p / f.q) * f.e for s, f in zip(sign, families)])
+    bounded = anomaly_offset(beta, sinE, cosE) + ecc * sinE
+    j = (_col([(f.n_l + f.n_g) * n for f in families]) + _col(k) * i) & (4 * n - 1)
+    r = _col([f.semimajor_axis for f in families]) * (1.0 - e * cosE)
+    return r, j * (0.5 * math.pi / n) + 0.5 * bounded
 
 
-def track_integrand(f: ResonantFamily, F, n: int | None = None):
+def track_integrand(f, F, n: int | None = None):
     """The two quadrature integrands along the track: ((r/Delta1)_tt, cos(theta)/r).
 
-    F holds the nodes: values of F, or, when the power of two n is given,
-    integer indices i of the grid nodes F_c + i*pi/n (F_c = n_l*pi/q), whose
-    phases are then reduced exactly.
+    Without n, f is one family and F holds values of F.  With the power of
+    two n, f is a sequence of families and F holds int64 indices i of the
+    grid nodes F_c + i*pi/n (F_c = n_l*pi/q), one row per family, whose
+    phases are then reduced exactly; each integrand then has one row per
+    family.
     """
     if n is None:
         r, theta, _ = _track(f, F)

@@ -4,6 +4,7 @@ and eccentricity sweeps."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from oracles import (
     trapezoid_pair_longdouble,
 )
 from rtbp_resonance import coefficient
-from rtbp_resonance.coefficient import compute_C, min_delta1, sweep_e
+from rtbp_resonance.coefficient import compute_C, compute_Cs, min_delta1, sweep_e
 from rtbp_resonance.errors import CollisionError, ConvergenceError
 from rtbp_resonance.perturbation import (
     ResonantFamily,
@@ -107,9 +108,9 @@ class TestComputeC:
         points = []
         integrand = coefficient.track_integrand
 
-        def counted(f, i, n):
+        def counted(families, i, n):
             points.append(np.size(i))
-            return integrand(f, i, n)
+            return integrand(families, i, n)
 
         monkeypatch.setattr(coefficient, "track_integrand", counted)
         res = compute_C(ResonantFamily(2, 7, 0.4))
@@ -118,12 +119,19 @@ class TestComputeC:
 
     def test_chunked_levels_are_bit_identical(self, monkeypatch):
         # A grazing family that converges at 131,072 nodes: summed 64
-        # midpoints at a time, every field is the same as in full chunks.
+        # midpoints at a time, every field is the same as in full chunks,
+        # alone and in a 2-family batch (32 midpoints a family per call).
+        # Three families in calls of 2 nodes take blocks of 2 families.
         f = canonical_families(5, 7, 0.55, "retrograde")[0]
-        res = compute_C(f)
+        pair = [f, f.sibling()]
+        smooth = [ResonantFamily(1, 3, 0.3), ResonantFamily(2, 7, 0.4), ResonantFamily(3, 1, 0.2)]
+        res, batch, small = compute_C(f), compute_Cs(pair), compute_Cs(smooth)
         assert res.nodes >= 2**17
         monkeypatch.setattr(coefficient, "_CHUNK", 64)
         assert compute_C(f) == res
+        assert compute_Cs(pair) == batch
+        monkeypatch.setattr(coefficient, "_CHUNK", 2)
+        assert compute_Cs(smooth) == small
 
     @pytest.mark.parametrize(
         "family",
@@ -181,10 +189,11 @@ class TestComputeC:
         calls = []
         integrand = coefficient.track_integrand
 
-        def recorded(f, i, n):
+        def recorded(families, i, n):
             # node F_c + i*pi/n sits at u*pi past F_c; i/n is exact
-            calls.append((i / n, *integrand(f, i, n)))
-            return calls[-1][1:]
+            w = integrand(families, i, n)
+            calls.append(tuple(np.ravel(x) for x in (i / n, *w)))
+            return w
 
         monkeypatch.setattr(coefficient, "track_integrand", recorded)
         tol = 1e-10
@@ -214,7 +223,70 @@ class TestComputeC:
         assert res.err_estimate == stops[-1]
 
 
+class TestLockstep:
+    # An early stop (256 nodes), a grazing track (131,072 nodes), a collision
+    # and a node cap: each leaves the batch on its own.
+    MIX = [
+        ResonantFamily(1, 3, 0.3),
+        canonical_families(5, 7, 0.55, "retrograde")[0],
+        ResonantFamily(3, 1, 1.0 - 3.0 ** (-2.0 / 3.0)),
+        canonical_families(10, 9, 0.07798046698579171, "retrograde")[1],
+    ]
+
+    @staticmethod
+    def _alone(f):
+        try:
+            return compute_C(f)
+        except (CollisionError, ConvergenceError) as exc:
+            return exc
+
+    def test_every_order_matches_one_family_runs(self):
+        alone = [self._alone(f) for f in self.MIX]
+        assert [type(a) for a in alone] == [
+            coefficient.CoefficientResult,
+            coefficient.CoefficientResult,
+            CollisionError,
+            ConvergenceError,
+        ]
+        assert alone[0].nodes == 256 and alone[1].nodes >= 2**17
+        for order in itertools.permutations(range(len(self.MIX))):
+            batch = compute_Cs([self.MIX[k] for k in order])
+            for k, got in zip(order, batch):
+                ref = alone[k]
+                if isinstance(ref, Exception):
+                    assert type(got) is type(ref), order
+                    assert str(got) == str(ref), order
+                    assert got.min_delta1 == ref.min_delta1, order
+                else:
+                    assert got == ref, order
+
+    def test_shared_index_rows_match_own_rows(self):
+        # A broadcast index row shares sin E and cos E across the families of
+        # equal (n_l, q); own rows take them per family.  Same values.
+        fams = [f for e in (0.2, 0.6) for f in canonical_families(3, 7, e, "retrograde")]
+        n, i = 2**10, np.arange(1, 2**10, 2)
+        shared = track_integrand(fams, np.broadcast_to(i, (len(fams), i.size)), n)
+        own = track_integrand(fams, np.tile(i, (len(fams), 1)), n)
+        for a, b in zip(shared, own):
+            assert np.array_equal(a, b)
+        for k, f in enumerate(fams):
+            for a, b in zip(shared, track_integrand([f], i[None], n)):
+                assert np.array_equal(a[k], b[0])
+
+    def test_empty_batch(self):
+        assert compute_Cs([]) == []
+
+
 _SUMMAND = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_subnormal=True)
+# Every finite double: subnormals, both zeros and +-1.7e308.
+_DOUBLE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+def _units(values, counts):
+    """Exact sum of values, each counts[k] times, in units of 1 / _UNIT."""
+    total = sum(Fraction(float(x)) * int(c) for x, c in zip(values, counts)) * coefficient._UNIT
+    assert total.denominator == 1
+    return total.numerator
 
 
 class TestExactSum:
@@ -234,6 +306,49 @@ class TestExactSum:
         # One exponent bin whose high parts cancel while its low parts do not.
         pair = coefficient._exact_sum(np.array([1.0 + 2.0**-40, -1.0]))
         assert pair / coefficient._UNIT == 2.0**-40
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_DOUBLE, min_size=1, max_size=40),
+        st.integers(1, 4),
+        st.integers(0, coefficient._CHUNK),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_fused_row_sums_are_exact(self, values, rows, cols, seed):
+        # Rows of up to _CHUNK values drawn from a few doubles, each doubled
+        # or not by a per-column shift, as in compute_Cs' first level.
+        rng = np.random.default_rng(seed)
+        pick = rng.integers(0, len(values), (rows, cols))
+        shift = rng.integers(0, 2, cols)
+        v = np.array(values)[pick]
+        sums = coefficient._exact_sums(v, shift)
+        assert len(sums) == rows
+        for got, p in zip(sums, pick):
+            assert got == _units(values, np.bincount(p, 2.0**shift, len(values)))
+
+    def test_full_row_is_exact(self):
+        # The largest folds a row of _CHUNK values makes: all but one value
+        # with every mantissa bit set, and the last k binades below them.
+        full = np.nextafter(1.0, 0.0)
+        for k in range(40):
+            v = np.full(coefficient._CHUNK, full)
+            v[-1] = full * 2.0**-k
+            values, counts = np.unique(v, return_counts=True)
+            assert coefficient._exact_sums(v[None], 1) == [2 * _units(values, counts)], k
+
+    def test_long_sums_are_exact(self):
+        # 2**17 values, more than the 2**13 a row that a fold of 13 exponent
+        # bins holds exactly: every mantissa bit set, equal, and with one
+        # value 12 binades below, in the lowest bin of the same fold.
+        full = np.nextafter(1.0, 0.0)
+        equal = np.full(2**17, full)
+        below = equal.copy()
+        below[-1] = full * 2.0**-12
+        rng = np.random.default_rng(5)
+        spread = rng.standard_normal(2**17) * 2.0 ** rng.integers(-80, 80, 2**17)
+        for v in (equal, -equal, below, spread):
+            values, counts = np.unique(v, return_counts=True)
+            assert coefficient._exact_sum(v) == _units(values, counts)
 
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
@@ -384,8 +499,10 @@ class TestSweep:
     def test_parallel_map_matches_serial(self):
         from multiprocessing import get_context
 
-        grid = [0.1, 0.2]
+        grid = [0.1, 0.2, 0.3]
         serial = sweep_e(1, 3, "direct", grid)
         with get_context("spawn").Pool(2) as pool:
-            parallel = sweep_e(1, 3, "direct", grid, map_fn=pool.map)
+            parallel = sweep_e(1, 3, "direct", grid, map_fn=pool.map, blocks=2)
         assert serial == parallel
+        # blocks of one and two grid points, each its own lockstep
+        assert sweep_e(1, 3, "direct", grid, blocks=2) == serial

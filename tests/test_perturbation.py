@@ -188,14 +188,14 @@ class TestTrack:
             for direction in ("direct", "retrograde"):
                 for f in canonical_families(p, q, e, direction):
                     F = f.n_l * math.pi / q + i * (math.pi / n)
-                    for a, b in zip(track_integrand(f, F), track_integrand(f, i, n)):
-                        assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(a)), f
+                    for a, b in zip(track_integrand(f, F), track_integrand([f], i[None], n)):
+                        assert np.max(np.abs(a - b[0])) <= 1e-11 * np.max(np.abs(a)), f
 
     @pytest.mark.parametrize("n", [0, 3, 96])
     def test_grid_kernel_needs_power_of_two(self, n):
         # the phases are reduced by a mask, which is a modulus only for 2^k
         with pytest.raises(ValidationError):
-            track_integrand(ResonantFamily(1, 3, 0.3), np.arange(4), n)
+            track_integrand([ResonantFamily(1, 3, 0.3)], np.arange(4)[None], n)
 
     def test_theta_continuous(self):
         f = ResonantFamily(2, 7, 0.4)
