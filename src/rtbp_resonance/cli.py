@@ -25,7 +25,6 @@ import re
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .coefficient import SweepRow, compute_Cs, quadrature_status, sweep_e
@@ -129,7 +128,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--e-step", type=float, default=None)
     sp.add_argument("--tol", type=float, default=1e-10, help=_QUAD_TOL_HELP)
     sp.add_argument(
-        "--jobs", type=int, default=0, help="worker processes, at most one per core (0 = all cores)"
+        "--jobs", type=int, default=0,
+        help="accepted for compatibility (0 or positive); a sweep runs in one process",
     )
 
     sp = sub.add_parser(
@@ -266,22 +266,11 @@ def cmd_sweep(args) -> int:
     grid = _resolve_grid(args)
     if any(not 0.0 < e < 1.0 for e in grid):
         raise ValidationError("eccentricity grid must lie in (0, 1)")
-    # Validate the family parameters up front (empty grids skip the workers).
+    # Validate the family parameters up front (an empty grid builds no family).
     ResonantFamily(args.p, args.q, 0.5, 0, 0, args.direction)
     if args.jobs < 0:
         raise ValidationError(f"--jobs must be 0 (all cores) or positive, got {args.jobs}")
-    # At most one worker per core: a pool forks all of its workers at once.
-    cores = os.cpu_count() or 1
-    jobs = min(args.jobs, cores) if args.jobs > 0 else cores
-    # One contiguous block of the grid per worker.
-    workers = min(jobs, len(grid))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = sweep_e(
-                args.p, args.q, args.direction, grid, args.tol, map_fn=pool.map, blocks=workers
-            )
-    else:
-        rows = sweep_e(args.p, args.q, args.direction, grid, args.tol)
+    rows = sweep_e(args.p, args.q, args.direction, grid, args.tol)
 
     def cell(v):
         return "" if v is None else v if isinstance(v, str) else f"{v:.17g}"

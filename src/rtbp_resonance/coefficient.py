@@ -20,11 +20,14 @@ with n given; see perturbation).
 compute_Cs runs a batch of families in lockstep: all start at _N_START
 nodes and double together, each leaving on its own stopping rule, node cap
 or collision, so each result is the one compute_C (the one-family case)
-gives alone.  A level evaluates the integrands of every family still in the
+gives alone.  A level evaluates the integrands of the families still in the
 batch in one call per _CHUNK nodes (the bound is on families times indices
-per call, so memory does not grow with the batch), with the indices shared
-as one broadcast row: sin E and cos E are then taken once per distinct
-(n_l, q), e.g. one or two rows for the 34 families of a sweep over 17 e.
+per call, so memory does not grow with the batch) and per block of at most
+_CHUNK // _N_START = 128 families (a call's Python work is linear in its
+families, so without that bound a level of a large batch would cost its
+families squared times the indices over _CHUNK).  The indices are shared as
+one broadcast row: sin E and cos E are then taken once per distinct (n_l, q),
+e.g. one or two rows for the 34 families of a sweep over 17 e.
 The call's values go through one exact-sum pass (_exact_sums), which bins
 every (family, integrand) value by exponent at once and folds the bins into
 a few floats per family and integrand before the Python integer sum.
@@ -65,8 +68,9 @@ COLLISION_DELTA = 1e-6
 NODE_CAP = 2**20
 _N_START = 64
 # Nodes per integrand call across a compute_Cs batch (families times
-# indices): bounds a level's memory.  At most _ROW.  The exact sums are
-# additive, so the result does not depend on it.
+# indices): bounds a level's memory.  At most _ROW.  A call holds at most
+# _CHUNK // _N_START = 128 families (_add_node_sums).  The exact sums are
+# additive, so the result does not depend on either bound.
 _CHUNK = 2**13
 # frexp exponents of finite doubles lie in [-1073, 1024]; _EXP_OFFSET makes
 # them bit offsets, and an exact sum counts units of 1 / _UNIT.  _exact_sums
@@ -176,10 +180,11 @@ def compute_Cs(families, tol: float = 1e-10) -> list:
 
     Every family starts at _N_START nodes and all double together: a level
     costs one integrand call and one exact-sum pass per chunk of at most
-    _CHUNK nodes for the whole batch.  Each family leaves on its own stopping
-    rule, at the node cap or at the collision guard.  The list holds, in the
-    order of families, each one's CoefficientResult or the CollisionError or
-    ConvergenceError compute_C would raise, whatever else is in the batch.
+    _CHUNK nodes and at most _CHUNK // _N_START families.  Each family leaves
+    on its own stopping rule, at the node cap or at the collision guard.  The
+    list holds, in the order of families, each one's CoefficientResult or the
+    CollisionError or ConvergenceError compute_C would raise, whatever else is
+    in the batch.
     """
     out = [None] * len(families)
     live = []
@@ -266,12 +271,13 @@ def _add_node_sums(tracks, n: int, first: int, shift):
     the grid indices first, first + 2, ..., one per entry of shift, each value
     times 2**shift.
 
-    The integrands are evaluated for the whole batch at once, on at most
-    _CHUNK nodes per call: all tracks share the indices, passed as one
-    broadcast row per family.
+    Each integrand call takes a block of at most _CHUNK // _N_START tracks
+    (see the module docstring) on at most _CHUNK nodes, the indices passed as
+    one broadcast row per family.
     """
-    for a in range(0, len(tracks), _CHUNK):
-        block = tracks[a : a + _CHUNK]
+    per_call = max(1, _CHUNK // _N_START)
+    for a in range(0, len(tracks), per_call):
+        block = tracks[a : a + per_call]
         fams = [t.family for t in block]
         step = _CHUNK // len(block)
         for b in range(0, shift.size, step):
@@ -373,8 +379,14 @@ def quadrature_status(res) -> str:
     return "ok"
 
 
-def _sweep_block(task):
-    p, q, direction, grid, tol = task
+def sweep_e(p, q, direction, e_grid, tol: float = 1e-10):
+    """Evaluate both canonical families over an e grid as one compute_Cs
+    lockstep, in one process: its integrand calls hold at most
+    _CHUNK // _N_START families each, so the time grows linearly with the grid.
+    Rows with collision or convergence failures are flagged in their status
+    columns rather than dropped.
+    """
+    grid = [float(e) for e in e_grid]
     results = compute_Cs([f for e in grid for f in canonical_families(p, q, e, direction)], tol)
     rows = []
     for e, r1, r2 in zip(grid, results[::2], results[1::2]):
@@ -391,19 +403,3 @@ def _sweep_block(task):
             )
         )
     return rows
-
-
-def sweep_e(p, q, direction, e_grid, tol: float = 1e-10, map_fn=map, blocks: int = 1):
-    """Evaluate both canonical families over an e grid.
-
-    Rows with collision or convergence failures are flagged in their status
-    columns rather than dropped.  The grid is cut into `blocks` contiguous
-    blocks, each one compute_Cs lockstep, and map_fn maps them, so a parallel
-    map runs one block per worker (the worker is a picklable top-level
-    function; rows stay in grid order, and equal, regardless of schedule).
-    """
-    grid = [float(e) for e in e_grid]
-    blocks = max(1, min(blocks, len(grid)))
-    cuts = [len(grid) * b // blocks for b in range(blocks + 1)]
-    tasks = [(p, q, direction, grid[a:b], tol) for a, b in zip(cuts, cuts[1:])]
-    return [row for rows in map_fn(_sweep_block, tasks) for row in rows]

@@ -120,8 +120,9 @@ class TestComputeC:
     def test_chunked_levels_are_bit_identical(self, monkeypatch):
         # A grazing family that converges at 131,072 nodes: summed 64
         # midpoints at a time, every field is the same as in full chunks,
-        # alone and in a 2-family batch (32 midpoints a family per call).
-        # Three families in calls of 2 nodes take blocks of 2 families.
+        # alone and in a 2-family batch (one family a call: at _CHUNK = 64 a
+        # call holds at most _CHUNK // _N_START = 1).  Three families in calls
+        # of 2 nodes, one family a call.
         f = canonical_families(5, 7, 0.55, "retrograde")[0]
         pair = [f, f.sibling()]
         smooth = [ResonantFamily(1, 3, 0.3), ResonantFamily(2, 7, 0.4), ResonantFamily(3, 1, 0.2)]
@@ -240,6 +241,16 @@ class TestLockstep:
         except (CollisionError, ConvergenceError) as exc:
             return exc
 
+    @staticmethod
+    def _assert_same(got, ref, order=None):
+        """got is ref's result, or an error of its type, message and min_delta1."""
+        if isinstance(ref, Exception):
+            assert type(got) is type(ref), order
+            assert str(got) == str(ref), order
+            assert got.min_delta1 == ref.min_delta1, order
+        else:
+            assert got == ref, order
+
     def test_every_order_matches_one_family_runs(self):
         alone = [self._alone(f) for f in self.MIX]
         assert [type(a) for a in alone] == [
@@ -252,13 +263,7 @@ class TestLockstep:
         for order in itertools.permutations(range(len(self.MIX))):
             batch = compute_Cs([self.MIX[k] for k in order])
             for k, got in zip(order, batch):
-                ref = alone[k]
-                if isinstance(ref, Exception):
-                    assert type(got) is type(ref), order
-                    assert str(got) == str(ref), order
-                    assert got.min_delta1 == ref.min_delta1, order
-                else:
-                    assert got == ref, order
+                self._assert_same(got, alone[k], order)
 
     def test_shared_index_rows_match_own_rows(self):
         # A broadcast index row shares sin E and cos E across the families of
@@ -275,6 +280,64 @@ class TestLockstep:
 
     def test_empty_batch(self):
         assert compute_Cs([]) == []
+
+    @staticmethod
+    def _record_calls(monkeypatch):
+        """Record (families, indices per family, n, last index) of every
+        integrand call compute_Cs makes."""
+        calls = []
+        integrand = coefficient.track_integrand
+
+        def recorded(families, i, n):
+            calls.append((len(families), i.shape[1], n, int(i[0, -1])))
+            return integrand(families, i, n)
+
+        monkeypatch.setattr(coefficient, "track_integrand", recorded)
+        return calls
+
+    @staticmethod
+    def _check_call_shapes(calls):
+        # At most B = _CHUNK // _N_START families a call, and at least
+        # _CHUNK // B indices a family, except in the call that ends a level
+        # (its last index is n on the first level, n - 1 on the midpoints).
+        bound = coefficient._CHUNK // coefficient._N_START
+        assert calls
+        for families, indices, n, last in calls:
+            assert families <= bound
+            assert indices >= coefficient._CHUNK // bound or last in (n, n - 1)
+
+    def test_batch_beyond_family_bound_matches_one_family_runs(self, monkeypatch):
+        # B = 2**9 // 64 = 8 families a call, and NODE_CAP 2**14: the grazing
+        # track then caps too.  Families leave at different levels, so the
+        # blocks of B change from level to level.
+        monkeypatch.setattr(coefficient, "_CHUNK", 2**9)
+        monkeypatch.setattr(coefficient, "NODE_CAP", 2**14)
+        fams = self.MIX + [
+            f for e in (0.2, 0.45, 0.7) for f in canonical_families(3, 7, e, "retrograde")
+        ]
+        fams += canonical_families(2, 7, 0.6)
+        assert len(fams) > coefficient._CHUNK // coefficient._N_START
+        alone = [self._alone(f) for f in fams]
+        calls = self._record_calls(monkeypatch)
+        batch = compute_Cs(fams)
+        self._check_call_shapes(calls)
+        assert max(c[0] for c in calls) == 8
+        assert {type(a) for a in alone} == {
+            coefficient.CoefficientResult, CollisionError, ConvergenceError
+        }
+        for got, ref in zip(batch, alone):
+            self._assert_same(got, ref)
+
+    def test_calls_bound_families_and_keep_indices(self, monkeypatch):
+        # 200 families at the default constants: two blocks a level, each
+        # call with at least 64 indices a family.  One block of 200 would
+        # give each family 8,192 // 200 = 40.
+        fams = [f for e in np.linspace(0.05, 0.5, 100) for f in canonical_families(1, 3, e)]
+        calls = self._record_calls(monkeypatch)
+        batch = compute_Cs(fams)
+        assert all(isinstance(r, coefficient.CoefficientResult) for r in batch)
+        self._check_call_shapes(calls)
+        assert sorted({c[0] for c in calls if c[2] == coefficient._N_START}) == [72, 128]
 
 
 _SUMMAND = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_subnormal=True)
@@ -495,14 +558,3 @@ class TestSweep:
         for r, e in zip(rows, grid):
             f1, f2 = canonical_families(3, 1, e)
             assert (r.min_delta1_1, r.min_delta1_2) == (md(f1), md(f2))
-
-    def test_parallel_map_matches_serial(self):
-        from multiprocessing import get_context
-
-        grid = [0.1, 0.2, 0.3]
-        serial = sweep_e(1, 3, "direct", grid)
-        with get_context("spawn").Pool(2) as pool:
-            parallel = sweep_e(1, 3, "direct", grid, map_fn=pool.map, blocks=2)
-        assert serial == parallel
-        # blocks of one and two grid points, each its own lockstep
-        assert sweep_e(1, 3, "direct", grid, blocks=2) == serial
