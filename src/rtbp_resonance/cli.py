@@ -269,7 +269,9 @@ def cmd_sweep(args) -> int:
     # Validate the family parameters up front (an empty grid builds no family).
     ResonantFamily(args.p, args.q, 0.5, 0, 0, args.direction)
     if args.jobs < 0:
-        raise ValidationError(f"--jobs must be 0 (all cores) or positive, got {args.jobs}")
+        raise ValidationError(
+            f"--jobs must be 0 or positive (a sweep runs in one process), got {args.jobs}"
+        )
     rows = sweep_e(args.p, args.q, args.direction, grid, args.tol)
 
     def cell(v):

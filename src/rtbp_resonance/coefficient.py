@@ -59,7 +59,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollisionError, ConvergenceError
-from .perturbation import ResonantFamily, canonical_families, track_arrays, track_integrand
+from .perturbation import (
+    GridFamilies,
+    ResonantFamily,
+    canonical_families,
+    track_arrays,
+    track_integrand,
+)
 
 COLLISION_DELTA = 1e-6
 # A level evaluates at most NODE_CAP / 4 new nodes per family, summed in rows
@@ -180,9 +186,11 @@ def compute_Cs(families, tol: float = 1e-10) -> list:
 
     Every family starts at _N_START nodes and all double together: a level
     costs one integrand call and one exact-sum pass per chunk of at most
-    _CHUNK nodes and at most _CHUNK // _N_START families.  Each family leaves
-    on its own stopping rule, at the node cap or at the collision guard.  The
-    list holds, in the order of families, each one's CoefficientResult or the
+    _CHUNK nodes and at most _CHUNK // _N_START families.  The kernel's
+    per-family constants (GridFamilies) are built once for the batch and cut
+    to the live families whenever one leaves.  Each family leaves on its own
+    stopping rule, at the node cap or at the collision guard.  The list holds,
+    in the order of families, each one's CoefficientResult or the
     CollisionError or ConvergenceError compute_C would raise, whatever else is
     in the batch.
     """
@@ -196,12 +204,13 @@ def compute_Cs(families, tol: float = 1e-10) -> list:
             )
         else:
             live.append(_Track(k, f, md))
+    grid = GridFamilies.of([t.family for t in live])  # one row per live track
     n = _N_START
     # The first level's nodes F_c + j*2*pi/n, j = 0 ... n/2, are the even
     # grid indices 0 ... n; the two ends count once, the others twice.
     doubled = np.ones(n // 2 + 1, dtype=np.int64)
     doubled[[0, -1]] = 0
-    _add_node_sums(live, n, 0, doubled)
+    _add_node_sums(live, grid, n, 0, doubled)
     for t in live:
         t.c1, t.c2 = _level(t.s1, t.s2, n)
     while live:
@@ -213,10 +222,10 @@ def compute_Cs(families, tol: float = 1e-10) -> list:
             break
         # The midpoints are the odd grid indices inside (F_c, F_c + pi), each
         # standing for itself and its mirror image.
-        _add_node_sums(live, n, 1, np.broadcast_to(1, n // 2))
+        _add_node_sums(live, grid, n, 1, np.broadcast_to(1, n // 2))
         n *= 2
-        going = []
-        for t in live:
+        keep = []
+        for k, t in enumerate(live):
             prev = t.c1 + t.c2
             t.c1, t.c2 = _level(t.s1, t.s2, n)
             d = abs((t.c1 + t.c2) - prev)
@@ -227,7 +236,7 @@ def compute_Cs(families, tol: float = 1e-10) -> list:
                 err = d
             else:
                 t.d_prev, t.d_prev2 = d, t.d_prev
-                going.append(t)
+                keep.append(k)
                 continue
             out[t.index] = CoefficientResult(
                 C=-6.0 * math.pi * t.family.p**2 * (t.c1 + t.c2),
@@ -237,7 +246,8 @@ def compute_Cs(families, tol: float = 1e-10) -> list:
                 err_estimate=err,
                 min_delta1=t.md,
             )
-        live = going
+        if len(keep) < len(live):
+            live, grid = [live[k] for k in keep], grid[keep]
     return out
 
 
@@ -266,10 +276,10 @@ def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
     return res
 
 
-def _add_node_sums(tracks, n: int, first: int, shift):
+def _add_node_sums(tracks, grid, n: int, first: int, shift):
     """Add to each track's s1 and s2 the exact sums of its two integrands at
     the grid indices first, first + 2, ..., one per entry of shift, each value
-    times 2**shift.
+    times 2**shift.  grid holds the tracks' GridFamilies, one row per track.
 
     Each integrand call takes a block of at most _CHUNK // _N_START tracks
     (see the module docstring) on at most _CHUNK nodes, the indices passed as
@@ -278,7 +288,7 @@ def _add_node_sums(tracks, n: int, first: int, shift):
     per_call = max(1, _CHUNK // _N_START)
     for a in range(0, len(tracks), per_call):
         block = tracks[a : a + per_call]
-        fams = [t.family for t in block]
+        fams = grid[a : a + per_call] if len(tracks) > per_call else grid
         step = _CHUNK // len(block)
         for b in range(0, shift.size, step):
             i = first + 2 * np.arange(b, min(b + step, shift.size))

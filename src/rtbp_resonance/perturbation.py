@@ -145,33 +145,68 @@ def _col(values):
     return np.array(values)[:, None]
 
 
+@dataclass(frozen=True)
+class GridFamilies:
+    """The per-family constants of the grid kernel for a batch of families,
+    one (families, 1) column each.  Built once per batch (GridFamilies.of);
+    indexing by a slice or a list of rows gives the columns of those families,
+    so an integrand call does no per-family Python work beyond grouping the
+    families that share sin E and cos E."""
+
+    key: np.ndarray  # 2*q + n_l: equal for the families that share E
+    n_l: np.ndarray
+    q: np.ndarray
+    k: np.ndarray  # q - p direct, q + p retrograde
+    turns: np.ndarray  # n_l + n_g
+    e: np.ndarray
+    beta: np.ndarray  # anomaly_beta(e)
+    ecc: np.ndarray  # (p/q)*e direct, -(p/q)*e retrograde
+    a: np.ndarray  # semimajor axis
+
+    @classmethod
+    def of(cls, families) -> "GridFamilies":
+        return cls(
+            key=_col([2 * f.q + f.n_l for f in families]),
+            n_l=_col([f.n_l for f in families]),
+            q=_col([f.q for f in families]),
+            k=_col([f.q + f.p if f.retrograde else f.q - f.p for f in families]),
+            turns=_col([f.n_l + f.n_g for f in families]),
+            e=_col([f.e for f in families]),
+            beta=_col([anomaly_beta(f.e) for f in families]),
+            ecc=_col([(-1.0 if f.retrograde else 1.0) * (f.p / f.q) * f.e for f in families]),
+            a=_col([f.semimajor_axis for f in families]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.key)
+
+    def __getitem__(self, rows) -> "GridFamilies":
+        return GridFamilies(*(column[rows] for column in vars(self).values()))
+
+
 def _grid_track(families, i, n: int):
     """(r, theta/2) at the grid nodes F_c + i*pi/n of each family, from int64
     indices i with one row per family, the integer phases reduced exactly
-    (see the module docstring).
+    (see the module docstring).  families is a sequence of families or their
+    GridFamilies.
 
     E depends on the family only through (n_l, q).  Index rows broadcast from
     one shared row (stride 0, as np.broadcast_to makes them) therefore take
     sin E and cos E once per distinct (n_l, q); other rows once per family.
     """
+    g = families if isinstance(families, GridFamilies) else GridFamilies.of(families)
     i = np.asarray(i, dtype=np.int64)
-    keys = [(f.n_l, f.q) for f in families] if i.strides[0] == 0 else range(len(families))
+    keys = g.key[:, 0].tolist() if i.strides[0] == 0 else range(len(g))
     rows = {}  # key -> (its row of E, its first family)
     row = [rows.setdefault(key, (len(rows), k))[0] for k, key in enumerate(keys)]
     first = [k for _, k in rows.values()]
-    n_l = _col([families[k].n_l for k in first])
-    q = _col([families[k].q for k in first])
-    E = ((n_l * n + q * i[first]) & (2 * n - 1)) * (math.pi / n)
+    E = ((g.n_l[first] * n + g.q[first] * i[first]) & (2 * n - 1)) * (math.pi / n)
     sinE, cosE = np.sin(E), np.cos(E)
     if len(first) < len(row):
         sinE, cosE = sinE[row], cosE[row]
-    k, sign = zip(*((f.q + f.p, -1.0) if f.retrograde else (f.q - f.p, 1.0) for f in families))
-    e = _col([f.e for f in families])
-    beta = _col([anomaly_beta(f.e) for f in families])
-    ecc = _col([s * (f.p / f.q) * f.e for s, f in zip(sign, families)])
-    bounded = anomaly_offset(beta, sinE, cosE) + ecc * sinE
-    j = (_col([(f.n_l + f.n_g) * n for f in families]) + _col(k) * i) & (4 * n - 1)
-    r = _col([f.semimajor_axis for f in families]) * (1.0 - e * cosE)
+    bounded = anomaly_offset(g.beta, sinE, cosE) + g.ecc * sinE
+    j = (g.turns * n + g.k * i) & (4 * n - 1)
+    r = g.a * (1.0 - g.e * cosE)
     return r, j * (0.5 * math.pi / n) + 0.5 * bounded
 
 
@@ -179,10 +214,10 @@ def track_integrand(f, F, n: int | None = None):
     """The two quadrature integrands along the track: ((r/Delta1)_tt, cos(theta)/r).
 
     Without n, f is one family and F holds values of F.  With the power of
-    two n, f is a sequence of families and F holds int64 indices i of the
-    grid nodes F_c + i*pi/n (F_c = n_l*pi/q), one row per family, whose
-    phases are then reduced exactly; each integrand then has one row per
-    family.
+    two n, f is a sequence of families (or their GridFamilies) and F holds
+    int64 indices i of the grid nodes F_c + i*pi/n (F_c = n_l*pi/q), one row
+    per family, whose phases are then reduced exactly; each integrand then
+    has one row per family.
     """
     if n is None:
         r, theta, _ = _track(f, F)

