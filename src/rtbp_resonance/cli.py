@@ -45,14 +45,16 @@ _VERIFY_STATUS_ORDER = (
 
 
 def _record(command: str, inputs: dict, outputs: dict, status: str, t0: float) -> str:
-    """JSON text of the versioned record of one CLI invocation started at t0."""
+    """JSON text of the versioned record of one CLI invocation started at t0.
+    Its seconds are rounded to the microsecond, so their digits do not make
+    the sizes of two otherwise identical records differ beyond that."""
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "inputs": inputs,
         "outputs": outputs,
         "status": status,
-        "timings": {"seconds": time.perf_counter() - t0},
+        "timings": {"seconds": round(time.perf_counter() - t0, 6)},
         "version": __version__,
     }
     return json.dumps(record, indent=2, sort_keys=True)

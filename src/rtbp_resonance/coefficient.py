@@ -20,17 +20,25 @@ with n given; see perturbation).
 compute_Cs runs a batch of families in lockstep: all start at _N_START
 nodes and double together, each leaving on its own stopping rule, node cap
 or collision, so each result is the one compute_C (the one-family case)
-gives alone.  A level evaluates the integrands of the families still in the
-batch in one call per _CHUNK nodes (the bound is on families times indices
-per call, so memory does not grow with the batch) and per block of at most
-_CHUNK // _N_START = 128 families (a call's Python work is linear in its
-families, so without that bound a level of a large batch would cost its
-families squared times the indices over _CHUNK).  The indices are shared as
-one broadcast row: sin E and cos E are then taken once per distinct (n_l, q),
-e.g. one or two rows for the 34 families of a sweep over 17 e.
-The call's values go through one exact-sum pass (_exact_sums), which bins
-every (family, integrand) value by exponent at once and folds the bins into
-a few floats per family and integrand before the Python integer sum.
+gives alone.  The levels _N_START ... _N_FIRST = 512 come from one pass over
+the even indices 0 ... 512 of the 512-node grid, each value summed into the
+first level it lies on: a phase reduced at base 512 is the one reduced at
+the lower base times a power of two, so every node keeps its bits, and most
+families (those that stop at 512 nodes) make one integrand call where four
+level calls cost more in fixed numpy overhead than in nodes.  A family that
+stops at 128 or 256 nodes evaluates the nodes up to 512 all the same.  Each
+later level evaluates its new midpoints.  A pass evaluates the integrands of
+the families still in the batch in one call per _CHUNK nodes (the bound is
+on families times indices per call, so memory does not grow with the batch)
+and per block of at most _CHUNK // _N_START = 128 families (a call's Python
+work is linear in its families, so without that bound a level of a large
+batch would cost its families squared times the indices over _CHUNK).  The
+indices are shared as one broadcast row: sin E and cos E are then taken once
+per distinct (n_l, q), e.g. one or two rows for the 34 families of a sweep
+over 17 e.  The call's values go through one exact-sum pass (_exact_sums),
+which bins every (family, integrand, level) value by exponent at once and
+folds the bins into a few floats per family, integrand and level before the
+Python integer sum.
 
 With T_n = C1 + C2 on n nodes, d_n = |T_n - T_{n/2}| and
 b = tol * max(1, |T_n|) (absolute for small sums, relative for the large
@@ -48,22 +56,28 @@ positive and negative parts, can exceed it.
 
 The collision guard takes the track's minimum Delta1 (min_delta1) from a
 uniform sample, half of it for n_l = 0 by the same symmetry, refined by a
-few parabolic steps on Delta1^2; no scipy is involved.
+few parabolic steps on Delta1^2; no scipy is involved.  compute_Cs guards
+its whole batch at once (min_delta1s): the sample points F are the same for
+every family, so E = q*F, sin E and cos E are taken once per distinct q, and
+each sample keeps the bits of the float track (track_arrays).  The
+refinement evaluates Delta1 one point at a time on Python floats (math),
+where a numpy call on a 1-element array costs more than the arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CollisionError, ConvergenceError
+from .kepler import anomaly_beta, anomaly_offset
 from .perturbation import (
     GridFamilies,
     ResonantFamily,
     canonical_families,
-    track_arrays,
+    delta1,
     track_integrand,
 )
 
@@ -73,10 +87,14 @@ COLLISION_DELTA = 1e-6
 # _exact_sums' folds of 13 exponent bins are exact.
 NODE_CAP = 2**20
 _N_START = 64
+# The levels _N_START ... _N_FIRST come from one pass over the even grid
+# indices 0 ... _N_FIRST at base _N_FIRST (at most NODE_CAP).
+_N_FIRST = 512
 # Nodes per integrand call across a compute_Cs batch (families times
 # indices): bounds a level's memory.  At most _ROW.  A call holds at most
 # _CHUNK // _N_START = 128 families (_add_node_sums).  The exact sums are
-# additive, so the result does not depend on either bound.
+# additive, so the result does not depend on either bound.  A guard sample
+# call holds at most _CHUNK points (_guard_samples).
 _CHUNK = 2**13
 # frexp exponents of finite doubles lie in [-1073, 1024]; _EXP_OFFSET makes
 # them bit offsets, and an exact sum counts units of 1 / _UNIT.  _exact_sums
@@ -114,19 +132,88 @@ def min_delta1(f: ResonantFamily) -> float:
     about F_c = 0, so only j = 0 ... _SAMPLES/2 are evaluated; for n_l = 1 it
     is not, and all _SAMPLES are.  The grid values at j = -1 and one past the
     last sample are evaluated too, so the sampled minimum always has both
-    neighbours (_refine_min).
+    neighbours (_refine_min).  This is the one-family case of min_delta1s.
     """
+    (md,) = min_delta1s([f])
+    return md
+
+
+def min_delta1s(families) -> list:
+    """min_delta1(f) for each of the families, from one guard sample of the
+    batch (_guard_samples)."""
     h = 2.0 * math.pi / _SAMPLES
-    last = _SAMPLES // 2 if f.n_l == 0 else _SAMPLES - 1
-    F = np.arange(-1, last + 2) * h
-    d1 = track_arrays(f, F)[3]
-    i = 1 + int(np.argmin(d1[1:-1]))
-    return _refine_min(lambda x: float(track_arrays(f, x)[3]), F[i - 1 : i + 2], d1[i - 1 : i + 2])
+    out = []
+    for f, d1 in zip(families, _guard_samples(families)):
+        i = 1 + int(np.argmin(d1[1:-1]))  # d1[i] is the sample at F = (i - 1) * h
+        x = [(j - 1) * h for j in (i - 1, i, i + 1)]
+        out.append(_refine_min(_delta1_at(f), x, d1[i - 1 : i + 2].tolist()))
+    return out
+
+
+def _guard_constants(f: ResonantFamily):
+    """(e, beta, n_l*pi, +-p, q, n_g*pi, a) of the track's float formulas,
+    p negative for retrograde families."""
+    p = -f.p if f.retrograde else f.p
+    return f.e, anomaly_beta(f.e), f.n_l * math.pi, p, f.q, f.n_g * math.pi, f.semimajor_axis
+
+
+def _guard_samples(families):
+    """Yield Delta1 of each family on its min_delta1 sample, F = j*2*pi/_SAMPLES
+    for j = -1 ... _SAMPLES/2 + 1 (n_l = 0) or -1 ... _SAMPLES (n_l = 1), bit
+    for bit as track_arrays(f, F)[3] gives it.
+
+    E = q*F, sin E and cos E depend on the family only through q: they are
+    taken once per distinct q of the batch, on the longest sample its
+    families need (an n_l = 0 sample is a prefix of an n_l = 1 one).  The
+    rest runs family by family, at most _CHUNK points a call, with the float
+    operations of perturbation._track in their order.  A retrograde
+    t = (n_l*pi - l)*p/q is taken as (l - n_l*pi)*(-p)/q, which negates
+    exactly and so differs at most in the sign of a zero, which Delta1 does
+    not see.
+    """
+    sizes = [_SAMPLES // 2 + 3 if f.n_l == 0 else _SAMPLES + 2 for f in families]
+    F = np.arange(-1, _SAMPLES + 1) * (2.0 * math.pi / _SAMPLES)
+    longest = {}
+    for f, m in zip(families, sizes):
+        longest[f.q] = max(m, longest.get(f.q, 0))
+    trig = {}
+    for q, m in longest.items():
+        E = q * F[:m]
+        trig[q] = E, np.sin(E), np.cos(E)
+    for f, m in zip(families, sizes):
+        e, beta, c, p, q, turn, a = _guard_constants(f)
+        d1 = np.empty(m)
+        for b in range(0, m, _CHUNK):
+            cut = slice(b, min(b + _CHUNK, m))
+            E, sinE, cosE = (x[cut] for x in trig[q])
+            t = (E - e * sinE - c) * p / q
+            theta = E + anomaly_offset(beta, sinE, cosE) + turn - t
+            d1[cut] = delta1(a * (1.0 - e * cosE), theta)
+        yield d1
+
+
+def _delta1_at(f: ResonantFamily):
+    """Delta1 of the track at one F, on Python floats through math, with
+    _guard_samples' float operations in their order; math's sin, cos and atan
+    may differ from numpy's in the last bit."""
+    e, beta, c, p, q, turn, a = _guard_constants(f)
+
+    def d(F: float) -> float:
+        E = q * F
+        sinE, cosE = math.sin(E), math.cos(E)
+        t = (E - e * sinE - c) * p / q
+        theta = E + 2.0 * math.atan(beta * sinE / (1.0 - beta * cosE)) + turn - t
+        r = a * (1.0 - e * cosE)
+        sh = math.sin(0.5 * theta)
+        return math.sqrt((r - 1.0) * (r - 1.0) + 4.0 * r * (sh * sh))
+
+    return d
 
 
 def _refine_min(d, x, v) -> float:
     """Least value of d found inside [x0, x2] by safeguarded successive
-    parabolic steps on d^2, from the bracket x0 < x1 < x2 with values v.
+    parabolic steps on d^2, from the bracket x0 < x1 < x2 with values v
+    (sequences of three floats).
 
     d^2 is smooth where d = Delta1 has a corner at a collision, so the
     parabola through the three best points predicts its minimum.  A step that
@@ -136,7 +223,7 @@ def _refine_min(d, x, v) -> float:
     step of at most _REFINE_XTOL (inside the roundoff of d, whose phase
     carries ~1e-14 absolute error), or after _REFINE_STEPS evaluations.
     """
-    (a, b, c), (da, db, dc) = x.tolist(), v.tolist()
+    (a, b, c), (da, db, dc) = x, v
     for _ in range(_REFINE_STEPS):
         gb = db * db
         u, w = a - b, c - b
@@ -168,13 +255,15 @@ def _refine_min(d, x, v) -> float:
 @dataclass
 class _Track:
     """One family's state in compute_Cs: its exact node sums (units of
-    1 / _UNIT), level values and last two level differences."""
+    1 / _UNIT), the node sums of the levels evaluated ahead of it, its level
+    values and last two level differences."""
 
     index: int
     family: ResonantFamily
     md: float
     s1: int = 0
     s2: int = 0
+    ahead: list = field(default_factory=list)  # (s1, s2) added by each next level
     c1: float = math.nan
     c2: float = math.nan
     d_prev: float = math.nan  # d_{n/2}; nan fails every comparison
@@ -184,20 +273,23 @@ class _Track:
 def compute_Cs(families, tol: float = 1e-10) -> list:
     """compute_C(f, tol) for each of the families, in lockstep.
 
-    Every family starts at _N_START nodes and all double together: a level
-    costs one integrand call and one exact-sum pass per chunk of at most
-    _CHUNK nodes and at most _CHUNK // _N_START families.  The kernel's
-    per-family constants (GridFamilies) are built once for the batch and cut
-    to the live families whenever one leaves.  Each family leaves on its own
-    stopping rule, at the node cap or at the collision guard.  The list holds,
-    in the order of families, each one's CoefficientResult or the
-    CollisionError or ConvergenceError compute_C would raise, whatever else is
-    in the batch.
+    The collision guard samples the whole batch at once (min_delta1s).  Every
+    family starts at _N_START nodes and all double together.  The levels
+    _N_START ... _N_FIRST come from one pass over the nodes of the _N_FIRST
+    grid, one integrand call and one exact-sum pass per chunk, that sums each
+    family's nodes by the first level they lie on; each later level costs one
+    integrand call and one exact-sum pass per chunk of its midpoints.  A
+    chunk holds at most _CHUNK nodes and at most _CHUNK // _N_START families.
+    The kernel's per-family constants (GridFamilies) are built once for the
+    batch and cut to the live families whenever one leaves.  Each family
+    leaves on its own stopping rule, at the node cap or at the collision
+    guard.  The list holds, in the order of families, each one's
+    CoefficientResult or the CollisionError or ConvergenceError compute_C
+    would raise, whatever else is in the batch.
     """
     out = [None] * len(families)
     live = []
-    for k, f in enumerate(families):
-        md = min_delta1(f)
+    for k, (f, md) in enumerate(zip(families, min_delta1s(families))):
         if md <= COLLISION_DELTA:
             out[k] = _with_min_delta1(
                 CollisionError(f"track reaches Delta1 = {md:.3e} <= {COLLISION_DELTA} for {f}"), md
@@ -205,28 +297,27 @@ def compute_Cs(families, tol: float = 1e-10) -> list:
         else:
             live.append(_Track(k, f, md))
     grid = GridFamilies.of([t.family for t in live])  # one row per live track
+    # The first levels' nodes F_c + j*2*pi/n, j = 0 ... n/2, are the even
+    # indices 0 ... top of the top-node grid; the two ends count once, the
+    # others twice.  Level m (_N_START << m nodes) adds the entries at the
+    # odd multiples of top / (_N_START << m) along that row.
+    top = min(_N_FIRST, NODE_CAP)
+    doubled = np.ones(top // 2 + 1, dtype=np.int64)
+    doubled[0] = doubled[-1] = 0
+    levels = (top // _N_START).bit_length()
+    level = np.zeros(doubled.size, dtype=np.int64)
+    for m in range(1, levels):
+        s = top // (_N_START << m)
+        level[s :: 2 * s] = m
+    _add_node_sums(live, grid, top, 0, doubled, level, levels)
     n = _N_START
-    # The first level's nodes F_c + j*2*pi/n, j = 0 ... n/2, are the even
-    # grid indices 0 ... n; the two ends count once, the others twice.
-    doubled = np.ones(n // 2 + 1, dtype=np.int64)
-    doubled[[0, -1]] = 0
-    _add_node_sums(live, grid, n, 0, doubled)
-    for t in live:
-        t.c1, t.c2 = _level(t.s1, t.s2, n)
     while live:
-        if 2 * n > NODE_CAP:
-            for t in live:
-                out[t.index] = _with_min_delta1(
-                    ConvergenceError(f"quadrature did not reach tol={tol} at {n} nodes"), t.md
-                )
-            break
-        # The midpoints are the odd grid indices inside (F_c, F_c + pi), each
-        # standing for itself and its mirror image.
-        _add_node_sums(live, grid, n, 1, np.broadcast_to(1, n // 2))
-        n *= 2
         keep = []
         for k, t in enumerate(live):
-            prev = t.c1 + t.c2
+            prev = t.c1 + t.c2  # nan on the first level, which never stops
+            s1, s2 = t.ahead.pop(0)
+            t.s1 += s1
+            t.s2 += s2
             t.c1, t.c2 = _level(t.s1, t.s2, n)
             d = abs((t.c1 + t.c2) - prev)
             bound = tol * max(1.0, abs(t.c1 + t.c2))
@@ -248,6 +339,17 @@ def compute_Cs(families, tol: float = 1e-10) -> list:
             )
         if len(keep) < len(live):
             live, grid = [live[k] for k in keep], grid[keep]
+        if live and not live[0].ahead:  # the live tracks hold the same levels
+            if 2 * n > NODE_CAP:
+                for t in live:
+                    out[t.index] = _with_min_delta1(
+                        ConvergenceError(f"quadrature did not reach tol={tol} at {n} nodes"), t.md
+                    )
+                break
+            # The midpoints are the odd grid indices inside (F_c, F_c + pi),
+            # each standing for itself and its mirror image.
+            _add_node_sums(live, grid, n, 1, np.broadcast_to(1, n // 2))
+        n *= 2
     return out
 
 
@@ -257,11 +359,12 @@ def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
     The grid F_c + j*2*pi/n, F_c = n_l*pi/q, starts at _N_START nodes and
     doubles.  The integrands are even about F_c, so only the n/2 + 1 nodes of
     [F_c, F_c + pi] are evaluated: the two ends count once and the others
-    twice.  Each doubling evaluates the n/2 new midpoints F_c + (2k+1)*pi/n
-    and adds twice their sum to one exact integer sum per integrand; the level
-    values round those sums once, exactly as fsum over all 2n node values
-    would.  ``nodes`` is the full-period n.  It stops by either rule of the
-    module docstring: a predicted error within tol * max(1, |C1 + C2|) after
+    twice.  Each doubling adds twice the sum of the n/2 new midpoints
+    F_c + (2k+1)*pi/n to one exact integer sum per integrand (the nodes of
+    the levels up to _N_FIRST are evaluated in one pass); the level values
+    round those sums once, exactly as fsum over all 2n node values would.
+    ``nodes`` is the full-period n.  It stops by either rule of the module
+    docstring: a predicted error within tol * max(1, |C1 + C2|) after
     two contractions by more than 4, or successive values of C1 + C2 within
     it (an absolute tolerance below |C1 + C2| = 1, a relative one above it);
     tol = 0 never stops.  This is the one-family case of compute_Cs.
@@ -276,47 +379,55 @@ def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
     return res
 
 
-def _add_node_sums(tracks, grid, n: int, first: int, shift):
-    """Add to each track's s1 and s2 the exact sums of its two integrands at
-    the grid indices first, first + 2, ..., one per entry of shift, each value
-    times 2**shift.  grid holds the tracks' GridFamilies, one row per track.
+def _add_node_sums(tracks, grid, n: int, first: int, shift, level=0, levels: int = 1):
+    """Append to each track's ahead the exact sums of its two integrands at
+    the grid indices first, first + 2, ... (base n), one per entry of shift,
+    each value times 2**shift, split into levels sums by the level of each
+    index (level broadcasts along shift).  grid holds the tracks'
+    GridFamilies, one row per track.
 
     Each integrand call takes a block of at most _CHUNK // _N_START tracks
     (see the module docstring) on at most _CHUNK nodes, the indices passed as
     one broadcast row per family.
     """
     per_call = max(1, _CHUNK // _N_START)
+    level = np.broadcast_to(level, shift.shape)
     for a in range(0, len(tracks), per_call):
         block = tracks[a : a + per_call]
         fams = grid[a : a + per_call] if len(tracks) > per_call else grid
         step = _CHUNK // len(block)
+        total = [0] * (2 * len(block) * levels)
         for b in range(0, shift.size, step):
             i = first + 2 * np.arange(b, min(b + step, shift.size))
             w1, w2 = track_integrand(fams, np.broadcast_to(i, (len(block), i.size)), n)
-            sums = _exact_sums(np.concatenate((w1, w2)), shift[b : b + step])
-            for t, s1, s2 in zip(block, sums, sums[len(block) :]):
-                t.s1 += s1
-                t.s2 += s2
+            cut = slice(b, b + step)
+            sums = _exact_sums(np.concatenate((w1, w2)), shift[cut], level[cut], levels)
+            total = [x + y for x, y in zip(total, sums)]
+        for k, t in enumerate(block):
+            s1 = total[k * levels : (k + 1) * levels]
+            s2 = total[(len(block) + k) * levels : (len(block) + k + 1) * levels]
+            t.ahead += zip(s1, s2)
 
 
-def _exact_sums(v, shift=0) -> list:
-    """Exact sums of the rows of v, finite doubles with at most _ROW values a
-    row, each value times 2**shift (shift broadcasts along a row), as integer
-    numbers of 1 / _UNIT.
+def _exact_sums(v, shift=0, group=0, groups: int = 1) -> list:
+    """Exact sums of the values of each row of v that share a group, as
+    integer numbers of 1 / _UNIT: groups sums a row, row by row.  v holds
+    finite doubles, at most _ROW a row; each value counts times 2**shift, and
+    shift and group (in range(groups)) broadcast along a row.
 
     With frexp's exponent e, each value is (hi * 2**27 + lo) * 2**(e - 53),
     hi an integer with |hi| <= 2**26 and lo an integer in [0, 2**27); both
     splits are exact.  Two bincounts over all rows at once put lo in bin e
-    and hi in bin e + 27 of its row, the bins cut to the exponent span of the
-    call.
+    and hi in bin e + 27 of its row and group, the bins cut to the exponent
+    span of the call.
     Then _FOLD adjacent bins fold into one float, bin t of a fold weighted
     2**t.  A value adds to a fold at most once (its two bins are 27 apart),
     less than 2**27 * 2**(_FOLD - 1) = 2**39 in size, so N <= _ROW = 2**13
     values keep every partial sum of a fold below 2**52: the bins and folds
-    are exact in any order of addition.  The few folds of a row then add up
-    as Python integers, each shifted by its lowest bin.
+    are exact in any order of addition.  The few folds of a row and group
+    then add up as Python integers, each shifted by its lowest bin.
     """
-    rows = v.shape[0]
+    rows = v.shape[0] * groups
     if not v.size:
         return [0] * rows
     m, e = np.frexp(v)
@@ -328,7 +439,7 @@ def _exact_sums(v, shift=0) -> list:
     low = int(e.min())
     width = -(-(int(e.max()) + 28 - low) // _FOLD) * _FOLD
     e -= low
-    b = e + (np.arange(rows) * width)[:, None]
+    b = e + (np.arange(0, rows, groups)[:, None] + group) * width
     bins = np.bincount(b.ravel(), m.ravel(), rows * width)
     b += 27
     bins += np.bincount(b.ravel(), hi.ravel(), rows * width)

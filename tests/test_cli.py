@@ -38,6 +38,7 @@ class TestCoeff:
         assert len(fams) == 2
         assert fams[0]["C"] * fams[1]["C"] < 0.0
         assert fams[0]["C"] == pytest.approx(39.21035800269192, rel=1e-9)
+        assert rec["timings"]["seconds"] == round(rec["timings"]["seconds"], 6)
         for fam in fams:
             assert fam["min_delta1"] > 0.0
             assert fam["leading_exponent"] == 2

@@ -106,17 +106,35 @@ class TestComputeC:
         assert compute_C(f).nodes > 256
 
     def test_each_node_evaluated_once(self, monkeypatch):
-        points = []
+        nodes = []
+        integrand = coefficient.track_integrand
+
+        def recorded(families, i, n):
+            nodes.append(np.ravel(i / n))  # node F_c + i*pi/n at u*pi past F_c
+            return integrand(families, i, n)
+
+        monkeypatch.setattr(coefficient, "track_integrand", recorded)
+        res = compute_C(ResonantFamily(2, 7, 0.4))
+        # the n-node grid is summed over the n/2 + 1 nodes u = 2j/n of half a
+        # period, each evaluated once, whatever the order of the calls
+        u = np.sort(np.concatenate(nodes))
+        assert np.array_equal(u, np.arange(res.nodes // 2 + 1) * (2.0 / res.nodes))
+
+    def test_first_levels_take_one_call(self, monkeypatch):
+        # Levels 64 ... 512 come from one integrand call: a family that stops
+        # at 512 nodes makes exactly one.
+        calls = []
         integrand = coefficient.track_integrand
 
         def counted(families, i, n):
-            points.append(np.size(i))
+            calls.append(n)
             return integrand(families, i, n)
 
         monkeypatch.setattr(coefficient, "track_integrand", counted)
-        res = compute_C(ResonantFamily(2, 7, 0.4))
-        # the n-node grid is summed over the n/2 + 1 nodes of half a period
-        assert sum(points) == res.nodes // 2 + 1
+        for f in canonical_families(2, 7, 0.3):
+            calls.clear()
+            assert compute_C(f).nodes == 512
+            assert calls == [512]
 
     def test_chunked_levels_are_bit_identical(self, monkeypatch):
         # A grazing family that converges at 131,072 nodes: summed 64
@@ -204,7 +222,10 @@ class TestComputeC:
         assert u.size == res.nodes // 2 + 1
         levels, n = [], coefficient._N_START
         while n <= res.nodes:
-            order = np.argsort(u[: n // 2 + 1])
+            # the level's nodes u = 2j/n, picked by position
+            on_level = np.flatnonzero(u * (n // 2) % 1.0 == 0.0)
+            order = on_level[np.argsort(u[on_level])]
+            assert order.size == n // 2 + 1
             assert np.all(np.diff(u[order]) == 2.0 / n)
             weights = np.full(order.size, 2.0)
             weights[[0, -1]] = 1.0
@@ -312,7 +333,7 @@ class TestLockstep:
     def _check_call_shapes(calls):
         # At most B = _CHUNK // _N_START families a call, and at least
         # _CHUNK // B indices a family, except in the call that ends a level
-        # (its last index is n on the first level, n - 1 on the midpoints).
+        # (its last index is n on the first levels, n - 1 on the midpoints).
         bound = coefficient._CHUNK // coefficient._N_START
         assert calls
         for families, indices, n, last in calls:
@@ -350,7 +371,29 @@ class TestLockstep:
         batch = compute_Cs(fams)
         assert all(isinstance(r, coefficient.CoefficientResult) for r in batch)
         self._check_call_shapes(calls)
-        assert sorted({c[0] for c in calls if c[2] == coefficient._N_START}) == [72, 128]
+        assert sorted({c[0] for c in calls if c[2] == coefficient._N_FIRST}) == [72, 128]
+
+    # Several q, n_l = 0 and 1, n_g = 1, both directions and a collision;
+    # stops at 256, 512 and 1,024 nodes.
+    GUARDED = [
+        *canonical_families(1, 3, 0.3),
+        ResonantFamily(2, 7, 0.4),
+        *canonical_families(1, 2, 0.2, "retrograde"),
+        canonical_families(2, 5, 0.3, "retrograde")[1],
+        ResonantFamily(3, 1, 1.0 - 3.0 ** (-2.0 / 3.0)),
+    ]
+
+    @pytest.mark.parametrize("chunk", [2, 64, None])
+    def test_mixed_batch_matches_one_family_entries(self, chunk, monkeypatch):
+        # One guard sample and one first-level call for the whole batch give
+        # each family the entry it gets alone, at any bound on a call.
+        alone = [compute_Cs([f])[0] for f in self.GUARDED]
+        assert isinstance(alone[-1], CollisionError)
+        assert sorted({a.nodes for a in alone[:-1]}) == [256, 512, 1024]
+        if chunk is not None:
+            monkeypatch.setattr(coefficient, "_CHUNK", chunk)
+        for got, ref in zip(compute_Cs(self.GUARDED), alone):
+            self._assert_same(got, ref)
 
 
 _SUMMAND = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_subnormal=True)
@@ -533,6 +576,45 @@ class TestMinDelta1:
             assert min_delta1(f) <= d1[half]
 
 
+class TestGuardSample:
+    @pytest.mark.parametrize("chunk", [1000, None])
+    def test_rows_match_float_track(self, chunk, monkeypatch):
+        # One batch of every small family: sin E and cos E shared per q, the
+        # rest per family in calls of at most _CHUNK points; each row is the
+        # float track's Delta1 on the sample, bit for bit.
+        if chunk is not None:
+            monkeypatch.setattr(coefficient, "_CHUNK", chunk)
+        rows = list(coefficient._guard_samples(_SMALL_FAMILIES + TestLockstep.GUARDED))
+        for f, row in zip(_SMALL_FAMILIES + TestLockstep.GUARDED, rows):
+            assert row.size == (2051 if f.n_l == 0 else 4098), f
+            F = np.arange(-1, row.size - 1) * _SAMPLE_STEP
+            assert np.array_equal(row, track_arrays(f, F)[3]), f
+
+    @pytest.mark.parametrize("family", TestLockstep.GUARDED, ids=str)
+    def test_float_refinement_matches_float_track(self, family):
+        # The refinement's Delta1 on Python floats through math is within
+        # 4 ulp of numpy's float track.
+        F = np.random.default_rng(7).uniform(0.0, 2.0 * math.pi, 500)
+        ref = track_arrays(family, F)[3]
+        d = coefficient._delta1_at(family)
+        got = np.array([d(x) for x in F.tolist()])
+        assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(ref))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="min_delta1 refines only the least of its 4,096 samples; for this narrow "
+        "close pass that is the local minimum 0.0264745 at F ~ 1.4759, not 0.0225583 at "
+        "F ~ 1.9246 (ROADMAP items 5 and 9: refine every sampled local minimum with the "
+        "reference refresh)",
+    )
+    def test_narrow_close_pass_found(self):
+        f = canonical_families(15, 13, 0.07093487512020555, "retrograde")[1]
+        F = np.arange(2**16) * (2.0 * math.pi / 2**16)
+        scanned = track_arrays(f, F)[3].min()
+        assert scanned == pytest.approx(0.0225583, rel=1e-3)
+        assert min_delta1(f) <= scanned
+
+
 class TestSweep:
     def test_opposite_signs(self):
         rows = sweep_e(1, 3, "direct", [0.1, 0.2, 0.3], tol=1e-10)
@@ -553,12 +635,13 @@ class TestSweep:
     def test_min_delta1_once_per_family(self, monkeypatch):
         calls = []
         md = coefficient.min_delta1
+        guard = coefficient.min_delta1s
 
-        def counted(f):
-            calls.append(f)
-            return md(f)
+        def counted(families):
+            calls.extend(families)
+            return guard(families)
 
-        monkeypatch.setattr(coefficient, "min_delta1", counted)
+        monkeypatch.setattr(coefficient, "min_delta1s", counted)
         monkeypatch.setattr(coefficient, "NODE_CAP", 256)
         e_star = 1.0 - 3.0 ** (-2.0 / 3.0)
         grid = [0.1, e_star]
