@@ -10,6 +10,8 @@ route to a quantity the package computes another way:
   kernel's.
 - `min_delta1_brent`: the minimum of Delta1 from the full 4096-point sample
   and scipy's bounded Brent search (the package's former `min_delta1`).
+- `min_delta1_full`: the package's `min_delta1` from every point of its
+  sample, where the package's bounded guard skips most of them.
 - `compute_C_via_omega_ll`, `compute_C_via_omega_gg`: C from time integrals
   of Omega_ll and Omega_gg.  They share no code with the track quadrature
   beyond the coordinate stack and the family's initial Delaunay state:
@@ -40,7 +42,13 @@ import mpmath
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from rtbp_resonance.coefficient import _exact_sum, _level
+from rtbp_resonance.coefficient import (
+    _delta1_at,
+    _exact_sum,
+    _guard_constants,
+    _level,
+    _refine_min,
+)
 from rtbp_resonance.errors import CollisionError, ValidationError
 from rtbp_resonance.kepler import DelaunayState, true_anomaly
 from rtbp_resonance.perturbation import (
@@ -117,6 +125,20 @@ def min_delta1_brent(f: ResonantFamily) -> float:
         d, bounds=(F[i] - h, F[i] + h), method="bounded", options={"xatol": 1e-10}
     )
     return float(min(res.fun, d1[i]))
+
+
+def min_delta1_full(f: ResonantFamily) -> float:
+    """The least of Delta1 on the grid j*2*pi/4096, j = 0 ... 2048 (n_l = 0)
+    or 0 ... 4095 (n_l = 1), every sample evaluated by `track_arrays`, refined
+    by the package's `_refine_min` inside the least one's two grid
+    neighbours (the first least on a tie, as np.argmin takes it)."""
+    n = 4096
+    h = 2.0 * math.pi / n
+    top = n // 2 if f.n_l == 0 else n - 1
+    d1 = track_arrays(f, np.arange(-1, top + 2) * h)[3]  # d1[i] is the sample j = i - 1
+    i = 1 + int(np.argmin(d1[1:-1]))
+    x = [(j - 1) * h for j in (i - 1, i, i + 1)]
+    return _refine_min(_delta1_at(_guard_constants(f)), x, d1[i - 1 : i + 2].tolist())
 
 
 def omega_polar(r, theta):

@@ -8,13 +8,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     compute_C_via_omega_gg,
     compute_C_via_omega_ll,
     min_delta1_brent,
+    min_delta1_full,
     trapezoid_pair,
     trapezoid_pair_longdouble,
 )
@@ -579,16 +580,66 @@ class TestMinDelta1:
 class TestGuardSample:
     @pytest.mark.parametrize("chunk", [1000, None])
     def test_rows_match_float_track(self, chunk, monkeypatch):
-        # One batch of every small family: sin E and cos E shared per q, the
-        # rest per family in calls of at most _CHUNK points; each row is the
-        # float track's Delta1 on the sample, bit for bit.
+        # One batch of every small family.  Each point the bounded guard
+        # evaluates, in numpy calls of at most _CHUNK points, is the float
+        # track's Delta1 there, bit for bit, and the guard evaluates few of
+        # the sample's points.
         if chunk is not None:
             monkeypatch.setattr(coefficient, "_CHUNK", chunk)
-        rows = list(coefficient._guard_samples(_SMALL_FAMILIES + TestLockstep.GUARDED))
-        for f, row in zip(_SMALL_FAMILIES + TestLockstep.GUARDED, rows):
-            assert row.size == (2051 if f.n_l == 0 else 4098), f
-            F = np.arange(-1, row.size - 1) * _SAMPLE_STEP
-            assert np.array_equal(row, track_arrays(f, F)[3]), f
+        fams = _SMALL_FAMILIES + TestLockstep.GUARDED
+        calls, sizes = [], []
+        guard, delta1 = coefficient._guard_delta1, coefficient.delta1
+
+        def recorded(k, rows, j):
+            out = guard(k, rows, j)
+            calls.append([x.ravel().copy() for x in np.broadcast_arrays(rows, j, out)])
+            return out
+
+        def sized(r, theta):
+            sizes.append(np.size(theta))
+            return delta1(r, theta)
+
+        monkeypatch.setattr(coefficient, "_guard_delta1", recorded)
+        monkeypatch.setattr(coefficient, "delta1", sized)
+        coefficient.min_delta1s(fams)
+        assert max(sizes) <= coefficient._CHUNK
+        rows, j, d = map(np.concatenate, zip(*calls))
+        order = np.argsort(rows, kind="stable")
+        split = np.cumsum(np.bincount(rows, minlength=len(fams)))[:-1]
+        for f, jf, df in zip(fams, np.split(j[order], split), np.split(d[order], split)):
+            assert np.array_equal(df, track_arrays(f, jf * _SAMPLE_STEP)[3]), f
+        sample = sum(2049 if f.n_l == 0 else 4096 for f in fams)
+        assert d.size < sample / 3
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 40),
+                st.integers(1, 40),
+                st.sampled_from(["direct", "retrograde"]),
+                st.integers(0, 1),
+                st.floats(0.01, 0.97),
+            ).filter(lambda x: x[0] != x[1] and math.gcd(x[0], x[1]) == 1),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    # least samples inside the last cell of the n_l = 1 sample (j = 4081, 4085)
+    @example([(13, 7, "retrograde", 1, 0.1), (15, 8, "retrograde", 1, 0.1)])
+    @settings(max_examples=150, deadline=None)
+    def test_bounded_guard_matches_full_sample(self, draws):
+        # Both n_l (odd p) or both n_g (even p), in batches that mix q.
+        fams = [canonical_families(p, q, e, d)[which] for p, q, d, which, e in draws]
+        got = coefficient.min_delta1s(fams)
+        assert [x.hex() for x in got] == [min_delta1_full(f).hex() for f in fams]
+
+    def test_speed_bound_is_load_bearing(self, monkeypatch):
+        # With a quarter of the speed bound the guard skips cells that hold
+        # the least sample, and at least one result changes.
+        speed = coefficient._speed_bound
+        monkeypatch.setattr(coefficient, "_speed_bound", lambda k: 0.25 * speed(k))
+        got = coefficient.min_delta1s(_SMALL_FAMILIES)
+        assert any(g != min_delta1_full(f) for g, f in zip(got, _SMALL_FAMILIES))
 
     @pytest.mark.parametrize("family", TestLockstep.GUARDED, ids=str)
     def test_float_refinement_matches_float_track(self, family):
@@ -596,7 +647,7 @@ class TestGuardSample:
         # 4 ulp of numpy's float track.
         F = np.random.default_rng(7).uniform(0.0, 2.0 * math.pi, 500)
         ref = track_arrays(family, F)[3]
-        d = coefficient._delta1_at(family)
+        d = coefficient._delta1_at(coefficient._guard_constants(family))
         got = np.array([d(x) for x in F.tolist()])
         assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(ref))
 
