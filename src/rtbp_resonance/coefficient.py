@@ -14,8 +14,9 @@ only at the new midpoints of that half period and adds them, doubled, to an
 exact running sum, so every level value is the correctly rounded trapezoid
 sum (the value fsum would give over the n node values) and no node value
 is kept.  Every node is F_c + i*pi/n for an integer i, and the integrands
-are evaluated from i with their phases reduced exactly (track_integrand
-with n given; see perturbation).
+are evaluated from i with their phases reduced exactly, from one tangent of
+each half phase, tan(E/2) and tan(theta/2) (track_integrand with n given;
+see perturbation).
 
 compute_Cs runs a batch of families in lockstep: all start at _N_START
 nodes and double together, each leaving on its own stopping rule, node cap
@@ -33,12 +34,12 @@ on families times indices per call, so memory does not grow with the batch)
 and per block of at most _CHUNK // _N_START = 128 families (a call's Python
 work is linear in its families, so without that bound a level of a large
 batch would cost its families squared times the indices over _CHUNK).  The
-indices are shared as one broadcast row: sin E and cos E are then taken once
-per distinct (n_l, q), e.g. one or two rows for the 34 families of a sweep
-over 17 e.  The call's values go through one exact-sum pass (_exact_sums),
-which bins every (family, integrand, level) value by exponent at once and
-folds the bins into a few floats per family, integrand and level before the
-Python integer sum.
+indices are shared as one broadcast row: tan(E/2), and sin E and cos E from
+it, are then taken once per distinct (n_l, q), e.g. one or two rows for the
+34 families of a sweep over 17 e.  The call's values go through one
+exact-sum pass (_exact_sums), which bins every (family, integrand, level)
+value by exponent at once and folds the bins into a few floats per family,
+integrand and level before the Python integer sum.
 
 With T_n = C1 + C2 on n nodes, d_n = |T_n - T_{n/2}| and
 b = tol * max(1, |T_n|) (absolute for small sums, relative for the large

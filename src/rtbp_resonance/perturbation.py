@@ -9,21 +9,30 @@ distance to the small primary (placed at radius 1 in the mu -> 0 limit).
 Delta1^2 is computed in the equal half-angle form (r - 1)^2 + 4 r sin^2(theta/2),
 a sum of two non-negative terms: the definition's form cancels on grazing
 tracks (r ~ 1, theta ~ 0), and Delta1^-5 in the integrand amplifies that loss.
-The integrand kernel takes sin(theta/2) and cos(theta/2) once per node and
-derives sin(theta) and cos(theta) from them.
+The integrands need only sin^2(theta/2), which gives Delta1^2 and
+cos(theta) = 1 - 2 sin^2(theta/2), and sin^2(theta).
 
 On the quadrature grid F = F_c + i*pi/n (F_c = n_l*pi/q, n a power of two)
 every phase is an integer multiple of pi/n plus a bounded term:
-    E = n_l*pi + q*i*pi/n,
+    E/2 = n_l*pi/2 + q*i*pi/(2n),
     theta/2 = (n_l + n_g)*pi/2 + k*i*pi/(2n) + (w +- (p/q)*e*sin(E))/2,
 with w = nu - E, k = q - p and + for direct orbits, k = q + p and - for
-retrograde ones.  The integer parts are reduced exactly in int64 (mod 2n and
-4n, by a mask), so the angles passed to sin and cos lie in [0, 2*pi) plus
-O(1) and carry roundoff of a few ulps of 2*pi.  The float phases E = q*F and
-theta, up to (p + q)*pi, carry roundoff proportional to p + q instead, which
-Delta1^-5 amplifies on a close pass.  The grid kernel takes a batch of
-families, one row of indices each; E depends only on (n_l, q), so families
-that share both and their index row share sin E and cos E.
+retrograde ones.  The grid kernel takes one tangent of each half phase,
+t = tan(E/2) and tau = tan(theta/2), whose period is pi, so the integer parts
+are reduced exactly in int64 mod 2n (by a mask) and the angles passed to tan
+lie in [0, pi) plus O(1), with roundoff of a few ulps of pi.  The float phases
+E = q*F and theta, up to (p + q)*pi, carry roundoff proportional to p + q
+instead, which Delta1^-5 amplifies on a close pass.  From the tangents,
+    sin E = 2t/(1 + t^2), cos E = (1 - t^2)/(1 + t^2),
+    sin^2(theta/2) = tau^2/(1 + tau^2), sin^2(theta) = 4 sin^2(theta/2)/(1 + tau^2):
+numpy's tan is vectorized where its sin and cos may be scalar libm calls, so
+two tangents a node cost much less than four sines and cosines.  The poles
+are harmless: tan of the float nearest pi/2 is ~1.6e16, whose square does not
+overflow, and E = pi gives sin E ~ 1.2e-16 and cos E = -1.  The grid kernel
+takes a batch of families, one row of indices each; E depends only on
+(n_l, q), so families that share both and their index row share tan(E/2).
+The float kernel (F given, no n) and the collision guard's Delta1 keep sin
+and cos of the float phases.
 """
 
 from __future__ import annotations
@@ -92,26 +101,26 @@ def canonical_families(p, q, e, direction="direct"):
     return f0, f0.sibling()
 
 
-def _delta1_sq(r, sh):
-    """Delta1^2 = (r - 1)^2 + 4 r sh^2 at sh = sin(theta/2)."""
-    return (r - 1.0) ** 2 + 4.0 * r * (sh * sh)
+def _delta1_sq(r, sh2):
+    """Delta1^2 = (r - 1)^2 + 4 r sh2 at sh2 = sin^2(theta/2)."""
+    return (r - 1.0) ** 2 + 4.0 * r * sh2
 
 
 def delta1(r, theta):
     """Distance to the small primary."""
-    return np.sqrt(_delta1_sq(r, np.sin(0.5 * theta)))
+    sh = np.sin(0.5 * theta)
+    return np.sqrt(_delta1_sq(r, sh * sh))
 
 
-def _integrand_parts(r, sh, ch, d2):
+def _integrand_parts(r, sh2, s2, d2):
     """(r/Delta1)_thetatheta with r held fixed, and cos(theta)/r, at
-    sh = sin(theta/2), ch = cos(theta/2) and Delta1^2 = d2.
+    sh2 = sin^2(theta/2), s2 = sin^2(theta) and Delta1^2 = d2.
 
     Closed form of the first: (3 r^3 sin^2(theta) - r^2 cos(theta) Delta1^2) / Delta1^5,
-    with sin(theta) = 2 sh ch and cos(theta) = 1 - 2 sh^2.
+    with cos(theta) = 1 - 2 sh2.
     """
-    s = 2.0 * sh * ch
-    c = 1.0 - 2.0 * sh * sh
-    return r * r * (3.0 * r * s * s - c * d2) / (d2 * d2 * np.sqrt(d2)), c / r
+    c = 1.0 - 2.0 * sh2
+    return r * r * (3.0 * r * s2 - c * d2) / (d2 * d2 * np.sqrt(d2)), c / r
 
 
 def _track(f: ResonantFamily, F):
@@ -151,7 +160,7 @@ class GridFamilies:
     one (families, 1) column each.  Built once per batch (GridFamilies.of);
     indexing by a slice or a list of rows gives the columns of those families,
     so an integrand call does no per-family Python work beyond grouping the
-    families that share sin E and cos E."""
+    families that share tan(E/2)."""
 
     key: np.ndarray  # 2*q + n_l: equal for the families that share E
     n_l: np.ndarray
@@ -185,14 +194,15 @@ class GridFamilies:
 
 
 def _grid_track(families, i, n: int):
-    """(r, theta/2) at the grid nodes F_c + i*pi/n of each family, from int64
-    indices i with one row per family, the integer phases reduced exactly
-    (see the module docstring).  families is a sequence of families or their
-    GridFamilies.
+    """(r, tan(theta/2)) at the grid nodes F_c + i*pi/n of each family, from
+    int64 indices i with one row per family, the integer phases reduced
+    exactly (see the module docstring).  families is a sequence of families
+    or their GridFamilies.
 
     E depends on the family only through (n_l, q).  Index rows broadcast from
     one shared row (stride 0, as np.broadcast_to makes them) therefore take
-    sin E and cos E once per distinct (n_l, q); other rows once per family.
+    tan(E/2), and sin E and cos E from it, once per distinct (n_l, q); other
+    rows once per family.
     """
     g = families if isinstance(families, GridFamilies) else GridFamilies.of(families)
     i = np.asarray(i, dtype=np.int64)
@@ -200,14 +210,17 @@ def _grid_track(families, i, n: int):
     rows = {}  # key -> (its row of E, its first family)
     row = [rows.setdefault(key, (len(rows), k))[0] for k, key in enumerate(keys)]
     first = [k for _, k in rows.values()]
-    E = ((g.n_l[first] * n + g.q[first] * i[first]) & (2 * n - 1)) * (math.pi / n)
-    sinE, cosE = np.sin(E), np.cos(E)
+    step = 0.5 * math.pi / n
+    t = np.tan(((g.n_l[first] * n + g.q[first] * i[first]) & (2 * n - 1)) * step)
+    t2 = t * t
+    sec2 = 1.0 + t2  # 1 / cos^2(E/2)
+    sinE, cosE = 2.0 * t / sec2, (1.0 - t2) / sec2
     if len(first) < len(row):
         sinE, cosE = sinE[row], cosE[row]
     bounded = anomaly_offset(g.beta, sinE, cosE) + g.ecc * sinE
-    j = (g.turns * n + g.k * i) & (4 * n - 1)
+    j = (g.turns * n + g.k * i) & (2 * n - 1)  # tan has period pi in theta/2
     r = g.a * (1.0 - g.e * cosE)
-    return r, j * (0.5 * math.pi / n) + 0.5 * bounded
+    return r, np.tan(j * step + 0.5 * bounded)
 
 
 def track_integrand(f, F, n: int | None = None):
@@ -222,15 +235,20 @@ def track_integrand(f, F, n: int | None = None):
     if n is None:
         r, theta, _ = _track(f, F)
         half = 0.5 * theta
+        sh = np.sin(half)
+        sh2, s2 = sh * sh, (2.0 * sh * np.cos(half)) ** 2
     elif n < 1 or n & (n - 1):
         raise ValidationError(f"grid index base n must be a power of two, got {n}")
     else:
-        r, half = _grid_track(f, F, n)
-    sh = np.sin(half)
-    d2 = _delta1_sq(r, sh)
+        r, tau = _grid_track(f, F, n)
+        tau2 = tau * tau
+        sec2 = 1.0 + tau2  # 1 / cos^2(theta/2)
+        sh2 = tau2 / sec2
+        s2 = 4.0 * sh2 / sec2
+    d2 = _delta1_sq(r, sh2)
     if np.any(d2 <= 0.0):
         raise CollisionError("resonant track passes through the small primary")
-    return _integrand_parts(r, sh, np.cos(half), d2)
+    return _integrand_parts(r, sh2, s2, d2)
 
 
 def delaunay_initial_state(f: ResonantFamily):

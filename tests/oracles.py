@@ -104,7 +104,9 @@ def trapezoid_pair_longdouble(f: ResonantFamily, n: int):
         r = a * (1 - e * cosE)
         half = theta / 2
         sh = np.sin(half)
-        for k, w in enumerate(_integrand_parts(r, sh, np.cos(half), _delta1_sq(r, sh))):
+        sh2 = sh * sh
+        s2 = (2 * sh * np.cos(half)) ** 2
+        for k, w in enumerate(_integrand_parts(r, sh2, s2, _delta1_sq(r, sh2))):
             sums[k] += np.sum(w)
     return tuple(float(s * (2 * pi / n)) for s in sums)
 
@@ -153,10 +155,10 @@ def integrand_thetatheta(r, theta):
     """(r/Delta1)_thetatheta + cos(theta)/r with r held fixed."""
     half = 0.5 * np.asarray(theta)
     sh = np.sin(half)
-    d2 = _delta1_sq(r, sh)
+    d2 = _delta1_sq(r, sh * sh)
     if not np.all(d2 > 0.0) or np.any(np.asarray(r) <= 0.0):
         raise CollisionError("integrand evaluated at a collision")
-    c1, c2 = _integrand_parts(r, sh, np.cos(half), d2)
+    c1, c2 = _integrand_parts(r, sh * sh, (2.0 * sh * np.cos(half)) ** 2, d2)
     return c1 + c2
 
 

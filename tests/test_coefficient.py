@@ -641,6 +641,28 @@ class TestGuardSample:
         got = coefficient.min_delta1s(_SMALL_FAMILIES)
         assert any(g != min_delta1_full(f) for g, f in zip(got, _SMALL_FAMILIES))
 
+    def test_end_image_is_not_a_sample(self, monkeypatch):
+        # For n_l = 1 the coarse pass reaches j = _SAMPLES (F = 2*pi), the
+        # image of j = 0, not a sample of its own.  A synthetic Delta1 one ulp
+        # below d(0) there, and above it everywhere else, leaves j = 0 the
+        # first least of j = 0 ... _SAMPLES - 1.
+        n = coefficient._SAMPLES
+        end = np.nextafter(1.0, 0.0)
+
+        def d(j):
+            return np.where(j == n, end, 1.0 + 1e-3 * (1.0 - np.cos(j * (2.0 * math.pi / n))))
+
+        def synthetic(k, rows, j):
+            return np.broadcast_to(d(j), (rows.shape[0], j.shape[1])).copy()
+
+        monkeypatch.setattr(coefficient, "_guard_delta1", synthetic)
+        consts = coefficient._guard_constants(canonical_families(1, 3, 0.3)[1])
+        k = np.array(consts)[:, None]
+        drop = np.array([coefficient._cell_drop(consts)])
+        first, values = coefficient._guard_brackets(k, np.array([0]), np.array([1]), drop)
+        assert first == [0]
+        assert values == [[float(d(-1)), 1.0, float(d(1))]]
+
     @pytest.mark.parametrize("family", TestLockstep.GUARDED, ids=str)
     def test_float_refinement_matches_float_track(self, family):
         # The refinement's Delta1 on Python floats through math is within

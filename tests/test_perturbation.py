@@ -10,6 +10,7 @@ from oracles import integrand_thetatheta, omega_polar
 from rtbp_resonance.errors import CollisionError, ValidationError
 from rtbp_resonance.perturbation import (
     ResonantFamily,
+    _grid_track,
     canonical_families,
     delaunay_initial_state,
     delta1,
@@ -190,6 +191,43 @@ class TestTrack:
                     F = f.n_l * math.pi / q + i * (math.pi / n)
                     for a, b in zip(track_integrand(f, F), track_integrand([f], i[None], n)):
                         assert np.max(np.abs(a - b[0])) <= 1e-11 * np.max(np.abs(a)), f
+
+    @pytest.mark.parametrize("e", [0.05, 0.4, 0.8])
+    def test_grid_kernel_finite_at_tangent_poles(self, e):
+        # The grid kernel takes tan(E/2) and tan(theta/2).  For odd q and
+        # n_l = 0 the end node i = n of every level has E = pi, the pole of
+        # tan(E/2); for n_l + n_g = 1 the node i = 0 has theta/2 = pi/2 up to
+        # roundoff, the pole of tan(theta/2).  Both give finite values within
+        # the bound of test_grid_kernel_matches_float_kernel.
+        i = np.arange(2048)
+        for p, q in _COPRIME:
+            if max(p, q) > 11:
+                continue
+            for direction in ("direct", "retrograde"):
+                for f in canonical_families(p, q, e, direction):
+                    Fc = f.n_l * math.pi / q
+                    period = track_integrand(f, Fc + i * (math.pi / 1024))
+                    scale = [np.max(np.abs(a)) for a in period]
+                    ends = track_integrand(f, Fc + np.array([0.0, math.pi]))
+                    for n in [2**k for k in range(6, 21)]:
+                        if f.n_l + f.n_g == 1:
+                            _, tau = _grid_track([f], np.zeros((1, 1), np.int64), n)
+                            assert abs(tau[0, 0]) > 1e15
+                        grid = track_integrand([f], np.array([[0, n]]), n)
+                        for a, b, s in zip(ends, grid, scale):
+                            assert np.all(np.isfinite(b)), f
+                            assert np.max(np.abs(a - b[0])) <= 1e-11 * s, (f, n)
+
+    def test_grid_kernel_raises_at_collision(self):
+        # 3:1 at e = 1 - 1/a, where a*(1 - e) rounds to 1: the node i = 0
+        # (E = 0, theta = 0) lies on the small primary, so Delta1^2 = 0 there.
+        a = ResonantFamily(3, 1, 0.5).semimajor_axis
+        f = ResonantFamily(3, 1, 1.0 - 1.0 / a)
+        assert a * (1.0 - f.e) == 1.0
+        with pytest.raises(CollisionError):
+            track_integrand([f], np.arange(3)[None], 64)
+        with pytest.raises(CollisionError):
+            track_integrand(f, np.zeros(1))
 
     @pytest.mark.parametrize("n", [0, 3, 96])
     def test_grid_kernel_needs_power_of_two(self, n):
