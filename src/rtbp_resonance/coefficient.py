@@ -60,18 +60,22 @@ uniform sample of _SAMPLES points, half of it for n_l = 0 by the same
 symmetry, refined by a few parabolic steps on Delta1^2; no scipy is
 involved.  compute_Cs guards its whole batch at once (min_delta1s), and only
 the least sample matters, so the guard finds it by branch and bound without
-evaluating most of the sample.  Delta1 = |r e^(i theta) - 1| changes at
-most V = a hypot(e q, q sqrt(1 - e^2) + p (1 + e)^2) per unit of F, so
+evaluating most of the sample.  Delta1 changes at most V per unit of F, so
 between two samples of every _STRIDE-th one, H apart, no sample lies below
 their mean minus V*H/2 and a slack for the float track's roundoff.  Every
-_STRIDE-th sample is evaluated, with E = q*F, sin E and cos E taken once per
-distinct q; then only the cells whose bound reaches the least of those
-samples (15% of the sample over the sweep benchmark's panel).
-Every evaluated sample keeps the bits of the float track (track_arrays) and
-no skipped one can be the least, so the refinement starts from the bracket
-and values the full sample gives, and min_delta1 is the same float.  The
-refinement evaluates Delta1 one point at a time on Python floats (math),
-where a numpy call on a 1-element array costs more than the arithmetic.
+_STRIDE-th sample is evaluated, then only the cells whose bound reaches the
+least of those samples (15% of the sample over the sweep benchmark's
+panel).  Every evaluated sample keeps the bits of the float track
+(track_arrays) and no skipped one can be the least, so the refinement starts
+from the bracket and values the full sample gives, and min_delta1 is the
+same float.
+
+This module evaluates no track formula: the searches and sums above read
+perturbation, which owns the track.  The grid kernel is track_integrand with
+n given; the guard's samples are perturbation.float_track, its refinement's
+Delta1 on Python floats is perturbation.delta1_at, and V and the slack are
+the speed and slack columns of the batch's one GridFamilies table, which
+compute_Cs builds once and passes to min_delta1s.
 """
 
 from __future__ import annotations
@@ -82,12 +86,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CollisionError, ConvergenceError
-from .kepler import anomaly_beta, anomaly_offset
 from .perturbation import (
     GridFamilies,
     ResonantFamily,
     canonical_families,
     delta1,
+    delta1_at,
+    float_track,
     track_integrand,
 )
 
@@ -104,7 +109,7 @@ _N_FIRST = 512
 # indices): bounds a level's memory.  At most _ROW.  A call holds at most
 # _CHUNK // _N_START = 128 families (_add_node_sums).  The exact sums are
 # additive, so the result does not depend on either bound.  A guard sample
-# call holds at most _CHUNK points (_guard_samples).
+# call holds at most _CHUNK points (_guard_delta1).
 _CHUNK = 2**13
 # frexp exponents of finite doubles lie in [-1073, 1024]; _EXP_OFFSET makes
 # them bit offsets, and an exact sum counts units of 1 / _UNIT.  _exact_sums
@@ -116,12 +121,10 @@ _FOLD = 13
 _ROW = 2**13
 _FOLD_WEIGHTS = 2.0 ** np.arange(_FOLD)
 # min_delta1: grid samples per period, the stride of the guard's coarse
-# sample, its roundoff slack per unit of (1 + a)*(|p| + q + 2)
-# (_guard_brackets), and the refinement's evaluation budget, least predicted
-# relative drop of Delta1^2 and shortest step in F.
+# sample (_guard_brackets), and the refinement's evaluation budget, least
+# predicted relative drop of Delta1^2 and shortest step in F.
 _SAMPLES = 4096
 _STRIDE = 16
-_GUARD_ROUNDOFF = 1e-11
 _REFINE_STEPS = 40
 _REFINE_RTOL = 1e-16
 _REFINE_XTOL = 1e-10
@@ -154,80 +157,49 @@ def min_delta1(f: ResonantFamily) -> float:
 
 
 def min_delta1s(families) -> list:
-    """min_delta1(f) for each of the families: guarded in blocks of at most
-    _CHUNK // _N_START families, as many as an integrand call holds
-    (_guard_brackets), then refined one by one."""
-    consts = [_guard_constants(f) for f in families]
-    k = np.array(consts, dtype=float).reshape(-1, 7).T  # one row per constant
-    n_l = np.array([f.n_l for f in families], dtype=np.int64)
-    drop = np.array([_cell_drop(c) for c in consts])
+    """min_delta1(f) for each of the families (a sequence of families, or
+    their GridFamilies): guarded in blocks of at most _CHUNK // _N_START
+    families, as many as an integrand call holds (_guard_brackets), then
+    refined one by one on Python floats (delta1_at)."""
+    g = families if isinstance(families, GridFamilies) else GridFamilies.of(families)
     h = 2.0 * math.pi / _SAMPLES
-    index = np.arange(len(families))
     per_block = max(1, _CHUNK // _N_START)
     out = []
-    for b in range(0, len(families), per_block):
-        cut = slice(b, b + per_block)
-        for c, j, v in zip(consts[cut], *_guard_brackets(k, index[cut], n_l[cut], drop[cut])):
-            out.append(_refine_min(_delta1_at(c), [(j - 1) * h, j * h, (j + 1) * h], v))
+    for b in range(0, len(g), per_block):
+        block = g[b : b + per_block] if len(g) > per_block else g
+        for d, j, v in zip(delta1_at(block), *_guard_brackets(block)):
+            out.append(_refine_min(d, [(j - 1) * h, j * h, (j + 1) * h], v))
     return out
 
 
-def _guard_constants(f: ResonantFamily):
-    """(e, beta, n_l*pi, +-p, q, n_g*pi, a) of the track's float formulas,
-    p negative for retrograde families."""
-    p = -f.p if f.retrograde else f.p
-    return f.e, anomaly_beta(f.e), f.n_l * math.pi, p, f.q, f.n_g * math.pi, f.semimajor_axis
-
-
-def _speed_bound(k) -> float:
-    """V >= |dDelta1/dF| along the track with the _guard_constants k.
-
-    |dDelta1/dF| <= |d(r e^(i theta))/dF| = hypot(r', r theta'), with
-    r' = a e q sin E and r theta' = a q sqrt(1 - e^2) -+ a p (1 - e cos E)^2
-    (E = qF), so V = a hypot(e q, q sqrt(1 - e^2) + |p| (1 + e)^2) in either
-    direction.
-    """
-    e, _, _, p, q, _, a = k
-    return a * math.hypot(e * q, q * math.sqrt(1.0 - e * e) + abs(p) * (1.0 + e) ** 2)
-
-
-def _cell_drop(k) -> float:
-    """V*H/2 + slack for the track with the _guard_constants k: no sample
-    between two coarse samples H = _STRIDE*2*pi/_SAMPLES apart lies further
-    below their mean (a V-Lipschitz function cannot).  The slack,
-    _GUARD_ROUNDOFF * (1 + a) * (|p| + q + 2), covers the float track's
-    roundoff in the three values: a few ulps of theta, up to about
-    2*pi*(p + q), in each."""
-    _, _, _, p, q, _, a = k
-    half_cell = _STRIDE * math.pi / _SAMPLES
-    return _speed_bound(k) * half_cell + _GUARD_ROUNDOFF * (1.0 + a) * (abs(p) + q + 2.0)
-
-
-def _guard_brackets(k, rows, n_l, drop):
-    """For the families of the columns rows of k (_guard_constants), with n_l
-    and _cell_drop theirs: the first least of Delta1 d(j) over the sample
-    F = j*2*pi/_SAMPLES, j = 0 ... span - n_l (span = _SAMPLES/2 for n_l = 0
-    and _SAMPLES for n_l = 1), as the list of j and the list of
-    [d(j - 1), d(j), d(j + 1)], bit for bit as the full sample gives them.
+def _guard_brackets(g):
+    """For each family of the GridFamilies g: the first least of Delta1 d(j)
+    over the sample F = j*2*pi/_SAMPLES, j = 0 ... span - n_l
+    (span = _SAMPLES/2 for n_l = 0 and _SAMPLES for n_l = 1), as the list of j
+    and the list of [d(j - 1), d(j), d(j + 1)], bit for bit as the full
+    sample gives them.
 
     The coarse samples j = 0, _STRIDE, ... up to the longest span are
-    evaluated in one 2-D pass.  No sample of a cell between two of them lies
-    below their mean minus drop, so one more pass evaluates only the cells
-    inside span whose bound reaches the least coarse sample: every sample
-    left out lies above the least sample, so the least evaluated value and
-    its first index are the full sample's.  A last pass evaluates its two
-    neighbours.
+    evaluated in one 2-D pass.  No sample of a cell between two of them,
+    H = _STRIDE*2*pi/_SAMPLES apart, lies below their mean minus
+    drop = V*H/2 + slack (a V-Lipschitz function cannot, and slack covers the
+    float track's roundoff in the three values; g.speed and g.slack).  So one
+    more pass evaluates only the cells inside span whose bound reaches the
+    least coarse sample: every sample left out lies above the least sample,
+    so the least evaluated value and its first index are the full sample's.
+    A last pass evaluates its two neighbours.
     """
-    rows = rows[:, None]
+    n_l = g.n_l[:, 0]
+    drop = (g.speed * (_STRIDE * math.pi / _SAMPLES) + g.slack)[:, 0]
     span = (_SAMPLES // 2) << n_l
     coarse = np.arange(0, int(span.max()) + 1, _STRIDE)
-    d = _guard_delta1(k, rows, coarse[None, :])
+    d = _guard_delta1(g, coarse[None, :])
     low = 0.5 * (d[:, :-1] + d[:, 1:]) - drop[:, None]
     d[coarse > (span - n_l)[:, None]] = np.inf  # past the sample; j = _SAMPLES is j = 0's image
     least = d.min(axis=1)
     r, c = np.nonzero((low <= least[:, None]) & (coarse[1:] <= span[:, None]))
     j = coarse[c][:, None] + np.arange(1, _STRIDE)  # the samples inside each cell
-    fine = _guard_delta1(k, rows[r], j)
+    fine = _guard_delta1(g[r], j)
     # the least evaluated value of each family, and the first sample that has it
     np.minimum.at(least, r, fine.min(axis=1))
     none = _SAMPLES + 1
@@ -236,61 +208,27 @@ def _guard_brackets(k, rows, n_l, drop):
     hits = fine == least[r][:, None]
     at = j[np.arange(r.size), hits.argmax(axis=1)]
     np.minimum.at(first, r, np.where(hits.any(axis=1), at, none))
-    sides = _guard_delta1(k, rows, first[:, None] + [-1, 1])
+    sides = _guard_delta1(g, first[:, None] + [-1, 1])
     return first.tolist(), np.column_stack((sides[:, 0], least, sides[:, 1])).tolist()
 
 
-def _guard_delta1(k, rows, j):
-    """Delta1 at the samples F = j*2*pi/_SAMPLES of the families whose
-    _guard_constants are the columns rows of k (rows a column of indices),
-    with one row of int j per family or one row shared by all, bit for bit
-    as track_arrays(f, F)[3] gives it: the float operations of
-    perturbation._track in their order, in numpy calls of at most _CHUNK
-    points (or one row).  A shared row takes E = q*F, sin E and cos E once
-    per distinct q.
-
-    A retrograde t = (n_l*pi - l)*p/q is taken as (l - n_l*pi)*(-p)/q, which
-    negates exactly and so differs at most in the sign of a zero, which
-    Delta1 does not see.
+def _guard_delta1(g, j):
+    """Delta1 at the samples F = j*2*pi/_SAMPLES of the families of the
+    GridFamilies g, with one row of int j per family or one row shared by
+    all, bit for bit as track_arrays(f, F)[3] gives it (float_track), in
+    numpy calls of at most _CHUNK points (or one row).  A shared row goes to
+    float_track as a stride-0 broadcast, so it takes sin E and cos E once per
+    distinct q.
     """
-    shared = j.shape[0] == 1
     step = max(1, _CHUNK // j.shape[1])
+    F = j * (2.0 * math.pi / _SAMPLES)
     out = []
-    for b in range(0, rows.shape[0], step):
-        e, beta, c, p, q, turn, a = k[:, rows[b : b + step]]
-        F = (j if shared else j[b : b + step]) * (2.0 * math.pi / _SAMPLES)
-        if shared:
-            seen = {}
-            which = [seen.setdefault(x, len(seen)) for x in q[:, 0].tolist()]
-            E = np.array(list(seen))[:, None] * F
-            sinE, cosE = np.sin(E), np.cos(E)
-            if len(seen) > 1:
-                E, sinE, cosE = E[which], sinE[which], cosE[which]
-        else:
-            E = q * F
-            sinE, cosE = np.sin(E), np.cos(E)
-        t = (E - e * sinE - c) * p / q
-        theta = E + anomaly_offset(beta, sinE, cosE) + turn - t
-        out.append(delta1(a * (1.0 - e * cosE), theta))
+    for b in range(0, len(g), step):
+        part = g[b : b + step] if len(g) > step else g
+        Fb = F[b : b + step] if len(F) > 1 else np.broadcast_to(F, (len(part), F.shape[1]))
+        r, theta, _ = float_track(part, Fb)
+        out.append(delta1(r, theta))
     return out[0] if len(out) == 1 else np.concatenate(out)
-
-
-def _delta1_at(k):
-    """Delta1 at one F of the track with the _guard_constants k, on Python
-    floats through math, with _guard_delta1's float operations in their
-    order; math's sin, cos and atan may differ from numpy's in the last bit."""
-    e, beta, c, p, q, turn, a = k
-
-    def d(F: float) -> float:
-        E = q * F
-        sinE, cosE = math.sin(E), math.cos(E)
-        t = (E - e * sinE - c) * p / q
-        theta = E + 2.0 * math.atan(beta * sinE / (1.0 - beta * cosE)) + turn - t
-        r = a * (1.0 - e * cosE)
-        sh = math.sin(0.5 * theta)
-        return math.sqrt((r - 1.0) * (r - 1.0) + 4.0 * r * (sh * sh))
-
-    return d
 
 
 def _refine_min(d, x, v) -> float:
@@ -363,23 +301,25 @@ def compute_Cs(families, tol: float = 1e-10) -> list:
     family's nodes by the first level they lie on; each later level costs one
     integrand call and one exact-sum pass per chunk of its midpoints.  A
     chunk holds at most _CHUNK nodes and at most _CHUNK // _N_START families.
-    The kernel's per-family constants (GridFamilies) are built once for the
-    batch and cut to the live families whenever one leaves.  Each family
-    leaves on its own stopping rule, at the node cap or at the collision
-    guard.  The list holds, in the order of families, each one's
-    CoefficientResult or the CollisionError or ConvergenceError compute_C
-    would raise, whatever else is in the batch.
+    The batch's per-family constants (GridFamilies) are built once, serve
+    the guard and the kernel, and are cut to the live families whenever one
+    collides or leaves.  Each family leaves on its own stopping rule, at the
+    node cap or at the collision guard.  The list holds, in the order of
+    families, each one's CoefficientResult or the CollisionError or
+    ConvergenceError compute_C would raise, whatever else is in the batch.
     """
+    grid = GridFamilies.of(families)  # one row per family, then per live track
     out = [None] * len(families)
     live = []
-    for k, (f, md) in enumerate(zip(families, min_delta1s(families))):
+    for k, (f, md) in enumerate(zip(families, min_delta1s(grid))):
         if md <= COLLISION_DELTA:
             out[k] = _with_min_delta1(
                 CollisionError(f"track reaches Delta1 = {md:.3e} <= {COLLISION_DELTA} for {f}"), md
             )
         else:
             live.append(_Track(k, f, md))
-    grid = GridFamilies.of([t.family for t in live])  # one row per live track
+    if len(live) < len(families):
+        grid = grid[[t.index for t in live]]
     # The first levels' nodes F_c + j*2*pi/n, j = 0 ... n/2, are the even
     # indices 0 ... top of the top-node grid; the two ends count once, the
     # others twice.  Level m (_N_START << m nodes) adds the entries at the
@@ -536,17 +476,6 @@ def _exact_sums(v, shift=0, group=0, groups: int = 1) -> list:
             total = (total << _FOLD) + x
         sums.append(total << (low + _EXP_OFFSET))
     return sums
-
-
-def _exact_sum(v) -> int:
-    """Exact sum of the finite doubles v, of any length, as an integer number
-    of 1 / _UNIT: _exact_sums over rows of at most _ROW = 2**13 values, the
-    most for which its folds of _FOLD = 13 exponent bins stay exact."""
-    v = np.ravel(v)
-    rows = max(1, -(-v.size // _ROW))
-    padded = np.zeros((rows, -(-v.size // rows)))  # the zeros add nothing
-    padded.flat[: v.size] = v
-    return sum(_exact_sums(padded))
 
 
 def _level(s1: int, s2: int, n: int):

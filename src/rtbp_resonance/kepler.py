@@ -118,20 +118,17 @@ def solve_kepler(l: float, e: float) -> float:
     raise ConvergenceError(f"Kepler solver did not converge for l={l}, e={e}")
 
 
-def true_anomaly(E, e, sinE=None, cosE=None):
+def true_anomaly(E, e):
     """True anomaly from the eccentric anomaly, continuously unwrapped.
 
     Uses nu = E + 2*arctan(beta*sin(E) / (1 - beta*cos(E))) with
     beta = e / (1 + sqrt(1 - e^2)); the correction term is bounded, so the
     result satisfies nu(E + 2*pi) = nu(E) + 2*pi and sin(nu) has the sign
-    of sin(E).  Works on scalars and arrays.  A caller that already holds
-    sin(E) and cos(E) passes them as sinE and cosE.
+    of sin(E).  Works on scalars and arrays.
     """
     if not 0.0 <= e < 1.0:
         raise ValidationError(f"eccentricity must be in [0, 1), got {e}")
-    if sinE is None:
-        sinE, cosE = np.sin(E), np.cos(E)
-    return E + anomaly_offset(anomaly_beta(e), sinE, cosE)
+    return E + anomaly_offset(anomaly_beta(e), np.sin(E), np.cos(E))
 
 
 def anomaly_beta(e):

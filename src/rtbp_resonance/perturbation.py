@@ -31,19 +31,32 @@ are harmless: tan of the float nearest pi/2 is ~1.6e16, whose square does not
 overflow, and E = pi gives sin E ~ 1.2e-16 and cos E = -1.  The grid kernel
 takes a batch of families, one row of indices each; E depends only on
 (n_l, q), so families that share both and their index row share tan(E/2).
-The float kernel (F given, no n) and the collision guard's Delta1 keep sin
-and cos of the float phases.
+
+This module is the one place that evaluates the track.  Off the grid, the
+float track (float_track) takes sin and cos of the float phases for a batch
+of families, one row of F each; it serves the collision guard's samples, and
+its one-family case track_arrays and the float track_integrand (F given, no
+n, the tests' reference).  delta1_at is its Delta1 on Python floats, one
+point at a time, for the guard's refinement.  Both kernels know a shared row
+by its stride 0 (as np.broadcast_to makes it) and group it by key (_shared).
+Every per-family constant they read, the guard's bound included, is a column
+of one table, GridFamilies, built once per batch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CollisionError, ValidationError
-from .kepler import DelaunayState, anomaly_beta, anomaly_offset, true_anomaly
+from .kepler import DelaunayState, anomaly_beta, anomaly_offset
+
+# The float track's roundoff in Delta1 per unit of (1 + a)*(|p| + q + 2)
+# (GridFamilies.slack).
+_TRACK_ROUNDOFF = 1e-11
 
 
 @dataclass(frozen=True)
@@ -123,74 +136,128 @@ def _integrand_parts(r, sh2, s2, d2):
     return r * r * (3.0 * r * s2 - c * d2) / (d2 * d2 * np.sqrt(d2)), c / r
 
 
-def _track(f: ResonantFamily, F):
-    """(r, theta, t) along the track at the given F; see track_arrays."""
-    F = np.asarray(F, dtype=float)
-    E = f.q * F
-    sinE = np.sin(E)
-    cosE = np.cos(E)
-    l = E - f.e * sinE
-    if f.retrograde:
-        t = (f.n_l * math.pi - l) * f.p / f.q
-    else:
-        t = (l - f.n_l * math.pi) * f.p / f.q
-    r = f.semimajor_axis * (1.0 - f.e * cosE)
-    nu = true_anomaly(E, f.e, sinE, cosE)
-    return r, nu + f.n_g * math.pi - t, t
+_INT_COLUMNS = ("key", "n_l", "q", "k", "turns")
+_FLOAT_COLUMNS = ("e", "beta", "ecc", "a", "p", "lpi", "gpi", "speed", "slack")
 
 
-def track_arrays(f: ResonantFamily, F):
-    """Vectorised resonant track: returns (r, theta, t, delta1) at the given F.
-
-    E = q*F, l = E - e*sin(E); direct orbits have t = (l - n_l*pi)*p/q and
-    retrograde ones t = (n_l*pi - l)*p/q; theta = nu + n_g*pi - t with nu
-    continuously unwrapped, so theta is continuous in F.
-    """
-    r, theta, t = _track(f, F)
-    return r, theta, t, delta1(r, theta)
-
-
-def _col(values):
-    return np.array(values)[:, None]
+def _constants(f: ResonantFamily):
+    """One family's row of GridFamilies: its _INT_COLUMNS, then its
+    _FLOAT_COLUMNS."""
+    sign = -1 if f.retrograde else 1
+    p, q, e, a = f.p, f.q, f.e, f.semimajor_axis
+    return (
+        *(2 * q + f.n_l, f.n_l, q, q - sign * p, f.n_l + f.n_g),
+        *(e, anomaly_beta(e), sign * (p / q) * e, a, sign * p, f.n_l * math.pi, f.n_g * math.pi),
+        a * math.hypot(e * q, q * math.sqrt(1.0 - e * e) + p * (1.0 + e) ** 2),
+        _TRACK_ROUNDOFF * (1.0 + a) * (p + q + 2.0),
+    )
 
 
-@dataclass(frozen=True)
 class GridFamilies:
-    """The per-family constants of the grid kernel for a batch of families,
-    one (families, 1) column each.  Built once per batch (GridFamilies.of);
-    indexing by a slice or a list of rows gives the columns of those families,
-    so an integrand call does no per-family Python work beyond grouping the
-    families that share tan(E/2)."""
+    """The per-family constants of the track for a batch of families, built
+    once per batch (GridFamilies.of) as two blocks, ints (int64) and floats,
+    one (families, 1) column each, named by _INT_COLUMNS and _FLOAT_COLUMNS:
+      key    2*q + n_l, equal for the families that share E on the grid
+      k      q - p direct, q + p retrograde, and turns n_l + n_g
+      beta   anomaly_beta(e), and a the semimajor axis
+      ecc    (p/q)*e direct, -(p/q)*e retrograde
+      p      p direct, -p retrograde; lpi n_l*pi and gpi n_g*pi
+      speed  V >= |dDelta1/dF|, and slack the float track's roundoff in Delta1.
+    Indexing by a slice or a list of rows gives the table of those families
+    (two numpy indexing operations), so an evaluation does no per-family
+    Python work beyond grouping the families that share a row.
 
-    key: np.ndarray  # 2*q + n_l: equal for the families that share E
-    n_l: np.ndarray
-    q: np.ndarray
-    k: np.ndarray  # q - p direct, q + p retrograde
-    turns: np.ndarray  # n_l + n_g
-    e: np.ndarray
-    beta: np.ndarray  # anomaly_beta(e)
-    ecc: np.ndarray  # (p/q)*e direct, -(p/q)*e retrograde
-    a: np.ndarray  # semimajor axis
+    |dDelta1/dF| <= |d(r e^(i theta))/dF| = hypot(r', r theta'), with
+    r' = a e q sin E and r theta' = a q sqrt(1 - e^2) -+ a p (1 - e cos E)^2
+    (E = qF), so V = a hypot(e q, q sqrt(1 - e^2) + |p| (1 + e)^2) in either
+    direction.  slack, _TRACK_ROUNDOFF * (1 + a) * (|p| + q + 2), covers a
+    few ulps of theta, up to about 2*pi*(p + q).
+    """
+
+    def __init__(self, ints, floats):
+        self.ints, self.floats = ints, floats
+        vars(self).update(zip(_INT_COLUMNS + _FLOAT_COLUMNS, [*ints, *floats]))
 
     @classmethod
     def of(cls, families) -> "GridFamilies":
-        return cls(
-            key=_col([2 * f.q + f.n_l for f in families]),
-            n_l=_col([f.n_l for f in families]),
-            q=_col([f.q for f in families]),
-            k=_col([f.q + f.p if f.retrograde else f.q - f.p for f in families]),
-            turns=_col([f.n_l + f.n_g for f in families]),
-            e=_col([f.e for f in families]),
-            beta=_col([anomaly_beta(f.e) for f in families]),
-            ecc=_col([(-1.0 if f.retrograde else 1.0) * (f.p / f.q) * f.e for f in families]),
-            a=_col([f.semimajor_axis for f in families]),
-        )
+        table = np.array([_constants(f) for f in families], dtype=float).reshape(-1, 14).T[:, :, None]
+        return cls(table[:5].astype(np.int64, order="C"), np.ascontiguousarray(table[5:]))
 
     def __len__(self) -> int:
-        return len(self.key)
+        return self.ints.shape[1]
 
     def __getitem__(self, rows) -> "GridFamilies":
-        return GridFamilies(*(column[rows] for column in vars(self).values()))
+        return GridFamilies(self.ints[:, rows], self.floats[:, rows])
+
+
+def _shared(key, x):
+    """(first, row) for the rows of x, one per family, with key the
+    families' key column: rows broadcast from one shared row (stride 0, as
+    np.broadcast_to makes them) are evaluated once per distinct key, at the
+    rows first, and row maps every row to its place among them.  row is None
+    where the rows of first broadcast as they are: when every row is its own
+    (first takes them all) or when all share one key (first is one row)."""
+    if x.strides[0] != 0:
+        return slice(None), None
+    seen = {}  # key -> (its place, its first row)
+    row = [seen.setdefault(k, (len(seen), n))[0] for n, k in enumerate(key[:, 0].tolist())]
+    if len(seen) in (1, len(row)):
+        return slice(0, len(seen)), None
+    return [n for _, n in seen.values()], row
+
+
+def float_track(families, F):
+    """(r, theta, t) at the values F of F along the tracks of the families
+    (a sequence of families, or their GridFamilies), one row of F per family.
+
+    E = q*F, l = E - e*sin(E); t = (l - n_l*pi)*(+-p)/q, with -p for
+    retrograde orbits, where (n_l*pi - l)*p/q would differ at most in the
+    sign of a zero; theta = nu + n_g*pi - t with nu continuously unwrapped,
+    so theta is continuous in F.  Rows of F broadcast from one shared row
+    (stride 0) take sin E and cos E once per distinct q (_shared).
+    """
+    g = families if isinstance(families, GridFamilies) else GridFamilies.of(families)
+    first, row = _shared(g.q, F)
+    E = g.q[first] * F[first]
+    sinE, cosE = np.sin(E), np.cos(E)
+    if row is not None:
+        E, sinE, cosE = E[row], sinE[row], cosE[row]
+    t = (E - g.e * sinE - g.lpi) * g.p / g.q
+    r = g.a * (1.0 - g.e * cosE)
+    return r, E + anomaly_offset(g.beta, sinE, cosE) + g.gpi - t, t
+
+
+def _one_track(f: ResonantFamily, F):
+    """float_track of the one family f at F of any shape."""
+    F = np.asarray(F, dtype=float)
+    return [x.reshape(F.shape) for x in float_track([f], F.reshape(1, -1))]
+
+
+def track_arrays(f: ResonantFamily, F):
+    """Vectorised resonant track: returns (r, theta, t, delta1) at the given F
+    (float_track of the one family f)."""
+    r, theta, t = _one_track(f, F)
+    return r, theta, t, delta1(r, theta)
+
+
+def delta1_at(g: GridFamilies) -> list:
+    """For each family of g, its Delta1 as a function of one F on Python
+    floats through math (_delta1_float), for evaluations one point at a time,
+    where a numpy call on a 1-element array costs more than the arithmetic."""
+    e, beta, _, a, p, lpi, gpi, _, _ = g.floats[:, :, 0].tolist()  # _FLOAT_COLUMNS
+    return [functools.partial(_delta1_float, *k) for k in zip(e, beta, lpi, p, g.q[:, 0].tolist(), gpi, a)]
+
+
+def _delta1_float(e, beta, c, p, q, turn, a, F: float) -> float:
+    """Delta1 at F with float_track's float operations in their order; math's
+    sin, cos and atan may differ from numpy's in the last bit."""
+    E = q * F
+    sinE, cosE = math.sin(E), math.cos(E)
+    t = (E - e * sinE - c) * p / q
+    theta = E + 2.0 * math.atan(beta * sinE / (1.0 - beta * cosE)) + turn - t
+    r = a * (1.0 - e * cosE)
+    sh = math.sin(0.5 * theta)
+    return math.sqrt((r - 1.0) * (r - 1.0) + 4.0 * r * (sh * sh))
 
 
 def _grid_track(families, i, n: int):
@@ -200,22 +267,18 @@ def _grid_track(families, i, n: int):
     or their GridFamilies.
 
     E depends on the family only through (n_l, q).  Index rows broadcast from
-    one shared row (stride 0, as np.broadcast_to makes them) therefore take
-    tan(E/2), and sin E and cos E from it, once per distinct (n_l, q); other
-    rows once per family.
+    one shared row therefore take tan(E/2), and sin E and cos E from it, once
+    per distinct (n_l, q) (_shared); other rows once per family.
     """
     g = families if isinstance(families, GridFamilies) else GridFamilies.of(families)
     i = np.asarray(i, dtype=np.int64)
-    keys = g.key[:, 0].tolist() if i.strides[0] == 0 else range(len(g))
-    rows = {}  # key -> (its row of E, its first family)
-    row = [rows.setdefault(key, (len(rows), k))[0] for k, key in enumerate(keys)]
-    first = [k for _, k in rows.values()]
+    first, row = _shared(g.key, i)
     step = 0.5 * math.pi / n
     t = np.tan(((g.n_l[first] * n + g.q[first] * i[first]) & (2 * n - 1)) * step)
     t2 = t * t
     sec2 = 1.0 + t2  # 1 / cos^2(E/2)
     sinE, cosE = 2.0 * t / sec2, (1.0 - t2) / sec2
-    if len(first) < len(row):
+    if row is not None:
         sinE, cosE = sinE[row], cosE[row]
     bounded = anomaly_offset(g.beta, sinE, cosE) + g.ecc * sinE
     j = (g.turns * n + g.k * i) & (2 * n - 1)  # tan has period pi in theta/2
@@ -233,7 +296,7 @@ def track_integrand(f, F, n: int | None = None):
     has one row per family.
     """
     if n is None:
-        r, theta, _ = _track(f, F)
+        r, theta, _ = _one_track(f, F)
         half = 0.5 * theta
         sh = np.sin(half)
         sh2, s2 = sh * sh, (2.0 * sh * np.cos(half)) ** 2

@@ -4,6 +4,8 @@ None of these is run by a CLI command; each is an independent or unfused
 route to a quantity the package computes another way:
 
 - `trapezoid_pair`: the plain (non-nested) trapezoid values of (C1, C2).
+- `exact_sum`: the exact sum of any number of doubles, through the
+  package's row sums (`coefficient._exact_sums`).
 - `trapezoid_pair_longdouble`: the same trapezoid values from the float
   track formulas (E = q*F, theta unreduced) evaluated in numpy's long double
   (80-bit extended on x86), whose phase roundoff lies far below the float
@@ -42,21 +44,17 @@ import mpmath
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from rtbp_resonance.coefficient import (
-    _delta1_at,
-    _exact_sum,
-    _guard_constants,
-    _level,
-    _refine_min,
-)
+from rtbp_resonance.coefficient import _ROW, _exact_sums, _level, _refine_min
 from rtbp_resonance.errors import CollisionError, ValidationError
 from rtbp_resonance.kepler import DelaunayState, true_anomaly
 from rtbp_resonance.perturbation import (
+    GridFamilies,
     ResonantFamily,
     _delta1_sq,
     _integrand_parts,
     delaunay_initial_state,
     delta1,
+    delta1_at,
     track_arrays,
     track_integrand,
 )
@@ -80,7 +78,18 @@ def trapezoid_pair(f: ResonantFamily, n: int, shift: float = 0.0):
     """Periodic trapezoid values of (C1, C2) on the n-node uniform F grid
     shift + j*2*pi/n, j = 0 ... n-1."""
     F = shift + np.arange(n) * (2.0 * math.pi / n)
-    return _level(*map(_exact_sum, track_integrand(f, F)), n)
+    return _level(*map(exact_sum, track_integrand(f, F)), n)
+
+
+def exact_sum(v) -> int:
+    """Exact sum of the finite doubles v, of any length, as an integer number
+    of 1 / _UNIT: the package's _exact_sums over rows of at most _ROW = 2**13
+    values, the most for which its folds of 13 exponent bins stay exact."""
+    v = np.ravel(v)
+    rows = max(1, -(-v.size // _ROW))
+    padded = np.zeros((rows, -(-v.size // rows)))  # the zeros add nothing
+    padded.flat[: v.size] = v
+    return sum(_exact_sums(padded))
 
 
 def trapezoid_pair_longdouble(f: ResonantFamily, n: int):
@@ -140,7 +149,7 @@ def min_delta1_full(f: ResonantFamily) -> float:
     d1 = track_arrays(f, np.arange(-1, top + 2) * h)[3]  # d1[i] is the sample j = i - 1
     i = 1 + int(np.argmin(d1[1:-1]))
     x = [(j - 1) * h for j in (i - 1, i, i + 1)]
-    return _refine_min(_delta1_at(_guard_constants(f)), x, d1[i - 1 : i + 2].tolist())
+    return _refine_min(delta1_at(GridFamilies.of([f]))[0], x, d1[i - 1 : i + 2].tolist())
 
 
 def omega_polar(r, theta):

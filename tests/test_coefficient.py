@@ -14,18 +14,20 @@ from hypothesis import strategies as st
 from oracles import (
     compute_C_via_omega_gg,
     compute_C_via_omega_ll,
+    exact_sum,
     min_delta1_brent,
     min_delta1_full,
     trapezoid_pair,
     trapezoid_pair_longdouble,
 )
-from rtbp_resonance import coefficient
+from rtbp_resonance import coefficient, kepler, perturbation
 from rtbp_resonance.coefficient import compute_C, compute_Cs, min_delta1, sweep_e
 from rtbp_resonance.errors import CollisionError, ConvergenceError
 from rtbp_resonance.perturbation import (
     GridFamilies,
     ResonantFamily,
     canonical_families,
+    delta1_at,
     track_arrays,
     track_integrand,
 )
@@ -316,6 +318,36 @@ class TestLockstep:
     def test_empty_batch(self):
         assert compute_Cs([]) == []
 
+    def test_one_table_per_batch(self, monkeypatch):
+        # compute_Cs builds one GridFamilies per call, and with it each
+        # family's anomaly_beta once, also when a family collides and the
+        # table is cut to the live tracks.
+        tables, betas = [], []
+        of, beta = GridFamilies.of.__func__, kepler.anomaly_beta
+
+        def counted_of(cls, families):
+            tables.append(len(families))
+            return of(cls, families)
+
+        def counted_beta(e):
+            betas.append(e)
+            return beta(e)
+
+        monkeypatch.setattr(GridFamilies, "of", classmethod(counted_of))
+        for module in (kepler, perturbation, coefficient):
+            if hasattr(module, "anomaly_beta"):
+                monkeypatch.setattr(module, "anomaly_beta", counted_beta)
+        e_star = 1.0 - 3.0 ** (-2.0 / 3.0)
+        collides = [*canonical_families(3, 1, e_star), *canonical_families(2, 5, 0.4, "retrograde")]
+        for batch in ([ResonantFamily(1, 3, 0.3)], collides):
+            tables.clear()
+            betas.clear()
+            out = compute_Cs(batch)
+            assert tables == [len(batch)]
+            assert sorted(betas) == sorted(f.e for f in batch)
+        assert isinstance(out[0], CollisionError)
+        assert all(isinstance(r, coefficient.CoefficientResult) for r in out[1:])
+
     @staticmethod
     def _record_calls(monkeypatch):
         """Record (families, indices per family, n, last index) of every
@@ -414,17 +446,17 @@ class TestExactSum:
     @given(st.lists(_SUMMAND, max_size=200), st.lists(st.integers(0, 200), max_size=4))
     def test_chunked_sum_equals_fsum(self, values, cuts):
         chunks = np.split(np.array(values, dtype=float), sorted(min(c, len(values)) for c in cuts))
-        total = sum(coefficient._exact_sum(c) for c in chunks)
+        total = sum(exact_sum(c) for c in chunks)
         assert total / coefficient._UNIT == math.fsum(values)
 
     def test_exact_cancellation(self):
         small = [1.0, -2.0**-60, 3.0e-320, 0.1]
         values = [1e16, -1e16] * 50 + small + [-1e16, 1e16] * 50
         v = np.array(values)
-        total = coefficient._exact_sum(v[:101]) + coefficient._exact_sum(v[101:])
+        total = exact_sum(v[:101]) + exact_sum(v[101:])
         assert total / coefficient._UNIT == math.fsum(values) == math.fsum(small)
         # One exponent bin whose high parts cancel while its low parts do not.
-        pair = coefficient._exact_sum(np.array([1.0 + 2.0**-40, -1.0]))
+        pair = exact_sum(np.array([1.0 + 2.0**-40, -1.0]))
         assert pair / coefficient._UNIT == 2.0**-40
 
     @settings(max_examples=150, deadline=None)
@@ -468,11 +500,11 @@ class TestExactSum:
         spread = rng.standard_normal(2**17) * 2.0 ** rng.integers(-80, 80, 2**17)
         for v in (equal, -equal, below, spread):
             values, counts = np.unique(v, return_counts=True)
-            assert coefficient._exact_sum(v) == _units(values, counts)
+            assert exact_sum(v) == _units(values, counts)
 
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
-            coefficient._exact_sum(np.array([1.5e308, 1.5e308])) / coefficient._UNIT
+            exact_sum(np.array([1.5e308, 1.5e308])) / coefficient._UNIT
 
 
 class TestFormulationEquivalence:
@@ -590,9 +622,12 @@ class TestGuardSample:
         calls, sizes = [], []
         guard, delta1 = coefficient._guard_delta1, coefficient.delta1
 
-        def recorded(k, rows, j):
-            out = guard(k, rows, j)
-            calls.append([x.ravel().copy() for x in np.broadcast_arrays(rows, j, out)])
+        def recorded(g, j):
+            out = guard(g, j)
+            # each evaluated row's family, known by its constants
+            consts = zip(*(c[:, 0].tolist() for c in (g.e, g.p, g.q, g.lpi, g.gpi)))
+            for key, jr, dr in zip(consts, np.broadcast_to(j, out.shape), out):
+                calls.append((key, jr.copy(), dr.copy()))
             return out
 
         def sized(r, theta):
@@ -603,13 +638,13 @@ class TestGuardSample:
         monkeypatch.setattr(coefficient, "delta1", sized)
         coefficient.min_delta1s(fams)
         assert max(sizes) <= coefficient._CHUNK
-        rows, j, d = map(np.concatenate, zip(*calls))
-        order = np.argsort(rows, kind="stable")
-        split = np.cumsum(np.bincount(rows, minlength=len(fams)))[:-1]
-        for f, jf, df in zip(fams, np.split(j[order], split), np.split(d[order], split)):
-            assert np.array_equal(df, track_arrays(f, jf * _SAMPLE_STEP)[3]), f
+        grid = GridFamilies.of(fams)
+        keys = zip(*(c[:, 0].tolist() for c in (grid.e, grid.p, grid.q, grid.lpi, grid.gpi)))
+        family = dict(zip(keys, fams))
+        for key, j, d in calls:
+            assert np.array_equal(d, track_arrays(family[key], j * _SAMPLE_STEP)[3]), family[key]
         sample = sum(2049 if f.n_l == 0 else 4096 for f in fams)
-        assert d.size < sample / 3
+        assert sum(d.size for _, _, d in calls) < sample / 3
 
     @given(
         st.lists(
@@ -633,12 +668,12 @@ class TestGuardSample:
         got = coefficient.min_delta1s(fams)
         assert [x.hex() for x in got] == [min_delta1_full(f).hex() for f in fams]
 
-    def test_speed_bound_is_load_bearing(self, monkeypatch):
+    def test_speed_bound_is_load_bearing(self):
         # With a quarter of the speed bound the guard skips cells that hold
         # the least sample, and at least one result changes.
-        speed = coefficient._speed_bound
-        monkeypatch.setattr(coefficient, "_speed_bound", lambda k: 0.25 * speed(k))
-        got = coefficient.min_delta1s(_SMALL_FAMILIES)
+        grid = GridFamilies.of(_SMALL_FAMILIES)
+        grid.speed *= 0.25  # a view of the table
+        got = coefficient.min_delta1s(grid)
         assert any(g != min_delta1_full(f) for g, f in zip(got, _SMALL_FAMILIES))
 
     def test_end_image_is_not_a_sample(self, monkeypatch):
@@ -652,14 +687,12 @@ class TestGuardSample:
         def d(j):
             return np.where(j == n, end, 1.0 + 1e-3 * (1.0 - np.cos(j * (2.0 * math.pi / n))))
 
-        def synthetic(k, rows, j):
-            return np.broadcast_to(d(j), (rows.shape[0], j.shape[1])).copy()
+        def synthetic(g, j):
+            return np.broadcast_to(d(j), (len(g), j.shape[1])).copy()
 
         monkeypatch.setattr(coefficient, "_guard_delta1", synthetic)
-        consts = coefficient._guard_constants(canonical_families(1, 3, 0.3)[1])
-        k = np.array(consts)[:, None]
-        drop = np.array([coefficient._cell_drop(consts)])
-        first, values = coefficient._guard_brackets(k, np.array([0]), np.array([1]), drop)
+        grid = GridFamilies.of([canonical_families(1, 3, 0.3)[1]])
+        first, values = coefficient._guard_brackets(grid)
         assert first == [0]
         assert values == [[float(d(-1)), 1.0, float(d(1))]]
 
@@ -669,7 +702,7 @@ class TestGuardSample:
         # 4 ulp of numpy's float track.
         F = np.random.default_rng(7).uniform(0.0, 2.0 * math.pi, 500)
         ref = track_arrays(family, F)[3]
-        d = coefficient._delta1_at(coefficient._guard_constants(family))
+        (d,) = delta1_at(GridFamilies.of([family]))
         got = np.array([d(x) for x in F.tolist()])
         assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(ref))
 
@@ -711,7 +744,9 @@ class TestSweep:
         guard = coefficient.min_delta1s
 
         def counted(families):
-            calls.extend(families)
+            # each family by its constants (e, n_l*pi, n_g*pi)
+            g = families if isinstance(families, GridFamilies) else GridFamilies.of(families)
+            calls.extend(zip(*(c[:, 0].tolist() for c in (g.e, g.lpi, g.gpi))))
             return guard(families)
 
         monkeypatch.setattr(coefficient, "min_delta1s", counted)

@@ -14,6 +14,7 @@ from rtbp_resonance.perturbation import (
     canonical_families,
     delaunay_initial_state,
     delta1,
+    float_track,
     track_arrays,
     track_integrand,
 )
@@ -149,6 +150,33 @@ class TestTrack:
         r, theta, t, _ = track_arrays(ResonantFamily(1, 3, 0.3, direction="retrograde"), 0.0)
         assert t == 0.0 and theta == 0.0
         assert r == pytest.approx((1 / 3) ** (2 / 3) * 0.7)
+
+    def test_batched_float_track_rows_match_track_arrays(self):
+        # A batch of both directions, n_l and n_g each 0 and 1, and q = 1, 3
+        # and 7, each shared by several families: as one shared (stride-0)
+        # row of F, which takes sin E and cos E once per q, and as one row
+        # per family, every row is track_arrays of its family, bit for bit.
+        fams = [
+            f
+            for p, q in ((3, 1), (1, 3), (2, 3), (3, 7), (2, 7))
+            for direction in ("direct", "retrograde")
+            for f in canonical_families(p, q, 0.4, direction)
+        ]
+        F = np.linspace(0.0, 2.0 * math.pi, 9)  # F[4] is pi
+        shared = np.broadcast_to(F, (len(fams), F.size))
+        own = F + 0.01 * np.arange(len(fams))[:, None]
+        for rows in (shared, own):
+            got = float_track(fams, rows)
+            for f, Ff, *row in zip(fams, rows, *got):
+                for a, b in zip(row, track_arrays(f, Ff)[:3]):
+                    assert a.tobytes() == b.tobytes(), f
+        # The retrograde n_l = 1 row of 3:1 at F = pi has l = n_l*pi, so
+        # t = (l - n_l*pi)*(-p)/q is -0.0 where (n_l*pi - l)*p/q is +0.0.
+        f = ResonantFamily(3, 1, 0.4, n_l=1, direction="retrograde")
+        t = float_track(fams, shared)[2][fams.index(f), 4]
+        l = math.pi - f.e * math.sin(math.pi)
+        assert l == math.pi
+        assert t == (math.pi - l) * f.p / f.q and math.copysign(1.0, t) == -1.0
 
     @pytest.mark.parametrize("direction", ["direct", "retrograde"])
     @pytest.mark.parametrize("p,q", [(1, 3), (2, 7), (3, 2)])
