@@ -29,17 +29,19 @@ families (those that stop at 512 nodes) make one integrand call where four
 level calls cost more in fixed numpy overhead than in nodes.  A family that
 stops at 128 or 256 nodes evaluates the nodes up to 512 all the same.  Each
 later level evaluates its new midpoints.  A pass evaluates the integrands of
-the families still in the batch in one call per _CHUNK nodes (the bound is
-on families times indices per call, so memory does not grow with the batch)
-and per block of at most _CHUNK // _N_START = 128 families (a call's Python
-work is linear in its families, so without that bound a level of a large
-batch would cost its families squared times the indices over _CHUNK).  The
-indices are shared as one broadcast row: tan(E/2), and sin E and cos E from
-it, are then taken once per distinct (n_l, q), e.g. one or two rows for the
-34 families of a sweep over 17 e.  The call's values go through one
-exact-sum pass (_exact_sums), which bins every (family, integrand, level)
-value by exponent at once and folds the bins into a few floats per family,
-integrand and level before the Python integer sum.
+the families still in the batch in blocks of at most _CHUNK // _N_START = 128
+families (a call's Python work is linear in its families, so without that
+bound a level of a large batch would cost its families squared times the
+indices over _CHUNK): the first pass in one call per block, its 257 indices
+a family far below the _ROW values an exact row sum holds, and each later
+level in one call per _CHUNK nodes (the bound is on families times indices
+per call, so memory does not grow with the batch).  The indices are shared
+as one broadcast row: tan(E/2), and sin E and cos E from it, are then taken
+once per distinct (n_l, q), e.g. one or two rows for the 34 families of a
+sweep over 17 e.  The call's values go through one exact-sum pass
+(_exact_sums), which bins every (family, integrand, level) value by
+exponent at once and folds the bins into a few floats per family, integrand
+and level before the Python integer sum.
 
 With T_n = C1 + C2 on n nodes, d_n = |T_n - T_{n/2}| and
 b = tol * max(1, |T_n|) (absolute for small sums, relative for the large
@@ -105,11 +107,12 @@ _N_START = 64
 # The levels _N_START ... _N_FIRST come from one pass over the even grid
 # indices 0 ... _N_FIRST at base _N_FIRST (at most NODE_CAP).
 _N_FIRST = 512
-# Nodes per integrand call across a compute_Cs batch (families times
-# indices): bounds a level's memory.  At most _ROW.  A call holds at most
-# _CHUNK // _N_START = 128 families (_add_node_sums).  The exact sums are
-# additive, so the result does not depend on either bound.  A guard sample
-# call holds at most _CHUNK points (_guard_delta1).
+# Nodes per integrand call of a later level across a compute_Cs batch
+# (families times indices): bounds a level's memory.  At most _ROW.  A call
+# holds at most _CHUNK // _N_START = 128 families (_add_node_sums), and the
+# first pass makes one call per block of them.  The exact sums are additive,
+# so the result does not depend on either bound.  A guard call holds at most
+# _CHUNK points, or one block's shared row (_guard_delta1).
 _CHUNK = 2**13
 # frexp exponents of finite doubles lie in [-1073, 1024]; _EXP_OFFSET makes
 # them bit offsets, and an exact sum counts units of 1 / _UNIT.  _exact_sums
@@ -215,12 +218,13 @@ def _guard_brackets(g):
 def _guard_delta1(g, j):
     """Delta1 at the samples F = j*2*pi/_SAMPLES of the families of the
     GridFamilies g, with one row of int j per family or one row shared by
-    all, bit for bit as track_arrays(f, F)[3] gives it (float_track), in
-    numpy calls of at most _CHUNK points (or one row).  A shared row goes to
+    all, bit for bit as track_arrays(f, F)[3] gives it (float_track).  Rows of
+    their own go in numpy calls of at most _CHUNK points (or one row).  A
+    shared row goes in one call, g being one of min_delta1s' blocks, to
     float_track as a stride-0 broadcast, so it takes sin E and cos E once per
     distinct q.
     """
-    step = max(1, _CHUNK // j.shape[1])
+    step = max(1, len(g) if len(j) == 1 else _CHUNK // j.shape[1])
     F = j * (2.0 * math.pi / _SAMPLES)
     out = []
     for b in range(0, len(g), step):
@@ -412,15 +416,16 @@ def _add_node_sums(tracks, grid, n: int, first: int, shift, level=0, levels: int
     GridFamilies, one row per track.
 
     Each integrand call takes a block of at most _CHUNK // _N_START tracks
-    (see the module docstring) on at most _CHUNK nodes, the indices passed as
-    one broadcast row per family.
+    (see the module docstring), the indices passed as one broadcast row per
+    family: all of them on the first pass (levels > 1), at most _CHUNK nodes
+    on a later level.
     """
     per_call = max(1, _CHUNK // _N_START)
     level = np.broadcast_to(level, shift.shape)
     for a in range(0, len(tracks), per_call):
         block = tracks[a : a + per_call]
         fams = grid[a : a + per_call] if len(tracks) > per_call else grid
-        step = _CHUNK // len(block)
+        step = shift.size if levels > 1 else _CHUNK // len(block)
         total = [0] * (2 * len(block) * levels)
         for b in range(0, shift.size, step):
             i = first + 2 * np.arange(b, min(b + step, shift.size))

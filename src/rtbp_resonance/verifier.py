@@ -13,7 +13,10 @@ its state-transition matrix Phi and w = dz/dmu; the shooting matrix and the
 residual's mu derivative at the seed then predict every mu's starting point
 (natural-parameter continuation's predictor step: Allgower and Georg,
 *Introduction to Numerical Continuation Methods*, 1990, ch. 2).  The first
-Newton residual is O(mu^2) instead of O(mu).
+Newton residual is O(mu^2) instead of O(mu).  One field, `_variational_rhs`,
+and one integration, `_flow`, serve the predictor and Newton: the row width
+picks the field, 20 entries (state, Phi) at any mu and 24 (state, Phi, w)
+at mu = 0 only.
 
 `verify_families` corrects every (family, mu) orbit of a request in
 lockstep: each Newton iteration integrates all unfinished orbits as one
@@ -164,17 +167,30 @@ def rtbp_derivatives(s, mu: float):
 
 
 def _variational_rhs(Z, mus):
-    """(f, J Phi) for each row z = (state, Phi row by row) of Z, in closed form.
+    """(f, J Phi) for each row z = (state, Phi row by row) of Z, and also
+    J w + df/dmu for a row z = (state, Phi, w) with w = dz/dmu, in closed form.
 
-    mus[i] is the mass ratio of row i.  The vector field of rtbp_derivatives
-    and its Jacobian J, written out from the sparsity of J on Python
-    floats: the integrator calls this once per stage for the whole batch,
-    and per-call array building dominated its cost.
+    The row width picks the field, read once per call: rows of 20 entries
+    take any mass ratio mus[i], and rows of 24, the mu = 0 continuation's
+    (`_predictors`), take mu = 0 only.  f and J are those of
+    rtbp_derivatives, written out from the sparsity of J on Python floats:
+    the integrator calls this once per stage for the whole batch, and
+    per-call array building dominated its cost.
+
+    Only the momentum rows of df/dmu are non-zero: x d0^-3 - (x-1) d1^-3 + gxx
+    and y d0^-3 - y d1^-3 + gxy, with d1 the distance to (1, 0) and, at
+    mu = 0, x d0^-3 = -gx and y d0^-3 = -gy.  A row with w raises
+    CollisionError within _COLLISION_RADIUS of (1, 0), as the mu > 0 field
+    does.
     """
+    tangent = Z.shape[1] == 24
+    if tangent and any(mus):
+        raise ValueError("rows with w = dz/dmu take mu = 0 only")
     out = []
     for z, mu in zip(Z.tolist(), mus):
+        # a Newton row unpacks whole: a slice would cost the field 5%
         (p_x, p_y, x, y,
-         a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = z
+         a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = z[:20] if tangent else z
         gx, gy, gxx, gxy, gyy = _primary_forces(x, y, mu)
         # Rows of J: (0, 1, gxx, gxy), (-1, 0, gxy, gyy), (1, 0, 0, 1), (0, 1, -1, 0).
         out += [
@@ -186,66 +202,43 @@ def _variational_rhs(Z, mus):
             a0 + d0, a1 + d1, a2 + d2, a3 + d3,
             b0 - c0, b1 - c1, b2 - c2, b3 - c3,
         ]
+        if tangent:
+            w0, w1, w2, w3 = z[20:]
+            dx1 = x - 1.0
+            d1sq = dx1 * dx1 + y * y
+            if d1sq < _COLLISION_RADIUS**2:
+                raise CollisionError("trajectory reached a primary")
+            d1_3 = d1sq**-1.5
+            out += [
+                w1 + gxx * w2 + gxy * w3 - gx - dx1 * d1_3 + gxx,
+                -w0 + gxy * w2 + gyy * w3 - gy - y * d1_3 + gxy,
+                w0 + w3, w1 - w2,
+            ]
     return np.fromiter(out, float, len(out)).reshape(Z.shape)
 
 
 def _flow(s0: np.ndarray, t_end, mus):
-    """Integrate each state s0[i] with its state-transition matrix Phi (from
-    I) over [0, t_end[i]] at mass ratio mus[i], all rows in one batch.
+    """Integrate each start row s0[i], a state or (state, w), with its
+    state-transition matrix Phi (from I) over [0, t_end[i]] at mass ratio
+    mus[i], all rows in one batch of `_variational_rhs`.
 
-    Returns per row (state, Phi) at t_end[i], or the RtbpError that
-    stopped the row's integration.
+    Returns per row (state, Phi, w) at t_end[i], w empty for rows started
+    without it, or the RtbpError that stopped the row's integration.
     """
-    z0 = np.hstack([s0, np.tile(np.eye(4).ravel(), (len(s0), 1))])
+    z0 = np.hstack([s0[:, :4], np.tile(np.eye(4).ravel(), (len(s0), 1)), s0[:, 4:]])
     sol = solve_ivp(_variational_rhs, t_end, z0, mus, tol=_INTEGRATOR_TOL)
     return [
-        err if err is not None else (zf[:4], zf[4:].reshape(4, 4))
+        err if err is not None else (zf[:4], zf[4:20].reshape(4, 4), zf[20:])
         for zf, err in zip(sol.y, sol.errors)
     ]
 
 
-def _seed_state(f: ResonantFamily) -> RtbpState:
-    """Symmetric mu=0 initial condition on the section y = 0, p_x = 0."""
-    s = delaunay_to_cartesian(delaunay_initial_state(f))
-    # The Delaunay seed sits at a perihelion/aphelion on the x axis; snap the
-    # roundoff so the section conditions hold exactly.
-    return RtbpState(p_x=0.0, p_y=s.p_y, x=s.x, y=0.0)
-
-
-def _tangent_rhs(Z, _params):
-    """(f, J Phi, J w + df/dmu) at mu = 0 for each row z = (state, Phi row by
-    row, w) of Z, with w = dz/dmu along the mu = 0 flow.
-
-    The first 20 entries of a row are those of `_variational_rhs` at mu = 0.
-    Only the momentum rows of df/dmu are non-zero: x d0^-3 - (x-1) d1^-3 + gxx
-    and y d0^-3 - y d1^-3 + gxy, with d1 the distance to (1, 0) and, at
-    mu = 0, x d0^-3 = -gx and y d0^-3 = -gy.  Raises CollisionError within
-    _COLLISION_RADIUS of (1, 0), as the mu > 0 field does.
-    """
-    out = []
-    for z in Z.tolist():
-        (p_x, p_y, x, y,
-         a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3,
-         w0, w1, w2, w3) = z
-        gx, gy, gxx, gxy, gyy = _primary_forces(x, y, 0.0)
-        dx1 = x - 1.0
-        d1sq = dx1 * dx1 + y * y
-        if d1sq < _COLLISION_RADIUS**2:
-            raise CollisionError("trajectory reached a primary")
-        d1_3 = d1sq**-1.5
-        out += [
-            p_y + gx, -p_x + gy, p_x + y, p_y - x,
-            b0 + gxx * c0 + gxy * d0, b1 + gxx * c1 + gxy * d1,
-            b2 + gxx * c2 + gxy * d2, b3 + gxx * c3 + gxy * d3,
-            -a0 + gxy * c0 + gyy * d0, -a1 + gxy * c1 + gyy * d1,
-            -a2 + gxy * c2 + gyy * d2, -a3 + gxy * c3 + gyy * d3,
-            a0 + d0, a1 + d1, a2 + d2, a3 + d3,
-            b0 - c0, b1 - c1, b2 - c2, b3 - c3,
-            w1 + gxx * w2 + gxy * w3 - gx - dx1 * d1_3 + gxx,
-            -w0 + gxy * w2 + gyy * w3 - gy - y * d1_3 + gxy,
-            w0 + w3, w1 - w2,
-        ]
-    return np.fromiter(out, float, len(out)).reshape(Z.shape)
+def _seed(f: ResonantFamily):
+    """The mu = 0 seed (G0, x0, T/2) of the family: its angular momentum,
+    its start on the section y = 0, p_x = 0 (a perihelion or aphelion on
+    the x axis) and its half period p*pi, from one Delaunay state."""
+    d = delaunay_initial_state(f)
+    return d.G, delaunay_to_cartesian(d).x, math.pi * f.p
 
 
 def _shooting_matrix(sf, phi, G0: float, x0: float, mu: float) -> np.ndarray:
@@ -256,8 +249,8 @@ def _shooting_matrix(sf, phi, G0: float, x0: float, mu: float) -> np.ndarray:
     return np.array([[dsf_dx0[3], dsf_dT[3]], [dsf_dx0[0], dsf_dT[0]]])
 
 
-def _correction(A, res, x0: float, f, mu: float):
-    """The Newton correction -A^-1 res to (x0, T/2), or the ConvergenceError
+def _correction(A, res, x0: float, Th: float, f, mu: float):
+    """(x0, T/2) moved by the Newton step -A^-1 res, or the ConvergenceError
     of a singular A or of a step that moves x0 by more than half of it."""
     try:
         delta = np.linalg.solve(A, -res)
@@ -265,14 +258,14 @@ def _correction(A, res, x0: float, f, mu: float):
         return ConvergenceError("singular shooting Jacobian")
     if not np.all(np.isfinite(delta)) or abs(delta[0]) > 0.5 * abs(x0):
         return ConvergenceError(f"Newton correction diverged for {f} at mu={mu}")
-    return delta
+    return x0 + delta[0], Th + delta[1]
 
 
 def _predictors(seeds: dict) -> dict:
     """The first-order mu-predictor of each family's orbit.
 
     seeds maps a family to its mu = 0 seed (G0, x0, T/2).  One batched
-    integration at mu = 0 carries (state, Phi, w = dz/dmu) for every family,
+    `_flow` at mu = 0 carries (state, Phi, w = dz/dmu) for every family,
     24 entries a row, so that the rows stay independent (see `dop853`).
     Returns per family (A0, r0, r_mu): the shooting matrix and the residual
     (y, p_x)(T/2) of the seed, which is at roundoff level, and its mu
@@ -281,17 +274,13 @@ def _predictors(seeds: dict) -> dict:
     state (0, G0/x0, x0, 0) does not depend on mu.  A family whose mu = 0
     integration fails is left out.
     """
-    fams = list(seeds)
-    z0 = [[0.0, G0 / x0, x0, 0.0, *np.eye(4).ravel(), 0.0, 0.0, 0.0, 0.0]
-          for G0, x0, _ in seeds.values()]
-    t_end = [Th for _, _, Th in seeds.values()]
-    sol = solve_ivp(_tangent_rhs, t_end, z0, [0.0] * len(fams), tol=_INTEGRATOR_TOL)
+    s0 = np.array([[0.0, G0 / x0, x0, 0.0, 0.0, 0.0, 0.0, 0.0] for G0, x0, _ in seeds.values()])
+    flows = _flow(s0, [Th for *_, Th in seeds.values()], [0.0] * len(s0))
     out = {}
-    for f, zf, err in zip(fams, sol.y, sol.errors):
-        if err is None:
-            G0, x0, _ = seeds[f]
-            sf, w = zf[:4], zf[20:]
-            A0 = _shooting_matrix(sf, zf[4:20].reshape(4, 4), G0, x0, 0.0)
+    for (f, (G0, x0, _)), flow in zip(seeds.items(), flows):
+        if not isinstance(flow, RtbpError):
+            sf, phi, w = flow
+            A0 = _shooting_matrix(sf, phi, G0, x0, 0.0)
             out[f] = (A0, np.array([sf[3], sf[0]]), np.array([w[3], w[0]]))
     return out
 
@@ -317,7 +306,7 @@ def _shoot(orbits, tol: float) -> list:
         if not 0.0 < mu <= 1e-3:
             out[i] = ValidationError(f"mu must be in (0, 1e-3], got {mu}")
         elif f not in seeds:
-            seeds[f] = (delaunay_initial_state(f).G, _seed_state(f).x, math.pi * f.p)
+            seeds[f] = _seed(f)
     predictors = _predictors(seeds) if seeds else {}
 
     live = []  # [index, family, mu, G0, x0, T/2, best residual, integrations since]
@@ -327,11 +316,11 @@ def _shoot(orbits, tol: float) -> list:
         G0, x0, Th = seeds[f]
         if f in predictors:
             A0, r0, r_mu = predictors[f]
-            delta = _correction(A0, r0 + mu * r_mu, x0, f, mu)
-            if isinstance(delta, RtbpError):
-                out[i] = delta
+            start = _correction(A0, r0 + mu * r_mu, x0, Th, f, mu)
+            if isinstance(start, RtbpError):
+                out[i] = start
                 continue
-            x0, Th = x0 + delta[0], Th + delta[1]
+            x0, Th = start
         live.append([i, f, mu, G0, x0, Th, math.inf, 0])
 
     for _ in range(_NEWTON_MAX_ITER):
@@ -345,7 +334,7 @@ def _shoot(orbits, tol: float) -> list:
             if isinstance(flow, RtbpError):
                 out[i] = flow
                 continue
-            sf, phi = flow
+            sf, phi, _ = flow
             res = np.array([sf[3], sf[0]])  # (y, p_x) at T/2
             r = max(abs(res[0]), abs(res[1]))
             if r <= tol:
@@ -365,11 +354,11 @@ def _shoot(orbits, tol: float) -> list:
                     f"shooting stalled at residual {best:.3g} above tol={tol} for {f} at mu={mu}"
                 )
                 continue
-            delta = _correction(_shooting_matrix(sf, phi, G0, x0, mu), res, x0, f, mu)
-            if isinstance(delta, RtbpError):
-                out[i] = delta
+            step = _correction(_shooting_matrix(sf, phi, G0, x0, mu), res, x0, Th, f, mu)
+            if isinstance(step, RtbpError):
+                out[i] = step
                 continue
-            still.append([i, f, mu, G0, x0 + delta[0], Th + delta[1], best, stale])
+            still.append([i, f, mu, G0, *step, best, stale])
         live = still
     for i, f, mu, *_ in live:
         out[i] = ConvergenceError(f"shooting did not converge to tol={tol} for {f} at mu={mu}")

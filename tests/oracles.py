@@ -29,9 +29,10 @@ route to a quantity the package computes another way:
 - `leading_c1_mp`: the Laplace series of `series.leading_c1_coefficient`
   summed in extended-precision mpmath arithmetic.
 - `leading_c1_operator_fractions`: the leading operator of
-  `series._leading_c1_operator` summed term by term in `Fraction`
-  polynomials, every operation reduced, where the package sums integer
-  numerators over one common denominator.
+  `series._leading_c1_operator` from its defining sum taken term by term in
+  reduced `Fraction`s at one large integer D and read back by Kronecker
+  substitution, where the package expands integer numerators over one common
+  denominator.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from rtbp_resonance.perturbation import (
     track_arrays,
     track_integrand,
 )
-from rtbp_resonance.series import _binomials, _leading_c1_operator
+from rtbp_resonance.series import _leading_c1_operator
 from rtbp_resonance.verifier import _primary_forces
 
 TWO_PI = 2.0 * math.pi
@@ -69,9 +70,6 @@ _ORACLE_STEP = 2e-2
 _KEPLER_NEWTON_STEPS = 12
 # Nodes per long double evaluation: bounds the oracle's memory.
 _LONGDOUBLE_CHUNK = 2**16
-# X -> [binom(X, 0), ..., binom(X, order)] as Fraction polynomials in D; a
-# table serves every order up to its own, and grows by doubling.
-_BINOMIAL_TABLES: dict = {}
 
 
 def trapezoid_pair(f: ResonantFamily, n: int, shift: float = 0.0):
@@ -317,28 +315,49 @@ def leading_c1_mp(f: ResonantFamily, dps: int = 40) -> float:
 
 def leading_c1_operator_fractions(p: int, q: int, direction: str) -> tuple:
     """The coefficients (D^0 first, no trailing zeros) of
-    `series._leading_c1_operator`, as the sum over i of the Fraction
-    polynomials binom(X, i) times the Fraction weights
-    (+-1/2)^i (+-p/2)^(m-i) / (m-i)!, with X = D+q, q-D or -q-D as there.
+    `series._leading_c1_operator`, from its defining sum over i of
+    binom(X, i) (+-1/2)^i (+-p/2)^(m-i) / (m-i)!, with X = D+q, q-D or -q-D
+    as there, without expanding a polynomial in D.
 
-    binom(X, i) comes from `series._binomials`, whose rows do not depend on
-    the order asked for, so one table per X serves every resonance.
+    binom(X, i) = X (X-1) ... (X-i+1) / i!, so term i is the reduced
+    Fraction v_i = (+-1/2)^i (+-p/2)^(m-i) / ((m-i)! i!) times that falling
+    factorial.  With L the least common denominator of the v_i, L times the
+    sum is a polynomial in D with integer coefficients; the sum is taken
+    term by term in Fractions at D = 2^K, where each falling factorial is an
+    integer, and 2^(K-1) above the size of every coefficient makes them the
+    balanced base-2^K digits of the value (Kronecker substitution: von zur
+    Gathen and Gerhard, *Modern Computer Algebra*, sec. 8.4).  That is m + 1
+    Fraction terms, where an expanded sum takes about m^2 / 2.  The size
+    bound takes the l1 norm of X - j as 1 + |x0 - j|.
     """
     m = abs(p - q) if direction == "direct" else p + q
-    s = Fraction(p if direction == "direct" else -p, 2)
+    t = p if direction == "direct" else -p
     if direction == "direct" and p > q:
-        X, half, sign = (-q, -1), Fraction(-1, 2), 1
+        (x0, x1), h, sign = (-q, -1), -1, 1
     else:
-        X, half, sign = ((q, 1) if p < q else (q, -1)), Fraction(1, 2), (-1) ** m
-    table = _BINOMIAL_TABLES.get(X, [])
-    if len(table) <= m:
-        table = _BINOMIAL_TABLES[X] = _binomials(X, max(m, 2 * len(table)))
-    total = [Fraction(0)] * (m + 1)
-    for i, b in enumerate(table[: m + 1]):
-        w = half**i * s ** (m - i) / math.factorial(m - i)
-        for k, c in enumerate(b):
-            total[k] += c * w
-    total = [c * sign for c in total]
-    while total and total[-1] == 0:
-        total.pop()
-    return tuple(total)
+        (x0, x1), h, sign = ((q, 1) if p < q else (q, -1)), 1, (-1) ** m
+    v = [
+        Fraction(sign * h**i * t ** (m - i), 2**m * math.factorial(m - i) * math.factorial(i))
+        for i in range(m + 1)
+    ]
+    scale = math.lcm(*(c.denominator for c in v))
+    # |L v_i| times the l1 norm of X (X-1) ... (X-i+1), in bits, at most
+    bits, norm = 0, 1
+    for i, c in enumerate(v):
+        bits = max(bits, abs(c.numerator).bit_length() - c.denominator.bit_length() + 1
+                   + scale.bit_length() + norm.bit_length())
+        norm *= 1 + abs(x0 - i)
+    K = bits + (m + 1).bit_length() + 1
+    X = x0 + x1 * 2**K
+    value, falling = Fraction(0), 1
+    for i, c in enumerate(v):
+        value += c * scale * falling
+        falling *= X - i
+    assert value.denominator == 1
+    n, out, B = value.numerator, [], 2**K
+    while n:
+        d = n & (B - 1)  # n mod B, also for negative n
+        d -= B if d >= B >> 1 else 0
+        out.append(Fraction(d, scale))
+        n = (n - d) >> K
+    return tuple(out)

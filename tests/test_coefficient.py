@@ -4,6 +4,7 @@ and eccentricity sweeps."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,30 @@ class TestComputeC:
     def test_c2_vanishes_unless_q_is_1(self):
         assert abs(compute_C(ResonantFamily(2, 3, 0.3), tol=1e-12).C2) <= 1e-12
         assert abs(compute_C(ResonantFamily(2, 1, 0.3), tol=1e-12).C2) > 1e-3
+
+    def test_c2_trapezoid_is_roundoff_for_q_above_1(self):
+        # Along the track e^(i theta)/r = const * B(E) * e^(-+ipF) with B
+        # 2*pi-periodic in E = qF, so the F-harmonics of cos(theta)/r are
+        # jq -+ p, none 0 for coprime q >= 2: C2 = 0 at every e (ROADMAP
+        # item 12).  The float kernel's trapezoid at each family's converged
+        # nodes is roundoff (measured 1.1e-14 at most over these 120).
+        rng = random.Random(7)
+        pool = [
+            (p, q) for p in range(1, 16) for q in range(2, 16) if p != q and math.gcd(p, q) == 1
+        ]
+        fams = []
+        for _ in range(60):
+            p, q = rng.choice(pool)
+            fams += canonical_families(
+                p, q, rng.uniform(0.02, 0.85), rng.choice(["direct", "retrograde"])
+            )
+        done = [
+            (f, r) for f, r in zip(fams, compute_Cs(fams))
+            if isinstance(r, coefficient.CoefficientResult)
+        ]
+        assert len(done) >= 100
+        for f, r in done:
+            assert abs(trapezoid_pair(f, r.nodes)[1]) < 1e-13, f
 
     def test_collision_guard(self):
         # 3:1 resonance: a = 3^(2/3); the conjunction at theta = 0 hits the
@@ -406,6 +431,32 @@ class TestLockstep:
         self._check_call_shapes(calls)
         assert sorted({c[0] for c in calls if c[2] == coefficient._N_FIRST}) == [72, 128]
 
+    def test_first_pass_and_coarse_guard_take_one_call(self, monkeypatch):
+        # A sweep-sized batch of 34 families: the 257 first-pass indices and
+        # the guard's 257 shared coarse samples go in one call each, where
+        # _CHUNK nodes a call would split them (34 * 257 > 8,192).
+        fams = [f for e in np.linspace(0.05, 0.45, 17) for f in canonical_families(1, 3, e)]
+        first, coarse = [], []
+        integrand, track = coefficient.track_integrand, coefficient.float_track
+
+        def counted(families, i, n):
+            if n == coefficient._N_FIRST:
+                first.append(i.shape)
+            return integrand(families, i, n)
+
+        def sampled(families, F):
+            if F.strides[0] == 0:  # the coarse pass's shared row
+                coarse.append(F.shape)
+            return track(families, F)
+
+        monkeypatch.setattr(coefficient, "track_integrand", counted)
+        monkeypatch.setattr(coefficient, "float_track", sampled)
+        out = compute_Cs(fams)
+        assert all(isinstance(r, coefficient.CoefficientResult) for r in out)
+        assert first == [(34, 257)]
+        assert coarse == [(34, 257)]
+        assert [r.min_delta1 for r in out] == [min_delta1_full(f) for f in fams]
+
     # Several q, n_l = 0 and 1, n_g = 1, both directions and a collision;
     # stops at 256, 512 and 1,024 nodes.
     GUARDED = [
@@ -613,16 +664,18 @@ class TestGuardSample:
     @pytest.mark.parametrize("chunk", [1000, None])
     def test_rows_match_float_track(self, chunk, monkeypatch):
         # One batch of every small family.  Each point the bounded guard
-        # evaluates, in numpy calls of at most _CHUNK points, is the float
-        # track's Delta1 there, bit for bit, and the guard evaluates few of
-        # the sample's points.
+        # evaluates, in numpy calls of at most _CHUNK points (rows of their
+        # own) or of one shared row for at most _CHUNK // _N_START families,
+        # is the float track's Delta1 there, bit for bit, and the guard
+        # evaluates few of the sample's points.
         if chunk is not None:
             monkeypatch.setattr(coefficient, "_CHUNK", chunk)
         fams = _SMALL_FAMILIES + TestLockstep.GUARDED
-        calls, sizes = [], []
+        calls, sizes, shared = [], [], []
         guard, delta1 = coefficient._guard_delta1, coefficient.delta1
 
         def recorded(g, j):
+            shared.append(len(j) == 1)
             out = guard(g, j)
             # each evaluated row's family, known by its constants
             consts = zip(*(c[:, 0].tolist() for c in (g.e, g.p, g.q, g.lpi, g.gpi)))
@@ -631,13 +684,17 @@ class TestGuardSample:
             return out
 
         def sized(r, theta):
-            sizes.append(np.size(theta))
+            sizes.append((shared[-1], np.shape(theta)))
             return delta1(r, theta)
 
         monkeypatch.setattr(coefficient, "_guard_delta1", recorded)
         monkeypatch.setattr(coefficient, "delta1", sized)
         coefficient.min_delta1s(fams)
-        assert max(sizes) <= coefficient._CHUNK
+        block = max(1, coefficient._CHUNK // coefficient._N_START)
+        assert all(
+            rows <= block if one_row else rows * cols <= max(cols, coefficient._CHUNK)
+            for one_row, (rows, cols) in sizes
+        )
         grid = GridFamilies.of(fams)
         keys = zip(*(c[:, 0].tolist() for c in (grid.e, grid.p, grid.q, grid.lpi, grid.gpi)))
         family = dict(zip(keys, fams))

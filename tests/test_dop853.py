@@ -11,7 +11,7 @@ from scipy.integrate._ivp import dop853_coefficients
 
 from rtbp_resonance import dop853, verifier
 from rtbp_resonance.errors import CollisionError, ConvergenceError, RtbpError, ValidationError
-from rtbp_resonance.perturbation import canonical_families, delaunay_initial_state
+from rtbp_resonance.perturbation import canonical_families
 from rtbp_resonance.verifier import DEFAULT_MU_LIST, _variational_rhs
 
 TOL = 1e-12  # the verifier's integrator tolerance
@@ -36,10 +36,9 @@ def _first_iterates():
     at the default mu: both families, eight rows."""
     rows = []
     for f in canonical_families(1, 3, 0.3):
-        x0 = verifier._seed_state(f).x
-        G0 = delaunay_initial_state(f).G
+        G0, x0, Th = verifier._seed(f)
         z0 = np.concatenate([[0.0, G0 / x0, x0, 0.0], np.eye(4).ravel()])
-        rows += [(z0, math.pi * f.p, mu) for mu in DEFAULT_MU_LIST]
+        rows += [(z0, Th, mu) for mu in DEFAULT_MU_LIST]
     return rows
 
 

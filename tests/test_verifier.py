@@ -1,5 +1,5 @@
 """Full-problem verifier tests: vector field and variational block, the
-mu-predictor's tangent field, Newton shooting for the symmetric resonant
+same field's mu-predictor rows, Newton shooting for the symmetric resonant
 orbits and its stopping rules, the half-period monodromy against
 a full-period integration, monodromy structure, and the mu -> 0
 extrapolation of (tr M - 4)/mu against the quadrature."""
@@ -18,7 +18,6 @@ from rtbp_resonance.errors import CollisionError, ConvergenceError, ValidationEr
 from rtbp_resonance.kepler import RtbpState
 from rtbp_resonance.perturbation import ResonantFamily, canonical_families
 from rtbp_resonance.verifier import (
-    _tangent_rhs,
     _variational_rhs,
     monodromy,
     refine_periodic_orbit,
@@ -118,11 +117,12 @@ def _away_from_primaries(rng, n):
 
 
 class TestTangentRhs:
-    """(f, J Phi, J w + df/dmu) at mu = 0, the mu-predictor's field."""
+    """(f, J Phi, J w + df/dmu) at mu = 0: the mu-predictor's rows of the
+    variational field, 24 entries wide."""
 
     def test_stm_block_is_the_variational_rhs(self):
         for z in _away_from_primaries(np.random.default_rng(3), 50):
-            got = _tangent_rhs(z[None], [0.0])[0]
+            got = _variational_rhs(z[None], [0.0])[0]
             assert got.shape == (24,)
             assert np.array_equal(got[:20], _variational_rhs(z[None, :20], [0.0])[0])
 
@@ -133,7 +133,7 @@ class TestTangentRhs:
             s, w = z[:4], z[20:]
             f0, f1, f2 = (rtbp_derivatives(s, k * h) for k in range(3))
             want = rtbp_jacobian(s, 0.0) @ w + (4.0 * f1 - f2 - 3.0 * f0) / (2.0 * h)
-            got = _tangent_rhs(z[None], [0.0])[0][20:]
+            got = _variational_rhs(z[None], [0.0])[0][20:]
             # measured 1.4e-9
             assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
 
@@ -142,18 +142,25 @@ class TestTangentRhs:
         # the mu = 0 field is regular there; its mu derivative is not
         assert np.all(np.isfinite(_variational_rhs(z[None, :20], [0.0])))
         with pytest.raises(CollisionError):
-            _tangent_rhs(z[None], [0.0])
+            _variational_rhs(z[None], [0.0])
+
+    def test_rows_with_w_take_mu_zero_only(self):
+        # df/dmu is written out at mu = 0
+        (z,) = _away_from_primaries(np.random.default_rng(3), 1)
+        with pytest.raises(ValueError):
+            _variational_rhs(z[None], [1e-5])
 
 
 def _first_residuals(monkeypatch, orbits):
-    """max(|y|, |p_x|)(T/2) of each orbit's first Newton integration."""
+    """max(|y|, |p_x|)(T/2) of each orbit's first Newton integration: the
+    first flow whose start rows carry no w (the predictor's carry w)."""
     first = []
     flow = verifier._flow
 
     def spy(s0, t_end, mus):
         flows = flow(s0, t_end, mus)
-        if not first:
-            first.extend(max(abs(sf[3]), abs(sf[0])) for sf, _ in flows)
+        if not first and s0.shape[1] == 4:
+            first.extend(max(abs(sf[3]), abs(sf[0])) for sf, *_ in flows)
         return flows
 
     monkeypatch.setattr(verifier, "_flow", spy)
@@ -163,12 +170,13 @@ def _first_residuals(monkeypatch, orbits):
 
 
 def _count_integrations(monkeypatch):
-    """The fields of every verifier.solve_ivp call, by name, with their row counts."""
+    """The fields of every verifier.solve_ivp call, by name, with the shape
+    of their start rows."""
     calls = []
     solve = verifier.solve_ivp
 
     def spy(fun, t_end, y0, params, tol):
-        calls.append((fun.__name__, len(y0)))
+        calls.append((fun.__name__, np.shape(y0)))
         return solve(fun, t_end, y0, params, tol)
 
     monkeypatch.setattr(verifier, "solve_ivp", spy)
@@ -187,9 +195,9 @@ class TestPredictor:
         calls = _count_integrations(monkeypatch)
         for res in verify_families(canonical_families(1, 3, 0.3)):
             assert res.errors == (None,) * 4
-        # one mu = 0 row per family; an orbit is in each Newton batch once
-        assert calls[0] == ("_tangent_rhs", 2)
-        assert all(name == "_variational_rhs" for name, _ in calls[1:])
+        # one mu = 0 row with w per family; an orbit is in each Newton batch once
+        assert calls[0] == ("_variational_rhs", (2, 24))
+        assert all(name == "_variational_rhs" and shape[1] == 20 for name, shape in calls[1:])
         assert len(calls) - 1 <= 3
 
     def test_failed_predictor_starts_from_the_bare_seed(self, monkeypatch):
@@ -197,17 +205,20 @@ class TestPredictor:
         starts = []
         flow = verifier._flow
 
-        def fail(Z, params):
-            raise CollisionError("trajectory reached a primary")
+        def fail_with_w(Z, mus):
+            if Z.shape[1] == 24:
+                raise CollisionError("trajectory reached a primary")
+            return _variational_rhs(Z, mus)
 
         def spy(s0, t_end, mus):
-            starts.append(s0[0, 2])
+            if s0.shape[1] == 4:  # a Newton integration, not the predictor's
+                starts.append(s0[0, 2])
             return flow(s0, t_end, mus)
 
-        monkeypatch.setattr(verifier, "_tangent_rhs", fail)
+        monkeypatch.setattr(verifier, "_variational_rhs", fail_with_w)
         monkeypatch.setattr(verifier, "_flow", spy)
         o = refine_periodic_orbit(f, MU)
-        assert starts[0] == verifier._seed_state(f).x
+        assert starts[0] == verifier._seed(f)[1]
         assert max(o.residual_y, o.residual_px) <= verifier.CORRECTOR_TOL
 
 
