@@ -14,6 +14,7 @@ the default mu list) are frozen then.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -60,12 +61,17 @@ def _record(command: str, inputs: dict, outputs: dict, status: str, t0: float) -
     return json.dumps(record, indent=2, sort_keys=True)
 
 
+def _output(path: str | None):
+    """A context for the stream a command writes to: stdout, looked up at call
+    time, for no path or `-`, else the file at path, opened with newline=""."""
+    if path is None or path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="")
+
+
 def _emit(text: str, output: str | None):
-    if output is None or output == "-":
-        sys.stdout.write(text + "\n")
-    else:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+    with _output(output) as fh:
+        fh.write(text + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,7 +114,10 @@ def _family_args(sp):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The parser of `main`, built once per process; each subcommand sets
+    `run`, the function `main` calls with the parsed namespace."""
     parser = _Parser(prog="rtbp-resonance", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -121,6 +130,7 @@ def build_parser() -> _Parser:
     _family_args(sp)
     sp.add_argument("--e", type=float, required=True, help="eccentricity in (0, 1)")
     sp.add_argument("--tol", type=float, default=1e-10, help=_QUAD_TOL_HELP)
+    sp.set_defaults(run=cmd_coeff)
 
     sp = sub.add_parser("sweep", parents=[common], help="CSV sweep of C over an eccentricity grid")
     _family_args(sp)
@@ -133,12 +143,14 @@ def build_parser() -> _Parser:
         "--jobs", type=int, default=0,
         help="accepted for compatibility (0 or positive); a sweep runs in one process",
     )
+    sp.set_defaults(run=cmd_sweep)
 
     sp = sub.add_parser(
         "series", parents=[common], help="leading series coefficient of both families"
     )
     _family_args(sp)
     sp.add_argument("--e", type=float, default=None, help="optionally evaluate c*e^m here")
+    sp.set_defaults(run=cmd_series)
 
     sp = sub.add_parser(
         "verify", parents=[common], help="monodromy verification against the quadrature"
@@ -153,19 +165,15 @@ def build_parser() -> _Parser:
     )
     sp.add_argument("--tol", type=float, default=1e-10, help=_QUAD_TOL_HELP)
     sp.add_argument("--cache-dir", default=None, help="cache directory for verification runs")
+    sp.set_defaults(run=cmd_verify)
 
     sp = sub.add_parser("regularize", parents=[common], help="Levi-Civita self-checks at mu = 0")
     sp.add_argument("--jacobi-constant", type=float, default=-1.5)
     sp.add_argument("--angular-momentum", type=float, default=0.3, help="G (twice h)")
     sp.add_argument("--action", type=float, default=0.8, help="action L")
+    sp.set_defaults(run=cmd_regularize)
 
     return parser
-
-
-@functools.lru_cache(maxsize=None)
-def _parser() -> _Parser:
-    """The parser of `main`, built once per process."""
-    return build_parser()
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,6 +225,12 @@ def _inject_config(argv, parser):
 # ---------------------------------------------------------------------------
 
 
+def _leading(f: ResonantFamily) -> dict:
+    """The leading series fields of a family's coeff and series entries."""
+    lead = leading_coefficient(f)
+    return {"leading_exponent": lead.exponent, "leading_coefficient": lead.value}
+
+
 def cmd_coeff(args) -> int:
     t0 = time.perf_counter()
     families = canonical_families(args.p, args.q, args.e, args.direction)
@@ -224,7 +238,6 @@ def cmd_coeff(args) -> int:
     for f, res in zip(families, compute_Cs(families, args.tol)):
         if isinstance(res, Exception):
             raise res
-        lead = leading_coefficient(f)
         outputs["families"].append(
             {
                 "family": dataclasses.asdict(f),
@@ -234,9 +247,8 @@ def cmd_coeff(args) -> int:
                 "nodes": res.nodes,
                 "err_estimate": res.err_estimate,
                 "min_delta1": res.min_delta1,
-                "leading_exponent": lead.exponent,
-                "leading_coefficient": lead.value,
             }
+            | _leading(f)
         )
     inputs = {"p": args.p, "q": args.q, "e": args.e, "direction": args.direction, "tol": args.tol}
     _emit(_record("coeff", inputs, outputs, "ok", t0), args.output)
@@ -279,15 +291,11 @@ def cmd_sweep(args) -> int:
     def cell(v):
         return "" if v is None else v if isinstance(v, str) else f"{v:.17g}"
 
-    out = sys.stdout if args.output in (None, "-") else open(args.output, "w", newline="")
-    try:
+    with _output(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(field.name for field in dataclasses.fields(SweepRow))
         for row in rows:
             writer.writerow(cell(v) for v in dataclasses.astuple(row))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if rows and all(r.status_1 != "ok" and r.status_2 != "ok" for r in rows):
         return 2
     return 0
@@ -300,14 +308,10 @@ def cmd_series(args) -> int:
     families = canonical_families(args.p, args.q, probe_e, args.direction)
     outputs = {"families": []}
     for f in families:
-        lead = leading_coefficient(f)
-        entry = {
-            "family": dataclasses.asdict(f) | {"e": args.e},
-            "leading_exponent": lead.exponent,
-            "leading_coefficient": lead.value,
-        }
+        lead = _leading(f)
+        entry = {"family": dataclasses.asdict(f) | {"e": args.e}} | lead
         if args.e is not None:
-            entry["leading_term"] = lead.value * args.e**lead.exponent
+            entry["leading_term"] = lead["leading_coefficient"] * args.e**lead["leading_exponent"]
         outputs["families"].append(entry)
     inputs = {"p": args.p, "q": args.q, "e": args.e, "direction": args.direction}
     _emit(_record("series", inputs, outputs, "ok", t0), args.output)
@@ -407,9 +411,12 @@ def cmd_verify(args) -> int:
     statuses = {e["status"] for e in outputs["families"]}
     status = next(s for s in _VERIFY_STATUS_ORDER if s in statuses)
     text = _record("verify", key | {"e": args.e, "direction": args.direction}, outputs, status, t0)
-    if cache_path:
-        _cache_store(cache_path, text)
     _emit(text, args.output)
+    if cache_path:
+        try:
+            _cache_store(cache_path, text)
+        except OSError as exc:  # the record stands without its cache entry
+            sys.stderr.write(f"warning: {exc}\n")
     return 0 if status == "ok" else 2
 
 
@@ -427,18 +434,9 @@ def cmd_regularize(args) -> int:
     return 0 if all_ok else 2
 
 
-_DISPATCH = {
-    "coeff": cmd_coeff,
-    "sweep": cmd_sweep,
-    "series": cmd_series,
-    "verify": cmd_verify,
-    "regularize": cmd_regularize,
-}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _parser()
+    parser = build_parser()
     try:
         argv = _inject_config(argv, parser)
         args = parser.parse_args(argv)
@@ -447,7 +445,7 @@ def main(argv=None) -> int:
             if value is not None and not 0.0 < value < math.inf:
                 flag = "--" + name.replace("_", "-")
                 raise ValidationError(f"{flag} must be positive and finite, got {value}")
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     except ValidationError as exc:

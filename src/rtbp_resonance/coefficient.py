@@ -301,10 +301,12 @@ def compute_Cs(families, tol: float = 1e-10) -> list:
     The collision guard runs on the whole batch at once (min_delta1s).  Every
     family starts at _N_START nodes and all double together.  The levels
     _N_START ... _N_FIRST come from one pass over the nodes of the _N_FIRST
-    grid, one integrand call and one exact-sum pass per chunk, that sums each
-    family's nodes by the first level they lie on; each later level costs one
-    integrand call and one exact-sum pass per chunk of its midpoints.  A
-    chunk holds at most _CHUNK nodes and at most _CHUNK // _N_START families.
+    grid, one integrand call and one exact-sum pass per block of at most
+    _CHUNK // _N_START families (all their _N_FIRST // 2 + 1 indices, so up
+    to 128 x 257 nodes a call), that sums each family's nodes by the first
+    level they lie on; each later level costs one integrand call and one
+    exact-sum pass per chunk of its midpoints, at most _CHUNK nodes of one
+    block.
     The batch's per-family constants (GridFamilies) are built once, serve
     the guard and the kernel, and are cut to the live families whenever one
     collides or leaves.  Each family leaves on its own stopping rule, at the

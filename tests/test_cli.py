@@ -270,7 +270,7 @@ class TestParserReuse:
 
     @staticmethod
     def _fresh_parsers():
-        cli._parser.cache_clear()
+        cli.build_parser.cache_clear()
         cli._config_finder.cache_clear()
 
     @staticmethod
@@ -306,7 +306,7 @@ class TestParserReuse:
         for argv, (code, out, err), (code2, out2, err2) in zip(calls, fresh, reused):
             assert (code2, err2) == (code, err), argv
             assert self._strip_timings(out2) == self._strip_timings(out), argv
-        assert cli._parser.cache_info().misses == 1
+        assert cli.build_parser.cache_info().misses == 1
         configured, plain = (json.loads(reused[i][1])["inputs"] for i in (0, 1))
         assert (configured["direction"], configured["tol"]) == ("retrograde", 1e-9)
         assert (plain["direction"], plain["tol"]) == ("direct", 1e-10)
@@ -370,6 +370,19 @@ class TestVerify:
         assert strip(out) == strip(fresh)
         assert entry.read_text() == out.rstrip("\n")
 
+    def test_unwritable_cache_keeps_the_record(self, capsys, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        argv = ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--family", "1",
+                "--mu-list", "1e-4,3e-5"]
+        _, plain, _ = _run(capsys, argv)
+        code, out, err = _run(capsys, argv + ["--cache-dir", str(blocker / "cache")])
+        assert code == 0
+        strip = lambda text: {k: v for k, v in json.loads(text).items() if k != "timings"}
+        assert strip(out) == strip(plain)
+        assert err.startswith("warning: ") and err.count("\n") == 1
+        assert str(blocker) in err
+
     def test_key_change_misses_cache(self, capsys, tmp_path):
         cache = tmp_path / "cache"
         base = ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--family", "1",
@@ -389,7 +402,7 @@ class TestVerify:
         finally:
             monkeypatch.undo()
             # the parser is built once per process and keeps the version it read
-            cli._parser.cache_clear()
+            cli.build_parser.cache_clear()
         _, out, _ = _run(capsys, argv)
         assert len(list(cache.glob("*.json"))) == 2
         assert json.loads(out)["version"] == cli.__version__
@@ -590,6 +603,12 @@ class TestEntryPoint:
         code, out, _ = _run(capsys, ["--version"])
         assert code == 0
         assert out.strip() == "1.8.0"
+
+    @pytest.mark.parametrize("command", ["coeff", "sweep", "series", "verify", "regularize"])
+    def test_subcommand_help(self, capsys, command):
+        code, out, err = _run(capsys, [command, "--help"])
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: rtbp-resonance {command} ")
 
     def test_unknown_command(self, capsys):
         code, _, _ = _run(capsys, ["frobnicate"])
