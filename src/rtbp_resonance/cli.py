@@ -5,10 +5,6 @@ Single-run commands emit a versioned JSON record; `sweep` emits CSV with the
 fixed header `e,C_family1,C_family2,min_delta1_1,min_delta1_2,status_1,status_2`.
 A plain-text key=value config file can pre-set any flag (flags win).  Exit
 codes: 0 success, 1 validation error, 2 computation failure.
-
-`main` builds its argument parser once per process and reuses it, with a
-fresh namespace per call; values read when it is built (the version string,
-the default mu list) are frozen then.
 """
 
 from __future__ import annotations
@@ -116,8 +112,11 @@ def _family_args(sp):
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
-    """The parser of `main`, built once per process; each subcommand sets
-    `run`, the function `main` calls with the parsed namespace."""
+    """The parser of `main`, built once per process and reused with a fresh
+    namespace per call, so values read here (the version string, the default
+    mu list) are frozen then; each subcommand sets `run`, the function `main`
+    calls with the parsed namespace.  The module docstring, all of it for
+    users, is the top-level help's description."""
     parser = _Parser(prog="rtbp-resonance", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -391,11 +390,11 @@ def cmd_verify(args) -> int:
     }
     cache_path = _cache_path(args.cache_dir, key) if args.cache_dir else None
     if cache_path and os.path.exists(cache_path):
-        with open(cache_path) as fh:
-            text = fh.read().rstrip("\n")
         try:
+            with open(cache_path) as fh:
+                text = fh.read().rstrip("\n")
             record = json.loads(text)
-        except ValueError:
+        except (OSError, ValueError):  # unreadable (UnicodeDecodeError too) or unparsable
             record = None
         if isinstance(record, dict):  # anything else is a miss, overwritten below
             _emit(text, args.output)

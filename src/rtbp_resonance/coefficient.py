@@ -3,18 +3,25 @@
 C(e,p,q) = -6*pi*p^2 * (C1 + C2) with
     C1 = integral over F in [0, 2*pi) of (r/Delta1)_thetatheta
     C2 = integral over F in [0, 2*pi) of cos(theta)/r
-along the resonant track.  The integrands are periodic and analytic in F,
-so the uniform trapezoid rule converges geometrically, at a rate set by the
-nearest complex collision.  Both are even about F_c = n_l*pi/q (the
-family's reversing symmetry), so on the grid F_c + j*2*pi/n the sum over a
-period is the sum over [F_c, F_c + pi] with its two end nodes counted once
-and every interior node twice: an n-node level evaluates the integrands
-n/2 + 1 times.  The grid is nested: each doubling evaluates the integrands
-only at the new midpoints of that half period and adds them, doubled, to an
-exact running sum, so every level value is the correctly rounded trapezoid
-sum (the value fsum would give over the n node values) and no node value
-is kept.  Every node is F_c + i*pi/n for an integer i, and the integrands
-are evaluated from i with their phases reduced exactly, from one tangent of
+along the resonant track.  C2 is 0 at every e for q >= 2: along the track
+e^(i*theta)/r = const * B(E) * e^(-+i*p*F) with B 2*pi-periodic in E = qF
+(nu - E, e*sin(E) and r are), so the F-harmonics of cos(theta)/r are
+j*q -+ p, none of them 0 for coprime q >= 2.  Its trapezoid sum would be
+roundoff, which can be most of a small C, so C2 is set to 0.0 there and
+only q = 1 families sum cos(theta)/r.
+
+The integrands are periodic and analytic in F, so the uniform trapezoid
+rule converges geometrically, at a rate set by the nearest complex
+collision.  Both are even about F_c = n_l*pi/q (the family's reversing
+symmetry), so on the grid F_c + j*2*pi/n the sum over a period is the sum
+over [F_c, F_c + pi] with its two end nodes counted once and every interior
+node twice: an n-node level evaluates the integrands n/2 + 1 times.  The
+grid is nested: each doubling evaluates the integrands only at the new
+midpoints of that half period and adds them, doubled, to an exact running
+sum, so every level value is the correctly rounded trapezoid sum (the
+value fsum would give over the n node values) and no node value is kept.
+Every node is F_c + i*pi/n for an integer i, and the integrands are
+evaluated from i with their phases reduced exactly, from one tangent of
 each half phase, tan(E/2) and tan(theta/2) (track_integrand with n given;
 see perturbation).
 
@@ -39,12 +46,13 @@ per call, so memory does not grow with the batch).  The indices are shared
 as one broadcast row: tan(E/2), and sin E and cos E from it, are then taken
 once per distinct (n_l, q), e.g. one or two rows for the 34 families of a
 sweep over 17 e.  The call's values go through one exact-sum pass
-(_exact_sums), which bins every (family, integrand, level) value by
-exponent at once and folds the bins into a few floats per family, integrand
-and level before the Python integer sum.
+(_exact_sums) of (r/Delta1)_thetatheta for every family and cos(theta)/r
+for the q = 1 families only, which bins every (family, integrand, level)
+value by exponent at once and folds the bins into a few floats per family,
+integrand and level before the Python integer sum.
 
-With T_n = C1 + C2 on n nodes, d_n = |T_n - T_{n/2}| and
-b = tol * max(1, |T_n|) (absolute for small sums, relative for the large
+With T_n = C1 + C2 on n nodes (T_n = C1 for q >= 2), d_n = |T_n - T_{n/2}|
+and b = tol * max(1, |T_n|) (absolute for small sums, relative for the large
 sums of grazing tracks, whose roundoff floor can lie above a fixed absolute
 bound), doubling stops at T_n when
   - d_n^2 < b * d_{n/2}, d_n < d_{n/2}/4 and d_{n/2} < d_{n/4}/4
@@ -280,8 +288,8 @@ def _refine_min(d, x, v) -> float:
 @dataclass
 class _Track:
     """One family's state in compute_Cs: its exact node sums (units of
-    1 / _UNIT), the node sums of the levels evaluated ahead of it, its level
-    values and last two level differences."""
+    1 / _UNIT; s2 stays 0 for q >= 2), the node sums of the levels evaluated
+    ahead of it, its level values and last two level differences."""
 
     index: int
     family: ResonantFamily
@@ -394,11 +402,13 @@ def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
     F_c + (2k+1)*pi/n to one exact integer sum per integrand (the nodes of
     the levels up to _N_FIRST are evaluated in one pass); the level values
     round those sums once, exactly as fsum over all 2n node values would.
+    For q >= 2, C2 is 0.0 (see the module docstring) and only C1 is summed.
     ``nodes`` is the full-period n.  It stops by either rule of the module
-    docstring: a predicted error within tol * max(1, |C1 + C2|) after
-    two contractions by more than 4, or successive values of C1 + C2 within
-    it (an absolute tolerance below |C1 + C2| = 1, a relative one above it);
-    tol = 0 never stops.  This is the one-family case of compute_Cs.
+    docstring on T_n = C1 + C2 (C1 for q >= 2): a predicted error within
+    tol * max(1, |T_n|) after two contractions by more than 4, or successive
+    values of T_n within it (an absolute tolerance below |T_n| = 1, a
+    relative one above it); tol = 0 never stops.  This is the one-family
+    case of compute_Cs.
 
     Raises CollisionError when the track comes within COLLISION_DELTA of the
     small primary, and ConvergenceError if the node cap is hit first; both
@@ -414,8 +424,9 @@ def _add_node_sums(tracks, grid, n: int, first: int, shift, level=0, levels: int
     """Append to each track's ahead the exact sums of its two integrands at
     the grid indices first, first + 2, ... (base n), one per entry of shift,
     each value times 2**shift, split into levels sums by the level of each
-    index (level broadcasts along shift).  grid holds the tracks'
-    GridFamilies, one row per track.
+    index (level broadcasts along shift).  cos(theta)/r is summed for the
+    q = 1 tracks only; a q >= 2 track's C2 sums are 0.  grid holds the
+    tracks' GridFamilies, one row per track.
 
     Each integrand call takes a block of at most _CHUNK // _N_START tracks
     (see the module docstring), the indices passed as one broadcast row per
@@ -427,18 +438,20 @@ def _add_node_sums(tracks, grid, n: int, first: int, shift, level=0, levels: int
     for a in range(0, len(tracks), per_call):
         block = tracks[a : a + per_call]
         fams = grid[a : a + per_call] if len(tracks) > per_call else grid
+        with_c2 = np.flatnonzero(fams.q[:, 0] == 1)  # C2 is 0 for q >= 2
         step = shift.size if levels > 1 else _CHUNK // len(block)
-        total = [0] * (2 * len(block) * levels)
+        total = [0] * ((len(block) + with_c2.size) * levels)
         for b in range(0, shift.size, step):
             i = first + 2 * np.arange(b, min(b + step, shift.size))
             w1, w2 = track_integrand(fams, np.broadcast_to(i, (len(block), i.size)), n)
             cut = slice(b, b + step)
-            sums = _exact_sums(np.concatenate((w1, w2)), shift[cut], level[cut], levels)
+            sums = _exact_sums(np.concatenate((w1, w2[with_c2])), shift[cut], level[cut], levels)
             total = [x + y for x, y in zip(total, sums)]
+        s2 = [[0] * levels] * len(block)
+        for j, k in enumerate(with_c2.tolist(), len(block)):
+            s2[k] = total[j * levels : (j + 1) * levels]
         for k, t in enumerate(block):
-            s1 = total[k * levels : (k + 1) * levels]
-            s2 = total[(len(block) + k) * levels : (len(block) + k + 1) * levels]
-            t.ahead += zip(s1, s2)
+            t.ahead += zip(total[k * levels : (k + 1) * levels], s2[k])
 
 
 def _exact_sums(v, shift=0, group=0, groups: int = 1) -> list:

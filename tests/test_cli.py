@@ -370,6 +370,30 @@ class TestVerify:
         assert strip(out) == strip(fresh)
         assert entry.read_text() == out.rstrip("\n")
 
+    def test_unreadable_entry_is_a_miss(self, capsys, tmp_path):
+        # a directory at the entry's path cannot be read or replaced: the
+        # record still comes out, and the failed store is one warning
+        cache = tmp_path / "cache"
+        argv = ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--family", "1",
+                "--mu-list", "1e-4,3e-5", "--cache-dir", str(cache)]
+        _, fresh, _ = _run(capsys, argv)
+        (entry,) = cache.glob("*.json")
+        entry.unlink()
+        entry.mkdir()
+        code, out, err = _run(capsys, argv)
+        assert code == 0
+        strip = lambda text: {k: v for k, v in json.loads(text).items() if k != "timings"}
+        assert strip(out) == strip(fresh)
+        assert err.startswith("warning: ") and err.count("\n") == 1
+        assert str(entry) in err
+        # bytes that do not decode are a miss too, and the entry is rewritten
+        entry.rmdir()
+        entry.write_bytes(b"\xff\xfe{")
+        code, out, err = _run(capsys, argv)
+        assert code == 0 and err == ""
+        assert strip(out) == strip(fresh)
+        assert entry.read_text() == out.rstrip("\n")
+
     def test_unwritable_cache_keeps_the_record(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -603,6 +627,16 @@ class TestEntryPoint:
         code, out, _ = _run(capsys, ["--version"])
         assert code == 0
         assert out.strip() == "1.8.0"
+
+    def test_top_level_help(self, capsys):
+        # the description is the user-facing module docstring, with the
+        # exit codes and no note on how the parser is built
+        code, out, err = _run(capsys, ["--help"])
+        assert code == 0 and err == ""
+        text = " ".join(out.split())
+        assert text.startswith("usage: rtbp-resonance ")
+        assert "Exit codes: 0 success, 1 validation error, 2 computation failure." in text
+        assert "argument parser" not in text and "once per process" not in text
 
     @pytest.mark.parametrize("command", ["coeff", "sweep", "series", "verify", "regularize"])
     def test_subcommand_help(self, capsys, command):

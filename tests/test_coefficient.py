@@ -42,6 +42,12 @@ def _fit_slope(p, q, direction, which, e_grid=(0.003, 0.006, 0.012, 0.024)):
     return np.polyfit(np.log(e_grid), np.log(vals), 1)[0]
 
 
+# Coprime (p, q), both below 16, with q >= 2: C2 = 0.
+_COPRIME_Q_ABOVE_1 = [
+    (p, q) for p in range(1, 16) for q in range(2, 16) if p != q and math.gcd(p, q) == 1
+]
+
+
 class TestComputeC:
     def test_split_assembly(self):
         res = compute_C(ResonantFamily(1, 3, 0.3), tol=1e-10)
@@ -76,12 +82,9 @@ class TestComputeC:
         # item 12).  The float kernel's trapezoid at each family's converged
         # nodes is roundoff (measured 1.1e-14 at most over these 120).
         rng = random.Random(7)
-        pool = [
-            (p, q) for p in range(1, 16) for q in range(2, 16) if p != q and math.gcd(p, q) == 1
-        ]
         fams = []
         for _ in range(60):
-            p, q = rng.choice(pool)
+            p, q = rng.choice(_COPRIME_Q_ABOVE_1)
             fams += canonical_families(
                 p, q, rng.uniform(0.02, 0.85), rng.choice(["direct", "retrograde"])
             )
@@ -191,7 +194,8 @@ class TestComputeC:
         # The half-period sum takes node n - j as the mirror image of node j,
         # so it may differ from the uniform grid's by h * sum |w[n-j] - w[j]|,
         # the roundoff asymmetry of those node values.  That bound holds C2 of
-        # 2:7 (an exact zero, summed to roundoff); 1e-13 relative holds the rest.
+        # 2:7 (0.0, an exact zero that the uniform grid sums to roundoff);
+        # 1e-13 relative holds the rest.
         res = compute_C(family)
         n = res.nodes
         h = 2.0 * math.pi / n
@@ -226,14 +230,16 @@ class TestComputeC:
             ResonantFamily(2, 7, 0.4),
             ResonantFamily(1, 2, 0.2, direction="retrograde"),
             canonical_families(1, 2, 0.58)[1],
+            ResonantFamily(2, 1, 0.3, direction="retrograde"),
         ],
-        ids=["2:7 direct", "1:2 retrograde", "1:2 family 2 grazing"],
+        ids=["2:7 direct", "1:2 retrograde", "1:2 family 2 grazing", "2:1 retrograde"],
     )
     def test_running_sum_matches_fsum_grid(self, family, monkeypatch):
         # Replay every level with fsum over the node values so far in F
         # order, weighted 1, 2, ..., 2, 1 over the half period, on the
         # integrand values compute_C itself receives, and replay the
-        # stopping rule on the level values.
+        # stopping rule on the level values.  C1 is the fsum level; so is
+        # C2 for q = 1, while for q >= 2 it is 0.0 and T_n = C1.
         calls = []
         integrand = coefficient.track_integrand
 
@@ -260,7 +266,12 @@ class TestComputeC:
             h = 2.0 * math.pi / n
             levels.append(tuple(h * math.fsum(weights * v[order]) for v in (v1, v2)))
             n *= 2
-        assert (res.C1, res.C2) == levels[-1]
+        assert res.C1 == levels[-1][0]
+        if family.q == 1:
+            assert (res.C1, res.C2) == levels[-1]
+        else:
+            assert res.C2 == 0.0
+            levels = [(c1, 0.0) for c1, _ in levels]
         t = [c1 + c2 for c1, c2 in levels]
         d = [math.nan] + [abs(b - a) for a, b in zip(t, t[1:])]  # d[k] = |t[k] - t[k-1]|
         stops = []  # err_estimate if compute_C stops at level k >= 1, else None
@@ -272,6 +283,113 @@ class TestComputeC:
             stops.append(d[k] ** 2 / d[k - 1] if early else d[k] if d[k] < bound else None)
         assert stops[:-1] == [None] * (len(stops) - 1)
         assert res.err_estimate == stops[-1]
+
+
+# compute_C from before the C2 = 0 rule, when every family summed
+# cos(theta)/r; q = 1 results keep these bits.  (p, n_l, n_g, direction) at
+# q = 1, e = 0.3 -> (C, C1, C2, nodes, err_estimate).
+_Q1_PINNED = {
+    (2, 0, 0, "direct"): (
+        47809.91623082622, -636.3152518165033, 2.2165437377173753, 128, 2.1600499167107046e-12,
+    ),
+    (2, 0, 1, "direct"): (
+        123.1822962798261, 0.5827877915219823, -2.2165437377173753, 256, 2.220446049250313e-16,
+    ),
+    (2, 0, 0, "retrograde"): (
+        20.57798126022385, -0.2911671649306404, 0.01824321189588906, 2048, 5.034387356166747e-21,
+    ),
+    (2, 0, 1, "retrograde"): (
+        -9.799388727648065, 0.14821164150290514, -0.018243211895889438, 512, 5.200413271595201e-15,
+    ),
+    (3, 0, 0, "direct"): (726.7283517445569, -5.120844076620586, 0.8370511334660723, 256, 0.0),
+    (3, 1, 0, "direct"): (
+        73.03517039305405, 0.40653600799891004, -0.8370511334660728, 256, 5.551115123125783e-17,
+    ),
+    (3, 0, 0, "retrograde"): (
+        2.740806749776162, -0.021371992501464356, 0.005215957601964067, 512, 5.164617689566768e-15,
+    ),
+    (3, 1, 0, "retrograde"): (
+        -2.4461574879014596, 0.01963514485310394, -0.00521595760196429, 512, 6.344599000719902e-21,
+    ),
+    (4, 0, 0, "direct"): (
+        119.03221516546658, -0.7148734446800422, 0.3201949982058323, 256, 4.7128967395337895e-14,
+    ),
+    (4, 0, 1, "direct"): (
+        25.260595583022024, 0.2364377346124313, -0.3201949982058324, 256, 3.8011260805603797e-13,
+    ),
+    (4, 0, 0, "retrograde"): (
+        0.8421099890244177, -0.004398561166870091, 0.0016063535131138871, 512, 7.043213970486063e-20,
+    ),
+    (4, 0, 1, "retrograde"): (
+        -0.8157169509177425, 0.004311049031914171, -0.0016063535131140105, 512, 8.210153951828877e-23,
+    ),
+}
+
+
+class TestC2Rule:
+    # C2 = 0 for q >= 2 (test_c2_trapezoid_is_roundoff_for_q_above_1 is the
+    # oracle for the argument): the lockstep sums cos(theta)/r for q = 1
+    # rows only.
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(_COPRIME_Q_ABOVE_1),
+        st.floats(0.02, 0.85),
+        st.sampled_from(["direct", "retrograde"]),
+    )
+    @example((3, 7), 0.3, "direct")  # n_l = 1
+    @example((2, 5), 0.4, "retrograde")  # n_g = 1
+    def test_c2_is_zero_for_q_above_1(self, pq, e, direction):
+        for f in canonical_families(*pq, e, direction):
+            try:
+                res = compute_C(f)
+            except (CollisionError, ConvergenceError):
+                continue
+            assert res.C2 == 0.0, f
+            assert res.C == -6.0 * math.pi * f.p**2 * res.C1, f
+
+    def test_q1_results_keep_their_bits(self):
+        # alone and in a batch whose q = 1 rows sit between q >= 2 rows
+        fams = [
+            ResonantFamily(p, 1, 0.3, n_l, n_g, direction)
+            for p, n_l, n_g, direction in _Q1_PINNED
+        ]
+        others = [ResonantFamily(2, 7, 0.4), canonical_families(3, 5, 0.5, "retrograde")[1]]
+        batch = compute_Cs([others[0], *fams[:6], others[1], *fams[6:]])
+        del batch[7]
+        for f, mixed, pinned in zip(fams, batch[1:], _Q1_PINNED.values()):
+            for res in (compute_C(f), mixed):
+                assert (res.C, res.C1, res.C2, res.nodes, res.err_estimate) == pinned, f
+
+    @pytest.mark.parametrize("chunk", [None, 2**8])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_mixed_batch_keeps_its_calls(self, chunk, flip, monkeypatch):
+        # One q = 1 family (2,048 nodes) and one q >= 2 family (1,024): the
+        # same integrand calls as when both summed C2, (families, indices
+        # a family, n) each.
+        if chunk is not None:
+            monkeypatch.setattr(coefficient, "_CHUNK", chunk)
+        fams = [
+            ResonantFamily(2, 1, 0.3, direction="retrograde"),
+            ResonantFamily(2, 7, 0.6, direction="retrograde"),
+        ]
+        alone = [compute_C(f) for f in fams]
+        if flip:
+            fams, alone = fams[::-1], alone[::-1]
+        calls = []
+        integrand = coefficient.track_integrand
+
+        def counted(families, i, n):
+            calls.append((len(families), i.shape[1], n))
+            return integrand(families, i, n)
+
+        monkeypatch.setattr(coefficient, "track_integrand", counted)
+        assert compute_Cs(fams) == alone
+        assert [r.nodes for r in alone] == ([1024, 2048] if flip else [2048, 1024])
+        assert calls == {
+            None: [(2, 257, 512), (2, 256, 512), (1, 512, 1024)],
+            2**8: [(2, 257, 512), (2, 128, 512), (2, 128, 512), (1, 256, 1024), (1, 256, 1024)],
+        }[chunk]
 
 
 class TestLockstep:
