@@ -160,7 +160,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--mu-list", default=",".join(repr(m) for m in DEFAULT_MU_LIST))
     sp.add_argument(
         "--corrector-tol", type=float, default=CORRECTOR_TOL,
-        help="Newton closure tolerance on y and p_x at the half period",
+        help="Newton closure tolerance on y and p_x at the half period and on every "
+        "segment defect",
     )
     sp.add_argument("--tol", type=float, default=1e-10, help=_QUAD_TOL_HELP)
     sp.add_argument("--cache-dir", default=None, help="cache directory for verification runs")

@@ -1,8 +1,9 @@
 """Full-problem verifier tests: vector field and variational block, the
-same field's mu-predictor rows, Newton shooting for the symmetric resonant
-orbits and its stopping rules, the half-period monodromy against
-a full-period integration, monodromy structure, and the mu -> 0
-extrapolation of (tr M - 4)/mu against the quadrature."""
+same field's mu-predictor rows, Newton multiple shooting for the symmetric
+resonant orbits (defects, the segments' Phi product, the guard) and its
+stopping rules, the half-period monodromy against a full-period
+integration, monodromy structure, and the mu -> 0 extrapolation of
+(tr M - 4)/mu against the quadrature."""
 
 import math
 import re
@@ -98,11 +99,23 @@ class TestFusedVariationalRhs:
                 assert got.shape == (20,)
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("width", [20, 24])
+    def test_row_alone_equals_row_in_a_wide_batch(self, width):
+        # every operation is elementwise, so a row's bits do not depend on
+        # the 127 rows around it (20-wide rows at mixed mu, 24-wide at 0)
+        rows = np.array(_away_from_primaries(np.random.default_rng(11), 128))[:, :width]
+        mus = [0.0] * 128 if width == 24 else [(0.0, 1e-5, 1e-4, 1e-3)[k % 4] for k in range(128)]
+        batch = _variational_rhs(rows, mus)
+        for k in range(128):
+            assert np.array_equal(_variational_rhs(rows[k:k + 1], mus[k:k + 1])[0], batch[k])
+
     @pytest.mark.parametrize("x", [-1e-3, 1.0 - 1e-3])
     def test_collision_at_either_primary(self, x):
         z = np.concatenate([[0.0, 0.0, x, 0.0], np.eye(4).ravel()])
-        with pytest.raises(CollisionError):
-            _variational_rhs(z[None], [1e-3])
+        for rows in (1, 16):  # on floats, and over arrays
+            others = np.reshape(_away_from_primaries(np.random.default_rng(1), rows - 1), (-1, 24))
+            with pytest.raises(CollisionError):
+                _variational_rhs(np.vstack([others[:, :20], z]), [1e-3] * rows)
 
 
 def _away_from_primaries(rng, n):
@@ -139,10 +152,13 @@ class TestTangentRhs:
 
     def test_collision_guard_at_the_second_primary(self):
         z = np.concatenate([[0.0, 0.0, 1.0 + 5e-9, 0.0], np.eye(4).ravel(), np.zeros(4)])
-        # the mu = 0 field is regular there; its mu derivative is not
-        assert np.all(np.isfinite(_variational_rhs(z[None, :20], [0.0])))
-        with pytest.raises(CollisionError):
-            _variational_rhs(z[None], [0.0])
+        for rows in (1, 16):  # on floats, and over arrays
+            others = np.reshape(_away_from_primaries(np.random.default_rng(1), rows - 1), (-1, 24))
+            Z = np.vstack([others, z])
+            # the mu = 0 field is regular there; its mu derivative is not
+            assert np.all(np.isfinite(_variational_rhs(Z[:, :20], [0.0] * rows)))
+            with pytest.raises(CollisionError):
+                _variational_rhs(Z, [0.0] * rows)
 
     def test_rows_with_w_take_mu_zero_only(self):
         # df/dmu is written out at mu = 0
@@ -151,22 +167,29 @@ class TestTangentRhs:
             _variational_rhs(z[None], [1e-5])
 
 
-def _first_residuals(monkeypatch, orbits):
-    """max(|y|, |p_x|)(T/2) of each orbit's first Newton integration: the
-    first flow whose start rows carry no w (the predictor's carry w)."""
-    first = []
+K = verifier._SEGMENTS
+
+
+def _newton_flows(monkeypatch):
+    """(start rows, flows) of every Newton integration, the predictor's
+    (whose start rows carry w) left out."""
+    calls = []
     flow = verifier._flow
 
     def spy(s0, t_end, mus):
         flows = flow(s0, t_end, mus)
-        if not first and s0.shape[1] == 4:
-            first.extend(max(abs(sf[3]), abs(sf[0])) for sf, *_ in flows)
+        if s0.shape[1] == 4:
+            calls.append((s0, flows))
         return flows
 
     monkeypatch.setattr(verifier, "_flow", spy)
-    verifier._shoot(orbits, verifier.CORRECTOR_TOL)
-    monkeypatch.undo()
-    return first
+    return calls
+
+
+def _residuals(s0, flows):
+    """max(|y|, |p_x|)(T/2) and the largest defect of one orbit's rows."""
+    ends = np.array([sf for sf, *_ in flows])
+    return max(abs(ends[-1, 3]), abs(ends[-1, 0])), np.max(np.abs(ends[:-1] - s0[1:]), initial=0.0)
 
 
 def _count_integrations(monkeypatch):
@@ -186,39 +209,94 @@ def _count_integrations(monkeypatch):
 class TestPredictor:
     @pytest.mark.parametrize("family", canonical_families(1, 3, 0.3), ids=["n_l=0", "n_l=1"])
     def test_first_residual_is_second_order_in_mu(self, monkeypatch, family):
-        # measured 1.9e-5 vs 1.9e-7 and 9.3e-6 vs 9.3e-8; the bare seed gives
-        # 1.6e-2 vs 1.6e-3 (first order)
-        r4, r5 = _first_residuals(monkeypatch, [(family, 1e-4), (family, 1e-5)])
-        assert r4 >= 50.0 * r5
+        # measured end residuals 1.2e-6 vs 1.2e-8 and 8.0e-7 vs 7.9e-9, and
+        # defects 2.3e-5 vs 2.3e-7 and 4.7e-6 vs 4.7e-8; the bare seed and
+        # Kepler starts give first-order ones (defects 1.0e-3 vs 1.0e-4)
+        calls = _newton_flows(monkeypatch)
+        verifier._shoot([(family, 1e-4), (family, 1e-5)], verifier.CORRECTOR_TOL)
+        s0, flows = calls[0]
+        assert len(s0) == 2 * K
+        (end4, def4), (end5, def5) = (_residuals(s0[j:j + K], flows[j:j + K]) for j in (0, K))
+        assert end4 >= 50.0 * end5 and def4 >= 50.0 * def5
+
+    def test_kepler_starts_lie_on_the_mu_zero_orbit(self):
+        # the closed-form segment starts against one integration at mu = 0
+        # (measured 2.1e-11)
+        for f in canonical_families(1, 3, 0.3) + canonical_families(2, 3, 0.4, "retrograde"):
+            G0, x0, Th = verifier._seed(f)
+            starts = verifier._kepler_starts(f, Th)
+            sol = _integrate([0.0, G0 / x0, x0, 0.0], Th, 0.0, tol=1e-13)
+            for k, z in enumerate(starts, start=1):
+                assert np.max(np.abs(sol.sol(k * Th / K) - z)) <= 1e-10
 
     def test_at_most_three_integrations_per_orbit(self, monkeypatch):
         calls = _count_integrations(monkeypatch)
         for res in verify_families(canonical_families(1, 3, 0.3)):
             assert res.errors == (None,) * 4
-        # one mu = 0 row with w per family; an orbit is in each Newton batch once
-        assert calls[0] == ("_variational_rhs", (2, 24))
-        assert all(name == "_variational_rhs" and shape[1] == 20 for name, shape in calls[1:])
+        # K mu = 0 rows with w per family; every segment of every live orbit
+        # is in each Newton batch once
+        assert calls[0] == ("_variational_rhs", (2 * K, 24))
+        assert calls[1] == ("_variational_rhs", (8 * K, 20))
+        assert all(name == "_variational_rhs" and shape[1] == 20 and shape[0] % K == 0
+                   for name, shape in calls[1:])
         assert len(calls) - 1 <= 3
 
     def test_failed_predictor_starts_from_the_bare_seed(self, monkeypatch):
         f = ResonantFamily(1, 3, 0.3)
-        starts = []
-        flow = verifier._flow
+        calls = _newton_flows(monkeypatch)
 
         def fail_with_w(Z, mus):
             if Z.shape[1] == 24:
                 raise CollisionError("trajectory reached a primary")
             return _variational_rhs(Z, mus)
 
-        def spy(s0, t_end, mus):
-            if s0.shape[1] == 4:  # a Newton integration, not the predictor's
-                starts.append(s0[0, 2])
-            return flow(s0, t_end, mus)
-
         monkeypatch.setattr(verifier, "_variational_rhs", fail_with_w)
-        monkeypatch.setattr(verifier, "_flow", spy)
         o = refine_periodic_orbit(f, MU)
-        assert starts[0] == verifier._seed(f)[1]
+        G0, x0, Th = verifier._seed(f)
+        first = calls[0][0]
+        assert np.array_equal(first[0], [0.0, G0 / x0, x0, 0.0])
+        assert np.array_equal(first[1:], verifier._kepler_starts(f, Th))
+        assert max(o.residual_y, o.residual_px) <= verifier.CORRECTOR_TOL
+
+
+class TestMultipleShooting:
+    @pytest.mark.parametrize("family", canonical_families(1, 3, 0.3), ids=["n_l=0", "n_l=1"])
+    def test_converged_iterate_closes_every_defect(self, monkeypatch, family):
+        calls = _newton_flows(monkeypatch)
+        o = refine_periodic_orbit(family, 1e-4)
+        s0, flows = calls[-1]
+        assert len(s0) == K
+        end, defect = _residuals(s0, flows)
+        assert end <= verifier.CORRECTOR_TOL and defect <= verifier.CORRECTOR_TOL
+        assert np.array_equal(s0[0], o.initial_state.as_array())
+
+    @pytest.mark.parametrize("family", canonical_families(1, 3, 0.3), ids=["n_l=0", "n_l=1"])
+    def test_stm_product_matches_one_integration(self, family):
+        # Phi_K ... Phi_1 against Phi(T/2) of one unsegmented integration from
+        # the converged start (measured 3.4e-12 relative)
+        o = refine_periodic_orbit(family, 1e-4)
+        ((_, phi, _),) = verifier._flow(o.initial_state.as_array()[None], [o.period / 2], [o.mu])
+        assert np.max(np.abs(o.half_period_stm - phi)) <= 1e-10 * np.max(np.abs(phi))
+
+    def test_orbit_alone_equals_orbit_in_a_request_batch(self):
+        batch = [(f, mu) for f in canonical_families(1, 3, 0.3) + canonical_families(2, 3, 0.4)
+                 for mu in (1e-4, 3e-6)]
+        for o, (f, mu) in zip(verifier._shoot(batch, verifier.CORRECTOR_TOL), batch):
+            alone = refine_periodic_orbit(f, mu)
+            assert o == alone
+            assert np.array_equal(o.half_period_stm, alone.half_period_stm)
+
+    def test_guard_restarts_a_nonlinear_orbit_as_one_segment(self, monkeypatch):
+        # 10:9 retrograde e=0.07798 family 2 at mu = 1e-4 (|C| mu ~ 6): the
+        # segmented step leaves a residual above the guard, and the orbit
+        # converges as one segment from its predictor start
+        f = canonical_families(10, 9, 0.07798046698579171, "retrograde")[1]
+        calls = _newton_flows(monkeypatch)
+        o = refine_periodic_orbit(f, 1e-4)
+        widths = [len(s0) for s0, _ in calls]
+        j = widths.index(1)
+        assert j >= 2 and set(widths[:j]) == {K} and set(widths[j:]) == {1}
+        assert max(_residuals(*calls[j - 1])) > verifier._SEGMENT_GUARD
         assert max(o.residual_y, o.residual_px) <= verifier.CORRECTOR_TOL
 
 
@@ -269,11 +347,21 @@ class TestRefinement:
             refine_periodic_orbit(ResonantFamily(1, 3, 0.3), MU, tol=1e-16)
 
     def test_residual_floor_stalls_early(self, monkeypatch):
-        # 1:3 e=0.97 family 2 (perihelion 0.014) closes only to 1.8e-12 ...
-        # 3.9e-10 over the default mu, above the default tol: each orbit stops
-        # three integrations after its best residual, well inside the
-        # 25-integration cap (measured: at most 9)
-        f = canonical_families(1, 3, 0.97)[1]
+        # 1e-10 of noise on every end state puts a floor above the default
+        # tol under the residual: each orbit stops three integrations after
+        # its best residual, well inside the 25-integration cap (measured: 6
+        # integrations)
+        f = canonical_families(1, 3, 0.3)[0]
+        rng = np.random.default_rng(2)
+        flow = verifier._flow
+
+        def noisy(s0, t_end, mus):
+            flows = flow(s0, t_end, mus)
+            if s0.shape[1] == 4:
+                flows = [(sf + rng.uniform(-1e-10, 1e-10, 4), phi, w) for sf, phi, w in flows]
+            return flows
+
+        monkeypatch.setattr(verifier, "_flow", noisy)
         calls = _count_integrations(monkeypatch)
         (res,) = verify_families([f])
         assert res.C is None
@@ -367,8 +455,17 @@ class TestExtrapolation:
         assert r1.C * r2.C < 0.0
 
     def test_repeated_mu_is_not_fitted(self):
-        # one distinct mu cannot separate C from the sqrt(mu) slope
+        # one distinct mu cannot separate C from the mu slope
         (res,) = verify_families([ResonantFamily(1, 3, 0.3)], (1e-4, 1e-4))
         assert res.errors == (None, None)
         assert res.estimates[0] == res.estimates[1]
-        assert res.C is None and res.sqrt_mu_slope is None and res.fit_residual is None
+        assert res.C is None and res.mu_slope is None and res.fit_residual is None
+
+    @pytest.mark.parametrize("C,b", [(39.2, -4.2e3), (-19.3, 6.1e2), (-4.1e5, 1.4e10)])
+    def test_exact_linear_estimates_give_back_C(self, C, b):
+        # tr M - 4 is analytic in mu, so C + b*mu is the model of the fit
+        mus = verifier.DEFAULT_MU_LIST
+        res = verifier._fit(mus, [C + b * mu for mu in mus], [None] * len(mus))
+        assert res.C == pytest.approx(C, rel=1e-12, abs=1e-12 * abs(b) * max(mus))
+        assert res.mu_slope == pytest.approx(b, rel=1e-9)
+        assert res.fit_residual <= 1e-12 * max(abs(C), abs(b) * max(mus))
