@@ -293,9 +293,10 @@ def cmd_sweep(args) -> int:
 
     with _output(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(field.name for field in dataclasses.fields(SweepRow))
+        names = [field.name for field in dataclasses.fields(SweepRow)]
+        writer.writerow(names)
         for row in rows:
-            writer.writerow(cell(v) for v in dataclasses.astuple(row))
+            writer.writerow(cell(getattr(row, name)) for name in names)
     if rows and all(r.status_1 != "ok" and r.status_2 != "ok" for r in rows):
         return 2
     return 0

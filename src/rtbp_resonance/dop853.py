@@ -1,15 +1,19 @@
 """DOP853 for a batch of independent autonomous initial value problems.
 
-Row i of a batch integrates y' = fun(y) from y0[i] over [0, t_end[i]] with
-the explicit Runge-Kutta pair of order 8(5, 3) of Dormand and Prince
-(Hairer, Norsett and Wanner, *Solving Ordinary Differential Equations I*,
-sec. II.10).  Each row takes the steps that scipy's
-``solve_ivp(method="DOP853")`` takes for it alone: the same initial step
-selection, stage sums, combined 5th/3rd-order error norm and step-size
-control, with its own step size, rejection flag and evaluation count.  The
-rows share only the calls: one ``fun`` call per stage for the whole batch
-and one matrix-vector product per stage sum, which is where a one-row
-integrator spends its per-step overhead.
+Row i of a batch integrates y' = fun(y) from y0[i] forward over
+[0, t_end[i]], t_end[i] > 0, with the explicit Runge-Kutta pair of order
+8(5, 3) of Dormand and Prince (Hairer, Norsett and Wanner, *Solving
+Ordinary Differential Equations I*, sec. II.10).  Each row takes the steps
+that scipy's ``solve_ivp(method="DOP853")`` takes for it alone: the same
+initial step selection, stage sums, combined 5th/3rd-order error norm and
+step-size control, with its own step size, rejection flag and evaluation
+count.  The rows share only the calls: one ``fun`` call per stage for the
+whole batch and one matrix-vector product per stage sum, which is where a
+one-row integrator spends its per-step overhead.
+
+DOP853 is FSAL (first same as last): the last stage of an accepted step is
+the derivative at its new state, so each row's derivative at its end time
+comes with its state at no further evaluation.
 
 A row leaves the batch when it reaches its end time, or when it fails:
 ``fun`` raised an RtbpError for it, or its step fell below ten ulps of its
@@ -139,7 +143,8 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 class BatchSolution:
     """Final states and work counts of one batched integration.
 
-    y[i] is row i's state at t_end[i], or NaN where errors[i] holds the
+    y[i] is row i's state at t_end[i] and f[i] its derivative there (the
+    last stage of its last step), both NaN where errors[i] holds the
     RtbpError that stopped the row.  row_nfev[i] and row_steps[i] count its
     evaluations of fun and its accepted steps.  nfev and t follow scipy's
     OdeResult over the whole batch: nfev is the evaluations summed over
@@ -148,6 +153,7 @@ class BatchSolution:
     """
 
     y: np.ndarray
+    f: np.ndarray
     errors: list
     row_nfev: np.ndarray
     row_steps: np.ndarray
@@ -161,14 +167,13 @@ class BatchSolution:
 class _Row:
     """The step control of one row: what a scipy solver keeps per problem."""
 
-    __slots__ = ("index", "t", "t_end", "direction", "h_abs", "min_step", "rejected",
-                 "t_new", "steps", "nfev", "error")
+    __slots__ = ("index", "t", "t_end", "h_abs", "min_step", "rejected", "t_new", "steps",
+                 "nfev", "error")
 
     def __init__(self, index: int, t_end: float):
         self.index = index
         self.t = 0.0
         self.t_end = t_end
-        self.direction = math.copysign(1.0, t_end) if t_end != 0.0 else 1.0
         self.rejected = False
         self.steps = 0
         self.error = None
@@ -193,6 +198,7 @@ class _Batch:
         self.y = y0
         self.f = None
         self.y_out = np.full_like(y0, np.nan)
+        self.f_out = np.full_like(y0, np.nan)
         self.errors = [None] * n_rows
         self.nfev = np.zeros(n_rows, dtype=np.int64)
         self.steps = np.zeros(n_rows, dtype=np.int64)
@@ -229,7 +235,7 @@ class _Batch:
                 continue
             i = row.index
             if row.error is None:
-                self.y_out[i] = self.y[k]
+                self.y_out[i], self.f_out[i] = self.y[k], self.f[k]
                 row.nfev = self.calls
             self.errors[i] = row.error
             self.nfev[i] = row.nfev
@@ -248,16 +254,15 @@ class _Batch:
             d0 = _rms(y0[k] / scale[k])
             d1.append(_rms(f0[k] / scale[k]))
             h = 1e-6 if d0 < 1e-5 or d1[k] < 1e-5 else 0.01 * d0 / d1[k]
-            h0.append(min(h, abs(row.t_end)))
-        hd = np.array([h * row.direction for h, row in zip(h0, self.rows)])
-        f1 = self.eval(y0 + hd[:, None] * f0)
+            h0.append(min(h, row.t_end))
+        f1 = self.eval(y0 + np.array(h0)[:, None] * f0)
         for k, (row, h) in enumerate(zip(self.rows, h0)):
             d2 = _rms((f1[k] - f0[k]) / scale[k]) / h
             if d1[k] <= 1e-15 and d2 <= 1e-15:
                 h1 = max(1e-6, h * 1e-3)
             else:
                 h1 = (0.01 / max(d1[k], d2)) ** (1 / 8)
-            row.h_abs = min(100 * h, h1, abs(row.t_end))
+            row.h_abs = min(100 * h, h1, row.t_end)
 
     def rk_step(self, h, tol):
         """One DOP853 step of every live row, row k with step h[k].
@@ -293,7 +298,8 @@ def _error_norm(h_abs: float, err5, err3) -> float:
 
 
 def solve_ivp(fun, t_end, y0, params, tol: float) -> BatchSolution:
-    """Integrate every row of y0 from t = 0 to its t_end with DOP853.
+    """Integrate every row of y0 from t = 0 forward to its t_end > 0 with
+    DOP853; raises ValueError for any other t_end.
 
     fun(y, params) takes the live rows y (k, n) and their entries of params
     and returns their derivatives (k, n); the field is autonomous.  A row
@@ -302,10 +308,11 @@ def solve_ivp(fun, t_end, y0, params, tol: float) -> BatchSolution:
     tol is scipy's rtol and atol at once: the error scale is
     tol + max(|y|, |y_new|) * tol.
     """
+    if not all(te > 0.0 for te in t_end):
+        raise ValueError("every t_end must be > 0: the integration runs forward only")
     batch = _Batch(fun, np.array(y0, dtype=float), params, t_end)
     batch.f = batch.eval(batch.y)
-    # A row with nothing to integrate ends where it starts.
-    batch.retire({k for k, row in enumerate(batch.rows) if row.t_end == 0.0})
+    batch.retire()
     if batch.rows:
         batch.initial_steps(tol)
         batch.retire()
@@ -315,16 +322,14 @@ def solve_ivp(fun, t_end, y0, params, tol: float) -> BatchSolution:
         for row in batch.rows:
             if not row.rejected:
                 # A new step: its floor is ten ulps of t.
-                row.min_step = 10 * abs(math.nextafter(row.t, row.direction * math.inf) - row.t)
+                row.min_step = 10 * (math.nextafter(row.t, math.inf) - row.t)
                 row.h_abs = max(row.h_abs, row.min_step)
             if row.h_abs < row.min_step:
                 batch.fail(row, ConvergenceError(f"integration failed: {TOO_SMALL_STEP}"))
                 continue
-            row.t_new = row.t + row.h_abs * row.direction
-            if row.direction * (row.t_new - row.t_end) > 0:
-                row.t_new = row.t_end
-            h.append(row.t_new - row.t)
-            row.h_abs = abs(h[-1])
+            row.t_new = min(row.t + row.h_abs, row.t_end)
+            row.h_abs = row.t_new - row.t
+            h.append(row.h_abs)
         if batch.failed:
             batch.retire()
             if not batch.rows:
@@ -349,7 +354,7 @@ def solve_ivp(fun, t_end, y0, params, tol: float) -> BatchSolution:
                 row.steps += 1
                 batch.mesh.append(row.t)
                 accepted.append(k)
-                if row.direction * (row.t - row.t_end) >= 0:
+                if row.t >= row.t_end:
                     done.add(k)
             else:
                 row.h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
@@ -363,6 +368,7 @@ def solve_ivp(fun, t_end, y0, params, tol: float) -> BatchSolution:
 
     return BatchSolution(
         y=batch.y_out,
+        f=batch.f_out,
         errors=batch.errors,
         row_nfev=batch.nfev,
         row_steps=batch.steps,

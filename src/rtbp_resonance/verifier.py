@@ -20,10 +20,14 @@ with a_0 = ds_0/dx0, b_0 = c_0 = 0 and
 
 the (y, p_x) rows of a_K dx0 + b_K d(T/2) + c_K cancel the end residual,
 and each start moves by a_k dx0 + b_k d(T/2) + c_k (K = 1 is single
-shooting).  An orbit has converged when its end residual and every defect
-are within tol; Phi(T/2) = Phi_K ... Phi_1.  A segmented orbit whose
-residual is still above _SEGMENT_GUARD after a Newton step (the linear
-model has failed) restarts from its predictor start as one segment.
+shooting).  f(e_k) costs no evaluation: DOP853 is FSAL, so the last stage
+of a segment's last step is the field at its end, and `_flow` returns it
+with the ends in the integrator's own `BatchSolution`.  An orbit has
+converged when its end residual and every defect are within tol;
+Phi(T/2) = Phi_K ... Phi_1.  A segmented orbit whose residual is still
+above _SEGMENT_GUARD after a Newton step (the linear model has failed)
+restarts from its predictor start as one segment, and a step that would
+leave T/2 <= 0 is divergence, so every segment is integrated forward.
 
 The orbit is the mu = 0 Kepler ellipse continued in mu, so each orbit's
 unknowns are the seed's plus mu times their mu derivative plus O(mu^2).
@@ -215,14 +219,6 @@ def _primary_forces_rows(x, y, mu):
     return gx, gy, gxx, gxy, gyy
 
 
-def _state_field(S, mus):
-    """Hamilton's equations at each row (p_x, p_y, x, y) of S (n, 4), row i
-    at mass ratio mus[i]."""
-    p_x, p_y, x, y = S.T
-    gx, gy, *_ = _primary_forces_rows(x, y, mus)
-    return np.column_stack([p_y + gx, gy - p_x, p_x + y, p_y - x])
-
-
 def rtbp_derivatives(s, mu: float):
     """Hamilton's equations of the full problem.
 
@@ -328,18 +324,16 @@ def _variational_rhs_rows(Z, mu, tangent: bool):
 
 def _flow(s0: np.ndarray, t_end, mus):
     """Integrate each start row s0[i], a state or (state, w), with its
-    state-transition matrix Phi (from I) over [0, t_end[i]] at mass ratio
-    mus[i], all rows in one batch of `_variational_rhs`.
+    state-transition matrix Phi (from I) over [0, t_end[i]], t_end[i] > 0,
+    at mass ratio mus[i], all rows in one batch of `_variational_rhs`.
 
-    Returns per row (state, Phi, w) at t_end[i], w empty for rows started
-    without it, or the RtbpError that stopped the row's integration.
+    Returns the batch's `dop853.BatchSolution`: y[i] is (state, Phi row by
+    row, w) at t_end[i], w absent for rows started without it, and f[i] the
+    field there, the integrator's last stage; both are NaN where errors[i]
+    holds the RtbpError that stopped the row.
     """
     z0 = np.hstack([s0[:, :4], np.tile(np.eye(4).ravel(), (len(s0), 1)), s0[:, 4:]])
-    sol = solve_ivp(_variational_rhs, t_end, z0, mus, tol=_INTEGRATOR_TOL)
-    return [
-        err if err is not None else (zf[:4], zf[4:20].reshape(4, 4), zf[20:])
-        for zf, err in zip(sol.y, sol.errors)
-    ]
+    return solve_ivp(_variational_rhs, t_end, z0, mus, tol=_INTEGRATOR_TOL)
 
 
 def _seed(f: ResonantFamily):
@@ -388,15 +382,17 @@ def _carry(phis, fs, ds, G0: float, x0: float) -> np.ndarray:
     return out
 
 
-def _correction(XK, r, x0: float, f, mu: float):
+def _correction(XK, r, x0: float, Th: float, f, mu: float):
     """The step (dx0, d(T/2)) that cancels the end residual r by the (y, p_x)
-    rows of the last carry XK, or the ConvergenceError of a singular matrix
-    or of a step that moves x0 by more than half of it."""
+    rows of the last carry XK, or the ConvergenceError of a singular matrix,
+    of a step that moves x0 by more than half of it, or of one that leaves
+    T/2 <= 0."""
     try:
         delta = np.linalg.solve(XK[_TARGETS, :2], -r)
     except np.linalg.LinAlgError:
         return ConvergenceError("singular shooting Jacobian")
-    if not np.all(np.isfinite(delta)) or abs(delta[0]) > 0.5 * abs(x0):
+    if (not np.all(np.isfinite(delta)) or abs(delta[0]) > 0.5 * abs(x0)
+            or Th + delta[1] <= 0.0):
         return ConvergenceError(f"Newton correction diverged for {f} at mu={mu}")
     return delta
 
@@ -422,16 +418,15 @@ def _predictors(seeds: dict) -> dict:
         for G0, x0, _, Z in seeds.values()
     ])
     t_end = [Th / K for _, _, Th, _ in seeds.values() for _ in range(K)]
-    flows = _flow(s0, t_end, [0.0] * len(s0))
+    sol = _flow(s0, t_end, [0.0] * len(s0))
     out = {}
     for j, (f, (G0, x0, _, _)) in enumerate(seeds.items()):
-        segments = flows[j * K:(j + 1) * K]
-        if any(isinstance(flow, RtbpError) for flow in segments):
+        seg = slice(j * K, (j + 1) * K)
+        if any(err is not None for err in sol.errors[seg]):
             continue
-        ends = np.array([sf for sf, _, _ in segments])
-        X = _carry([phi for _, phi, _ in segments], _state_field(ends, np.zeros(K)) / K,
-                   [w for _, _, w in segments], G0, x0)
-        out[f] = (X, ends[-1, _TARGETS])
+        y = sol.y[seg]
+        X = _carry(y[:, 4:20].reshape(K, 4, 4), sol.f[seg, :4] / K, y[:, 20:], G0, x0)
+        out[f] = (X, y[-1, _TARGETS])
     return out
 
 
@@ -490,7 +485,7 @@ def _shoot(orbits, tol: float) -> list:
         G0, x0, Th, S = seeds[f]
         if f in predictors:
             X, r0 = predictors[f]
-            delta = _correction(X[-1], r0 + mu * X[-1, _TARGETS, 2], x0, f, mu)
+            delta = _correction(X[-1], r0 + mu * X[-1, _TARGETS, 2], x0, Th, f, mu)
             if isinstance(delta, RtbpError):
                 out[i] = delta
                 continue
@@ -503,21 +498,17 @@ def _shoot(orbits, tol: float) -> list:
             return out
         rows = [o.rows() for o in live]
         mus = [o.mu for o, r in zip(live, rows) for _ in r]
-        flows = _flow(np.vstack(rows), [o.Th / len(r) for o, r in zip(live, rows) for _ in r], mus)
-        all_ends = np.array([
-            np.full(4, np.nan) if isinstance(flow, RtbpError) else flow[0] for flow in flows
-        ])
-        all_fields = _state_field(all_ends, np.array(mus))
+        sol = _flow(np.vstack(rows), [o.Th / len(r) for o, r in zip(live, rows) for _ in r], mus)
         still, k = [], 0
         for o, s0 in zip(live, rows):
             K = len(s0)
-            segments, ends, fields = flows[k:k + K], all_ends[k:k + K], all_fields[k:k + K]
+            seg = slice(k, k + K)
             k += K
-            err = next((flow for flow in segments if isinstance(flow, RtbpError)), None)
+            err = next((err for err in sol.errors[seg] if err is not None), None)
             if err is not None:
                 out[o.i] = err
                 continue
-            phis = [phi for _, phi, _ in segments]
+            ends, phis = sol.y[seg, :4], sol.y[seg, 4:20].reshape(K, 4, 4)
             defects = ends[:-1] - o.S
             res = ends[-1, _TARGETS]  # (y, p_x) at T/2
             r = max(abs(res[0]), abs(res[1]), np.abs(defects).max(initial=0.0))
@@ -548,8 +539,8 @@ def _shoot(orbits, tol: float) -> list:
                     f"for {o.f} at mu={o.mu}"
                 )
                 continue
-            X = _carry(phis, fields / K, np.vstack([defects, np.zeros(4)]), o.G0, o.x0)
-            delta = _correction(X[-1], res + X[-1, _TARGETS, 2], o.x0, o.f, o.mu)
+            X = _carry(phis, sol.f[seg, :4] / K, np.vstack([defects, np.zeros(4)]), o.G0, o.x0)
+            delta = _correction(X[-1], res + X[-1, _TARGETS, 2], o.x0, o.Th, o.f, o.mu)
             if isinstance(delta, RtbpError):
                 out[o.i] = delta
                 continue

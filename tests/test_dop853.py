@@ -1,6 +1,7 @@
 """The batched DOP853 integrator against scipy's: the copied tableau, per-row
-evaluation and step counts and final states, alone and in one batch, and
-batches in which one row fails without moving the others."""
+evaluation and step counts and final states bit for bit, alone and in one
+batch, the field at each row's end from the last stage, and batches in
+which one row fails without moving the others."""
 
 import math
 
@@ -78,8 +79,7 @@ def _assert_matches_scipy(sol, k, ref):
     assert sol.errors[k] is None
     assert sol.row_nfev[k] == ref.nfev
     assert sol.row_steps[k] == ref.t.size - 1
-    z = ref.y[:, -1]
-    assert np.all(np.abs(sol.y[k] - z) <= TOL * np.maximum(1.0, np.abs(z)))
+    assert np.array_equal(sol.y[k], ref.y[:, -1])
 
 
 def test_solo_rows_match_scipy(scipy_rows, solo_rows):
@@ -98,13 +98,70 @@ def test_batch_rows_match_scipy_and_solo(scipy_rows, solo_rows):
     assert sol.t.size - 1 == sum(ref.t.size - 1 for ref in scipy_rows)
 
 
+# At rest in the inertial frame, the particle falls radially onto the large
+# primary within the interval.
+FALL = (np.concatenate([[0.0, 0.0, 0.5, 0.0], np.eye(4).ravel()]), 1.0, 1e-4)
+
+
+def _segment_rows():
+    """(z0, (T/2)/K, mu) of the first Newton integration's segment rows of
+    both families of four requests at mu = 1e-4 and 3e-6: 256 rows."""
+    orbits = [
+        (f, mu)
+        for p, q, e, d in ((1, 3, 0.3, "direct"), (2, 5, 0.45, "retrograde"),
+                           (3, 2, 0.29, "direct"), (1, 7, 0.47, "direct"))
+        for f in canonical_families(p, q, e, d) for mu in (1e-4, 3e-6)
+    ]
+    rows = []
+
+    class Stop(Exception):
+        pass
+
+    def capture(fun, t_end, y0, params, tol):
+        if y0.shape[1] == 24:  # the predictor's integration
+            return dop853.solve_ivp(fun, t_end, y0, params, tol)
+        rows.extend(zip(y0, t_end, params))
+        raise Stop
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "solve_ivp", capture)
+        with pytest.raises(Stop):
+            verifier._shoot(orbits, verifier.CORRECTOR_TOL)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def segment_rows():
+    rows = _segment_rows()
+    assert len(rows) == 256
+    return rows
+
+
+def test_segment_batch_matches_scipy_bit_for_bit(segment_rows):
+    sol = _ours(segment_rows)
+    for k, row in enumerate(segment_rows):
+        _assert_matches_scipy(sol, k, _scipy(*row))
+
+
+def test_end_field_is_the_last_stage(segment_rows):
+    """f[i] is the field at y[i] to the bit, in a 128-row batch and for
+    each row alone, and NaN for a failed row."""
+    rows = segment_rows[:127] + [FALL]
+    mus = [r[2] for r in rows]
+    batch = _ours(rows)
+    for sols in ([(batch, k) for k in range(len(rows))], [(_ours([row]), 0) for row in rows]):
+        for (sol, k), mu in zip(sols, mus):
+            if sol.errors[k] is None:
+                assert np.array_equal(sol.f[k], _variational_rhs(sol.y[k:k + 1], [mu])[0])
+            else:
+                assert np.all(np.isnan(sol.f[k]))
+        assert sum(sol.errors[k] is not None for sol, k in sols) == 1
+
+
 def test_colliding_row_fails_alone(solo_rows):
-    # At rest in the inertial frame, the particle falls radially onto the
-    # large primary within the interval.
-    fall = (np.concatenate([[0.0, 0.0, 0.5, 0.0], np.eye(4).ravel()]), 1.0, 1e-4)
-    ref = _scipy(*fall)
+    ref = _scipy(*FALL)
     assert isinstance(ref, CollisionError)
-    sol = _ours(ROWS[:3] + [fall] + ROWS[3:])
+    sol = _ours(ROWS[:3] + [FALL] + ROWS[3:])
     assert type(sol.errors[3]) is type(ref) and str(sol.errors[3]) == str(ref)
     assert np.all(np.isnan(sol.y[3]))
     for k, solo in zip([0, 1, 2, 4, 5, 6, 7, 8], solo_rows):
@@ -125,14 +182,11 @@ def _toy_field(y, params):
 
 
 def test_step_control_edge_cases():
-    """Backward, zero-length, blow-up and failing rows in one batch against
-    scipy, each row alone."""
+    """Blow-up and failing rows in one batch against scipy, each row alone."""
     inf = math.inf
     rows = [
         ((1.0, 0.0, 0.0, 0.0), 3.0, (-1.0, 0.0, inf)),
         ((1.0, 0.0, 0.0, 0.0), 2.0, (0.0, 1.0, inf)),  # u = 1/(1 - t) blows up at t = 1
-        ((1.0, 0.5, 0.0, 0.0), -2.0, (-1.0, 0.0, inf)),
-        ((2.0, 0.0, 0.0, 0.0), 0.0, (1.0, 0.0, inf)),
         ((1.4, 0.0, 0.0, 0.0), 1.0, (1.0, 0.0, 1.402)),  # the initial step probe crosses the wall
         ((0.0, 0.0, 0.0, 0.0), 1.0, (0.0, 0.0, inf)),
         ((1.0, 0.0, 0.0, 0.0), 1.0, (1.0, 0.0, 2.0)),  # u = e^t reaches the wall mid-interval
@@ -142,10 +196,6 @@ def test_step_control_edge_cases():
         tol=TOL,
     )
     for k, (y0, t_end, params) in enumerate(rows):
-        if t_end == 0.0:
-            assert sol.errors[k] is None and sol.row_steps[k] == 0
-            assert np.array_equal(sol.y[k], y0)
-            continue
         try:
             ref = scipy_solve_ivp(
                 lambda _, z: _toy_field(z[None], [params])[0], (0.0, t_end), np.array(y0),
@@ -163,7 +213,14 @@ def test_step_control_edge_cases():
         else:
             assert isinstance(sol.errors[k], ConvergenceError)
             assert str(sol.errors[k]) == f"integration failed: {ref.message}"
-    assert sol.row_nfev[4] == 2  # f(y0), then the probe of the initial step
+    assert sol.row_nfev[2] == 2  # f(y0), then the probe of the initial step
+
+
+@pytest.mark.parametrize("t_end", [0.0, -2.0, math.nan])
+def test_integrates_forward_only(t_end):
+    y0 = [(1.0, 0.0, 0.0, 0.0)] * 2
+    with pytest.raises(ValueError, match="forward only"):
+        dop853.solve_ivp(_toy_field, [1.0, t_end], y0, [(-1.0, 0.0, math.inf)] * 2, tol=TOL)
 
 
 class TestLockstepCorrector:
@@ -185,6 +242,23 @@ class TestLockstepCorrector:
             alone = verifier.refine_periodic_orbit(*row)
             assert o == alone
             assert np.array_equal(o.half_period_stm, alone.half_period_stm)
+
+    def test_divergence_before_a_nonpositive_half_period(self, monkeypatch):
+        # The step that would leave T/2 <= 0 is the divergence; no segment
+        # is integrated backward or over zero length first.
+        t_ends = []
+        solve = verifier.solve_ivp
+
+        def spy(fun, t_end, y0, params, tol):
+            t_ends.extend(t_end)
+            return solve(fun, t_end, y0, params, tol)
+
+        monkeypatch.setattr(verifier, "solve_ivp", spy)
+        f, mu = self.DIVERGING
+        with pytest.raises(ConvergenceError) as exc:
+            verifier.refine_periodic_orbit(f, mu)
+        assert str(exc.value) == f"Newton correction diverged for {f} at mu={mu}"
+        assert t_ends and min(t_ends) > 0.0
 
     def test_one_result_per_family(self):
         families = canonical_families(1, 3, 0.3)

@@ -171,24 +171,24 @@ K = verifier._SEGMENTS
 
 
 def _newton_flows(monkeypatch):
-    """(start rows, flows) of every Newton integration, the predictor's
+    """(start rows, end rows) of every Newton integration, the predictor's
     (whose start rows carry w) left out."""
     calls = []
     flow = verifier._flow
 
     def spy(s0, t_end, mus):
-        flows = flow(s0, t_end, mus)
+        sol = flow(s0, t_end, mus)
         if s0.shape[1] == 4:
-            calls.append((s0, flows))
-        return flows
+            calls.append((s0, sol.y))
+        return sol
 
     monkeypatch.setattr(verifier, "_flow", spy)
     return calls
 
 
-def _residuals(s0, flows):
+def _residuals(s0, y):
     """max(|y|, |p_x|)(T/2) and the largest defect of one orbit's rows."""
-    ends = np.array([sf for sf, *_ in flows])
+    ends = y[:, :4]
     return max(abs(ends[-1, 3]), abs(ends[-1, 0])), np.max(np.abs(ends[:-1] - s0[1:]), initial=0.0)
 
 
@@ -214,9 +214,9 @@ class TestPredictor:
         # Kepler starts give first-order ones (defects 1.0e-3 vs 1.0e-4)
         calls = _newton_flows(monkeypatch)
         verifier._shoot([(family, 1e-4), (family, 1e-5)], verifier.CORRECTOR_TOL)
-        s0, flows = calls[0]
+        s0, ends = calls[0]
         assert len(s0) == 2 * K
-        (end4, def4), (end5, def5) = (_residuals(s0[j:j + K], flows[j:j + K]) for j in (0, K))
+        (end4, def4), (end5, def5) = (_residuals(s0[j:j + K], ends[j:j + K]) for j in (0, K))
         assert end4 >= 50.0 * end5 and def4 >= 50.0 * def5
 
     def test_kepler_starts_lie_on_the_mu_zero_orbit(self):
@@ -264,9 +264,9 @@ class TestMultipleShooting:
     def test_converged_iterate_closes_every_defect(self, monkeypatch, family):
         calls = _newton_flows(monkeypatch)
         o = refine_periodic_orbit(family, 1e-4)
-        s0, flows = calls[-1]
+        s0, ends = calls[-1]
         assert len(s0) == K
-        end, defect = _residuals(s0, flows)
+        end, defect = _residuals(s0, ends)
         assert end <= verifier.CORRECTOR_TOL and defect <= verifier.CORRECTOR_TOL
         assert np.array_equal(s0[0], o.initial_state.as_array())
 
@@ -275,7 +275,8 @@ class TestMultipleShooting:
         # Phi_K ... Phi_1 against Phi(T/2) of one unsegmented integration from
         # the converged start (measured 3.4e-12 relative)
         o = refine_periodic_orbit(family, 1e-4)
-        ((_, phi, _),) = verifier._flow(o.initial_state.as_array()[None], [o.period / 2], [o.mu])
+        sol = verifier._flow(o.initial_state.as_array()[None], [o.period / 2], [o.mu])
+        phi = sol.y[0, 4:].reshape(4, 4)
         assert np.max(np.abs(o.half_period_stm - phi)) <= 1e-10 * np.max(np.abs(phi))
 
     def test_orbit_alone_equals_orbit_in_a_request_batch(self):
@@ -356,10 +357,10 @@ class TestRefinement:
         flow = verifier._flow
 
         def noisy(s0, t_end, mus):
-            flows = flow(s0, t_end, mus)
+            sol = flow(s0, t_end, mus)
             if s0.shape[1] == 4:
-                flows = [(sf + rng.uniform(-1e-10, 1e-10, 4), phi, w) for sf, phi, w in flows]
-            return flows
+                sol.y[:, :4] += rng.uniform(-1e-10, 1e-10, (len(s0), 4))
+            return sol
 
         monkeypatch.setattr(verifier, "_flow", noisy)
         calls = _count_integrations(monkeypatch)
