@@ -15,12 +15,32 @@ DOP853 is FSAL (first same as last): the last stage of an accepted step is
 the derivative at its new state, so each row's derivative at its end time
 comes with its state at no further evaluation.
 
+While more than _ARRAY_ROWS rows are live, each step takes its control as
+numpy operations over arrays of rows (time, step size, rejection flag,
+step count and index): the error norms, step factors, acceptance, mesh and
+retirement of all rows in one pass.  The bits stay scipy's because the
+operations that numpy could round differently are made as scipy makes
+them.  A row's squared norm is the BLAS vector dot x.dot(x) that
+np.linalg.norm takes, which the stacked matmul of (rows, 1, n) by
+(rows, n, 1) also calls once per row (np.einsum and sum do not), and the
+powers ** 2 and ** (-1/8) are libm's pow, one Python float at a time
+(np.power differs on about 5% of values).  nextafter, min, max, sqrt and
+the norm's other operations are correctly rounded per element either way.
+A narrower batch, where numpy's cost per call would dominate, takes the
+same control row by row on Python floats.  Rows only leave a batch, so an
+integration switches at most once.
+
 A row leaves the batch when it reaches its end time, or when it fails:
-``fun`` raised an RtbpError for it, or its step fell below ten ulps of its
-time.  The other rows go on.  A row's numbers do not depend on the other
-rows as long as the BLAS matrix-vector product computes each element the
-same way wherever it sits in the vector; OpenBLAS's x86-64 kernels do when
-the row length is a multiple of 4, as the verifier's 20 and 24 are.
+``fun`` raised an RtbpError for it, its step fell below ten ulps of its
+time, or a step would take it past MAX_ROW_EVALS evaluations of ``fun``
+(a ConvergenceError that names the budget).  Every live row is evaluated
+in every call, so a row's count is the batch's calls while it is live, and
+the budget stops the rows still live at once.  The other rows go on, and
+rows that have left keep their results.  A row's numbers do not depend on
+the other rows as long as the BLAS matrix-vector product computes each
+element the same way wherever it sits in the vector; OpenBLAS's x86-64
+kernels do when the row length is a multiple of 4, as the verifier's 20
+and 24 are.
 """
 
 from __future__ import annotations
@@ -28,6 +48,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -138,6 +159,20 @@ MAX_FACTOR = 10
 ERROR_EXPONENT = -1 / 8
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
+# The evaluations of fun one row may take: a step that would take a live row
+# past it fails the row instead.  The most a row takes is 662 on the
+# verifier's benchmark panel and 12,062 in CI's 10:9 retrograde request.
+MAX_ROW_EVALS = 100_000
+
+# Batches of more live rows than this take the step control as numpy
+# operations over the rows, narrower ones row by row on Python floats: the
+# measured crossover of the two on the verifier's rows.
+_ARRAY_ROWS = 16
+
+# The per-row state of the step control, one entry per live row: arrays while
+# the batch is wide, lists once it is narrow.
+_COLUMNS = ("index", "t", "t_end", "h", "rejected", "steps")
+
 
 @dataclass(frozen=True)
 class BatchSolution:
@@ -164,45 +199,51 @@ class BatchSolution:
         return int(self.row_nfev.sum())
 
 
-class _Row:
-    """The step control of one row: what a scipy solver keeps per problem."""
-
-    __slots__ = ("index", "t", "t_end", "h_abs", "min_step", "rejected", "t_new", "steps",
-                 "nfev", "error")
-
-    def __init__(self, index: int, t_end: float):
-        self.index = index
-        self.t = 0.0
-        self.t_end = t_end
-        self.rejected = False
-        self.steps = 0
-        self.error = None
+def _dots(x):
+    """x[k].dot(x[k]) of each row: the stacked matmul takes BLAS's vector
+    dot per row, as ndarray.dot and np.linalg.norm do."""
+    return np.matmul(x[:, None, :], x[:, :, None]).ravel()
 
 
-def _rms(x) -> float:
-    """scipy's norm ||x||_2 / sqrt(n), with ||x||_2 taken as np.linalg.norm does."""
-    return math.sqrt(x.dot(x)) / x.size**0.5
+def _rms(x):
+    """scipy's norm ||x||_2 / sqrt(n) of each row, ||x||_2 as np.linalg.norm takes it."""
+    return np.sqrt(_dots(x)) / x.shape[1] ** 0.5
+
+
+def _squared_norms(x) -> list:
+    """np.linalg.norm(x[k]) ** 2 of each row as scipy takes it: libm's pow
+    per value, which np.power does not always match."""
+    return [v**2 for v in np.sqrt(_dots(x)).tolist()]
 
 
 class _Batch:
-    """The live rows with their states y and derivatives f, and the results
-    of the rows that have left."""
+    """The live rows, position k one row: their states y, derivatives f,
+    params and step control (`_COLUMNS`), and the results of the rows that
+    have left."""
 
     def __init__(self, fun, y0, params, t_end):
         n_rows = len(y0)
         self.fun = fun
         self.calls = 0
-        self.failed = False
-        self.rows = [_Row(i, float(te)) for i, te in enumerate(t_end)]
+        self.dead = []  # positions of the rows failed since the last retire
         self.params = list(params)
         self.y = y0
         self.f = None
+        self.index = np.arange(n_rows)
+        self.t = np.zeros(n_rows)
+        self.t_end = np.array(t_end, dtype=float)
+        self.h = np.zeros(n_rows)  # |h| of the row's next attempt
+        self.rejected = np.zeros(n_rows, dtype=bool)
+        self.steps = np.zeros(n_rows, dtype=np.int64)
         self.y_out = np.full_like(y0, np.nan)
         self.f_out = np.full_like(y0, np.nan)
         self.errors = [None] * n_rows
         self.nfev = np.zeros(n_rows, dtype=np.int64)
-        self.steps = np.zeros(n_rows, dtype=np.int64)
+        self.row_steps = np.zeros(n_rows, dtype=np.int64)
         self.mesh = array("d", [0.0])  # unboxed: one entry per accepted step
+
+    def __len__(self):
+        return len(self.params)
 
     def eval(self, y):
         """fun at the live rows y.  Where it raises, each row is evaluated
@@ -213,56 +254,66 @@ class _Batch:
         except RtbpError:
             pass
         out = np.empty_like(y)
-        for k, (row, param) in enumerate(zip(self.rows, self.params)):
+        for k, param in enumerate(self.params):
             try:
                 out[k] = self.fun(y[k:k + 1], [param])[0]
             except RtbpError as exc:
                 out[k] = np.nan
-                self.fail(row, exc)
+                self.fail(k, exc)
         return out
 
-    def fail(self, row, exc):
-        if row.error is None:
-            row.error, row.nfev = exc, self.calls
-            self.failed = True
+    def fail(self, k, exc):
+        """The row at position k stops with exc, its count the calls so far."""
+        i = self.index[k]
+        if self.errors[i] is None:
+            self.errors[i], self.nfev[i] = exc, self.calls
+            self.dead.append(k)
 
-    def retire(self, done=()):
-        """Move the rows numbered in `done` and the failed rows out."""
-        keep = []
-        for k, row in enumerate(self.rows):
-            if row.error is None and k not in done:
-                keep.append(k)
-                continue
-            i = row.index
-            if row.error is None:
-                self.y_out[i], self.f_out[i] = self.y[k], self.f[k]
-                row.nfev = self.calls
-            self.errors[i] = row.error
-            self.nfev[i] = row.nfev
-            self.steps[i] = row.steps
-        self.rows = [self.rows[k] for k in keep]
-        self.params = [self.params[k] for k in keep]
-        self.y, self.f = self.y[keep], self.f[keep]
-        self.failed = False
+    def retire(self, leave):
+        """Move the rows at positions `leave` out: a finished row leaves its
+        y, f and count, a failed one has its error already."""
+        for k in set(leave):
+            i = self.index[k]
+            if self.errors[i] is None:
+                self.y_out[i], self.f_out[i], self.nfev[i] = self.y[k], self.f[k], self.calls
+            self.row_steps[i] = self.steps[k]
+        mask = np.ones(len(self), dtype=bool)
+        mask[leave] = False
+        keep = mask.tolist()
+        self.params = list(compress(self.params, keep))
+        self.y, self.f = self.y[mask], self.f[mask]
+        for name in _COLUMNS:
+            col = getattr(self, name)
+            col = col[mask] if isinstance(col, np.ndarray) else list(compress(col, keep))
+            setattr(self, name, col)
+        self.dead = []
+
+    def within_budget(self) -> bool:
+        """Whether one more step keeps the live rows within MAX_ROW_EVALS;
+        if not, every live row fails and leaves.  Every live row is
+        evaluated in every call, so its count is the batch's calls."""
+        if self.calls + N_STAGES <= MAX_ROW_EVALS:
+            return True
+        for k in range(len(self)):
+            self.fail(k, ConvergenceError(
+                f"integration failed: a step would pass the budget of {MAX_ROW_EVALS} "
+                "evaluations per row"))
+        self.retire(self.dead)
+        return False
 
     def initial_steps(self, tol):
         """scipy's select_initial_step for every live row (one evaluation)."""
         y0, f0 = self.y, self.f
         scale = tol + np.abs(y0) * tol
-        h0, d1 = [], []
-        for k, row in enumerate(self.rows):
-            d0 = _rms(y0[k] / scale[k])
-            d1.append(_rms(f0[k] / scale[k]))
-            h = 1e-6 if d0 < 1e-5 or d1[k] < 1e-5 else 0.01 * d0 / d1[k]
-            h0.append(min(h, row.t_end))
-        f1 = self.eval(y0 + np.array(h0)[:, None] * f0)
-        for k, (row, h) in enumerate(zip(self.rows, h0)):
-            d2 = _rms((f1[k] - f0[k]) / scale[k]) / h
-            if d1[k] <= 1e-15 and d2 <= 1e-15:
-                h1 = max(1e-6, h * 1e-3)
-            else:
-                h1 = (0.01 / max(d1[k], d2)) ** (1 / 8)
-            row.h_abs = min(100 * h, h1, row.t_end)
+        d1 = _rms(f0 / scale).tolist()
+        h0 = [1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b
+              for a, b in zip(_rms(y0 / scale).tolist(), d1)]
+        h0 = np.minimum(h0, self.t_end)
+        f1 = self.eval(y0 + h0[:, None] * f0)
+        d2 = (_rms((f1 - f0) / scale) / h0).tolist()
+        h1 = [max(1e-6, h * 1e-3) if a <= 1e-15 and b <= 1e-15 else (0.01 / max(a, b)) ** (1 / 8)
+              for h, a, b in zip(h0.tolist(), d1, d2)]
+        self.h = np.minimum(np.minimum(100 * h0, h1), self.t_end)
 
     def rk_step(self, h, tol):
         """One DOP853 step of every live row, row k with step h[k].
@@ -274,27 +325,111 @@ class _Batch:
         y = self.y
         live, n = y.shape
         K = np.empty((N_STAGES + 1, live, n))
-        K_flat = K.reshape(N_STAGES + 1, live * n)
+        K_T = K.reshape(N_STAGES + 1, live * n).T  # one column per stage
         h = h[:, None]
         K[0] = self.f
         for s, a in enumerate(_STAGE_WEIGHTS, start=1):
-            dy = K_flat[:s].T.dot(a).reshape(live, n) * h
-            K[s] = self.eval(y + dy)
-        y_new = y + h * K_flat[:N_STAGES].T.dot(B).reshape(live, n)
+            z = K_T[:, :s].dot(a).reshape(live, n)
+            z *= h
+            z += y
+            K[s] = self.eval(z)
+        y_new = y + h * K_T[:, :N_STAGES].dot(B).reshape(live, n)
         f_new = K[N_STAGES] = self.eval(y_new)
         scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-        err5 = K_flat.T.dot(E5).reshape(live, n) / scale
-        err3 = K_flat.T.dot(E3).reshape(live, n) / scale
+        err5 = K_T.dot(E5).reshape(live, n) / scale
+        err3 = K_T.dot(E3).reshape(live, n) / scale
         return y_new, f_new, err5, err3
 
+    def array_step(self, tol):
+        """One step of every live row, its control as numpy operations over
+        the rows: scipy's RungeKutta._step_impl with DOP853's error norm."""
+        if not self.within_budget():
+            return
+        t, rejected = self.t, self.rejected
+        min_step = 10 * np.spacing(t)  # ten ulps of t, nextafter(t, inf) - t
+        small = np.flatnonzero(rejected & (self.h < min_step)).tolist()
+        if small:  # the others take this step again, from the same state
+            for k in small:
+                self.fail(k, ConvergenceError(f"integration failed: {TOO_SMALL_STEP}"))
+            self.retire(self.dead)
+            return
+        t_new = np.minimum(t + np.maximum(self.h, min_step), self.t_end)
+        h = t_new - t
+        y_new, f_new, err5, err3 = self.rk_step(h, tol)
+        e5, e3 = np.array(_squared_norms(np.concatenate((err5, err3)))).reshape(2, -1)
+        error_norm = np.divide(h * e5, np.sqrt((e5 + 0.01 * e3) * err5.shape[1]),
+                               out=np.zeros(len(h)), where=np.logical_or(e5, e3))
+        accept = error_norm < 1
+        if self.dead:
+            accept[self.dead] = False
+        # An accepted step's SAFETY * error_norm**ERROR_EXPONENT is at least
+        # SAFETY and a rejected one's at most SAFETY (or NaN), so one clip
+        # takes scipy's factor in both branches; inf stands for error_norm 0.
+        factor = np.array([SAFETY * v**ERROR_EXPONENT if v else math.inf
+                           for v in error_norm.tolist()])
+        factor = np.fmin(np.where(rejected, 1.0, MAX_FACTOR), np.fmax(MIN_FACTOR, factor))
+        self.h = h * factor
+        self.t = np.where(accept, t_new, t)
+        self.steps += accept
+        self.mesh.extend(t_new[accept].tolist())
+        self.rejected = rejected = ~accept
+        if np.count_nonzero(rejected):
+            y_new[rejected], f_new[rejected] = self.y[rejected], self.f[rejected]
+        self.y, self.f = y_new, f_new
+        done = np.flatnonzero(self.t >= self.t_end).tolist()
+        if done or self.dead:
+            self.retire(done + self.dead)
 
-def _error_norm(h_abs: float, err5, err3) -> float:
-    """DOP853's combined error norm of one row, as scipy forms it."""
-    e5 = math.sqrt(err5.dot(err5)) ** 2
-    e3 = math.sqrt(err3.dot(err3)) ** 2
-    if e5 == 0 and e3 == 0:
-        return 0.0
-    return h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * err5.size)
+    def row_step(self, tol):
+        """`array_step` row by row on Python floats, the columns lists."""
+        if not self.within_budget():
+            return
+        t, h_abs, rejected, t_end = self.t, self.h, self.rejected, self.t_end
+        h, t_new = [], []
+        for k, tk in enumerate(t):
+            min_step = 10 * math.ulp(tk)
+            if not rejected[k]:
+                h_abs[k] = max(h_abs[k], min_step)
+            elif h_abs[k] < min_step:
+                self.fail(k, ConvergenceError(f"integration failed: {TOO_SMALL_STEP}"))
+            t_new.append(min(tk + h_abs[k], t_end[k]))
+            h.append(t_new[k] - tk)
+        if self.dead:  # the others take this step again, from the same state
+            self.retire(self.dead)
+            return
+        y_new, f_new, err5, err3 = self.rk_step(np.array(h), tol)
+        n = y_new.shape[1]
+        accepted, done = [], []
+        for k, (hk, x5, x3) in enumerate(zip(h, err5, err3)):
+            if k in self.dead:
+                continue
+            e5 = math.sqrt(x5.dot(x5)) ** 2
+            e3 = math.sqrt(x3.dot(x3)) ** 2
+            error_norm = hk * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 or e3 else 0.0
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+                if rejected[k]:
+                    factor = min(1, factor)
+                h_abs[k] = hk * factor
+                rejected[k] = False
+                t[k] = t_new[k]
+                self.steps[k] += 1
+                self.mesh.append(t[k])
+                accepted.append(k)
+                if t[k] >= t_end[k]:
+                    done.append(k)
+            else:
+                h_abs[k] = hk * max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+                rejected[k] = True
+        if len(accepted) == len(h):
+            self.y, self.f = y_new, f_new
+        elif accepted:
+            self.y[accepted], self.f[accepted] = y_new[accepted], f_new[accepted]
+        if done or self.dead:
+            self.retire(done + self.dead)
 
 
 def solve_ivp(fun, t_end, y0, params, tol: float) -> BatchSolution:
@@ -304,73 +439,33 @@ def solve_ivp(fun, t_end, y0, params, tol: float) -> BatchSolution:
     fun(y, params) takes the live rows y (k, n) and their entries of params
     and returns their derivatives (k, n); the field is autonomous.  A row
     for which fun raises an RtbpError stops with that error, and a row whose
-    step falls below ten ulps of its time stops with a ConvergenceError.
-    tol is scipy's rtol and atol at once: the error scale is
+    step falls below ten ulps of its time, or that a step would take past
+    MAX_ROW_EVALS evaluations, stops with a ConvergenceError.  tol is
+    scipy's rtol and atol at once: the error scale is
     tol + max(|y|, |y_new|) * tol.
     """
     if not all(te > 0.0 for te in t_end):
         raise ValueError("every t_end must be > 0: the integration runs forward only")
     batch = _Batch(fun, np.array(y0, dtype=float), params, t_end)
     batch.f = batch.eval(batch.y)
-    batch.retire()
-    if batch.rows:
+    if batch.dead:
+        batch.retire(batch.dead)
+    if len(batch):
         batch.initial_steps(tol)
-        batch.retire()
-
-    while batch.rows:
-        h = []
-        for row in batch.rows:
-            if not row.rejected:
-                # A new step: its floor is ten ulps of t.
-                row.min_step = 10 * (math.nextafter(row.t, math.inf) - row.t)
-                row.h_abs = max(row.h_abs, row.min_step)
-            if row.h_abs < row.min_step:
-                batch.fail(row, ConvergenceError(f"integration failed: {TOO_SMALL_STEP}"))
-                continue
-            row.t_new = min(row.t + row.h_abs, row.t_end)
-            row.h_abs = row.t_new - row.t
-            h.append(row.h_abs)
-        if batch.failed:
-            batch.retire()
-            if not batch.rows:
-                break
-        y_new, f_new, err5, err3 = batch.rk_step(np.array(h), tol)
-
-        accepted, done = [], set()
-        for k, row in enumerate(batch.rows):
-            if row.error is not None:
-                continue
-            error_norm = _error_norm(row.h_abs, err5[k], err3[k])
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
-                if row.rejected:
-                    factor = min(1, factor)
-                row.h_abs *= factor
-                row.rejected = False
-                row.t = row.t_new
-                row.steps += 1
-                batch.mesh.append(row.t)
-                accepted.append(k)
-                if row.t >= row.t_end:
-                    done.add(k)
-            else:
-                row.h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
-                row.rejected = True
-        if len(accepted) == len(batch.rows):
-            batch.y, batch.f = y_new, f_new
-        elif accepted:
-            batch.y[accepted], batch.f[accepted] = y_new[accepted], f_new[accepted]
-        if done or batch.failed:
-            batch.retire(done)
+        if batch.dead:
+            batch.retire(batch.dead)
+    while len(batch) > _ARRAY_ROWS:
+        batch.array_step(tol)
+    for name in _COLUMNS:
+        setattr(batch, name, getattr(batch, name).tolist())
+    while len(batch):
+        batch.row_step(tol)
 
     return BatchSolution(
         y=batch.y_out,
         f=batch.f_out,
         errors=batch.errors,
         row_nfev=batch.nfev,
-        row_steps=batch.steps,
+        row_steps=batch.row_steps,
         t=np.array(batch.mesh),
     )
