@@ -15,20 +15,16 @@ DOP853 is FSAL (first same as last): the last stage of an accepted step is
 the derivative at its new state, so each row's derivative at its end time
 comes with its state at no further evaluation.
 
-While more than _ARRAY_ROWS rows are live, each step takes its control as
-numpy operations over arrays of rows (time, step size, rejection flag,
-step count and index): the error norms, step factors, acceptance, mesh and
-retirement of all rows in one pass.  The bits stay scipy's because the
-operations that numpy could round differently are made as scipy makes
-them.  A row's squared norm is the BLAS vector dot x.dot(x) that
-np.linalg.norm takes, which the stacked matmul of (rows, 1, n) by
-(rows, n, 1) also calls once per row (np.einsum and sum do not), and the
+Each step takes its control as numpy operations over arrays of rows (time,
+step size, rejection flag, step count, index and params): the error norms,
+step factors, acceptance, mesh and retirement of all rows in one pass.  The
+bits stay scipy's because the operations that numpy could round differently
+are made as scipy makes them.  A row's squared norm is the BLAS vector dot
+x.dot(x) that np.linalg.norm takes, which the stacked matmul of (rows, 1, n)
+by (rows, n, 1) also calls once per row (np.einsum and sum do not), and the
 powers ** 2 and ** (-1/8) are libm's pow, one Python float at a time
 (np.power differs on about 5% of values).  nextafter, min, max, sqrt and
 the norm's other operations are correctly rounded per element either way.
-A narrower batch, where numpy's cost per call would dominate, takes the
-same control row by row on Python floats.  Rows only leave a batch, so an
-integration switches at most once.
 
 A row leaves the batch when it reaches its end time, or when it fails:
 ``fun`` raised an RtbpError for it, its step fell below ten ulps of its
@@ -48,7 +44,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -164,14 +159,9 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 # verifier's benchmark panel and 12,062 in CI's 10:9 retrograde request.
 MAX_ROW_EVALS = 100_000
 
-# Batches of more live rows than this take the step control as numpy
-# operations over the rows, narrower ones row by row on Python floats: the
-# measured crossover of the two on the verifier's rows.
-_ARRAY_ROWS = 16
-
-# The per-row state of the step control, one entry per live row: arrays while
-# the batch is wide, lists once it is narrow.
-_COLUMNS = ("index", "t", "t_end", "h", "rejected", "steps")
+# The columns of the live batch, one entry (a row of y, f and params) per
+# live row: a row that leaves is dropped from each with one mask.
+_COLUMNS = ("index", "t", "t_end", "h", "rejected", "steps", "params", "y", "f")
 
 
 @dataclass(frozen=True)
@@ -226,7 +216,7 @@ class _Batch:
         self.fun = fun
         self.calls = 0
         self.dead = []  # positions of the rows failed since the last retire
-        self.params = list(params)
+        self.params = np.asarray(params)
         self.y = y0
         self.f = None
         self.index = np.arange(n_rows)
@@ -243,7 +233,7 @@ class _Batch:
         self.mesh = array("d", [0.0])  # unboxed: one entry per accepted step
 
     def __len__(self):
-        return len(self.params)
+        return len(self.index)
 
     def eval(self, y):
         """fun at the live rows y.  Where it raises, each row is evaluated
@@ -254,9 +244,9 @@ class _Batch:
         except RtbpError:
             pass
         out = np.empty_like(y)
-        for k, param in enumerate(self.params):
+        for k in range(len(y)):
             try:
-                out[k] = self.fun(y[k:k + 1], [param])[0]
+                out[k] = self.fun(y[k:k + 1], self.params[k:k + 1])[0]
             except RtbpError as exc:
                 out[k] = np.nan
                 self.fail(k, exc)
@@ -279,13 +269,8 @@ class _Batch:
             self.row_steps[i] = self.steps[k]
         mask = np.ones(len(self), dtype=bool)
         mask[leave] = False
-        keep = mask.tolist()
-        self.params = list(compress(self.params, keep))
-        self.y, self.f = self.y[mask], self.f[mask]
         for name in _COLUMNS:
-            col = getattr(self, name)
-            col = col[mask] if isinstance(col, np.ndarray) else list(compress(col, keep))
-            setattr(self, name, col)
+            setattr(self, name, getattr(self, name)[mask])
         self.dead = []
 
     def within_budget(self) -> bool:
@@ -340,7 +325,7 @@ class _Batch:
         err3 = K_T.dot(E3).reshape(live, n) / scale
         return y_new, f_new, err5, err3
 
-    def array_step(self, tol):
+    def step(self, tol):
         """One step of every live row, its control as numpy operations over
         the rows: scipy's RungeKutta._step_impl with DOP853's error norm."""
         if not self.within_budget():
@@ -380,69 +365,18 @@ class _Batch:
         if done or self.dead:
             self.retire(done + self.dead)
 
-    def row_step(self, tol):
-        """`array_step` row by row on Python floats, the columns lists."""
-        if not self.within_budget():
-            return
-        t, h_abs, rejected, t_end = self.t, self.h, self.rejected, self.t_end
-        h, t_new = [], []
-        for k, tk in enumerate(t):
-            min_step = 10 * math.ulp(tk)
-            if not rejected[k]:
-                h_abs[k] = max(h_abs[k], min_step)
-            elif h_abs[k] < min_step:
-                self.fail(k, ConvergenceError(f"integration failed: {TOO_SMALL_STEP}"))
-            t_new.append(min(tk + h_abs[k], t_end[k]))
-            h.append(t_new[k] - tk)
-        if self.dead:  # the others take this step again, from the same state
-            self.retire(self.dead)
-            return
-        y_new, f_new, err5, err3 = self.rk_step(np.array(h), tol)
-        n = y_new.shape[1]
-        accepted, done = [], []
-        for k, (hk, x5, x3) in enumerate(zip(h, err5, err3)):
-            if k in self.dead:
-                continue
-            e5 = math.sqrt(x5.dot(x5)) ** 2
-            e3 = math.sqrt(x3.dot(x3)) ** 2
-            error_norm = hk * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 or e3 else 0.0
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
-                if rejected[k]:
-                    factor = min(1, factor)
-                h_abs[k] = hk * factor
-                rejected[k] = False
-                t[k] = t_new[k]
-                self.steps[k] += 1
-                self.mesh.append(t[k])
-                accepted.append(k)
-                if t[k] >= t_end[k]:
-                    done.append(k)
-            else:
-                h_abs[k] = hk * max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
-                rejected[k] = True
-        if len(accepted) == len(h):
-            self.y, self.f = y_new, f_new
-        elif accepted:
-            self.y[accepted], self.f[accepted] = y_new[accepted], f_new[accepted]
-        if done or self.dead:
-            self.retire(done + self.dead)
-
 
 def solve_ivp(fun, t_end, y0, params, tol: float) -> BatchSolution:
     """Integrate every row of y0 from t = 0 forward to its t_end > 0 with
     DOP853; raises ValueError for any other t_end.
 
-    fun(y, params) takes the live rows y (k, n) and their entries of params
-    and returns their derivatives (k, n); the field is autonomous.  A row
-    for which fun raises an RtbpError stops with that error, and a row whose
-    step falls below ten ulps of its time, or that a step would take past
-    MAX_ROW_EVALS evaluations, stops with a ConvergenceError.  tol is
-    scipy's rtol and atol at once: the error scale is
-    tol + max(|y|, |y_new|) * tol.
+    fun(y, params) takes the live rows y (k, n) and their rows of
+    np.asarray(params), an array, and returns their derivatives (k, n); the
+    field is autonomous.  A row for which fun raises an RtbpError stops with
+    that error, and a row whose step falls below ten ulps of its time, or
+    that a step would take past MAX_ROW_EVALS evaluations, stops with a
+    ConvergenceError.  tol is scipy's rtol and atol at once: the error scale
+    is tol + max(|y|, |y_new|) * tol.
     """
     if not all(te > 0.0 for te in t_end):
         raise ValueError("every t_end must be > 0: the integration runs forward only")
@@ -454,12 +388,8 @@ def solve_ivp(fun, t_end, y0, params, tol: float) -> BatchSolution:
         batch.initial_steps(tol)
         if batch.dead:
             batch.retire(batch.dead)
-    while len(batch) > _ARRAY_ROWS:
-        batch.array_step(tol)
-    for name in _COLUMNS:
-        setattr(batch, name, getattr(batch, name).tolist())
     while len(batch):
-        batch.row_step(tol)
+        batch.step(tol)
 
     return BatchSolution(
         y=batch.y_out,

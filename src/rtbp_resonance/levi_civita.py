@@ -121,8 +121,12 @@ def lc_inverse(s: RegularizedState, mu: float) -> RtbpState:
 
 
 def _w_distance(xi: float, nu: float) -> float:
-    """Distance to the small primary expressed in Levi-Civita coordinates."""
-    return math.hypot(xi * xi - nu * nu - 1.0, 2.0 * xi * nu)
+    """Distance to the small primary expressed in Levi-Civita coordinates;
+    raises ValidationError where it is 0, the small-primary term's pole."""
+    W = math.hypot(xi * xi - nu * nu - 1.0, 2.0 * xi * nu)
+    if W == 0.0:
+        raise ValidationError("small-primary term of K is singular (W = 0)")
+    return W
 
 
 def k_value(s: RegularizedState, mu: float) -> float:
@@ -136,8 +140,6 @@ def k_value(s: RegularizedState, mu: float) -> float:
     if mu == 0.0:
         return K0
     W = _w_distance(s.xi, s.nu)
-    if W == 0.0:
-        raise ValidationError("small-primary term of K is singular (W = 0)")
     return K0 + mu * (1.0 + 0.5 * (s.nu * s.p_xi + s.xi * s.p_nu) - rsq / W)
 
 
@@ -156,8 +158,6 @@ def k_flow_derivatives(z, C_J: float, mu: float) -> np.ndarray:
     dK_dnu = nu * ang + 0.5 * rsq * p_xi
     if mu != 0.0:
         W = _w_distance(xi, nu)
-        if W == 0.0:
-            raise ValidationError("small-primary term of K is singular (W = 0)")
         W_xi = 2.0 * xi * (rsq - 1.0) / W
         W_nu = 2.0 * nu * (rsq + 1.0) / W
         dK_dpxi += 0.5 * mu * nu
@@ -172,9 +172,14 @@ def integrate_k_flow(s: RegularizedState, mu: float, tau_span: float, n_samples:
 
     Returns (taus, states): n_samples >= 2 uniform times including both
     endpoints and the RegularizedState at each; states[-1] is at tau_span.
-    Raises ConvergenceError when the field has been evaluated
+    Raises ValidationError for n_samples < 2 or a zero or non-finite
+    tau_span, and ConvergenceError when the field has been evaluated
     _MAX_RHS_EVALS times before tau_span.
     """
+    if n_samples < 2:
+        raise ValidationError(f"need n_samples >= 2, got {n_samples}")
+    if not math.isfinite(tau_span) or tau_span == 0.0:
+        raise ValidationError(f"tau_span must be finite and non-zero, got {tau_span}")
     calls = 0
 
     def rhs(_, z):
@@ -201,9 +206,17 @@ def integrate_k_flow(s: RegularizedState, mu: float, tau_span: float, n_samples:
     return sol.t, [RegularizedState.from_array(z, s.C_J) for z in sol.y.T]
 
 
-def _check_conditions(K: float, G: float, C: float):
+def _s0(G: float, C: float) -> float:
+    """sqrt(-G - 2C), the mu = 0 frequency dl/dtau; raises ValidationError
+    unless G + 2C < 0, the bounded-motion condition."""
     if G + 2.0 * C >= 0.0:
         raise ValidationError(f"condition G + 2C < 0 violated (G={G}, C={C})")
+    return math.sqrt(-G - 2.0 * C)
+
+
+def _check_conditions(K: float, G: float, C: float) -> float:
+    """The bounded-motion conditions at (K, G, C); returns `_s0`."""
+    s0 = _s0(G, C)
     if K + 1.0 <= 0.0:
         raise ValidationError(f"condition K + 1 > 0 violated (K={K})")
     disc = (K + 1.0) ** 2 + G * G * (G + 2.0 * C) / 4.0
@@ -214,6 +227,7 @@ def _check_conditions(K: float, G: float, C: float):
         raise ValidationError(
             f"condition (K+1)^2 + G^2(G+2C)/4 > 0 violated (got {disc})"
         )
+    return s0
 
 
 def mean_anomaly_integral(l: float, e: float) -> float:
@@ -255,8 +269,7 @@ def action_angle_from_state(s: RegularizedState, C: float) -> ActionAngle:
     if G == 0.0:
         raise ValidationError("action-angle chart invalid at G = 0")
     K = k_value(s, 0.0) + (s.C_J - C) * s.r_squared  # K at the requested energy C
-    _check_conditions(K, G, C)
-    s0 = math.sqrt(-G - 2.0 * C)
+    s0 = _check_conditions(K, G, C)
     L = (K + 1.0) / s0
     a = L / s0
     e2 = 1.0 - G * G / (4.0 * L * L)
@@ -285,11 +298,9 @@ def state_from_action_angle(L: float, G: float, l: float, g: float, C: float) ->
         raise ValidationError(f"need finite L, G and C (L={L}, G={G}, C={C})")
     if G == 0.0:
         raise ValidationError("action-angle chart invalid at G = 0")
-    if G + 2.0 * C >= 0.0:
-        raise ValidationError(f"condition G + 2C < 0 violated (G={G}, C={C})")
+    s0 = _s0(G, C)
     if L <= 0.0 or G * G >= 4.0 * L * L:
         raise ValidationError("need L > 0 and |G| < 2L")
-    s0 = math.sqrt(-G - 2.0 * C)
     a = L / s0
     x = G * G / (4.0 * L * L)
     e = math.sqrt(1.0 - x)
@@ -319,9 +330,7 @@ def state_from_action_angle(L: float, G: float, l: float, g: float, C: float) ->
 
 def frequencies(L: float, G: float, C: float):
     """(dl/dtau, dg/dtau) of the mu = 0 action-angle flow at energy C."""
-    if G + 2.0 * C >= 0.0:
-        raise ValidationError("condition G + 2C < 0 violated")
-    s0 = math.sqrt(-G - 2.0 * C)
+    s0 = _s0(G, C)
     return s0, -L / (2.0 * s0)
 
 
@@ -334,6 +343,13 @@ class CycleReport:
     G_sign: float
 
 
+def _unwrapped_angles(aas, sigma: float):
+    """(l, g + sigma l/2) along the ActionAngle records aas, each unwrapped."""
+    ls = np.unwrap([aa.l for aa in aas])
+    pairs = np.unwrap([aa.g + sigma * aa.l / 2.0 for aa in aas])
+    return ls, pairs
+
+
 def angle_consistency_check(states, C: float) -> CycleReport:
     """Total increments of (l, g + sign(G) l/2) along a sampled closed cycle.
 
@@ -344,8 +360,7 @@ def angle_consistency_check(states, C: float) -> CycleReport:
         raise ValidationError("need at least 3 samples along the cycle")
     aas = [action_angle_from_state(s, C) for s in states]
     sigma = math.copysign(1.0, aas[0].G)
-    ls = np.unwrap([aa.l for aa in aas])
-    pairs = np.unwrap([aa.g + sigma * aa.l / 2.0 for aa in aas])
+    ls, pairs = _unwrapped_angles(aas, sigma)
     return CycleReport(
         delta_l=float(ls[-1] - ls[0]),
         delta_pair=float(pairs[-1] - pairs[0]),
@@ -432,9 +447,7 @@ def regularization_checks(C: float, G: float, L: float) -> dict:
     }
 
     sigma = math.copysign(1.0, G)
-    aas = [action_angle_from_state(st, C) for st in states]
-    ls = np.unwrap([a.l for a in aas])
-    pair = np.unwrap([a.g + sigma * a.l / 2.0 for a in aas])
+    ls, pair = _unwrapped_angles([action_angle_from_state(st, C) for st in states], sigma)
     gs = pair - sigma * ls / 2.0
     slope_l = float(np.polyfit(taus, ls, 1)[0])
     slope_g = float(np.polyfit(taus, gs, 1)[0])

@@ -236,10 +236,11 @@ def _variational_rhs(Z, mus):
 
     The row width picks the field, read once per call: rows of 20 entries
     take any mass ratio mus[i], and rows of 24, the mu = 0 continuation's
-    (`_predictors`), take mu = 0 only.  f and J are those of
-    rtbp_derivatives, written out from the sparsity of J.  The integrator
-    calls this once per stage for the whole batch: a batch of more than
-    _FLOAT_ROWS rows takes numpy operations over the rows
+    (`_predictors`), take mu = 0 only.  mus is a sequence of floats or the
+    integrator's params column, a float array taken as it is.  f and J are
+    those of rtbp_derivatives, written out from the sparsity of J.  The
+    integrator calls this once per stage for the whole batch: a batch of
+    more than _FLOAT_ROWS rows takes numpy operations over the rows
     (`_variational_rhs_rows`), and a smaller one, where numpy's cost per
     call would dominate, Python floats row by row.  Both make the same
     operations in the same order, each correctly rounded, so a row's values
@@ -251,13 +252,14 @@ def _variational_rhs(Z, mus):
     CollisionError within _COLLISION_RADIUS of (1, 0), as the mu > 0 field
     does.
     """
+    mus = np.asarray(mus, dtype=float)
     tangent = Z.shape[1] == 24
-    if tangent and any(mus):
+    if tangent and mus.any():
         raise ValueError("rows with w = dz/dmu take mu = 0 only")
     if len(Z) > _FLOAT_ROWS:
-        return _variational_rhs_rows(Z, np.array(mus, dtype=float), tangent)
+        return _variational_rhs_rows(Z, mus, tangent)
     out = []
-    for z, mu in zip(Z.tolist(), mus):
+    for z, mu in zip(Z.tolist(), mus.tolist()):
         (p_x, p_y, x, y,
          a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = z[:20]
         gx, gy, gxx, gxy, gyy = _primary_forces(x, y, mu)

@@ -1,9 +1,8 @@
 """The batched DOP853 integrator against scipy's: the copied tableau, per-row
 evaluation and step counts and final states bit for bit, alone and in one
-batch, with the step control over arrays of rows and row by row, the field
-at each row's end from the last stage, and batches in which one row fails
-(a collision, a too small step, the work budget) without moving the
-others."""
+batch, the field at each row's end from the last stage, and batches in
+which one row fails (a collision, a too small step, the work budget)
+without moving the others."""
 
 import math
 
@@ -50,20 +49,11 @@ def _first_iterates():
 ROWS = _first_iterates()
 
 
-# _ARRAY_ROWS values that run the whole integration with the step control
-# over arrays of rows, or row by row on Python floats.
-PATHS = {"arrays": 0, "rows": 10**9}
-
-
-def _ours(rows, array_rows=None, fun=_variational_rhs):
-    """Our batch of (y0, t_end, params) rows; array_rows, if given, is the
-    crossover between the two step-control paths for this call."""
-    with pytest.MonkeyPatch.context() as mp:
-        if array_rows is not None:
-            mp.setattr(dop853, "_ARRAY_ROWS", array_rows)
-        return dop853.solve_ivp(
-            fun, [r[1] for r in rows], [r[0] for r in rows], [r[2] for r in rows], tol=TOL,
-        )
+def _ours(rows, fun=_variational_rhs):
+    """Our batch of (y0, t_end, params) rows."""
+    return dop853.solve_ivp(
+        fun, [r[1] for r in rows], [r[0] for r in rows], [r[2] for r in rows], tol=TOL,
+    )
 
 
 def _scipy(z0, t_end, mu):
@@ -156,14 +146,11 @@ def segment_refs(segment_rows):
 
 
 def test_segment_batch_matches_scipy_bit_for_bit(segment_rows, segment_refs):
-    """More rows than the crossover: the step control runs over arrays
-    while the batch is wide and row by row once it is narrow.  Each path
-    alone gives the same bits."""
-    assert len(segment_rows) > dop853._ARRAY_ROWS
-    for array_rows in (None, *PATHS.values()):
-        sol = _ours(segment_rows, array_rows)
-        for k, ref in enumerate(segment_refs):
-            _assert_matches_scipy(sol, k, ref)
+    """A wide batch whose rows finish at different steps, down to its last
+    row."""
+    sol = _ours(segment_rows)
+    for k, ref in enumerate(segment_refs):
+        _assert_matches_scipy(sol, k, ref)
 
 
 def test_end_field_is_the_last_stage(segment_rows):
@@ -182,36 +169,33 @@ def test_end_field_is_the_last_stage(segment_rows):
 
 
 def test_colliding_row_fails_alone(solo_rows):
-    """The falling row collides after some accepted steps; on either
-    step-control path the other rows keep their solo bits."""
+    """The falling row collides after some accepted steps; the other rows
+    keep their solo bits."""
     ref = _scipy(*FALL)
     assert isinstance(ref, CollisionError)
-    for array_rows in (None, *PATHS.values()):
-        sol = _ours(ROWS[:3] + [FALL] + ROWS[3:], array_rows)
-        assert type(sol.errors[3]) is type(ref) and str(sol.errors[3]) == str(ref)
-        assert np.all(np.isnan(sol.y[3]))
-        assert sol.row_steps[3] > 0
-        for k, solo in zip([0, 1, 2, 4, 5, 6, 7, 8], solo_rows):
-            assert sol.errors[k] is None
-            assert np.array_equal(sol.y[k], solo.y[0])
-            assert sol.row_nfev[k] == solo.row_nfev[0] and sol.row_steps[k] == solo.row_steps[0]
+    sol = _ours(ROWS[:3] + [FALL] + ROWS[3:])
+    assert type(sol.errors[3]) is type(ref) and str(sol.errors[3]) == str(ref)
+    assert np.all(np.isnan(sol.y[3]))
+    assert sol.row_steps[3] > 0
+    for k, solo in zip([0, 1, 2, 4, 5, 6, 7, 8], solo_rows):
+        assert sol.errors[k] is None
+        assert np.array_equal(sol.y[k], solo.y[0])
+        assert sol.row_nfev[k] == solo.row_nfev[0] and sol.row_steps[k] == solo.row_steps[0]
 
 
 def test_batch_totals_are_row_sums(segment_rows):
     """What the benchmark's tracer reads: nfev is the evaluations and
     t.size - 1 the accepted steps summed over rows, failed rows included."""
-    rows = segment_rows[:40] + [FALL]
-    for array_rows in (None, *PATHS.values()):
-        sol = _ours(rows, array_rows)
-        assert sol.errors[-1] is not None
-        assert sol.nfev == sol.row_nfev.sum()
-        assert sol.t.size - 1 == sol.row_steps.sum()
-        assert sol.t[0] == 0.0 and np.all(sol.t[1:] > 0.0)
+    sol = _ours(segment_rows[:40] + [FALL])
+    assert sol.errors[-1] is not None
+    assert sol.nfev == sol.row_nfev.sum()
+    assert sol.t.size - 1 == sol.row_steps.sum()
+    assert sol.t[0] == 0.0 and np.all(sol.t[1:] > 0.0)
 
 
 @pytest.mark.parametrize("width", [20, 24])
 def test_stacked_row_dots_are_blas_dots(width):
-    """The array path's row norms: the stacked matmul gives each row's
+    """The step control's row norms: the stacked matmul gives each row's
     x.dot(x), and its squared norms np.linalg.norm(x) ** 2, bit for bit,
     over magnitudes 1e-8 to 1e8."""
     rng = np.random.default_rng(width)
@@ -255,7 +239,7 @@ STILL = ((0.0, 0.0, 0.0, 1.0), 1.0, (0.0, 0.0, INF, INF, 0.0))
 
 def test_step_control_edge_cases():
     """Blow-up, failing, rejected and zero-error rows in one batch against
-    scipy, each row alone, on either step-control path."""
+    scipy, each row alone."""
     rows = [
         DECAY,
         # u = 1/(1 - t) blows up at t = 1
@@ -277,35 +261,33 @@ def test_step_control_edge_cases():
         assert (ref.nfev - 2) // N_STEP > ref.t.size - 1 > 0  # rejected steps
     assert not nan.success
     assert np.allclose(np.diff(still.t)[1:-1] / np.diff(still.t)[:-2], dop853.MAX_FACTOR)
-    for array_rows in PATHS.values():
-        sol = _ours(rows, array_rows, _toy_field)
-        for k, ref in enumerate(refs):
-            if isinstance(ref, CollisionError):
-                assert type(sol.errors[k]) is CollisionError and str(sol.errors[k]) == str(ref)
-                assert np.all(np.isnan(sol.y[k]))
-                continue
-            assert sol.row_nfev[k] == ref.nfev
-            assert sol.row_steps[k] == ref.t.size - 1
-            if ref.success:
-                assert sol.errors[k] is None
-                assert np.array_equal(sol.y[k], ref.y[:, -1])
-            else:
-                assert isinstance(sol.errors[k], ConvergenceError)
-                assert str(sol.errors[k]) == f"integration failed: {ref.message}"
-        assert sol.row_nfev[2] == 2  # f(y0), then the probe of the initial step
+    sol = _ours(rows, _toy_field)
+    for k, ref in enumerate(refs):
+        if isinstance(ref, CollisionError):
+            assert type(sol.errors[k]) is CollisionError and str(sol.errors[k]) == str(ref)
+            assert np.all(np.isnan(sol.y[k]))
+            continue
+        assert sol.row_nfev[k] == ref.nfev
+        assert sol.row_steps[k] == ref.t.size - 1
+        if ref.success:
+            assert sol.errors[k] is None
+            assert np.array_equal(sol.y[k], ref.y[:, -1])
+        else:
+            assert isinstance(sol.errors[k], ConvergenceError)
+            assert str(sol.errors[k]) == f"integration failed: {ref.message}"
+    assert sol.row_nfev[2] == 2  # f(y0), then the probe of the initial step
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
-def test_row_over_the_budget_fails_alone(monkeypatch, path):
+def test_row_over_the_budget_fails_alone(monkeypatch):
     """Under a small budget the kinked row fails with a ConvergenceError
     naming it, at the last call within it; the rows that finish first keep
     their solo bits and counts."""
     rows = [DECAY, KINK, STILL]
-    solos = [_ours([row], fun=_toy_field) for row in rows]
+    solos = [_ours([row], _toy_field) for row in rows]
     budget = 400
     assert max(solos[0].nfev, solos[2].nfev) <= budget < solos[1].nfev
     monkeypatch.setattr(dop853, "MAX_ROW_EVALS", budget)
-    sol = _ours(rows, PATHS[path], _toy_field)
+    sol = _ours(rows, _toy_field)
     err = sol.errors[1]
     assert type(err) is ConvergenceError and f"budget of {budget} evaluations" in str(err)
     assert budget - N_STEP < sol.row_nfev[1] <= budget

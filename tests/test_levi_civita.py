@@ -118,6 +118,26 @@ class TestKValue:
         _, states = integrate_k_flow(s, 0.0, 40.0, 301)
         assert max(abs(st.angular_momentum_G - G_DEMO) for st in states) <= 1e-11
 
+    def test_small_primary_pole(self):
+        # (xi, nu) = (1, 0) maps to the small primary: W = 0 for K and its flow
+        s = RegularizedState(0.3, 0.2, 1.0, 0.0, C_J=C_DEMO)
+        for call in (lambda: k_value(s, 1e-3),
+                     lambda: k_flow_derivatives(s.as_array(), C_DEMO, 1e-3)):
+            with pytest.raises(ValidationError, match="W = 0"):
+                call()
+        assert math.isfinite(k_value(s, 0.0))
+
+    @pytest.mark.parametrize("n_samples", [1, 0, -3])
+    def test_flow_needs_both_endpoints(self, n_samples):
+        # one sample would be tau = 0 alone, not states[-1] at tau_span
+        with pytest.raises(ValidationError, match="n_samples >= 2"):
+            integrate_k_flow(_demo_state(), 0.0, 1.0, n_samples)
+
+    @pytest.mark.parametrize("tau_span", [0.0, -0.0, math.inf, -math.inf, math.nan])
+    def test_flow_needs_a_finite_nonzero_span(self, tau_span):
+        with pytest.raises(ValidationError, match="tau_span must be finite and non-zero"):
+            integrate_k_flow(_demo_state(), 0.0, tau_span, 11)
+
     def test_k_flow_is_hamiltonian(self):
         # d/dtau matches the gradient of k_value numerically
         z = _demo_state().as_array()

@@ -109,6 +109,16 @@ class TestFusedVariationalRhs:
         for k in range(128):
             assert np.array_equal(_variational_rhs(rows[k:k + 1], mus[k:k + 1])[0], batch[k])
 
+    @pytest.mark.parametrize("width", [20, 24])
+    @pytest.mark.parametrize("n_rows", [1, 12, 13, 128])
+    def test_mu_as_list_or_array(self, width, n_rows):
+        # the integrator passes its params column, a float array, as it is;
+        # on floats (up to 12 rows) and over arrays the bits are the list's
+        rows = np.array(_away_from_primaries(np.random.default_rng(13), n_rows))[:, :width]
+        mus = [0.0 if width == 24 else (0.0, 1e-5, 1e-4, 1e-3)[k % 4] for k in range(n_rows)]
+        got = _variational_rhs(rows, np.array(mus))
+        assert got.tobytes() == _variational_rhs(rows, mus).tobytes()
+
     @pytest.mark.parametrize("x", [-1e-3, 1.0 - 1e-3])
     def test_collision_at_either_primary(self, x):
         z = np.concatenate([[0.0, 0.0, x, 0.0], np.eye(4).ravel()])
