@@ -56,7 +56,7 @@ from .verifier import (
     verify_families,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "ActionAngle",

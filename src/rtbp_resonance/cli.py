@@ -31,7 +31,7 @@ from .perturbation import ResonantFamily, canonical_families
 from .series import leading_coefficient
 from .verifier import CORRECTOR_TOL, DEFAULT_MU_LIST, verify_families
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # Most points an --e-min/--e-max/--e-step grid may hold.
 _GRID_MAX = 10**6
 _QUAD_TOL_HELP = "quadrature tolerance on C1 + C2, relative where |C1 + C2| > 1"
@@ -247,6 +247,7 @@ def cmd_coeff(args) -> int:
                 "nodes": res.nodes,
                 "err_estimate": res.err_estimate,
                 "min_delta1": res.min_delta1,
+                "rule": res.rule,
             }
             | _leading(f)
         )

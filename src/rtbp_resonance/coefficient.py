@@ -10,9 +10,27 @@ j*q -+ p, none of them 0 for coprime q >= 2.  Its trapezoid sum would be
 roundoff, which can be most of a small C, so C2 is set to 0.0 there and
 only q = 1 families sum cos(theta)/r.
 
-The integrands are periodic and analytic in F, so the uniform trapezoid
-rule converges geometrically, at a rate set by the nearest complex
-collision.  Both are even about F_c = n_l*pi/q (the family's reversing
+Two rules sum the integrals.  Every family starts on the uniform
+trapezoid rule below.  The integrands are periodic and analytic in F, so it
+converges geometrically, at a rate set by the nearest complex collision:
+a close pass to the small primary at height sigma above the real axis
+needs about 62/sigma nodes, so a few grazing families would take most of
+the work.  A family still short of tol when the trapezoid would double
+past _SWITCH = 2**14 nodes leaves it for the panel rule (_panels): the
+period is cut midway between adjacent minima of Delta1, each panel is
+mapped by a sinh toward its close pass and summed by nested Clenshaw-Curtis
+rules, which need a number of nodes that does not grow with 1/sigma.  The
+switch level was chosen by timing the benchmark's sweep and coeff panels:
+at 2**13 the median sweep request paid the panel rule's fixed cost (its
+minimum search and its first levels) on families the trapezoid finishes at
+2**14, and at 2**15 the panels' totals were 7% slower.  Every family that
+stops at or below _SWITCH keeps the trapezoid's bits.  A result's rule
+field names the rule that produced it ("trapezoid" or "panels") and its
+nodes that rule's node count; neither rule evaluates more than NODE_CAP
+nodes (the panel rule counts its own), and a family that would fails with
+the same ConvergenceError.
+
+The trapezoid: both integrands are even about F_c = n_l*pi/q (the family's reversing
 symmetry), so on the grid F_c + j*2*pi/n the sum over a period is the sum
 over [F_c, F_c + pi] with its two end nodes counted once and every interior
 node twice: an n-node level evaluates the integrands n/2 + 1 times.  The
@@ -63,7 +81,26 @@ and predicts the error of T_n from the ratio d_n / d_{n/2}, which saves the
 last doubling, about half of a family's evaluations.  err_estimate is a
 truncation error only, with no roundoff floor: on a close pass the node
 values' roundoff, amplified by the cancellation between their large
-positive and negative parts, can exceed it.
+positive and negative parts, can exceed it.  The panel rule stops by the
+same rule, its levels being n = _CC_START, 2*_CC_START, ... nodes a panel.
+
+The panel rule: the local minima F_k of Delta1 on _MIN_SAMPLES grid points
+of the period are refined by parabolic steps on Delta1^2, and sigma_k =
+Delta1(F_k) / |d(r e^(i theta))/dF| from the closed-form speed
+(perturbation.track_speed).  The panel of F_k runs between the midpoints to
+its neighbouring minima and is mapped by F = F_k + sigma_k*sinh(mu_k*y -
+eta_k), y in [-1, 1].  Its nodes are off the grid but in its integer
+form, F_c + (i + x)*pi/_BASE with i an integer and |x| <= 1/2, evaluated by
+the off-grid kernel (track_integrand with x): F_k is split into its
+nearest grid index and a fraction, the fraction plus sigma_k*sinh(.) is
+carried in grid units and rounded to i and x per node, so E/2 and
+theta/2 keep the integer-phase roundoff (reduced about 0, see
+perturbation._grid_track) where float nodes put C 1e-10 to 1e-8 off.  The
+Clenshaw-Curtis weights come from one FFT a level (_cc_weights, cached per
+n), and each level's node values times weights are summed exactly
+(_exact_sums), so that a family's result does not depend on its batch.
+Every panel of every switched family is one row of each level's integrand
+calls.
 
 The collision guard takes the track's minimum Delta1 (min_delta1) from a
 uniform sample of _SAMPLES points, half of it for n_l = 0 by the same
@@ -90,6 +127,7 @@ compute_Cs builds once and passes to min_delta1s.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -103,7 +141,9 @@ from .perturbation import (
     delta1,
     delta1_at,
     float_track,
+    grid_delta1,
     track_integrand,
+    track_speed,
 )
 
 COLLISION_DELTA = 1e-6
@@ -140,6 +180,17 @@ _REFINE_STEPS = 40
 _REFINE_RTOL = 1e-16
 _REFINE_XTOL = 1e-10
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+# The panel rule (_panels): a family still short of tol when the trapezoid
+# would double past _SWITCH nodes moves to it.  Its nodes are
+# F_c + (i + x)*pi/_BASE; it finds the minima of Delta1 on _MIN_SAMPLES
+# grid points, refines each until the parabola predicts a drop of Delta1^2
+# below _MIN_RTOL of its value, and starts at _CC_START + 1 Clenshaw-Curtis
+# nodes a panel.
+_SWITCH = 2**14
+_BASE = 2**20
+_MIN_SAMPLES = 2048
+_MIN_RTOL = 1e-8
+_CC_START = 16
 
 
 @dataclass(frozen=True)
@@ -150,6 +201,7 @@ class CoefficientResult:
     nodes: int
     err_estimate: float
     min_delta1: float
+    rule: str = "trapezoid"
 
 
 def min_delta1(f: ResonantFamily) -> float:
@@ -318,7 +370,9 @@ def compute_Cs(families, tol: float = 1e-10) -> list:
     The batch's per-family constants (GridFamilies) are built once, serve
     the guard and the kernel, and are cut to the live families whenever one
     collides or leaves.  Each family leaves on its own stopping rule, at the
-    node cap or at the collision guard.  The list holds, in the order of
+    node cap or at the collision guard; the families still running when the
+    trapezoid would double past _SWITCH nodes go on together on the panel
+    rule (_panels).  The list holds, in the order of
     families, each one's CoefficientResult or the CollisionError or
     ConvergenceError compute_C would raise, whatever else is in the batch.
     """
@@ -351,39 +405,24 @@ def compute_Cs(families, tol: float = 1e-10) -> list:
     while live:
         keep = []
         for k, t in enumerate(live):
-            prev = t.c1 + t.c2  # nan on the first level, which never stops
             s1, s2 = t.ahead.pop(0)
             t.s1 += s1
             t.s2 += s2
-            t.c1, t.c2 = _level(t.s1, t.s2, n)
-            d = abs((t.c1 + t.c2) - prev)
-            bound = tol * max(1.0, abs(t.c1 + t.c2))
-            if d * d < bound * t.d_prev and 4.0 * d < t.d_prev and 4.0 * t.d_prev < t.d_prev2:
-                err = d * d / t.d_prev
-            elif d < bound:
-                err = d
-            else:
-                t.d_prev, t.d_prev2 = d, t.d_prev
+            err = _stop(t, *_level(t.s1, t.s2, n), tol)  # the first level never stops
+            if err is None:
                 keep.append(k)
-                continue
-            out[t.index] = CoefficientResult(
-                C=-6.0 * math.pi * t.family.p**2 * (t.c1 + t.c2),
-                C1=t.c1,
-                C2=t.c2,
-                nodes=n,
-                err_estimate=err,
-                min_delta1=t.md,
-            )
+            else:
+                out[t.index] = _result(t, n, err, "trapezoid")
         if not keep:
             break
         if len(keep) < len(live):
             live, grid = [live[k] for k in keep], grid[keep]
-        if live and not live[0].ahead:  # the live tracks hold the same levels
+        if not live[0].ahead:  # the live tracks hold the same levels
             if 2 * n > NODE_CAP:
-                for t in live:
-                    out[t.index] = _with_min_delta1(
-                        ConvergenceError(f"quadrature did not reach tol={tol} at {n} nodes"), t.md
-                    )
+                _fail(live, tol, n, out)
+                break
+            if 2 * n > _SWITCH:
+                _panels(live, grid, tol, out)
                 break
             # The midpoints are the odd grid indices inside (F_c, F_c + pi),
             # each standing for itself and its mirror image.
@@ -392,8 +431,267 @@ def compute_Cs(families, tol: float = 1e-10) -> list:
     return out
 
 
+def _stop(t: _Track, c1: float, c2: float, tol: float):
+    """Take the level values (c1, c2) into the track t: its err_estimate if
+    the stopping rule of the module docstring stops it there, else None."""
+    prev = t.c1 + t.c2  # nan on a rule's first level
+    t.c1, t.c2 = c1, c2
+    d = abs((c1 + c2) - prev)
+    bound = tol * max(1.0, abs(c1 + c2))
+    if d * d < bound * t.d_prev and 4.0 * d < t.d_prev and 4.0 * t.d_prev < t.d_prev2:
+        return d * d / t.d_prev
+    if d < bound:
+        return d
+    t.d_prev, t.d_prev2 = d, t.d_prev
+    return None
+
+
+def _result(t: _Track, nodes: int, err: float, rule: str) -> CoefficientResult:
+    return CoefficientResult(
+        C=-6.0 * math.pi * t.family.p**2 * (t.c1 + t.c2),
+        C1=t.c1,
+        C2=t.c2,
+        nodes=nodes,
+        err_estimate=err,
+        min_delta1=t.md,
+        rule=rule,
+    )
+
+
+def _fail(tracks, tol: float, nodes: int, out):
+    for t in tracks:
+        out[t.index] = _with_min_delta1(
+            ConvergenceError(f"quadrature did not reach tol={tol} at {nodes} nodes"), t.md
+        )
+
+
+def _panels(live, grid, tol: float, out):
+    """The panel rule for the tracks live (grid their GridFamilies), which
+    leave the trapezoid together; each one's result or ConvergenceError
+    goes to out.
+
+    The period is cut midway between adjacent minima F_k of Delta1
+    (_panel_minima), and the panel of F_k is mapped from y in [-1, 1] by
+    F = F_k + sigma_k*sinh(mu_k*y - eta_k), where sigma_k =
+    Delta1(F_k) / |d(r e^(i theta))/dF| is the height of the nearest complex
+    collision above the real axis: the map spreads the close pass over a
+    width in y that does not shrink with sigma_k (Johnston and Elliott, Int.
+    J. Numer. Meth. Engng 62, 2005).  Nested Clenshaw-Curtis rules of n + 1
+    nodes a panel, n = _CC_START, 2*_CC_START, ..., evaluate only the new
+    nodes at each doubling, every panel of every live track as one row of
+    the level's integrand calls (_panel_values).  A track stops by the rule
+    of the module docstring on T_n = C1 + C2; its node count is its panels
+    times n + 1, and it fails when the next level would pass NODE_CAP.
+    """
+    for t in live:
+        t.c1 = t.c2 = t.d_prev = t.d_prev2 = math.nan
+    track, centre, sigma = _panel_minima(grid)
+    # each panel runs from the cut before its minimum to the cut after it,
+    # a track's last cut wrapping round the period (2*_BASE grid units)
+    last = np.append(track[1:] != track[:-1], True)
+    first = np.roll(last, 1)
+    after = np.roll(centre, -1)
+    after[last] = centre[first] + 2 * _BASE
+    hi = 0.5 * (centre + after)
+    lo = np.roll(hi, 1)
+    lo[first] = hi[last] - 2 * _BASE
+    # In grid units, F_k = F_c + I + c with I an integer, and a node lies
+    # s*sinh(mu*y - eta) from F_k.
+    I = np.rint(centre)
+    s = (sigma * (_BASE / math.pi))[:, None]
+    ua, ub = np.arcsinh((lo - centre)[:, None] / s), np.arcsinh((hi - centre)[:, None] / s)
+    rows = _PanelRows(
+        grid[track], track, I.astype(np.int64)[:, None], (centre - I)[:, None], s,
+        0.5 * (ub - ua), -0.5 * (ub + ua),
+    )
+    panels = np.bincount(track, minlength=len(live))
+    n = _CC_START
+    # dF/dy times each integrand at the nodes cos(j*pi/n), one row a panel
+    v1, v2 = _panel_values(rows, np.cos(np.arange(n + 1) * (math.pi / n)))
+    while True:
+        weights = _cc_weights(n)
+        with_c2 = np.flatnonzero(rows.g.q[:, 0] == 1)  # C2 is 0 for q >= 2
+        s1 = _panel_sums(v1 * weights, rows.track, len(live))
+        s2 = _panel_sums(v2[with_c2] * weights, rows.track[with_c2], len(live))
+        keep = []
+        for k, t in enumerate(live):
+            err = _stop(t, s1[k] / _UNIT, s2[k] / _UNIT, tol)
+            nodes = int(panels[k]) * (n + 1)
+            if err is not None:
+                out[t.index] = _result(t, nodes, err, "panels")
+            elif panels[k] * (2 * n + 1) > NODE_CAP:
+                _fail([t], tol, nodes, out)
+            else:
+                keep.append(k)
+        if not keep:
+            return
+        if len(keep) < len(live):
+            live, panels = [live[k] for k in keep], panels[keep]
+            cut = np.isin(rows.track, keep)
+            rows = rows.cut(cut, keep)
+            v1, v2 = v1[cut], v2[cut]
+        n *= 2
+        w1, w2 = _panel_values(rows, np.cos(np.arange(1, n, 2) * (math.pi / n)))
+        v1, v2 = _nest(v1, w1), _nest(v2, w2)
+
+
+def _panel_sums(v, track, tracks: int) -> list:
+    """Exact sums of the values v (one row a panel, track its track) over
+    each of the tracks' panels, as integers of 1 / _UNIT, so that each
+    track's sum is the same in any batch (a float matrix product may round
+    differently with the shape of its operand)."""
+    sums = [0] * tracks
+    rows = [0] * len(v)
+    for a in range(0, v.shape[1], _ROW):
+        rows = [x + y for x, y in zip(rows, _exact_sums(v[:, a : a + _ROW]))]
+    for k, x in zip(track.tolist(), rows):
+        sums[k] += x
+    return sums
+
+
+@dataclass
+class _PanelRows:
+    """The panels of the live tracks in _panels, one row each: their
+    families' GridFamilies g, their track's place in the live list, and the
+    map's constants I (int64), c, s, mu and eta, (panels, 1) columns."""
+
+    g: GridFamilies
+    track: np.ndarray
+    I: np.ndarray
+    c: np.ndarray
+    s: np.ndarray
+    mu: np.ndarray
+    eta: np.ndarray
+
+    def cut(self, rows, keep) -> "_PanelRows":
+        """The rows (a mask) of the tracks keep (their old places, in order)."""
+        place = np.zeros(int(self.track.max()) + 1, dtype=np.int64)
+        place[keep] = np.arange(len(keep))
+        return _PanelRows(
+            self.g[rows], place[self.track[rows]],
+            *(x[rows] for x in (self.I, self.c, self.s, self.mu, self.eta)),
+        )
+
+
+def _panel_values(rows: _PanelRows, y):
+    """Both integrands times dF/dy at the points y of [-1, 1] of every panel
+    of rows, as (panels, len(y)) arrays.  Each node is F_c + (i + x)*pi/_BASE
+    with i an integer and |x| <= 1/2, evaluated by the off-grid kernel
+    (track_integrand with x).  The calls hold at most _CHUNK nodes, or one
+    panel, so that memory does not grow with the batch."""
+    arg = rows.mu * y - rows.eta
+    u = rows.c + rows.s * np.sinh(arg)
+    shift = np.rint(u)
+    i, x = rows.I + shift.astype(np.int64), u - shift
+    step = max(1, _CHUNK // y.size)
+    parts = [
+        track_integrand(rows.g[a : a + step], i[a : a + step], _BASE, x[a : a + step])
+        for a in range(0, len(i), step)
+    ]
+    jac = (math.pi / _BASE) * rows.s * rows.mu * np.cosh(arg)
+    return [jac * np.concatenate([p[k] for p in parts]) for k in (0, 1)]
+
+
+def _nest(old, new):
+    """Node values of the next nested level: old at the even nodes, new at
+    the odd ones."""
+    out = np.empty((old.shape[0], old.shape[1] + new.shape[1]))
+    out[:, ::2], out[:, 1::2] = old, new
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _cc_weights(n: int):
+    """Clenshaw-Curtis weights of the nodes cos(j*pi/n), j = 0 ... n, on
+    [-1, 1] (n even), from one real FFT of length n:
+    w_j = (c_j/n) * (1 - sum_{k=1}^{n/2} b_k cos(2*k*j*pi/n) / (4k^2 - 1)),
+    with c_j and b_k 1 at the ends of their ranges and 2 elsewhere
+    (Waldvogel, BIT 46, 2006)."""
+    k = np.arange(n // 2 + 1)
+    a = np.zeros(n)
+    a[: n // 2 + 1] = -2.0 / (4.0 * k * k - 1.0)
+    a[0] = 1.0
+    a[n // 2] *= 0.5
+    half = np.fft.rfft(a).real  # j = 0 ... n/2; j and n - j agree
+    w = np.concatenate((half, half[-2::-1])) * (2.0 / n)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+def _panel_minima(grid):
+    """(track, centre, sigma) for the local minima of Delta1 of the families
+    of the GridFamilies grid, in order of family and then of F: each
+    minimum's family (its row of grid), F_k = F_c + centre*pi/_BASE and
+    sigma_k = Delta1(F_k) / |d(r e^(i theta))/dF| (track_speed).
+
+    The minima are the local minima of Delta1 over _MIN_SAMPLES grid points
+    of the period, taken cyclically, evaluated in blocks of at most _CHUNK
+    points (whole families); each is refined inside its two neighbours by
+    _refine_mins on the off-grid kernel (grid_delta1).
+    """
+    h = 2 * _BASE // _MIN_SAMPLES
+    i = np.arange(_MIN_SAMPLES)[None, :] * h
+    step = max(1, _CHUNK // _MIN_SAMPLES)
+    d = np.concatenate([
+        grid_delta1(part, np.broadcast_to(i, (len(part), i.size)), _BASE)
+        for part in (grid[a : a + step] for a in range(0, len(grid), step))
+    ])
+    left, right = np.roll(d, 1, axis=1), np.roll(d, -1, axis=1)
+    track, j = np.nonzero((d <= left) & (d < right))
+    g = grid[track]
+
+    def delta1_off(rows, u):
+        shift = np.rint(u)
+        x = (u - shift)[:, None]
+        return grid_delta1(g[rows], shift.astype(np.int64)[:, None], _BASE, x)[:, 0]
+
+    b = (j * h).astype(float)
+    centre, dmin = _refine_mins(delta1_off, [b - h, b, b + h], [left[track, j], d[track, j], right[track, j]])
+    F = g.lpi[:, 0] / g.q[:, 0] + centre * (math.pi / _BASE)
+    return track, centre, dmin / track_speed(g, F[:, None])[:, 0]
+
+
+def _refine_mins(d, x, v):
+    """(b, d(b)) at the least values of d found by _refine_min's steps from
+    arrays of brackets x = [a, b, c], a < b < c, with values v (d(b) least),
+    all refined together: d(rows, t) gives d at the points t of the brackets
+    rows.  Each step evaluates the vertex of the parabola through the three
+    points on d^2 (or a golden-section point where that is not inside) and
+    keeps the least point found with its two neighbours.  A bracket stops
+    once the parabola predicts a drop of d^2 below _MIN_RTOL of its value,
+    or after _REFINE_STEPS evaluations."""
+    x, v = np.column_stack(x), np.column_stack(v)
+    live = np.arange(len(x))
+    for _ in range(_REFINE_STEPS):
+        (a, b, c), (da, db, dc) = x[live].T, v[live].T
+        u, w = a - b, c - b
+        P, Q = da * da - db * db, dc * dc - db * db
+        k = (P / u - Q / w) / (u - w)  # d^2 ~ db^2 + sl (t - b) + k (t - b)^2
+        sl = P / u - k * u
+        convex = k > 0.0
+        t = np.where(convex, b - 0.5 * sl / np.where(convex, k, 1.0), b)
+        outside = ~((a < t) & (t < c)) | (t == b)
+        t = np.where(outside, b + _GOLDEN * np.where(w > -u, w, u), t)
+        go = ~(convex & (sl * sl <= 4.0 * k * _MIN_RTOL * db * db)) & (t != b)
+        live, t = live[go], t[go]
+        if not live.size:
+            break
+        four = np.column_stack((x[live], t))
+        order = np.argsort(four, axis=1)
+        four = np.take_along_axis(four, order, axis=1)
+        vals = np.take_along_axis(np.column_stack((v[live], d(live, t))), order, axis=1)
+        # a and c stay the ends, so the least of b and t is one of the middle two
+        m = vals[:, 1:3].argmin(axis=1)[:, None] + [0, 1, 2]
+        x[live] = np.take_along_axis(four, m, axis=1)
+        v[live] = np.take_along_axis(vals, m, axis=1)
+    return x[:, 1], v[:, 1]
+
+
 def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
-    """Evaluate C(e,p,q) for one family by spectral trapezoid quadrature.
+    """Evaluate C(e,p,q) for one family by spectral quadrature: the
+    trapezoid rule below, or the panel rule of the module docstring for a
+    family still short of tol past _SWITCH nodes (its rule field says which).
 
     The grid F_c + j*2*pi/n, F_c = n_l*pi/q, starts at _N_START nodes and
     doubles.  The integrands are even about F_c, so only the n/2 + 1 nodes of

@@ -31,6 +31,11 @@ are harmless: tan of the float nearest pi/2 is ~1.6e16, whose square does not
 overflow, and E = pi gives sin E ~ 1.2e-16 and cos E = -1.  The grid kernel
 takes a batch of families, one row of indices each; E depends only on
 (n_l, q), so families that share both and their index row share tan(E/2).
+The same kernel takes nodes off the grid in integer form,
+F = F_c + (i + x)*pi/n with |x| <= 1/2: i is reduced exactly and x times the
+phase rates (q for E/2, k for theta/2) added after it.  These serve the
+panel rule of coefficient (track_integrand with x, and grid_delta1 for its
+minimum search, with track_speed for the height of each close pass).
 
 This module is the one place that evaluates the track.  Off the grid, the
 float track (float_track) takes sin and cos of the float phases for a batch
@@ -260,11 +265,22 @@ def _delta1_float(e, beta, c, p, q, turn, a, F: float) -> float:
     return math.sqrt((r - 1.0) * (r - 1.0) + 4.0 * r * (sh * sh))
 
 
-def _grid_track(families, i, n: int):
-    """(r, tan(theta/2)) at the grid nodes F_c + i*pi/n of each family, from
-    int64 indices i with one row per family, the integer phases reduced
-    exactly (see the module docstring).  families is a sequence of families
-    or their GridFamilies.
+def _grid_track(families, i, n: int, x=None):
+    """(r, r - 1, tan(theta/2)) at the nodes F_c + (i + x)*pi/n of each
+    family, from int64 indices i with one row per family, the integer phases
+    reduced exactly (see the module docstring).  families is a sequence of
+    families or their GridFamilies.
+
+    Without x the nodes are the grid nodes F_c + i*pi/n.  x (floats of i's
+    shape, |x| <= 1/2) moves them off the grid: x times the phase rates (q
+    for E/2, k for theta/2) is added after the reduction of i.  Off the grid
+    the integer parts of both half phases are reduced to [-pi/2, pi/2)
+    rather than [0, pi), so that near a close pass (theta/2 near 0 mod pi,
+    and E/2 near 0 mod pi at a pericentre) tan takes a small argument, not
+    one near pi whose rounding (an ulp of pi) would move the pass; and r - 1
+    is formed as (a - 1) - a*e*cos(E), to a few ulps of the small difference
+    rather than of 1.  These cut the error of a grazing family's C by an
+    order of magnitude.  The grid nodes keep the trapezoid's bits.
 
     E depends on the family only through (n_l, q).  Index rows broadcast from
     one shared row therefore take tan(E/2), and sin E and cos E from it, once
@@ -274,7 +290,12 @@ def _grid_track(families, i, n: int):
     i = np.asarray(i, dtype=np.int64)
     first, row = _shared(g.key, i)
     step = 0.5 * math.pi / n
-    t = np.tan(((g.n_l[first] * n + g.q[first] * i[first]) & (2 * n - 1)) * step)
+    m = (g.n_l[first] * n + g.q[first] * i[first]) & (2 * n - 1)
+    if x is None:
+        t = np.tan(m * step)
+    else:
+        m[m >= n] -= 2 * n
+        t = np.tan(m * step + g.q[first] * x[first] * step)
     t2 = t * t
     sec2 = 1.0 + t2  # 1 / cos^2(E/2)
     sinE, cosE = 2.0 * t / sec2, (1.0 - t2) / sec2
@@ -283,32 +304,56 @@ def _grid_track(families, i, n: int):
     bounded = anomaly_offset(g.beta, sinE, cosE) + g.ecc * sinE
     j = (g.turns * n + g.k * i) & (2 * n - 1)  # tan has period pi in theta/2
     r = g.a * (1.0 - g.e * cosE)
-    return r, np.tan(j * step + 0.5 * bounded)
+    if x is None:
+        return r, r - 1.0, np.tan(j * step + 0.5 * bounded)
+    j[j >= n] -= 2 * n
+    return r, (g.a - 1.0) - g.a * g.e * cosE, np.tan(j * step + g.k * x * step + 0.5 * bounded)
 
 
-def track_integrand(f, F, n: int | None = None):
+def _grid_parts(families, i, n: int, x=None):
+    """(r, sin^2(theta/2), sin^2(theta), Delta1^2) at the nodes of
+    _grid_track, from its tangent of theta/2."""
+    r, r1, tau = _grid_track(families, i, n, x)
+    tau2 = tau * tau
+    sec2 = 1.0 + tau2  # 1 / cos^2(theta/2)
+    sh2 = tau2 / sec2
+    return r, sh2, 4.0 * sh2 / sec2, r1 * r1 + 4.0 * r * sh2
+
+
+def grid_delta1(families, i, n: int, x=None):
+    """Delta1 at the nodes F_c + (i + x)*pi/n of _grid_track."""
+    return np.sqrt(_grid_parts(families, i, n, x)[3])
+
+
+def track_speed(g: GridFamilies, F):
+    """|d(r e^(i theta))/dF| at the values F of F, one row per family of the
+    GridFamilies g: hypot(r', r theta') with r' = a e q sin E and
+    r theta' = a q sqrt(1 - e^2) -+ a p (1 - e cos E)^2 (E = qF)."""
+    E = g.q * F
+    w = 1.0 - g.e * np.cos(E)
+    return g.a * np.hypot(g.e * g.q * np.sin(E), g.q * np.sqrt(1.0 - g.e * g.e) - g.p * w * w)
+
+
+def track_integrand(f, F, n: int | None = None, x=None):
     """The two quadrature integrands along the track: ((r/Delta1)_tt, cos(theta)/r).
 
     Without n, f is one family and F holds values of F.  With the power of
     two n, f is a sequence of families (or their GridFamilies) and F holds
-    int64 indices i of the grid nodes F_c + i*pi/n (F_c = n_l*pi/q), one row
-    per family, whose phases are then reduced exactly; each integrand then
-    has one row per family.
+    int64 indices i of the nodes F_c + (i + x)*pi/n (F_c = n_l*pi/q; the
+    grid nodes F_c + i*pi/n without x), one row per family, whose phases are
+    then reduced exactly (_grid_track); each integrand then has one row per
+    family.
     """
     if n is None:
         r, theta, _ = _one_track(f, F)
         half = 0.5 * theta
         sh = np.sin(half)
         sh2, s2 = sh * sh, (2.0 * sh * np.cos(half)) ** 2
+        d2 = _delta1_sq(r, sh2)
     elif n < 1 or n & (n - 1):
         raise ValidationError(f"grid index base n must be a power of two, got {n}")
     else:
-        r, tau = _grid_track(f, F, n)
-        tau2 = tau * tau
-        sec2 = 1.0 + tau2  # 1 / cos^2(theta/2)
-        sh2 = tau2 / sec2
-        s2 = 4.0 * sh2 / sec2
-    d2 = _delta1_sq(r, sh2)
+        r, sh2, s2, d2 = _grid_parts(f, F, n, x)
     if np.any(d2 <= 0.0):
         raise CollisionError("resonant track passes through the small primary")
     return _integrand_parts(r, sh2, s2, d2)

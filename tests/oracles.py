@@ -9,7 +9,8 @@ route to a quantity the package computes another way:
 - `trapezoid_pair_longdouble`: the same trapezoid values from the float
   track formulas (E = q*F, theta unreduced) evaluated in numpy's long double
   (80-bit extended on x86), whose phase roundoff lies far below the float
-  kernel's.
+  kernel's; `track_longdouble` and `track_integrand_longdouble` are its
+  track and integrands at any F.
 - `min_delta1_brent`: the minimum of Delta1 from the full 4096-point sample
   and scipy's bounded Brent search (the package's former `min_delta1`).
 - `min_delta1_full`: the package's `min_delta1` from every point of its
@@ -96,26 +97,40 @@ def trapezoid_pair_longdouble(f: ResonantFamily, n: int):
     family's float e and semimajor axis as inputs, rounded to float at the end."""
     ld = np.longdouble
     pi = 4 * np.arctan(ld(1))
-    e, a, ratio = ld(f.e), ld(f.semimajor_axis), ld(f.p) / ld(f.q)
-    beta = e / (1 + np.sqrt(1 - e * e))
     sums = [ld(0), ld(0)]
     for start in range(0, n, _LONGDOUBLE_CHUNK):
         j = np.arange(start, min(start + _LONGDOUBLE_CHUNK, n)).astype(ld)
-        F = f.n_l * pi / f.q + j * (2 * pi / n)
-        E = f.q * F
-        sinE, cosE = np.sin(E), np.cos(E)
-        t = (E - e * sinE - f.n_l * pi) * ratio
-        if f.retrograde:
-            t = -t
-        theta = E + 2 * np.arctan(beta * sinE / (1 - beta * cosE)) + f.n_g * pi - t
-        r = a * (1 - e * cosE)
-        half = theta / 2
-        sh = np.sin(half)
-        sh2 = sh * sh
-        s2 = (2 * sh * np.cos(half)) ** 2
-        for k, w in enumerate(_integrand_parts(r, sh2, s2, _delta1_sq(r, sh2))):
+        for k, w in enumerate(track_integrand_longdouble(f, f.n_l * pi / f.q + j * (2 * pi / n))):
             sums[k] += np.sum(w)
     return tuple(float(s * (2 * pi / n)) for s in sums)
+
+
+def track_longdouble(f: ResonantFamily, F):
+    """(r, theta) at the long double values F, from the float track formulas
+    of `track_arrays` in long double with the family's float e and
+    semimajor axis as inputs."""
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    e, a, ratio = ld(f.e), ld(f.semimajor_axis), ld(f.p) / ld(f.q)
+    beta = e / (1 + np.sqrt(1 - e * e))
+    E = f.q * F
+    sinE, cosE = np.sin(E), np.cos(E)
+    t = (E - e * sinE - f.n_l * pi) * ratio
+    if f.retrograde:
+        t = -t
+    theta = E + 2 * np.arctan(beta * sinE / (1 - beta * cosE)) + f.n_g * pi - t
+    return a * (1 - e * cosE), theta
+
+
+def track_integrand_longdouble(f: ResonantFamily, F):
+    """The two integrands of `track_integrand` at the long double values F
+    (track_longdouble)."""
+    r, theta = track_longdouble(f, F)
+    half = theta / 2
+    sh = np.sin(half)
+    sh2 = sh * sh
+    s2 = (2 * sh * np.cos(half)) ** 2
+    return _integrand_parts(r, sh2, s2, _delta1_sq(r, sh2))
 
 
 def min_delta1_brent(f: ResonantFamily) -> float:

@@ -9,6 +9,7 @@ fails here rather than as a miscounted benchmark run.
 import importlib.util
 import os
 
+from rtbp_resonance import coefficient
 from rtbp_resonance.cli import main
 from rtbp_resonance.coefficient import min_delta1
 from rtbp_resonance.perturbation import canonical_families
@@ -34,12 +35,13 @@ def _coeff(capsys, p, q, e, direction):
     return request, code, captured.out, captured.err
 
 
-def test_node_cap_is_no_convergence(capsys):
-    # A retrograde grazing track whose second family runs to the node cap:
-    # its trapezoid sums still differ by 3e-4 relative there (discretization,
-    # not roundoff).
+def test_node_cap_is_no_convergence(capsys, monkeypatch):
+    # A retrograde grazing track whose families converge on panels (4,883
+    # nodes) but run to the node cap on the trapezoid, which a cap of 2^14
+    # (the switch level) leaves them.
+    monkeypatch.setattr(coefficient, "NODE_CAP", coefficient._SWITCH)
     req, code, out, err = _coeff(capsys, 10, 9, 0.07798046698579171, "retrograde")
-    assert code == 2
+    assert code == 2 and "quadrature did not reach tol=1e-10 at 16384 nodes" in err
     outcomes = [r["outcome"] for r in _check().check_coeff(req, code, out, err)]
     assert outcomes == ["no-convergence", "no-convergence"]
 

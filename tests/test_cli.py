@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from oracles import compute_C_via_omega_gg
-from rtbp_resonance import cli, levi_civita, series
+from rtbp_resonance import cli, coefficient, levi_civita, series
 from rtbp_resonance.cli import main
 from rtbp_resonance.perturbation import canonical_families
 from rtbp_resonance.verifier import verify_families
@@ -31,11 +31,12 @@ class TestCoeff:
         )
         assert code == 0
         rec = json.loads(out)
-        assert rec["schema_version"] == 1
+        assert rec["schema_version"] == 2
         assert rec["command"] == "coeff"
         assert rec["status"] == "ok"
         fams = rec["outputs"]["families"]
         assert len(fams) == 2
+        assert [f["rule"] for f in fams] == ["trapezoid", "trapezoid"]
         assert fams[0]["C"] * fams[1]["C"] < 0.0
         assert fams[0]["C"] == pytest.approx(39.21035800269192, rel=1e-9)
         assert rec["timings"]["seconds"] == round(rec["timings"]["seconds"], 6)
@@ -48,6 +49,18 @@ class TestCoeff:
         fam = json.loads(out)["outputs"]["families"][0]
         # 17 significant digits reconstruct the binary double exactly
         assert fam["C"] == float(f"{fam['C']:.17g}")
+
+    def test_grazing_family_reports_the_panel_rule(self, capsys):
+        # Family 1 passes the small primary at Delta1 = 1.4e-3 and leaves the
+        # trapezoid for panels; its record is compute_C's, with rule panels.
+        argv = ["coeff", "--p", "7", "--q", "15", "--e", "0.6598103462577234",
+                "--direction", "retrograde"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        fam = json.loads(out)["outputs"]["families"][0]
+        res = coefficient.compute_C(canonical_families(7, 15, 0.6598103462577234, "retrograde")[0])
+        assert fam["rule"] == res.rule == "panels"
+        assert (fam["C"], fam["nodes"], fam["err_estimate"]) == (res.C, res.nodes, res.err_estimate)
 
     def test_identical_ratio_rejected(self, capsys):
         code, _, err = _run(capsys, ["coeff", "--p", "2", "--q", "2", "--e", "0.1"])
@@ -474,10 +487,13 @@ class TestVerify:
         assert fam["extrapolated_C"] is None
         assert all(p["status"] == "ok" and p["C_estimate"] is not None for p in fam["per_mu"])
 
-    def test_quadrature_failure_keeps_the_fits(self, capsys, tmp_path):
-        # Family 2's grazing track runs to the quadrature's node cap; both
-        # Newton fits converge, and family 1's quadrature does too.
-        argv = ["verify", "--p", "10", "--q", "9", "--e", "0.07798046698579171",
+    def test_quadrature_failure_keeps_the_fits(self, capsys, tmp_path, monkeypatch):
+        # Both grazing tracks leave the trapezoid for panels at 1,024 nodes;
+        # family 1 converges on 2,451 panel nodes, and family 2, which needs
+        # 4,883, runs to a node cap of 4,096.  Both Newton fits converge.
+        monkeypatch.setattr(coefficient, "_SWITCH", 2**10)
+        monkeypatch.setattr(coefficient, "NODE_CAP", 2**12)
+        argv = ["verify", "--p", "10", "--q", "9", "--e", "0.1",
                 "--direction", "retrograde", "--mu-list", "1e-4,3e-5"]
         code, out, err = _run(capsys, argv)
         assert code == 0 and err == ""
@@ -623,7 +639,7 @@ class TestEntryPoint:
     def test_version_flag(self, capsys):
         code, out, _ = _run(capsys, ["--version"])
         assert code == 0
-        assert out.strip() == "1.9.0"
+        assert out.strip() == "1.10.0"
 
     def test_top_level_help(self, capsys):
         # the description is the user-facing module docstring, with the

@@ -168,21 +168,53 @@ class TestComputeC:
             assert calls == [512]
 
     def test_chunked_levels_are_bit_identical(self, monkeypatch):
-        # A grazing family that converges at 131,072 nodes: summed 64
+        # A grazing family that converges at 131,072 nodes on the trapezoid
+        # (with the panel switch raised to the node cap): summed 64
         # midpoints at a time, every field is the same as in full chunks,
         # alone and in a 2-family batch (one family a call: at _CHUNK = 64 a
-        # call holds at most _CHUNK // _N_START = 1).  Three families in calls
-        # of 2 nodes, one family a call.
+        # call holds at most _CHUNK // _N_START = 1).  On panels, as it runs
+        # by default, its rows go in calls of at most 64 nodes, one panel a
+        # call, with the same result.  Three families in calls of 2 nodes,
+        # one family a call.
         f = canonical_families(5, 7, 0.55, "retrograde")[0]
         pair = [f, f.sibling()]
         smooth = [ResonantFamily(1, 3, 0.3), ResonantFamily(2, 7, 0.4), ResonantFamily(3, 1, 0.2)]
+        switch, panels = coefficient._SWITCH, compute_C(f)
+        monkeypatch.setattr(coefficient, "_SWITCH", coefficient.NODE_CAP)
         res, batch, small = compute_C(f), compute_Cs(pair), compute_Cs(smooth)
         assert res.nodes >= 2**17
         monkeypatch.setattr(coefficient, "_CHUNK", 64)
         assert compute_C(f) == res
         assert compute_Cs(pair) == batch
+        monkeypatch.setattr(coefficient, "_SWITCH", switch)
+        assert panels.rule == "panels" and compute_C(f) == panels
         monkeypatch.setattr(coefficient, "_CHUNK", 2)
         assert compute_Cs(smooth) == small
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 2.0**-60, reason="long double is not extended precision"
+    )
+    @pytest.mark.parametrize(
+        "p,q,e,which",
+        [
+            (5, 7, 0.25, 0),
+            (7, 15, 0.6598103462577234, 0),
+            (7, 8, 0.1, 1),
+            (10, 9, 0.07798046698579171, 1),
+        ],
+    )
+    def test_panel_rule_within_tol_of_extended_precision(self, p, q, e, which):
+        # Close passes (min Delta1 1.2e-3, 1.4e-3, 6.3e-3 and 7.5e-4) that
+        # leave the trapezoid for panels.  The trapezoid was 48, 6.8 and 3.5
+        # tol units off the long double sums for the first three, and ran to
+        # the node cap on the fourth; the panel rule's off-grid nodes, with
+        # their half phases reduced about 0, come within 2 units (one unit
+        # is tol * max(1, |C1 + C2|)).
+        f = canonical_families(p, q, e, "retrograde")[which]
+        res = compute_C(f)
+        ref = sum(trapezoid_pair_longdouble(f, 2**20))
+        assert res.rule == "panels" and res.C2 == 0.0
+        assert abs(res.C1 + res.C2 - ref) <= 2 * 1e-10 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize(
         "family",
@@ -394,7 +426,9 @@ class TestC2Rule:
 
 class TestLockstep:
     # An early stop (256 nodes), a grazing track (131,072 nodes), a collision
-    # and a node cap: each leaves the batch on its own.
+    # and a node cap on the trapezoid (the panel switch raised to the node
+    # cap); by default the last two leave the trapezoid for panels and
+    # converge there.  Each leaves the batch on its own.
     MIX = [
         ResonantFamily(1, 3, 0.3),
         canonical_families(5, 7, 0.55, "retrograde")[0],
@@ -419,7 +453,8 @@ class TestLockstep:
         else:
             assert got == ref, order
 
-    def test_every_order_matches_one_family_runs(self):
+    def test_every_order_matches_one_family_runs(self, monkeypatch):
+        monkeypatch.setattr(coefficient, "_SWITCH", coefficient.NODE_CAP)
         alone = [self._alone(f) for f in self.MIX]
         assert [type(a) for a in alone] == [
             coefficient.CoefficientResult,
@@ -428,6 +463,34 @@ class TestLockstep:
             ConvergenceError,
         ]
         assert alone[0].nodes == 256 and alone[1].nodes >= 2**17
+        for order in itertools.permutations(range(len(self.MIX))):
+            batch = compute_Cs([self.MIX[k] for k in order])
+            for k, got in zip(order, batch):
+                self._assert_same(got, alone[k], order)
+
+    def test_panel_stops_and_caps_match_one_family_runs(self, monkeypatch):
+        # The switch at 1,024 nodes and a node cap of 4,096: the grazing
+        # track converges on panels (1,548 nodes), and the 10:9 track,
+        # which needs 4,883 panel nodes, fails at 2,451 with the trapezoid's
+        # message, having evaluated no more than the cap.  Every order of the
+        # batch gives each family's own result.
+        monkeypatch.setattr(coefficient, "_SWITCH", 2**10)
+        monkeypatch.setattr(coefficient, "NODE_CAP", 2**12)
+        points = []
+        integrand = coefficient.track_integrand
+
+        def counted(families, i, n, x=None):
+            points.append(i.size if x is not None else 0)
+            return integrand(families, i, n, x)
+
+        monkeypatch.setattr(coefficient, "track_integrand", counted)
+        alone = [self._alone(f) for f in self.MIX]
+        assert [getattr(a, "rule", None) for a in alone] == ["trapezoid", "panels", None, None]
+        assert str(alone[3]) == "quadrature did not reach tol=1e-10 at 2451 nodes"
+        assert isinstance(alone[3], ConvergenceError) and isinstance(alone[2], CollisionError)
+        points.clear()
+        self._alone(self.MIX[3])
+        assert sum(points) == 2451 <= coefficient.NODE_CAP
         for order in itertools.permutations(range(len(self.MIX))):
             batch = compute_Cs([self.MIX[k] for k in order])
             for k, got in zip(order, batch):

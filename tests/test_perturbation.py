@@ -6,9 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import integrand_thetatheta, omega_polar
+from oracles import integrand_thetatheta, omega_polar, track_longdouble
+from rtbp_resonance.coefficient import NODE_CAP, compute_C
 from rtbp_resonance.errors import CollisionError, ValidationError
 from rtbp_resonance.perturbation import (
+    GridFamilies,
     ResonantFamily,
     _grid_track,
     canonical_families,
@@ -220,6 +222,72 @@ class TestTrack:
                     for a, b in zip(track_integrand(f, F), track_integrand([f], i[None], n)):
                         assert np.max(np.abs(a - b[0])) <= 1e-11 * np.max(np.abs(a)), f
 
+    def test_off_grid_kernel_at_x_zero_is_the_grid_kernel(self):
+        # With x = 0 the off-grid kernel (the panel rule's) gives the grid
+        # nodes' r bit for bit wherever the reduced index of E/2 stays below
+        # n, and tan(theta/2) wherever that of theta/2 does too.  Elsewhere it
+        # reduces the half phases about 0 instead of pi/2, so they differ
+        # from the grid kernel's by their rounding only, as does r - 1 formed
+        # as (a - 1) - a*e*cos(E).
+        n = 1024
+        i = np.arange(-n, 3 * n)[None]
+        for p, q in _COPRIME:
+            if max(p, q) > 11:
+                continue
+            for direction in ("direct", "retrograde"):
+                for f in canonical_families(p, q, 0.4, direction):
+                    g = GridFamilies.of([f])
+                    r, r1, tau = _grid_track(g, i, n)
+                    r0, r10, tau0 = _grid_track(g, i, n, np.zeros(i.shape))
+                    same_E = (g.n_l * n + g.q * i) % (2 * n) < n
+                    kept = same_E & ((g.turns * n + g.k * i) % (2 * n) < n)
+                    assert np.array_equal(r0[same_E], r[same_E]), f
+                    assert kept.any() and np.array_equal(tau0[kept], tau[kept]), f
+                    assert np.max(np.abs(r0 - r) / r) <= 1e-15, f
+                    turn = np.arctan(tau0) - np.arctan(tau)
+                    turn -= math.pi * np.round(turn / math.pi)
+                    assert np.max(np.abs(turn)) <= 4e-15, f
+                    assert np.max(np.abs(r10 - r1) / np.maximum(1.0, r)) <= 1e-15, f
+
+    def test_off_grid_kernel_matches_longdouble_track(self):
+        # Random off-grid nodes F_c + (i + x)*pi/2^20 over a period, on
+        # grazing (the first four) and smooth tracks: the kernel's theta/2
+        # (mod pi) and r - 1 are within 1e-15 of the long double track
+        # formulas at the same F.  The float track at the float F is up to
+        # 5e-14 and 3e-14 off.
+        base = 2**20
+        rng = np.random.default_rng(33)
+        cases = [
+            (5, 7, 0.25, "retrograde", 0),
+            (7, 15, 0.6598103462577234, "retrograde", 0),
+            (7, 8, 0.1, "retrograde", 1),
+            (10, 9, 0.07798046698579171, "retrograde", 1),
+            (1, 3, 0.3, "direct", 0),
+            (3, 1, 0.5, "direct", 1),
+            (13, 14, 0.8, "retrograde", 1),
+        ]
+        pi = 4 * np.arctan(np.longdouble(1))
+        for p, q, e, direction, which in cases:
+            f = canonical_families(p, q, e, direction)[which]
+            i = rng.integers(-base, 3 * base, 2000)
+            x = rng.uniform(-0.5, 0.5, i.size)
+            r, theta = track_longdouble(f, f.n_l * pi / q + (i.astype(np.longdouble) + x) * (pi / base))
+            _, r1, tau = _grid_track([f], i[None], base, x[None])
+            turn = np.arctan(tau[0]) - theta / 2
+            assert np.max(np.abs(turn - pi * np.round(turn / pi))) <= 1e-15, f
+            assert np.max(np.abs(r1[0] - (r - 1))) <= 1e-15, f
+
+    def test_grazing_track_converges_on_panels(self):
+        # 13:12 retrograde e=0.05 family 2 has 25 local minima of Delta1 a
+        # period: it leaves the trapezoid for 25 panels and converges well
+        # inside the node cap, at the long double trapezoid sum at 2^20 nodes
+        # (0.02156169684151535) within tol; C2 of the q >= 2 family is 0.0.
+        f = canonical_families(13, 12, 0.05, "retrograde")[1]
+        res = compute_C(f)
+        assert res.rule == "panels" and res.C2 == 0.0
+        assert res.nodes % 25 == 0 and res.nodes < NODE_CAP
+        assert res.C1 == pytest.approx(0.02156169684151535, rel=0, abs=1e-10)
+
     @pytest.mark.parametrize("e", [0.05, 0.4, 0.8])
     def test_grid_kernel_finite_at_tangent_poles(self, e):
         # The grid kernel takes tan(E/2) and tan(theta/2).  For odd q and
@@ -239,7 +307,7 @@ class TestTrack:
                     ends = track_integrand(f, Fc + np.array([0.0, math.pi]))
                     for n in [2**k for k in range(6, 21)]:
                         if f.n_l + f.n_g == 1:
-                            _, tau = _grid_track([f], np.zeros((1, 1), np.int64), n)
+                            tau = _grid_track([f], np.zeros((1, 1), np.int64), n)[-1]
                             assert abs(tau[0, 0]) > 1e15
                         grid = track_integrand([f], np.array([[0, n]]), n)
                         for a, b, s in zip(ends, grid, scale):
