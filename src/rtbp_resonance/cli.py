@@ -206,16 +206,21 @@ def _inject_config(argv, parser):
         return argv
     if path is None:
         return argv
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        msg = f"config file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        raise ValidationError(msg) from None
     injected = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"bad config line {line!r} in {path}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            injected += [f"--{key}", value]
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"bad config line {line!r} in {path}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        injected += [f"--{key}", value]
     # Keep the subcommand first, then config-derived flags, then explicit ones.
     return argv[:1] + injected + argv[1:]
 

@@ -84,11 +84,13 @@ values' roundoff, amplified by the cancellation between their large
 positive and negative parts, can exceed it.  The panel rule stops by the
 same rule, its levels being n = _CC_START, 2*_CC_START, ... nodes a panel.
 
-The panel rule: the local minima F_k of Delta1 on _MIN_SAMPLES grid points
-of the period are refined by parabolic steps on Delta1^2, and sigma_k =
-Delta1(F_k) / |d(r e^(i theta))/dF| from the closed-form speed
-(perturbation.track_speed).  The panel of F_k runs between the midpoints to
-its neighbouring minima and is mapped by F = F_k + sigma_k*sinh(mu_k*y -
+The panel rule: the local minima F_k of Delta1 over all _SAMPLES points of
+the collision guard's sample (below) are refined by the guard's parabolic
+steps on Delta1^2 (_refine_min), so every minimum of Delta1 has one
+sampler, one refinement and one stopping rule; sigma_k = Delta1(F_k) /
+|d(r e^(i theta))/dF| from the closed-form speed (perturbation.track_speed).
+The panel of F_k runs between the midpoints to its neighbouring
+minima and is mapped by F = F_k + sigma_k*sinh(mu_k*y -
 eta_k), y in [-1, 1].  Its nodes are off the grid but in its integer
 form, F_c + (i + x)*pi/_BASE with i an integer and |x| <= 1/2, evaluated by
 the off-grid kernel (track_integrand with x): F_k is split into its
@@ -119,10 +121,11 @@ same float.
 
 This module evaluates no track formula: the searches and sums above read
 perturbation, which owns the track.  The grid kernel is track_integrand with
-n given; the guard's samples are perturbation.float_track, its refinement's
-Delta1 on Python floats is perturbation.delta1_at, and V and the slack are
-the speed and slack columns of the batch's one GridFamilies table, which
-compute_Cs builds once and passes to min_delta1s.
+n given and evaluates integrand nodes only; the samples of both minimum
+searches are perturbation.float_track, their refinement's Delta1 on Python
+floats is perturbation.delta1_at, and V and the slack are the speed and
+slack columns of the batch's one GridFamilies table, which compute_Cs
+builds once and passes to min_delta1s.
 """
 
 from __future__ import annotations
@@ -141,7 +144,6 @@ from .perturbation import (
     delta1,
     delta1_at,
     float_track,
-    grid_delta1,
     track_integrand,
     track_speed,
 )
@@ -182,14 +184,11 @@ _REFINE_XTOL = 1e-10
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # The panel rule (_panels): a family still short of tol when the trapezoid
 # would double past _SWITCH nodes moves to it.  Its nodes are
-# F_c + (i + x)*pi/_BASE; it finds the minima of Delta1 on _MIN_SAMPLES
-# grid points, refines each until the parabola predicts a drop of Delta1^2
-# below _MIN_RTOL of its value, and starts at _CC_START + 1 Clenshaw-Curtis
+# F_c + (i + x)*pi/_BASE; it takes the minima of Delta1 from the guard's
+# _SAMPLES and _refine_min, and starts at _CC_START + 1 Clenshaw-Curtis
 # nodes a panel.
 _SWITCH = 2**14
 _BASE = 2**20
-_MIN_SAMPLES = 2048
-_MIN_RTOL = 1e-8
 _CC_START = 16
 
 
@@ -231,7 +230,7 @@ def min_delta1s(families) -> list:
     for b in range(0, len(g), per_block):
         block = g[b : b + per_block] if len(g) > per_block else g
         for d, j, v in zip(delta1_at(block), *_guard_brackets(block)):
-            out.append(_refine_min(d, [(j - 1) * h, j * h, (j + 1) * h], v))
+            out.append(_refine_min(d, [(j - 1) * h, j * h, (j + 1) * h], v)[1])
     return out
 
 
@@ -280,9 +279,9 @@ def _guard_delta1(g, j):
     GridFamilies g, with one row of int j per family or one row shared by
     all, bit for bit as track_arrays(f, F)[3] gives it (float_track).  Rows of
     their own go in numpy calls of at most _CHUNK points (or one row).  A
-    shared row goes in one call, g being one of min_delta1s' blocks, to
-    float_track as a stride-0 broadcast, so it takes sin E and cos E once per
-    distinct q.
+    shared row goes in one call, g being one of min_delta1s' or
+    _panel_minima's blocks, to float_track as a stride-0 broadcast, so it
+    takes sin E and cos E once per distinct q.
     """
     step = max(1, len(g) if len(j) == 1 else _CHUNK // j.shape[1])
     F = j * (2.0 * math.pi / _SAMPLES)
@@ -295,10 +294,10 @@ def _guard_delta1(g, j):
     return out[0] if len(out) == 1 else np.concatenate(out)
 
 
-def _refine_min(d, x, v) -> float:
-    """Least value of d found inside [x0, x2] by safeguarded successive
-    parabolic steps on d^2, from the bracket x0 < x1 < x2 with values v
-    (sequences of three floats).
+def _refine_min(d, x, v) -> tuple:
+    """(x, d(x)) at the least value of d found inside [x0, x2] by safeguarded
+    successive parabolic steps on d^2, from the bracket x0 < x1 < x2 with
+    values v (sequences of three floats).
 
     d^2 is smooth where d = Delta1 has a corner at a collision, so the
     parabola through the three best points predicts its minimum.  A step that
@@ -334,7 +333,7 @@ def _refine_min(d, x, v) -> float:
             a, da = t, dt
         else:
             c, dc = t, dt
-    return db
+    return b, db
 
 
 @dataclass
@@ -625,67 +624,29 @@ def _panel_minima(grid):
     minimum's family (its row of grid), F_k = F_c + centre*pi/_BASE and
     sigma_k = Delta1(F_k) / |d(r e^(i theta))/dF| (track_speed).
 
-    The minima are the local minima of Delta1 over _MIN_SAMPLES grid points
-    of the period, taken cyclically, evaluated in blocks of at most _CHUNK
-    points (whole families); each is refined inside its two neighbours by
-    _refine_mins on the off-grid kernel (grid_delta1).
+    The minima are the local minima of Delta1 over the guard's whole sample
+    F = j*2*pi/_SAMPLES, j = 0 ... _SAMPLES - 1, taken cyclically and
+    evaluated by _guard_delta1 in calls of at most _CHUNK points (whole
+    families); each is refined inside its two neighbours by the guard's
+    _refine_min on Python floats (delta1_at).
     """
-    h = 2 * _BASE // _MIN_SAMPLES
-    i = np.arange(_MIN_SAMPLES)[None, :] * h
-    step = max(1, _CHUNK // _MIN_SAMPLES)
+    h = 2.0 * math.pi / _SAMPLES
+    step = max(1, _CHUNK // _SAMPLES)
     d = np.concatenate([
-        grid_delta1(part, np.broadcast_to(i, (len(part), i.size)), _BASE)
-        for part in (grid[a : a + step] for a in range(0, len(grid), step))
+        _guard_delta1(grid[a : a + step], np.arange(_SAMPLES)[None, :])
+        for a in range(0, len(grid), step)
     ])
     left, right = np.roll(d, 1, axis=1), np.roll(d, -1, axis=1)
     track, j = np.nonzero((d <= left) & (d < right))
+    d1 = delta1_at(grid)
+    brackets = np.column_stack((left[track, j], d[track, j], right[track, j])).tolist()
+    F, dmin = np.array([
+        _refine_min(d1[t], [(k - 1) * h, k * h, (k + 1) * h], v)
+        for t, k, v in zip(track.tolist(), j.tolist(), brackets)
+    ]).T
     g = grid[track]
-
-    def delta1_off(rows, u):
-        shift = np.rint(u)
-        x = (u - shift)[:, None]
-        return grid_delta1(g[rows], shift.astype(np.int64)[:, None], _BASE, x)[:, 0]
-
-    b = (j * h).astype(float)
-    centre, dmin = _refine_mins(delta1_off, [b - h, b, b + h], [left[track, j], d[track, j], right[track, j]])
-    F = g.lpi[:, 0] / g.q[:, 0] + centre * (math.pi / _BASE)
+    centre = (F - g.lpi[:, 0] / g.q[:, 0]) * (_BASE / math.pi)
     return track, centre, dmin / track_speed(g, F[:, None])[:, 0]
-
-
-def _refine_mins(d, x, v):
-    """(b, d(b)) at the least values of d found by _refine_min's steps from
-    arrays of brackets x = [a, b, c], a < b < c, with values v (d(b) least),
-    all refined together: d(rows, t) gives d at the points t of the brackets
-    rows.  Each step evaluates the vertex of the parabola through the three
-    points on d^2 (or a golden-section point where that is not inside) and
-    keeps the least point found with its two neighbours.  A bracket stops
-    once the parabola predicts a drop of d^2 below _MIN_RTOL of its value,
-    or after _REFINE_STEPS evaluations."""
-    x, v = np.column_stack(x), np.column_stack(v)
-    live = np.arange(len(x))
-    for _ in range(_REFINE_STEPS):
-        (a, b, c), (da, db, dc) = x[live].T, v[live].T
-        u, w = a - b, c - b
-        P, Q = da * da - db * db, dc * dc - db * db
-        k = (P / u - Q / w) / (u - w)  # d^2 ~ db^2 + sl (t - b) + k (t - b)^2
-        sl = P / u - k * u
-        convex = k > 0.0
-        t = np.where(convex, b - 0.5 * sl / np.where(convex, k, 1.0), b)
-        outside = ~((a < t) & (t < c)) | (t == b)
-        t = np.where(outside, b + _GOLDEN * np.where(w > -u, w, u), t)
-        go = ~(convex & (sl * sl <= 4.0 * k * _MIN_RTOL * db * db)) & (t != b)
-        live, t = live[go], t[go]
-        if not live.size:
-            break
-        four = np.column_stack((x[live], t))
-        order = np.argsort(four, axis=1)
-        four = np.take_along_axis(four, order, axis=1)
-        vals = np.take_along_axis(np.column_stack((v[live], d(live, t))), order, axis=1)
-        # a and c stay the ends, so the least of b and t is one of the middle two
-        m = vals[:, 1:3].argmin(axis=1)[:, None] + [0, 1, 2]
-        x[live] = np.take_along_axis(four, m, axis=1)
-        v[live] = np.take_along_axis(vals, m, axis=1)
-    return x[:, 1], v[:, 1]
 
 
 def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:

@@ -33,19 +33,20 @@ takes a batch of families, one row of indices each; E depends only on
 (n_l, q), so families that share both and their index row share tan(E/2).
 The same kernel takes nodes off the grid in integer form,
 F = F_c + (i + x)*pi/n with |x| <= 1/2: i is reduced exactly and x times the
-phase rates (q for E/2, k for theta/2) added after it.  These serve the
-panel rule of coefficient (track_integrand with x, and grid_delta1 for its
-minimum search, with track_speed for the height of each close pass).
+phase rates (q for E/2, k for theta/2) added after it.  These are the
+nodes of coefficient's panel rule (track_integrand with x), and track_speed
+gives the height of each close pass.
 
 This module is the one place that evaluates the track.  Off the grid, the
 float track (float_track) takes sin and cos of the float phases for a batch
-of families, one row of F each; it serves the collision guard's samples, and
-its one-family case track_arrays and the float track_integrand (F given, no
-n, the tests' reference).  delta1_at is its Delta1 on Python floats, one
-point at a time, for the guard's refinement.  Both kernels know a shared row
-by its stride 0 (as np.broadcast_to makes it) and group it by key (_shared).
-Every per-family constant they read, the guard's bound included, is a column
-of one table, GridFamilies, built once per batch.
+of families, one row of F each; it samples Delta1 for the collision guard
+and the panel rule's minimum search, on the lattice they share, and its
+one-family case track_arrays and the float track_integrand (F given, no n,
+the tests' reference).  delta1_at is its Delta1 on Python floats, one point
+at a time, for the refinement of every minimum.  Both kernels know a shared
+row by its stride 0 (as np.broadcast_to makes it) and group it by key
+(_shared).  Every per-family constant they read, the guard's bound included,
+is a column of one table, GridFamilies, built once per batch.
 """
 
 from __future__ import annotations
@@ -310,21 +311,6 @@ def _grid_track(families, i, n: int, x=None):
     return r, (g.a - 1.0) - g.a * g.e * cosE, np.tan(j * step + g.k * x * step + 0.5 * bounded)
 
 
-def _grid_parts(families, i, n: int, x=None):
-    """(r, sin^2(theta/2), sin^2(theta), Delta1^2) at the nodes of
-    _grid_track, from its tangent of theta/2."""
-    r, r1, tau = _grid_track(families, i, n, x)
-    tau2 = tau * tau
-    sec2 = 1.0 + tau2  # 1 / cos^2(theta/2)
-    sh2 = tau2 / sec2
-    return r, sh2, 4.0 * sh2 / sec2, r1 * r1 + 4.0 * r * sh2
-
-
-def grid_delta1(families, i, n: int, x=None):
-    """Delta1 at the nodes F_c + (i + x)*pi/n of _grid_track."""
-    return np.sqrt(_grid_parts(families, i, n, x)[3])
-
-
 def track_speed(g: GridFamilies, F):
     """|d(r e^(i theta))/dF| at the values F of F, one row per family of the
     GridFamilies g: hypot(r', r theta') with r' = a e q sin E and
@@ -353,7 +339,11 @@ def track_integrand(f, F, n: int | None = None, x=None):
     elif n < 1 or n & (n - 1):
         raise ValidationError(f"grid index base n must be a power of two, got {n}")
     else:
-        r, sh2, s2, d2 = _grid_parts(f, F, n, x)
+        r, r1, tau = _grid_track(f, F, n, x)
+        tau2 = tau * tau
+        sec2 = 1.0 + tau2  # 1 / cos^2(theta/2)
+        sh2 = tau2 / sec2
+        s2, d2 = 4.0 * sh2 / sec2, r1 * r1 + 4.0 * r * sh2
     if np.any(d2 <= 0.0):
         raise CollisionError("resonant track passes through the small primary")
     return _integrand_parts(r, sh2, s2, d2)

@@ -162,7 +162,7 @@ def min_delta1_full(f: ResonantFamily) -> float:
     d1 = track_arrays(f, np.arange(-1, top + 2) * h)[3]  # d1[i] is the sample j = i - 1
     i = 1 + int(np.argmin(d1[1:-1]))
     x = [(j - 1) * h for j in (i - 1, i, i + 1)]
-    return _refine_min(delta1_at(GridFamilies.of([f]))[0], x, d1[i - 1 : i + 2].tolist())
+    return _refine_min(delta1_at(GridFamilies.of([f]))[0], x, d1[i - 1 : i + 2].tolist())[1]
 
 
 def omega_polar(r, theta):

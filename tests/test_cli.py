@@ -261,6 +261,16 @@ class TestConfig:
         code, _, err = _run(capsys, ["coeff", "--config", str(cfg)])
         assert code == 1 and "error" in err
 
+    def test_file_not_text(self, capsys, tmp_path):
+        # bytes that are not UTF-8 make one error line and exit 1, no traceback
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00")
+        code, out, err = _run(
+            capsys, ["coeff", "--config", str(cfg), "--p", "1", "--q", "3", "--e", "0.3"]
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(cfg) in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = _run(
             capsys, ["coeff", "--config", str(tmp_path / "nope.cfg"), "--e", "0.3"]

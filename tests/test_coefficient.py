@@ -204,8 +204,9 @@ class TestComputeC:
         ],
     )
     def test_panel_rule_within_tol_of_extended_precision(self, p, q, e, which):
-        # Close passes (min Delta1 1.2e-3, 1.4e-3, 6.3e-3 and 7.5e-4) that
-        # leave the trapezoid for panels.  The trapezoid was 48, 6.8 and 3.5
+        # Close passes (min Delta1 1.2e-3, 1.4e-3, 1.7e-3 and 7.5e-4; the
+        # guard reports 6.3e-3 for the third, test_narrow_close_pass_found)
+        # that leave the trapezoid for panels.  The trapezoid was 48, 6.8 and 3.5
         # tol units off the long double sums for the first three, and ran to
         # the node cap on the fourth; the panel rule's off-grid nodes, with
         # their half phases reduced about 0, come within 2 units (one unit
@@ -946,17 +947,84 @@ class TestGuardSample:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="min_delta1 refines only the least of its 4,096 samples; for this narrow "
-        "close pass that is the local minimum 0.0264745 at F ~ 1.4759, not 0.0225583 at "
-        "F ~ 1.9246 (ROADMAP items 5 and 9: refine every sampled local minimum with the "
+        reason="min_delta1 refines only the least of its 4,096 samples; for a narrow "
+        "close pass that can be another local minimum: 0.0264745 at F ~ 1.4759, not "
+        "0.0225583 at F ~ 1.9246, for 15:13, and 0.0063091, not 0.0016675, for 7:8 "
+        "(ROADMAP items 5 and 9: refine every sampled local minimum with the "
         "reference refresh)",
     )
-    def test_narrow_close_pass_found(self):
-        f = canonical_families(15, 13, 0.07093487512020555, "retrograde")[1]
-        F = np.arange(2**16) * (2.0 * math.pi / 2**16)
+    @pytest.mark.parametrize(
+        "p,q,e,which,points,reached",
+        [
+            (15, 13, 0.07093487512020555, 1, 2**16, 0.0225583),
+            # a pass too narrow for 2**16 points (0.0018045 there)
+            (7, 8, 0.1, 1, 2**20, 0.0016677),
+        ],
+    )
+    def test_narrow_close_pass_found(self, p, q, e, which, points, reached):
+        f = canonical_families(p, q, e, "retrograde")[which]
+        F = np.arange(points) * (2.0 * math.pi / points)
         scanned = track_arrays(f, F)[3].min()
-        assert scanned == pytest.approx(0.0225583, rel=1e-3)
+        assert scanned == pytest.approx(reached, rel=1e-3)
         assert min_delta1(f) <= scanned
+
+
+class TestPanelMinima:
+    """The panel rule's minima (_panel_minima): the local minima of the
+    guard's sample, refined by the guard's _refine_min."""
+
+    @staticmethod
+    def _minima(f):
+        _, centre, sigma = coefficient._panel_minima(GridFamilies.of([f]))
+        return f.n_l * math.pi / f.q + centre * (math.pi / coefficient._BASE), sigma
+
+    def test_grazing_track_minima(self, monkeypatch):
+        # 13:12 r e=0.05 family 2 has 25 local minima of Delta1 a period, each
+        # a local minimum of the float track, each with a height above the
+        # real axis.  In a batch of three the sample goes in calls of at most
+        # _CHUNK points, and each family's minima are the ones it has alone.
+        f = canonical_families(13, 12, 0.05, "retrograde")[1]
+        F, sigma = self._minima(f)
+        assert F.size == 25 and np.all(sigma > 0.0)
+        d = track_arrays(f, F)[3]
+        assert np.all(track_arrays(f, F - 1e-6)[3] >= d)
+        assert np.all(track_arrays(f, F + 1e-6)[3] >= d)
+        sizes, guard = [], coefficient._guard_delta1
+
+        def sized(g, j):
+            out = guard(g, j)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(coefficient, "_guard_delta1", sized)
+        track, _, batch = coefficient._panel_minima(GridFamilies.of([f] * 3))
+        assert max(sizes) <= coefficient._CHUNK
+        assert np.array_equal(track, np.repeat([0, 1, 2], 25))
+        assert np.array_equal(batch, np.tile(sigma, 3))
+
+    @pytest.mark.parametrize(
+        "p,q,e,direction,which",
+        [
+            (5, 7, 0.25, "retrograde", 0),
+            (7, 15, 0.6598103462577234, "retrograde", 0),
+            (10, 9, 0.07798046698579171, "retrograde", 1),
+            (3, 1, 1.0 - 3.0 ** (-2.0 / 3.0) + 1e-5, "direct", 0),
+        ],
+    )
+    def test_least_minimum_is_min_delta1(self, p, q, e, direction, which):
+        f = canonical_families(p, q, e, direction)[which]
+        F, _ = self._minima(f)
+        assert track_arrays(f, F)[3].min() == pytest.approx(min_delta1(f), rel=1e-12, abs=0.0)
+
+    def test_finds_the_pass_the_guard_misses(self):
+        # 7:8 r e=0.1 family 2: the guard's least sample leads it to 0.0063091,
+        # and the panel rule refines the narrow pass at 0.0016675 as well
+        # (test_narrow_close_pass_found).
+        f = canonical_families(7, 8, 0.1, "retrograde")[1]
+        F, _ = self._minima(f)
+        least = track_arrays(f, F)[3].min()
+        assert least == pytest.approx(0.0016675, rel=1e-4)
+        assert least < min_delta1(f)
 
 
 class TestSweep:
