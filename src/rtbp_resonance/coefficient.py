@@ -10,25 +10,33 @@ j*q -+ p, none of them 0 for coprime q >= 2.  Its trapezoid sum would be
 roundoff, which can be most of a small C, so C2 is set to 0.0 there and
 only q = 1 families sum cos(theta)/r.
 
-Two rules sum the integrals.  Every family starts on the uniform
-trapezoid rule below.  The integrands are periodic and analytic in F, so it
-converges geometrically, at a rate set by the nearest complex collision:
+Two rules sum the integrals.  The integrands are periodic and analytic in
+F, so the uniform trapezoid rule below converges geometrically, at a rate
+set by the nearest complex collision: its error falls like e^(-sigma*n) for
 a close pass to the small primary at height sigma above the real axis
-needs about 62/sigma nodes, so a few grazing families would take most of
-the work.  A family still short of tol when the trapezoid would double
-past _SWITCH = 2**14 nodes leaves it for the panel rule (_panels): the
-period is cut midway between adjacent minima of Delta1, each panel is
-mapped by a sinh toward its close pass and summed by nested Clenshaw-Curtis
-rules, which need a number of nodes that does not grow with 1/sigma.  The
-switch level was chosen by timing the benchmark's sweep and coeff panels:
-at 2**13 the median sweep request paid the panel rule's fixed cost (its
-minimum search and its first levels) on families the trapezoid finishes at
-2**14, and at 2**15 the panels' totals were 7% slower.  Every family that
-stops at or below _SWITCH keeps the trapezoid's bits.  A result's rule
-field names the rule that produced it ("trapezoid" or "panels") and its
-nodes that rule's node count; neither rule evaluates more than NODE_CAP
-nodes (the panel rule counts its own), and a family that would fails with
-the same ConvergenceError.
+(Trefethen and Weideman, SIAM Review 56, 2014), so it needs about 62/sigma
+nodes, and a few grazing families would take most of the work.  The panel
+rule (_panels) cuts the half period [F_c, F_c + pi] midway between adjacent
+minima of Delta1, maps each panel by a sinh toward its close pass and sums
+it by nested Clenshaw-Curtis rules, which need a number of nodes that does
+not grow with 1/sigma.  sigma is known before any node is evaluated: the
+collision guard's least Delta1 over |d(r e^(i theta))/dF| at the F where
+the guard found it (track_speed).  A family whose predicted count 62/sigma
+passes _SWITCH = 2**14 starts on panels and evaluates no grid node; every
+other family starts on the trapezoid, and one still short of tol when the
+trapezoid would double past _SWITCH nodes moves to panels too, the fallback
+for a close pass the guard over-reads (15:13 and 7:8 retrograde, where its
+least sample lies in the wrong basin).  The switch level was chosen by
+timing the benchmark's sweep and coeff panels: at 2**13 the median sweep
+request paid the panel rule's fixed cost (its minimum search and its first
+levels) on families the trapezoid finishes at 2**14, and at 2**15 the
+panels' totals were 7% slower.  Every family the sigma-start does not send
+to panels runs on the trapezoid as it did without it, with the same bits.
+A result's rule field names the rule that produced it ("trapezoid" or
+"panels") and its nodes that rule's node count over the whole period (the
+panel rule counts a panel that stands for its mirror image twice, though it
+evaluates it once); neither rule passes NODE_CAP nodes so counted, and a
+family that would fails with the same ConvergenceError.
 
 The trapezoid: both integrands are even about F_c = n_l*pi/q (the family's reversing
 symmetry), so on the grid F_c + j*2*pi/n the sum over a period is the sum
@@ -84,14 +92,21 @@ values' roundoff, amplified by the cancellation between their large
 positive and negative parts, can exceed it.  The panel rule stops by the
 same rule, its levels being n = _CC_START, 2*_CC_START, ... nodes a panel.
 
-The panel rule: the local minima F_k of Delta1 over all _SAMPLES points of
-the collision guard's sample (below) are refined by the guard's parabolic
+The panel rule: both integrands are even about F_c and F_c + pi, so it
+covers [F_c, F_c + pi] only.  The local minima F_k of Delta1 there are
+those of the sample F_c + j*2*pi/_SAMPLES, j = 0 ... _SAMPLES/2 (the
+collision guard's spacing, and for n_l = 0 its own half sample, below), each
+end compared with its mirror neighbour.  A minimum at an end lies exactly
+on its symmetry point; the others are refined by the guard's parabolic
 steps on Delta1^2 (_refine_min), so every minimum of Delta1 has one
 sampler, one refinement and one stopping rule; sigma_k = Delta1(F_k) /
 |d(r e^(i theta))/dF| from the closed-form speed (perturbation.track_speed).
-The panel of F_k runs between the midpoints to its neighbouring
-minima and is mapped by F = F_k + sigma_k*sinh(mu_k*y -
-eta_k), y in [-1, 1].  Its nodes are off the grid but in its integer
+The panel of F_k runs between the midpoints to its neighbouring minima, or
+to F_c or F_c + pi past the first or last, and a minimum on a symmetry
+point takes one panel symmetric about it.  Every other panel stands for
+itself and its mirror image, so its weighted node values count twice, by
+an exact *2, in the exact sums.  Each panel is mapped by F = F_k +
+sigma_k*sinh(mu_k*y - eta_k), y in [-1, 1].  Its nodes are off the grid but in its integer
 form, F_c + (i + x)*pi/_BASE with i an integer and |x| <= 1/2, evaluated by
 the off-grid kernel (track_integrand with x): F_k is split into its
 nearest grid index and a fraction, the fraction plus sigma_k*sinh(.) is
@@ -101,8 +116,8 @@ perturbation._grid_track) where float nodes put C 1e-10 to 1e-8 off.  The
 Clenshaw-Curtis weights come from one FFT a level (_cc_weights, cached per
 n), and each level's node values times weights are summed exactly
 (_exact_sums), so that a family's result does not depend on its batch.
-Every panel of every switched family is one row of each level's integrand
-calls.
+Every panel of every family on the panel rule is one row of each level's
+integrand calls.
 
 The collision guard takes the track's minimum Delta1 (min_delta1) from a
 uniform sample of _SAMPLES points, half of it for n_l = 0 by the same
@@ -182,11 +197,12 @@ _REFINE_STEPS = 40
 _REFINE_RTOL = 1e-16
 _REFINE_XTOL = 1e-10
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-# The panel rule (_panels): a family still short of tol when the trapezoid
+# The panel rule (_panels): a family whose trapezoid would need 62/sigma >
+# _SWITCH nodes starts on it, and one still short of tol when the trapezoid
 # would double past _SWITCH nodes moves to it.  Its nodes are
-# F_c + (i + x)*pi/_BASE; it takes the minima of Delta1 from the guard's
-# _SAMPLES and _refine_min, and starts at _CC_START + 1 Clenshaw-Curtis
-# nodes a panel.
+# F_c + (i + x)*pi/_BASE; it takes the minima of Delta1 on the half period
+# at the guard's spacing 2*pi/_SAMPLES, refined by _refine_min, and starts at
+# _CC_START + 1 Clenshaw-Curtis nodes a panel.
 _SWITCH = 2**14
 _BASE = 2**20
 _CC_START = 16
@@ -223,6 +239,12 @@ def min_delta1s(families) -> list:
     their GridFamilies): guarded in blocks of at most _CHUNK // _N_START
     families, as many as an integrand call holds (_guard_brackets), then
     refined one by one on Python floats (delta1_at)."""
+    return _guard_minima(families)[1]
+
+
+def _guard_minima(families) -> tuple:
+    """(F, md): for each of the families, the F at which min_delta1s refines
+    its minimum and the minimum min_delta1s returns, as two lists."""
     g = families if isinstance(families, GridFamilies) else GridFamilies.of(families)
     h = 2.0 * math.pi / _SAMPLES
     per_block = max(1, _CHUNK // _N_START)
@@ -230,8 +252,8 @@ def min_delta1s(families) -> list:
     for b in range(0, len(g), per_block):
         block = g[b : b + per_block] if len(g) > per_block else g
         for d, j, v in zip(delta1_at(block), *_guard_brackets(block)):
-            out.append(_refine_min(d, [(j - 1) * h, j * h, (j + 1) * h], v)[1])
-    return out
+            out.append(_refine_min(d, [(j - 1) * h, j * h, (j + 1) * h], v))
+    return [x for x, _ in out], [md for _, md in out]
 
 
 def _guard_brackets(g):
@@ -279,9 +301,9 @@ def _guard_delta1(g, j):
     GridFamilies g, with one row of int j per family or one row shared by
     all, bit for bit as track_arrays(f, F)[3] gives it (float_track).  Rows of
     their own go in numpy calls of at most _CHUNK points (or one row).  A
-    shared row goes in one call, g being one of min_delta1s' or
-    _panel_minima's blocks, to float_track as a stride-0 broadcast, so it
-    takes sin E and cos E once per distinct q.
+    shared row goes in one call, g being one of the guard's blocks, to
+    float_track as a stride-0 broadcast, so it takes sin E and cos E once per
+    distinct q.
     """
     step = max(1, len(g) if len(j) == 1 else _CHUNK // j.shape[1])
     F = j * (2.0 * math.pi / _SAMPLES)
@@ -357,9 +379,11 @@ class _Track:
 def compute_Cs(families, tol: float = 1e-10) -> list:
     """compute_C(f, tol) for each of the families, in lockstep.
 
-    The collision guard runs on the whole batch at once (min_delta1s).  Every
-    family starts at _N_START nodes and all double together.  The levels
-    _N_START ... _N_FIRST come from one pass over the nodes of the _N_FIRST
+    The collision guard runs on the whole batch at once (_guard_minima), and
+    a family whose trapezoid would need 62/sigma > _SWITCH nodes (sigma =
+    min_delta1 / track_speed at the guard's F) waits for the panel rule.
+    Every other family starts at _N_START nodes and all double together.
+    The levels _N_START ... _N_FIRST come from one pass over the nodes of the _N_FIRST
     grid, one integrand call and one exact-sum pass per block of at most
     _CHUNK // _N_START families (all their _N_FIRST // 2 + 1 indices, so up
     to 128 x 257 nodes a call), that sums each family's nodes by the first
@@ -370,23 +394,27 @@ def compute_Cs(families, tol: float = 1e-10) -> list:
     the guard and the kernel, and are cut to the live families whenever one
     collides or leaves.  Each family leaves on its own stopping rule, at the
     node cap or at the collision guard; the families still running when the
-    trapezoid would double past _SWITCH nodes go on together on the panel
-    rule (_panels).  The list holds, in the order of
-    families, each one's CoefficientResult or the CollisionError or
+    trapezoid would double past _SWITCH nodes join the waiting ones in the
+    batch's one call of the panel rule (_panels).  The list holds, in the
+    order of families, each one's CoefficientResult or the CollisionError or
     ConvergenceError compute_C would raise, whatever else is in the batch.
     """
-    grid = GridFamilies.of(families)  # one row per family, then per live track
+    table = GridFamilies.of(families)  # one row per family
     out = [None] * len(families)
-    live = []
-    for k, (f, md) in enumerate(zip(families, min_delta1s(grid))):
+    live, panels = [], []  # the trapezoid's tracks, and the panel rule's
+    at, mds = _guard_minima(table)
+    # |d(r e^(i theta))/dF| at the guard's minimum: sigma = md / speed there
+    speed = track_speed(table, np.array(at, dtype=float)[:, None])[:, 0].tolist()
+    for k, (f, md, v) in enumerate(zip(families, mds, speed)):
         if md <= COLLISION_DELTA:
             out[k] = _with_min_delta1(
                 CollisionError(f"track reaches Delta1 = {md:.3e} <= {COLLISION_DELTA} for {f}"), md
             )
+        elif 62.0 * v > _SWITCH * md:  # the trapezoid would need 62/sigma > _SWITCH nodes
+            panels.append(_Track(k, f, md))
         else:
             live.append(_Track(k, f, md))
-    if len(live) < len(families):
-        grid = grid[[t.index for t in live]]
+    grid = table if len(live) == len(families) else table[[t.index for t in live]]
     # The first levels' nodes F_c + j*2*pi/n, j = 0 ... n/2, are the even
     # indices 0 ... top of the top-node grid; the two ends count once, the
     # others twice.  Level m (_N_START << m nodes) adds the entries at the
@@ -421,12 +449,14 @@ def compute_Cs(families, tol: float = 1e-10) -> list:
                 _fail(live, tol, n, out)
                 break
             if 2 * n > _SWITCH:
-                _panels(live, grid, tol, out)
+                panels += live
                 break
             # The midpoints are the odd grid indices inside (F_c, F_c + pi),
             # each standing for itself and its mirror image.
             _add_node_sums(live, grid, n, 1, np.broadcast_to(1, n // 2))
         n *= 2
+    if panels:
+        _panels(panels, table[[t.index for t in panels]], tol, out)
     return out
 
 
@@ -466,34 +496,38 @@ def _fail(tracks, tol: float, nodes: int, out):
 
 def _panels(live, grid, tol: float, out):
     """The panel rule for the tracks live (grid their GridFamilies), which
-    leave the trapezoid together; each one's result or ConvergenceError
-    goes to out.
+    run it together; each one's result or ConvergenceError goes to out.
 
-    The period is cut midway between adjacent minima F_k of Delta1
-    (_panel_minima), and the panel of F_k is mapped from y in [-1, 1] by
-    F = F_k + sigma_k*sinh(mu_k*y - eta_k), where sigma_k =
+    The half period [F_c, F_c + pi] is cut midway between adjacent minima F_k
+    of Delta1 (_panel_minima) and at its ends, a minimum on F_c or F_c + pi
+    taking one panel symmetric about it, and the panel of F_k is mapped from
+    y in [-1, 1] by F = F_k + sigma_k*sinh(mu_k*y - eta_k), where sigma_k =
     Delta1(F_k) / |d(r e^(i theta))/dF| is the height of the nearest complex
     collision above the real axis: the map spreads the close pass over a
     width in y that does not shrink with sigma_k (Johnston and Elliott, Int.
     J. Numer. Meth. Engng 62, 2005).  Nested Clenshaw-Curtis rules of n + 1
     nodes a panel, n = _CC_START, 2*_CC_START, ..., evaluate only the new
     nodes at each doubling, every panel of every live track as one row of
-    the level's integrand calls (_panel_values).  A track stops by the rule
-    of the module docstring on T_n = C1 + C2; its node count is its panels
-    times n + 1, and it fails when the next level would pass NODE_CAP.
+    the level's integrand calls (_panel_values).  A panel off the symmetry
+    points stands for its mirror image too: its weights are doubled.  A
+    track stops by the rule of the module docstring on T_n = C1 + C2; its
+    node count is its panels over the period (the doubled ones twice) times
+    n + 1, and it fails when the next level would pass NODE_CAP.
     """
     for t in live:
         t.c1 = t.c2 = t.d_prev = t.d_prev2 = math.nan
-    track, centre, sigma = _panel_minima(grid)
+    track, centre, sigma, twice = _panel_minima(grid)
     # each panel runs from the cut before its minimum to the cut after it,
-    # a track's last cut wrapping round the period (2*_BASE grid units)
+    # within [F_c, F_c + pi] (0 ... _BASE grid units), and a panel on a
+    # symmetry point as far beyond it as it reaches inside
     last = np.append(track[1:] != track[:-1], True)
     first = np.roll(last, 1)
-    after = np.roll(centre, -1)
-    after[last] = centre[first] + 2 * _BASE
-    hi = 0.5 * (centre + after)
-    lo = np.roll(hi, 1)
-    lo[first] = hi[last] - 2 * _BASE
+    hi = np.where(last, float(_BASE), 0.5 * (centre + np.roll(centre, -1)))
+    lo = np.where(first, 0.0, np.roll(hi, 1))
+    at_fc = ~twice & (centre == 0.0)
+    at_pi = ~twice & ~at_fc
+    lo[at_fc] = -hi[at_fc]
+    hi[at_pi] = 2 * _BASE - lo[at_pi]
     # In grid units, F_k = F_c + I + c with I an integer, and a node lies
     # s*sinh(mu*y - eta) from F_k.
     I = np.rint(centre)
@@ -501,17 +535,19 @@ def _panels(live, grid, tol: float, out):
     ua, ub = np.arcsinh((lo - centre)[:, None] / s), np.arcsinh((hi - centre)[:, None] / s)
     rows = _PanelRows(
         grid[track], track, I.astype(np.int64)[:, None], (centre - I)[:, None], s,
-        0.5 * (ub - ua), -0.5 * (ub + ua),
+        0.5 * (ub - ua), -0.5 * (ub + ua), np.where(twice, 2.0, 1.0)[:, None],
     )
+    # the period's panels: each panel of [F_c, F_c + pi] and its mirror image
     panels = np.bincount(track, minlength=len(live))
+    panels += np.bincount(track[twice], minlength=len(live))
     n = _CC_START
     # dF/dy times each integrand at the nodes cos(j*pi/n), one row a panel
     v1, v2 = _panel_values(rows, np.cos(np.arange(n + 1) * (math.pi / n)))
     while True:
-        weights = _cc_weights(n)
+        weights = _cc_weights(n) * rows.fold  # a mirror image counts by an exact *2
         with_c2 = np.flatnonzero(rows.g.q[:, 0] == 1)  # C2 is 0 for q >= 2
         s1 = _panel_sums(v1 * weights, rows.track, len(live))
-        s2 = _panel_sums(v2[with_c2] * weights, rows.track[with_c2], len(live))
+        s2 = _panel_sums(v2[with_c2] * weights[with_c2], rows.track[with_c2], len(live))
         keep = []
         for k, t in enumerate(live):
             err = _stop(t, s1[k] / _UNIT, s2[k] / _UNIT, tol)
@@ -552,7 +588,9 @@ def _panel_sums(v, track, tracks: int) -> list:
 class _PanelRows:
     """The panels of the live tracks in _panels, one row each: their
     families' GridFamilies g, their track's place in the live list, and the
-    map's constants I (int64), c, s, mu and eta, (panels, 1) columns."""
+    map's constants I (int64), c, s, mu and eta, and fold, 2.0 for a panel
+    that stands for its mirror image too and 1.0 for one on a symmetry point,
+    (panels, 1) columns."""
 
     g: GridFamilies
     track: np.ndarray
@@ -561,6 +599,7 @@ class _PanelRows:
     s: np.ndarray
     mu: np.ndarray
     eta: np.ndarray
+    fold: np.ndarray
 
     def cut(self, rows, keep) -> "_PanelRows":
         """The rows (a mask) of the tracks keep (their old places, in order)."""
@@ -568,7 +607,7 @@ class _PanelRows:
         place[keep] = np.arange(len(keep))
         return _PanelRows(
             self.g[rows], place[self.track[rows]],
-            *(x[rows] for x in (self.I, self.c, self.s, self.mu, self.eta)),
+            *(x[rows] for x in (self.I, self.c, self.s, self.mu, self.eta, self.fold)),
         )
 
 
@@ -619,40 +658,52 @@ def _cc_weights(n: int):
 
 
 def _panel_minima(grid):
-    """(track, centre, sigma) for the local minima of Delta1 of the families
-    of the GridFamilies grid, in order of family and then of F: each
-    minimum's family (its row of grid), F_k = F_c + centre*pi/_BASE and
-    sigma_k = Delta1(F_k) / |d(r e^(i theta))/dF| (track_speed).
+    """(track, centre, sigma, twice) for the local minima of Delta1 on the
+    half period [F_c, F_c + pi] of the families of the GridFamilies grid, in
+    order of family and then of F: each minimum's family (its row of grid),
+    F_k = F_c + centre*pi/_BASE, sigma_k = Delta1(F_k) /
+    |d(r e^(i theta))/dF| (track_speed), and whether F_k has a mirror image
+    F_c - (F_k - F_c) of its own (False on the symmetry points F_c and
+    F_c + pi).
 
-    The minima are the local minima of Delta1 over the guard's whole sample
-    F = j*2*pi/_SAMPLES, j = 0 ... _SAMPLES - 1, taken cyclically and
-    evaluated by _guard_delta1 in calls of at most _CHUNK points (whole
-    families); each is refined inside its two neighbours by the guard's
-    _refine_min on Python floats (delta1_at).
+    Delta1 is even about F_c and F_c + pi, so the minima are the local minima
+    of the sample F = F_c + j*2*pi/_SAMPLES, j = 0 ... _SAMPLES/2 (the guard's
+    spacing, and for n_l = 0 its half sample, bit for bit), each end
+    compared with its mirror neighbour j = 1 or _SAMPLES/2 - 1.  The sample
+    is evaluated by the float track in calls of at most _CHUNK points (whole
+    families).  A minimum at an end lies on its symmetry point; every other
+    is refined inside its two neighbours by the guard's _refine_min on Python
+    floats (delta1_at).
     """
     h = 2.0 * math.pi / _SAMPLES
-    step = max(1, _CHUNK // _SAMPLES)
+    half = _SAMPLES // 2
+    fc = grid.lpi / grid.q  # F_c, one (families, 1) column
+    F = fc + np.arange(half + 1) * h
+    step = max(1, _CHUNK // (half + 1))
     d = np.concatenate([
-        _guard_delta1(grid[a : a + step], np.arange(_SAMPLES)[None, :])
+        delta1(*float_track(grid[a : a + step], F[a : a + step])[:2])
         for a in range(0, len(grid), step)
     ])
-    left, right = np.roll(d, 1, axis=1), np.roll(d, -1, axis=1)
+    left = np.concatenate((d[:, 1:2], d[:, :-1]), axis=1)
+    right = np.concatenate((d[:, 1:], d[:, -2:-1]), axis=1)
     track, j = np.nonzero((d <= left) & (d < right))
+    twice = (j > 0) & (j < half)
     d1 = delta1_at(grid)
-    brackets = np.column_stack((left[track, j], d[track, j], right[track, j])).tolist()
-    F, dmin = np.array([
-        _refine_min(d1[t], [(k - 1) * h, k * h, (k + 1) * h], v)
-        for t, k, v in zip(track.tolist(), j.tolist(), brackets)
-    ]).T
-    g = grid[track]
-    centre = (F - g.lpi[:, 0] / g.q[:, 0]) * (_BASE / math.pi)
-    return track, centre, dmin / track_speed(g, F[:, None])[:, 0]
+    centre = np.where(j == 0, 0.0, float(_BASE))
+    dmin = d[track, j]
+    at = F[track, j]
+    for m, t, k in zip(np.flatnonzero(twice).tolist(), track[twice].tolist(), j[twice].tolist()):
+        x = F[t, k - 1 : k + 2].tolist()
+        at[m], dmin[m] = _refine_min(d1[t], x, d[t, k - 1 : k + 2].tolist())
+        centre[m] = (at[m] - fc[t, 0]) * (_BASE / math.pi)
+    return track, centre, dmin / track_speed(grid[track], at[:, None])[:, 0], twice
 
 
 def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
     """Evaluate C(e,p,q) for one family by spectral quadrature: the
     trapezoid rule below, or the panel rule of the module docstring for a
-    family still short of tol past _SWITCH nodes (its rule field says which).
+    family whose trapezoid would need 62/sigma > _SWITCH nodes or is still
+    short of tol past them (its rule field says which).
 
     The grid F_c + j*2*pi/n, F_c = n_l*pi/q, starts at _N_START nodes and
     doubles.  The integrands are even about F_c, so only the n/2 + 1 nodes of

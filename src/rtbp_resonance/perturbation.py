@@ -40,7 +40,7 @@ gives the height of each close pass.
 This module is the one place that evaluates the track.  Off the grid, the
 float track (float_track) takes sin and cos of the float phases for a batch
 of families, one row of F each; it samples Delta1 for the collision guard
-and the panel rule's minimum search, on the lattice they share, and its
+and the panel rule's minimum search, at the spacing they share, and its
 one-family case track_arrays and the float track_integrand (F given, no n,
 the tests' reference).  delta1_at is its Delta1 on Python floats, one point
 at a time, for the refinement of every minimum.  Both kernels know a shared

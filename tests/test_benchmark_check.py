@@ -36,12 +36,11 @@ def _coeff(capsys, p, q, e, direction):
 
 
 def test_node_cap_is_no_convergence(capsys, monkeypatch):
-    # A retrograde grazing track whose families converge on panels (4,883
-    # nodes) but run to the node cap on the trapezoid, which a cap of 2^14
-    # (the switch level) leaves them.
-    monkeypatch.setattr(coefficient, "NODE_CAP", coefficient._SWITCH)
+    # A retrograde grazing track whose families start on panels and converge
+    # there on 4,883 nodes a period; a node cap of 2^12 stops both at 2,451.
+    monkeypatch.setattr(coefficient, "NODE_CAP", 2**12)
     req, code, out, err = _coeff(capsys, 10, 9, 0.07798046698579171, "retrograde")
-    assert code == 2 and "quadrature did not reach tol=1e-10 at 16384 nodes" in err
+    assert code == 2 and "quadrature did not reach tol=1e-10 at 2451 nodes" in err
     outcomes = [r["outcome"] for r in _check().check_coeff(req, code, out, err)]
     assert outcomes == ["no-convergence", "no-convergence"]
 

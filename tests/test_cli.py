@@ -498,10 +498,9 @@ class TestVerify:
         assert all(p["status"] == "ok" and p["C_estimate"] is not None for p in fam["per_mu"])
 
     def test_quadrature_failure_keeps_the_fits(self, capsys, tmp_path, monkeypatch):
-        # Both grazing tracks leave the trapezoid for panels at 1,024 nodes;
+        # Both grazing tracks start on panels (62/sigma is 9.9e4 and 3.7e6);
         # family 1 converges on 2,451 panel nodes, and family 2, which needs
         # 4,883, runs to a node cap of 4,096.  Both Newton fits converge.
-        monkeypatch.setattr(coefficient, "_SWITCH", 2**10)
         monkeypatch.setattr(coefficient, "NODE_CAP", 2**12)
         argv = ["verify", "--p", "10", "--q", "9", "--e", "0.1",
                 "--direction", "retrograde", "--mu-list", "1e-4,3e-5"]

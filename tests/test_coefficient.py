@@ -201,16 +201,19 @@ class TestComputeC:
             (7, 15, 0.6598103462577234, 0),
             (7, 8, 0.1, 1),
             (10, 9, 0.07798046698579171, 1),
+            (13, 12, 0.05, 1),
+            (1, 2, 0.6, 1),
         ],
     )
     def test_panel_rule_within_tol_of_extended_precision(self, p, q, e, which):
         # Close passes (min Delta1 1.2e-3, 1.4e-3, 1.7e-3 and 7.5e-4; the
         # guard reports 6.3e-3 for the third, test_narrow_close_pass_found)
-        # that leave the trapezoid for panels.  The trapezoid was 48, 6.8 and 3.5
-        # tol units off the long double sums for the first three, and ran to
-        # the node cap on the fourth; the panel rule's off-grid nodes, with
-        # their half phases reduced about 0, come within 2 units (one unit
-        # is tol * max(1, |C1 + C2|)).
+        # that run on panels.  The trapezoid was 48, 6.8 and 3.5 tol units
+        # off the long double sums for the first three, and ran to the node
+        # cap on the fourth; the panel rule's off-grid nodes, with their half
+        # phases reduced about 0, come within 2 units (one unit is
+        # tol * max(1, |C1 + C2|)).  13:12 family 2 has a panel symmetric
+        # about F_c; 1:2 family 2 (62/sigma ~ 20,500) starts on panels.
         f = canonical_families(p, q, e, "retrograde")[which]
         res = compute_C(f)
         ref = sum(trapezoid_pair_longdouble(f, 2**20))
@@ -427,9 +430,10 @@ class TestC2Rule:
 
 class TestLockstep:
     # An early stop (256 nodes), a grazing track (131,072 nodes), a collision
-    # and a node cap on the trapezoid (the panel switch raised to the node
-    # cap); by default the last two leave the trapezoid for panels and
-    # converge there.  Each leaves the batch on its own.
+    # and a node cap on the trapezoid (the panel switch, and with it the
+    # sigma-start, raised past the node cap).  By default the last two start
+    # on panels (62/sigma is 1.0e5 and 1.6e6) and converge there.  Each
+    # leaves the batch on its own.
     MIX = [
         ResonantFamily(1, 3, 0.3),
         canonical_families(5, 7, 0.55, "retrograde")[0],
@@ -455,33 +459,41 @@ class TestLockstep:
             assert got == ref, order
 
     def test_every_order_matches_one_family_runs(self, monkeypatch):
-        monkeypatch.setattr(coefficient, "_SWITCH", coefficient.NODE_CAP)
-        alone = [self._alone(f) for f in self.MIX]
+        # 10:9 r e=0.1 family 2 (62/sigma = 3.7e6) starts on panels all the
+        # same; it goes into every order of MIX, at each place in turn.
+        monkeypatch.setattr(coefficient, "_SWITCH", 2 * coefficient.NODE_CAP)
+        mix = self.MIX + [canonical_families(10, 9, 0.1, "retrograde")[1]]
+        alone = [self._alone(f) for f in mix]
         assert [type(a) for a in alone] == [
             coefficient.CoefficientResult,
             coefficient.CoefficientResult,
             CollisionError,
             ConvergenceError,
+            coefficient.CoefficientResult,
         ]
         assert alone[0].nodes == 256 and alone[1].nodes >= 2**17
-        for order in itertools.permutations(range(len(self.MIX))):
-            batch = compute_Cs([self.MIX[k] for k in order])
+        assert [alone[k].rule for k in (0, 1, 4)] == ["trapezoid", "trapezoid", "panels"]
+        for m, order in enumerate(itertools.permutations(range(len(self.MIX)))):
+            order = [*order[: m % len(mix)], len(self.MIX), *order[m % len(mix) :]]
+            batch = compute_Cs([mix[k] for k in order])
             for k, got in zip(order, batch):
                 self._assert_same(got, alone[k], order)
 
     def test_panel_stops_and_caps_match_one_family_runs(self, monkeypatch):
-        # The switch at 1,024 nodes and a node cap of 4,096: the grazing
-        # track converges on panels (1,548 nodes), and the 10:9 track,
-        # which needs 4,883 panel nodes, fails at 2,451 with the trapezoid's
-        # message, having evaluated no more than the cap.  Every order of the
-        # batch gives each family's own result.
+        # The switch at 1,024 nodes and a node cap of 4,096: both grazing
+        # tracks start on panels, evaluating no grid node.  The 5:7 track
+        # converges there (1,548 nodes), and the 10:9 track, which needs
+        # 4,883 panel nodes a period, fails at 2,451 with the trapezoid's
+        # message, having evaluated 1,290 panel points: 10 panels of the half
+        # period (2 * 9 + 1 = 19 a period) at 17, 16, 32 and 64 new points.
+        # Every order of the batch gives each family's own result.
         monkeypatch.setattr(coefficient, "_SWITCH", 2**10)
         monkeypatch.setattr(coefficient, "NODE_CAP", 2**12)
         points = []
         integrand = coefficient.track_integrand
 
         def counted(families, i, n, x=None):
-            points.append(i.size if x is not None else 0)
+            points.append(i.size if x is not None else -i.size)
             return integrand(families, i, n, x)
 
         monkeypatch.setattr(coefficient, "track_integrand", counted)
@@ -489,9 +501,11 @@ class TestLockstep:
         assert [getattr(a, "rule", None) for a in alone] == ["trapezoid", "panels", None, None]
         assert str(alone[3]) == "quadrature did not reach tol=1e-10 at 2451 nodes"
         assert isinstance(alone[3], ConvergenceError) and isinstance(alone[2], CollisionError)
-        points.clear()
-        self._alone(self.MIX[3])
-        assert sum(points) == 2451 <= coefficient.NODE_CAP
+        for f in self.MIX[1::2]:
+            points.clear()
+            self._alone(f)
+            assert min(points) > 0
+        assert sum(points) == 1290 <= coefficient.NODE_CAP
         for order in itertools.permutations(range(len(self.MIX))):
             batch = compute_Cs([self.MIX[k] for k in order])
             for k, got in zip(order, batch):
@@ -562,9 +576,10 @@ class TestLockstep:
         calls = []
         integrand = coefficient.track_integrand
 
-        def recorded(families, i, n):
-            calls.append((len(families), i.shape[1], n, int(i[0, -1])))
-            return integrand(families, i, n)
+        def recorded(families, i, n, x=None):
+            if x is None:  # the panel rule's off-grid nodes are not recorded
+                calls.append((len(families), i.shape[1], n, int(i[0, -1])))
+            return integrand(families, i, n, x)
 
         monkeypatch.setattr(coefficient, "track_integrand", recorded)
         return calls
@@ -581,11 +596,12 @@ class TestLockstep:
             assert indices >= coefficient._CHUNK // bound or last in (n, n - 1)
 
     def test_batch_beyond_family_bound_matches_one_family_runs(self, monkeypatch):
-        # B = 2**9 // 64 = 8 families a call, and NODE_CAP 2**14: the grazing
-        # track then caps too.  Families leave at different levels, so the
-        # blocks of B change from level to level.
+        # B = 2**9 // 64 = 8 families a call, and NODE_CAP 2**12: the 10:9
+        # track caps on panels, as in test_panel_stops_and_caps_match_one_family_runs.
+        # Families leave at different levels, so the blocks of B change from
+        # level to level.
         monkeypatch.setattr(coefficient, "_CHUNK", 2**9)
-        monkeypatch.setattr(coefficient, "NODE_CAP", 2**14)
+        monkeypatch.setattr(coefficient, "NODE_CAP", 2**12)
         fams = self.MIX + [
             f for e in (0.2, 0.45, 0.7) for f in canonical_families(3, 7, e, "retrograde")
         ]
@@ -660,6 +676,77 @@ class TestLockstep:
             monkeypatch.setattr(coefficient, "_CHUNK", chunk)
         for got, ref in zip(compute_Cs(self.GUARDED), alone):
             self._assert_same(got, ref)
+
+
+class TestSigmaStart:
+    """A family whose trapezoid would need 62/sigma > _SWITCH nodes, sigma
+    the guard's minimum of Delta1 over track_speed at its F, starts on
+    panels; the others run on the trapezoid."""
+
+    @staticmethod
+    def _predicted(fams):
+        g = GridFamilies.of(fams)
+        F, md = coefficient._guard_minima(g)
+        return (62.0 * coefficient.track_speed(g, np.array(F)[:, None])[:, 0] / md).tolist()
+
+    def test_grazing_family_evaluates_no_grid_node(self, monkeypatch):
+        # 1:2 r e=0.6 family 2 (62/sigma ~ 20,500): no grid call holds its
+        # row (n_l = 1), and it converges on panels; family 1 runs on the
+        # trapezoid.
+        fams = canonical_families(1, 2, 0.6, "retrograde")
+        assert self._predicted(fams)[1] == pytest.approx(20470, rel=1e-3)
+        alone = [compute_C(f) for f in fams]
+        rows = []
+        integrand = coefficient.track_integrand
+
+        def recorded(families, i, n, x=None):
+            if x is None:
+                rows.extend(families.lpi[:, 0].tolist())
+            return integrand(families, i, n, x)
+
+        monkeypatch.setattr(coefficient, "track_integrand", recorded)
+        assert compute_Cs(list(fams)) == alone
+        assert rows and set(rows) == {0.0}
+        assert [r.rule for r in alone] == ["trapezoid", "panels"]
+        assert alone[1].nodes < coefficient._SWITCH
+
+    def test_stop_at_the_switch_keeps_trapezoid_bits(self):
+        # 3:5 d e=0.4 family 1 (62/sigma ~ 14,060) stops on the trapezoid at
+        # 2**14 nodes with the bits it had before the sigma-start.
+        f = canonical_families(3, 5, 0.4)[0]
+        assert self._predicted([f])[0] <= coefficient._SWITCH
+        res = compute_C(f)
+        assert (res.rule, res.nodes) == ("trapezoid", coefficient._SWITCH)
+        assert [x.hex() for x in (res.C, res.C1, res.C2, res.err_estimate)] == [
+            "0x1.77d284dd68dc8p+19", "-0x1.1b9005ad0abc8p+12", "0x0.0p+0", "0x1.0e20d9c0975dbp-49",
+        ]
+
+    def test_one_panel_call_for_started_and_switched(self, monkeypatch):
+        # With the switch at 1,024 nodes: 5:7 r e=0.55 family 1 starts on
+        # panels, and 5:14 d e=0.744 family 1 (62/sigma ~ 1,021, 2,048
+        # trapezoid nodes) switches at 1,024; both go into the batch's one
+        # panel call, and each gets its own result.
+        monkeypatch.setattr(coefficient, "_SWITCH", 2**10)
+        fams = [
+            ResonantFamily(1, 3, 0.3),
+            canonical_families(5, 7, 0.55, "retrograde")[0],
+            canonical_families(5, 14, 0.7442612310901489)[0],
+        ]
+        predicted = self._predicted(fams)
+        assert predicted[1] > 2**10 >= predicted[2]
+        alone = [compute_C(f) for f in fams]
+        assert [r.rule for r in alone] == ["trapezoid", "panels", "panels"]
+        calls, panels = [], coefficient._panels
+
+        def recorded(live, grid, tol, out):
+            calls.append(sorted(t.index for t in live))
+            return panels(live, grid, tol, out)
+
+        monkeypatch.setattr(coefficient, "_panels", recorded)
+        for order in itertools.permutations(range(3)):
+            calls.clear()
+            assert compute_Cs([fams[k] for k in order]) == [alone[k] for k in order]
+            assert calls == [sorted(order.index(k) for k in (1, 2))]
 
 
 _SUMMAND = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_subnormal=True)
@@ -971,36 +1058,65 @@ class TestGuardSample:
 
 class TestPanelMinima:
     """The panel rule's minima (_panel_minima): the local minima of the
-    guard's sample, refined by the guard's _refine_min."""
+    half period's sample, each end against its mirror neighbour, refined by
+    the guard's _refine_min off the symmetry points."""
 
     @staticmethod
     def _minima(f):
-        _, centre, sigma = coefficient._panel_minima(GridFamilies.of([f]))
-        return f.n_l * math.pi / f.q + centre * (math.pi / coefficient._BASE), sigma
+        _, centre, sigma, twice = coefficient._panel_minima(GridFamilies.of([f]))
+        return f.n_l * math.pi / f.q + centre * (math.pi / coefficient._BASE), sigma, twice
 
     def test_grazing_track_minima(self, monkeypatch):
-        # 13:12 r e=0.05 family 2 has 25 local minima of Delta1 a period, each
-        # a local minimum of the float track, each with a height above the
-        # real axis.  In a batch of three the sample goes in calls of at most
-        # _CHUNK points, and each family's minima are the ones it has alone.
+        # 13:12 r e=0.05 family 2 has 13 local minima of Delta1 on
+        # [F_c, F_c + pi], one of them on a symmetry point: 2*12 + 1 = 25 a
+        # period.  Each is a local minimum of the float track with a height
+        # above the real axis.  In a batch of three the sample goes in calls
+        # of at most _CHUNK points, and each family's minima are the ones it
+        # has alone.
         f = canonical_families(13, 12, 0.05, "retrograde")[1]
-        F, sigma = self._minima(f)
-        assert F.size == 25 and np.all(sigma > 0.0)
+        F, sigma, twice = self._minima(f)
+        fc = f.n_l * math.pi / f.q
+        assert F.size == 13 and np.all(sigma > 0.0)
+        assert np.count_nonzero(~twice) == 1 and 2 * np.count_nonzero(twice) + 1 == 25
+        assert np.all((F >= fc) & (F <= fc + math.pi))
         d = track_arrays(f, F)[3]
         assert np.all(track_arrays(f, F - 1e-6)[3] >= d)
         assert np.all(track_arrays(f, F + 1e-6)[3] >= d)
-        sizes, guard = [], coefficient._guard_delta1
+        sizes, track = [], coefficient.float_track
 
-        def sized(g, j):
-            out = guard(g, j)
-            sizes.append(out.size)
-            return out
+        def sized(g, x):
+            sizes.append(x.size)
+            return track(g, x)
 
-        monkeypatch.setattr(coefficient, "_guard_delta1", sized)
-        track, _, batch = coefficient._panel_minima(GridFamilies.of([f] * 3))
+        monkeypatch.setattr(coefficient, "float_track", sized)
+        rows, _, batch, folds = coefficient._panel_minima(GridFamilies.of([f] * 3))
         assert max(sizes) <= coefficient._CHUNK
-        assert np.array_equal(track, np.repeat([0, 1, 2], 25))
+        assert np.array_equal(rows, np.repeat([0, 1, 2], 13))
         assert np.array_equal(batch, np.tile(sigma, 3))
+        assert np.array_equal(folds, np.tile(twice, 3))
+
+    @pytest.mark.parametrize(
+        "p,q,e,which",
+        [(13, 12, 0.05, 1), (5, 7, 0.25, 0), (7, 8, 0.1, 1), (10, 9, 0.07798046698579171, 1)],
+    )
+    def test_half_period_minima_mirror_the_period(self, p, q, e, which):
+        # The local minima of the period's sample F_c + j*2*pi/_SAMPLES,
+        # taken cyclically, are those of the half period and the mirror
+        # images _SAMPLES - j of the ones off the symmetry points.
+        f = canonical_families(p, q, e, "retrograde")[which]
+        n = coefficient._SAMPLES
+        d = track_arrays(f, f.n_l * math.pi / f.q + np.arange(n) * _SAMPLE_STEP)[3]
+        full = np.flatnonzero((d <= np.roll(d, 1)) & (d < np.roll(d, -1)))
+        F, _, twice = self._minima(f)
+        j = np.rint((F - f.n_l * math.pi / f.q) / _SAMPLE_STEP).astype(int)
+        assert sorted(full) == sorted([*j % n, *(n - j[twice])])
+
+    def test_minima_on_both_symmetry_points(self):
+        # 5:7 r e=0.25 family 1 has minima exactly at F_c and F_c + pi.
+        f = canonical_families(5, 7, 0.25, "retrograde")[0]
+        _, centre, _, twice = coefficient._panel_minima(GridFamilies.of([f]))
+        assert not twice[0] and not twice[-1] and np.all(twice[1:-1])
+        assert centre[0] == 0.0 and centre[-1] == coefficient._BASE
 
     @pytest.mark.parametrize(
         "p,q,e,direction,which",
@@ -1013,7 +1129,7 @@ class TestPanelMinima:
     )
     def test_least_minimum_is_min_delta1(self, p, q, e, direction, which):
         f = canonical_families(p, q, e, direction)[which]
-        F, _ = self._minima(f)
+        F, _, _ = self._minima(f)
         assert track_arrays(f, F)[3].min() == pytest.approx(min_delta1(f), rel=1e-12, abs=0.0)
 
     def test_finds_the_pass_the_guard_misses(self):
@@ -1021,7 +1137,7 @@ class TestPanelMinima:
         # and the panel rule refines the narrow pass at 0.0016675 as well
         # (test_narrow_close_pass_found).
         f = canonical_families(7, 8, 0.1, "retrograde")[1]
-        F, _ = self._minima(f)
+        F, _, _ = self._minima(f)
         least = track_arrays(f, F)[3].min()
         assert least == pytest.approx(0.0016675, rel=1e-4)
         assert least < min_delta1(f)
@@ -1045,9 +1161,11 @@ class TestSweep:
         assert rows[1].min_delta1_1 is not None
 
     def test_min_delta1_once_per_family(self, monkeypatch):
+        # The guard (_guard_minima, which min_delta1s reads too) runs once
+        # per family: the sigma-start reads the F it returns.
         calls = []
         md = coefficient.min_delta1
-        guard = coefficient.min_delta1s
+        guard = coefficient._guard_minima
 
         def counted(families):
             # each family by its constants (e, n_l*pi, n_g*pi)
@@ -1055,7 +1173,7 @@ class TestSweep:
             calls.extend(zip(*(c[:, 0].tolist() for c in (g.e, g.lpi, g.gpi))))
             return guard(families)
 
-        monkeypatch.setattr(coefficient, "min_delta1s", counted)
+        monkeypatch.setattr(coefficient, "_guard_minima", counted)
         monkeypatch.setattr(coefficient, "NODE_CAP", 256)
         e_star = 1.0 - 3.0 ** (-2.0 / 3.0)
         grid = [0.1, e_star]
