@@ -721,6 +721,31 @@ class TestSigmaStart:
             "0x1.77d284dd68dc8p+19", "-0x1.1b9005ad0abc8p+12", "0x0.0p+0", "0x1.0e20d9c0975dbp-49",
         ]
 
+    # Half-period layouts: one panel on F_c alone (2:1 n_g=0), one interior
+    # panel alone (1:3 n_l=1), panels on both symmetry points (1:3 n_l=0,
+    # 3:1, 2:1 n_g=1), and an end panel with interior ones (2:7, 1:2 r,
+    # 2:5 r, 3:2); the q = 1 families sum C2 on panels too.
+    LAYOUTS = [
+        *canonical_families(1, 3, 0.3),
+        ResonantFamily(2, 7, 0.4),
+        ResonantFamily(3, 1, 0.2),
+        *canonical_families(1, 2, 0.2, "retrograde"),
+        *canonical_families(2, 1, 0.3),
+        *canonical_families(2, 5, 0.3, "retrograde"),
+        *canonical_families(3, 2, 0.5),
+    ]
+
+    def test_every_layout_matches_the_trapezoid(self, monkeypatch):
+        # With the switch at 0 every family starts on panels, and each lands
+        # within a tol unit of its trapezoid value.
+        trapezoid = compute_Cs(self.LAYOUTS)
+        monkeypatch.setattr(coefficient, "_SWITCH", 0)
+        for f, ref, got in zip(self.LAYOUTS, trapezoid, compute_Cs(self.LAYOUTS)):
+            assert (ref.rule, got.rule) == ("trapezoid", "panels"), f
+            assert (got.C2 != 0.0) == (f.q == 1), f
+            t = ref.C1 + ref.C2
+            assert abs(got.C1 + got.C2 - t) <= 1e-10 * max(1.0, abs(t)), f
+
     def test_one_panel_call_for_started_and_switched(self, monkeypatch):
         # With the switch at 1,024 nodes: 5:7 r e=0.55 family 1 starts on
         # panels, and 5:14 d e=0.744 family 1 (62/sigma ~ 1,021, 2,048
