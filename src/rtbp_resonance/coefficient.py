@@ -106,12 +106,12 @@ to F_c or F_c + pi past the first or last, and a minimum on a symmetry
 point takes one panel symmetric about it.  Every other panel stands for
 itself and its mirror image, so its weighted node values count twice, by
 an exact *2, in the exact sums.  Each panel is mapped by F = F_k +
-sigma_k*sinh(mu_k*y - eta_k), y in [-1, 1].  Its nodes are off the grid but in its integer
-form, F_c + (i + x)*pi/_BASE with i an integer and |x| <= 1/2, evaluated by
-the off-grid kernel (track_integrand with x): F_k is split into its
-nearest grid index and a fraction, the fraction plus sigma_k*sinh(.) is
-carried in grid units and rounded to i and x per node, so E/2 and
-theta/2 keep the integer-phase roundoff (reduced about 0, see
+sigma_k*sinh(mu_k*y - eta_k), y in [-1, 1].  Its nodes are off the grid
+but in its integer form, F_c + (i + x)*pi/_BASE with i an integer and
+|x| <= 1/2, evaluated by the off-grid kernel (track_integrand with x): F_k
+is split into its nearest grid index and a fraction, the fraction plus
+sigma_k*sinh(.) is carried in grid units and rounded to i and x per node,
+so E/2 and theta/2 keep the integer-phase roundoff (reduced about 0, see
 perturbation._grid_track) where float nodes put C 1e-10 to 1e-8 off.  The
 Clenshaw-Curtis weights come from one FFT a level (_cc_weights, cached per
 n), and each level's node values times weights are summed exactly
@@ -383,13 +383,13 @@ def compute_Cs(families, tol: float = 1e-10) -> list:
     a family whose trapezoid would need 62/sigma > _SWITCH nodes (sigma =
     min_delta1 / track_speed at the guard's F) waits for the panel rule.
     Every other family starts at _N_START nodes and all double together.
-    The levels _N_START ... _N_FIRST come from one pass over the nodes of the _N_FIRST
-    grid, one integrand call and one exact-sum pass per block of at most
-    _CHUNK // _N_START families (all their _N_FIRST // 2 + 1 indices, so up
-    to 128 x 257 nodes a call), that sums each family's nodes by the first
-    level they lie on; each later level costs one integrand call and one
-    exact-sum pass per chunk of its midpoints, at most _CHUNK nodes of one
-    block.
+    The levels _N_START ... _N_FIRST come from one pass over the nodes of
+    the _N_FIRST grid, one integrand call and one exact-sum pass per block
+    of at most _CHUNK // _N_START families (all their _N_FIRST // 2 + 1
+    indices, so up to 128 x 257 nodes a call), that sums each family's nodes
+    by the first level they lie on; each later level costs one integrand
+    call and one exact-sum pass per chunk of its midpoints, at most _CHUNK
+    nodes of one block.
     The batch's per-family constants (GridFamilies) are built once, serve
     the guard and the kernel, and are cut to the live families whenever one
     collides or leaves.  Each family leaves on its own stopping rule, at the
