@@ -24,10 +24,12 @@ collision guard's least Delta1 over |d(r e^(i theta))/dF| at the F where
 the guard found it (track_speed).  A family whose predicted count 62/sigma
 passes _SWITCH = 2**14 starts on panels and evaluates no grid node; every
 other family starts on the trapezoid, and one still short of tol when the
-trapezoid would double past _SWITCH nodes moves to panels too, the fallback
-for a close pass the guard over-reads (15:13 and 7:8 retrograde, where its
-least sample lies in the wrong basin).  The switch level was chosen by
-timing the benchmark's sweep and coeff panels: at 2**13 the median sweep
+trapezoid would double past _SWITCH nodes moves to panels too.  That
+fallback catches the under-predictions of 62/sigma (n*sigma at the
+trapezoid's stop runs up to about 91): 9:11 retrograde e=0.06 family 2 is
+predicted at 15,579 nodes, would take 32,768 on the trapezoid and takes
+2,580 on panels.  The switch level was chosen by timing the benchmark's
+sweep and coeff panels: at 2**13 the median sweep
 request paid the panel rule's fixed cost (its minimum search and its first
 levels) on families the trapezoid finishes at 2**14, and at 2**15 the
 panels' totals were 7% slower.  Every family the sigma-start does not send
@@ -68,14 +70,12 @@ bound a level of a large batch would cost its families squared times the
 indices over _CHUNK): the first pass in one call per block, its 257 indices
 a family far below the _ROW values an exact row sum holds, and each later
 level in one call per _CHUNK nodes (the bound is on families times indices
-per call, so memory does not grow with the batch).  The indices are shared
-as one broadcast row: tan(E/2), and sin E and cos E from it, are then taken
-once per distinct (n_l, q), e.g. one or two rows for the 34 families of a
-sweep over 17 e.  The call's values go through one exact-sum pass
-(_exact_sums) of (r/Delta1)_thetatheta for every family and cos(theta)/r
-for the q = 1 families only, which bins every (family, integrand, level)
-value by exponent at once and folds the bins into a few floats per family,
-integrand and level before the Python integer sum.
+per call, so memory does not grow with the batch).  The indices go as one
+row for all the block's families.  The call's values go through one
+exact-sum pass (_exact_sums) of (r/Delta1)_thetatheta for every family and
+cos(theta)/r for the q = 1 families only, which bins every (family,
+integrand, level) value by exponent at once and folds the bins into a few
+floats per family, integrand and level before the Python integer sum.
 
 With T_n = C1 + C2 on n nodes (T_n = C1 for q >= 2), d_n = |T_n - T_{n/2}|
 and b = tol * max(1, |T_n|) (absolute for small sums, relative for the large
@@ -136,11 +136,11 @@ same float.
 
 This module evaluates no track formula: the searches and sums above read
 perturbation, which owns the track.  The grid kernel is track_integrand with
-n given and evaluates integrand nodes only; the samples of both minimum
-searches are perturbation.float_track, their refinement's Delta1 on Python
-floats is perturbation.delta1_at, and V and the slack are the speed and
-slack columns of the batch's one GridFamilies table, which compute_Cs
-builds once and passes to min_delta1s.
+n given and evaluates integrand nodes only; both minimum searches sample
+Delta1 through one function (_guard_delta1, on perturbation.float_track),
+their refinement's Delta1 on Python floats is perturbation.delta1_at, and
+V and the slack are the speed and slack columns of the batch's one
+GridFamilies table, which compute_Cs builds once and passes to min_delta1s.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ _N_FIRST = 512
 # holds at most _CHUNK // _N_START = 128 families (_add_node_sums), and the
 # first pass makes one call per block of them.  The exact sums are additive,
 # so the result does not depend on either bound.  A guard call holds at most
-# _CHUNK points, or one block's shared row (_guard_delta1).
+# _CHUNK points, or one row (_guard_delta1).
 _CHUNK = 2**13
 # frexp exponents of finite doubles lie in [-1073, 1024]; _EXP_OFFSET makes
 # them bit offsets, and an exact sum counts units of 1 / _UNIT.  _exact_sums
@@ -296,23 +296,19 @@ def _guard_brackets(g):
     return first.tolist(), np.column_stack((sides[:, 0], least, sides[:, 1])).tolist()
 
 
-def _guard_delta1(g, j):
-    """Delta1 at the samples F = j*2*pi/_SAMPLES of the families of the
-    GridFamilies g, with one row of int j per family or one row shared by
-    all, bit for bit as track_arrays(f, F)[3] gives it (float_track).  Rows of
-    their own go in numpy calls of at most _CHUNK points (or one row).  A
-    shared row goes in one call, g being one of the guard's blocks, to
-    float_track as a stride-0 broadcast, so it takes sin E and cos E once per
-    distinct q.
+def _guard_delta1(g, j, start=0.0):
+    """Delta1 at the samples F = j*2*pi/_SAMPLES + start of the families of
+    the GridFamilies g, with one row of int j per family or one row for all
+    and start a float or one (families, 1) column, bit for bit as
+    track_arrays(f, F)[3] gives it (float_track), in numpy calls of at most
+    _CHUNK points (or one row).
     """
-    step = max(1, len(g) if len(j) == 1 else _CHUNK // j.shape[1])
-    F = j * (2.0 * math.pi / _SAMPLES)
-    out = []
-    for b in range(0, len(g), step):
-        part = g[b : b + step] if len(g) > step else g
-        Fb = F[b : b + step] if len(F) > 1 else np.broadcast_to(F, (len(part), F.shape[1]))
-        r, theta, _ = float_track(part, Fb)
-        out.append(delta1(r, theta))
+    F = j * (2.0 * math.pi / _SAMPLES) + start
+    step = max(1, _CHUNK // F.shape[1])
+    out = [
+        delta1(*float_track(g[b : b + step], F[b : b + step] if len(F) > 1 else F)[:2])
+        for b in range(0, len(g), step)
+    ]
     return out[0] if len(out) == 1 else np.concatenate(out)
 
 
@@ -669,21 +665,15 @@ def _panel_minima(grid):
     Delta1 is even about F_c and F_c + pi, so the minima are the local minima
     of the sample F = F_c + j*2*pi/_SAMPLES, j = 0 ... _SAMPLES/2 (the guard's
     spacing, and for n_l = 0 its half sample, bit for bit), each end
-    compared with its mirror neighbour j = 1 or _SAMPLES/2 - 1.  The sample
-    is evaluated by the float track in calls of at most _CHUNK points (whole
-    families).  A minimum at an end lies on its symmetry point; every other
-    is refined inside its two neighbours by the guard's _refine_min on Python
-    floats (delta1_at).
+    compared with its mirror neighbour j = 1 or _SAMPLES/2 - 1, evaluated by
+    the guard's sampler (_guard_delta1).  A minimum at an end lies on its
+    symmetry point; every other is refined inside its two neighbours by the
+    guard's _refine_min on Python floats (delta1_at).
     """
     h = 2.0 * math.pi / _SAMPLES
     half = _SAMPLES // 2
     fc = grid.lpi / grid.q  # F_c, one (families, 1) column
-    F = fc + np.arange(half + 1) * h
-    step = max(1, _CHUNK // (half + 1))
-    d = np.concatenate([
-        delta1(*float_track(grid[a : a + step], F[a : a + step])[:2])
-        for a in range(0, len(grid), step)
-    ])
+    d = _guard_delta1(grid, np.arange(half + 1)[None, :], fc)
     left = np.concatenate((d[:, 1:2], d[:, :-1]), axis=1)
     right = np.concatenate((d[:, 1:], d[:, -2:-1]), axis=1)
     track, j = np.nonzero((d <= left) & (d < right))
@@ -691,11 +681,12 @@ def _panel_minima(grid):
     d1 = delta1_at(grid)
     centre = np.where(j == 0, 0.0, float(_BASE))
     dmin = d[track, j]
-    at = F[track, j]
+    at = j * h + fc[track, 0]  # the sample's F
+    start = fc[:, 0].tolist()
     for m, t, k in zip(np.flatnonzero(twice).tolist(), track[twice].tolist(), j[twice].tolist()):
-        x = F[t, k - 1 : k + 2].tolist()
+        x = [(k + i) * h + start[t] for i in (-1, 0, 1)]
         at[m], dmin[m] = _refine_min(d1[t], x, d[t, k - 1 : k + 2].tolist())
-        centre[m] = (at[m] - fc[t, 0]) * (_BASE / math.pi)
+        centre[m] = (at[m] - start[t]) * (_BASE / math.pi)
     return track, centre, dmin / track_speed(grid[track], at[:, None])[:, 0], twice
 
 
@@ -739,9 +730,9 @@ def _add_node_sums(tracks, grid, n: int, first: int, shift, level=0, levels: int
     tracks' GridFamilies, one row per track.
 
     Each integrand call takes a block of at most _CHUNK // _N_START tracks
-    (see the module docstring), the indices passed as one broadcast row per
-    family: all of them on the first pass (levels > 1), at most _CHUNK nodes
-    on a later level.
+    (see the module docstring), the indices passed as one row for all of
+    them: all the indices on the first pass (levels > 1), at most _CHUNK
+    nodes on a later level.
     """
     per_call = max(1, _CHUNK // _N_START)
     level = np.broadcast_to(level, shift.shape)
@@ -753,7 +744,7 @@ def _add_node_sums(tracks, grid, n: int, first: int, shift, level=0, levels: int
         total = [0] * ((len(block) + with_c2.size) * levels)
         for b in range(0, shift.size, step):
             i = first + 2 * np.arange(b, min(b + step, shift.size))
-            w1, w2 = track_integrand(fams, np.broadcast_to(i, (len(block), i.size)), n)
+            w1, w2 = track_integrand(fams, i[None, :], n)
             cut = slice(b, b + step)
             sums = _exact_sums(np.concatenate((w1, w2[with_c2])), shift[cut], level[cut], levels)
             total = [x + y for x, y in zip(total, sums)]

@@ -29,8 +29,7 @@ numpy's tan is vectorized where its sin and cos may be scalar libm calls, so
 two tangents a node cost much less than four sines and cosines.  The poles
 are harmless: tan of the float nearest pi/2 is ~1.6e16, whose square does not
 overflow, and E = pi gives sin E ~ 1.2e-16 and cos E = -1.  The grid kernel
-takes a batch of families, one row of indices each; E depends only on
-(n_l, q), so families that share both and their index row share tan(E/2).
+takes a batch of families, one row of indices each or one row for all.
 The same kernel takes nodes off the grid in integer form,
 F = F_c + (i + x)*pi/n with |x| <= 1/2: i is reduced exactly and x times the
 phase rates (q for E/2, k for theta/2) added after it.  These are the
@@ -39,13 +38,13 @@ gives the height of each close pass.
 
 This module is the one place that evaluates the track.  Off the grid, the
 float track (float_track) takes sin and cos of the float phases for a batch
-of families, one row of F each; it samples Delta1 for the collision guard
-and the panel rule's minimum search, at the spacing they share, and its
-one-family case track_arrays and the float track_integrand (F given, no n,
-the tests' reference).  delta1_at is its Delta1 on Python floats, one point
-at a time, for the refinement of every minimum.  Both kernels know a shared
-row by its stride 0 (as np.broadcast_to makes it) and group it by key
-(_shared).  Every per-family constant they read, the guard's bound included,
+of families, one row of F each or one row for all; it samples Delta1 for
+the collision guard and the panel rule's minimum search, at the spacing
+they share, and its one-family case track_arrays and the float
+track_integrand (F given, no n, the tests' reference).  delta1_at is its
+Delta1 on Python floats, one point at a time, for the refinement of every
+minimum.  Both kernels evaluate every row they are given: one row for all
+broadcasts against the per-family columns.  Every per-family constant they read, the guard's bound included,
 is a column of one table, GridFamilies, built once per batch.
 """
 
@@ -142,7 +141,7 @@ def _integrand_parts(r, sh2, s2, d2):
     return r * r * (3.0 * r * s2 - c * d2) / (d2 * d2 * np.sqrt(d2)), c / r
 
 
-_INT_COLUMNS = ("key", "n_l", "q", "k", "turns")
+_INT_COLUMNS = ("n_l", "q", "k", "turns")
 _FLOAT_COLUMNS = ("e", "beta", "ecc", "a", "p", "lpi", "gpi", "speed", "slack")
 
 
@@ -152,7 +151,7 @@ def _constants(f: ResonantFamily):
     sign = -1 if f.retrograde else 1
     p, q, e, a = f.p, f.q, f.e, f.semimajor_axis
     return (
-        *(2 * q + f.n_l, f.n_l, q, q - sign * p, f.n_l + f.n_g),
+        *(f.n_l, q, q - sign * p, f.n_l + f.n_g),
         *(e, anomaly_beta(e), sign * (p / q) * e, a, sign * p, f.n_l * math.pi, f.n_g * math.pi),
         a * math.hypot(e * q, q * math.sqrt(1.0 - e * e) + p * (1.0 + e) ** 2),
         _TRACK_ROUNDOFF * (1.0 + a) * (p + q + 2.0),
@@ -163,7 +162,6 @@ class GridFamilies:
     """The per-family constants of the track for a batch of families, built
     once per batch (GridFamilies.of) as two blocks, ints (int64) and floats,
     one (families, 1) column each, named by _INT_COLUMNS and _FLOAT_COLUMNS:
-      key    2*q + n_l, equal for the families that share E on the grid
       k      q - p direct, q + p retrograde, and turns n_l + n_g
       beta   anomaly_beta(e), and a the semimajor axis
       ecc    (p/q)*e direct, -(p/q)*e retrograde
@@ -171,7 +169,7 @@ class GridFamilies:
       speed  V >= |dDelta1/dF|, and slack the float track's roundoff in Delta1.
     Indexing by a slice or a list of rows gives the table of those families
     (two numpy indexing operations), so an evaluation does no per-family
-    Python work beyond grouping the families that share a row.
+    Python work.
 
     |dDelta1/dF| <= |d(r e^(i theta))/dF| = hypot(r', r theta'), with
     r' = a e q sin E and r theta' = a q sqrt(1 - e^2) -+ a p (1 - e cos E)^2
@@ -186,8 +184,8 @@ class GridFamilies:
 
     @classmethod
     def of(cls, families) -> "GridFamilies":
-        table = np.array([_constants(f) for f in families], dtype=float).reshape(-1, 14).T[:, :, None]
-        return cls(table[:5].astype(np.int64, order="C"), np.ascontiguousarray(table[5:]))
+        table = np.array([_constants(f) for f in families], dtype=float).reshape(-1, 13).T[:, :, None]
+        return cls(table[:4].astype(np.int64, order="C"), np.ascontiguousarray(table[4:]))
 
     def __len__(self) -> int:
         return self.ints.shape[1]
@@ -196,38 +194,19 @@ class GridFamilies:
         return GridFamilies(self.ints[:, rows], self.floats[:, rows])
 
 
-def _shared(key, x):
-    """(first, row) for the rows of x, one per family, with key the
-    families' key column: rows broadcast from one shared row (stride 0, as
-    np.broadcast_to makes them) are evaluated once per distinct key, at the
-    rows first, and row maps every row to its place among them.  row is None
-    where the rows of first broadcast as they are: when every row is its own
-    (first takes them all) or when all share one key (first is one row)."""
-    if x.strides[0] != 0:
-        return slice(None), None
-    seen = {}  # key -> (its place, its first row)
-    row = [seen.setdefault(k, (len(seen), n))[0] for n, k in enumerate(key[:, 0].tolist())]
-    if len(seen) in (1, len(row)):
-        return slice(0, len(seen)), None
-    return [n for _, n in seen.values()], row
-
-
 def float_track(families, F):
     """(r, theta, t) at the values F of F along the tracks of the families
-    (a sequence of families, or their GridFamilies), one row of F per family.
+    (a sequence of families, or their GridFamilies), one row of F per family
+    or one row for all.
 
     E = q*F, l = E - e*sin(E); t = (l - n_l*pi)*(+-p)/q, with -p for
     retrograde orbits, where (n_l*pi - l)*p/q would differ at most in the
     sign of a zero; theta = nu + n_g*pi - t with nu continuously unwrapped,
-    so theta is continuous in F.  Rows of F broadcast from one shared row
-    (stride 0) take sin E and cos E once per distinct q (_shared).
+    so theta is continuous in F.
     """
     g = families if isinstance(families, GridFamilies) else GridFamilies.of(families)
-    first, row = _shared(g.q, F)
-    E = g.q[first] * F[first]
+    E = g.q * F
     sinE, cosE = np.sin(E), np.cos(E)
-    if row is not None:
-        E, sinE, cosE = E[row], sinE[row], cosE[row]
     t = (E - g.e * sinE - g.lpi) * g.p / g.q
     r = g.a * (1.0 - g.e * cosE)
     return r, E + anomaly_offset(g.beta, sinE, cosE) + g.gpi - t, t
@@ -268,9 +247,9 @@ def _delta1_float(e, beta, c, p, q, turn, a, F: float) -> float:
 
 def _grid_track(families, i, n: int, x=None):
     """(r, r - 1, tan(theta/2)) at the nodes F_c + (i + x)*pi/n of each
-    family, from int64 indices i with one row per family, the integer phases
-    reduced exactly (see the module docstring).  families is a sequence of
-    families or their GridFamilies.
+    family, from int64 indices i with one row per family or one row for all,
+    the integer phases reduced exactly (see the module docstring).  families
+    is a sequence of families or their GridFamilies.
 
     Without x the nodes are the grid nodes F_c + i*pi/n.  x (floats of i's
     shape, |x| <= 1/2) moves them off the grid: x times the phase rates (q
@@ -282,26 +261,19 @@ def _grid_track(families, i, n: int, x=None):
     is formed as (a - 1) - a*e*cos(E), to a few ulps of the small difference
     rather than of 1.  These cut the error of a grazing family's C by an
     order of magnitude.  The grid nodes keep the trapezoid's bits.
-
-    E depends on the family only through (n_l, q).  Index rows broadcast from
-    one shared row therefore take tan(E/2), and sin E and cos E from it, once
-    per distinct (n_l, q) (_shared); other rows once per family.
     """
     g = families if isinstance(families, GridFamilies) else GridFamilies.of(families)
     i = np.asarray(i, dtype=np.int64)
-    first, row = _shared(g.key, i)
     step = 0.5 * math.pi / n
-    m = (g.n_l[first] * n + g.q[first] * i[first]) & (2 * n - 1)
+    m = (g.n_l * n + g.q * i) & (2 * n - 1)
     if x is None:
         t = np.tan(m * step)
     else:
         m[m >= n] -= 2 * n
-        t = np.tan(m * step + g.q[first] * x[first] * step)
+        t = np.tan(m * step + g.q * x * step)
     t2 = t * t
     sec2 = 1.0 + t2  # 1 / cos^2(E/2)
     sinE, cosE = 2.0 * t / sec2, (1.0 - t2) / sec2
-    if row is not None:
-        sinE, cosE = sinE[row], cosE[row]
     bounded = anomaly_offset(g.beta, sinE, cosE) + g.ecc * sinE
     j = (g.turns * n + g.k * i) & (2 * n - 1)  # tan has period pi in theta/2
     r = g.a * (1.0 - g.e * cosE)
@@ -326,9 +298,9 @@ def track_integrand(f, F, n: int | None = None, x=None):
     Without n, f is one family and F holds values of F.  With the power of
     two n, f is a sequence of families (or their GridFamilies) and F holds
     int64 indices i of the nodes F_c + (i + x)*pi/n (F_c = n_l*pi/q; the
-    grid nodes F_c + i*pi/n without x), one row per family, whose phases are
-    then reduced exactly (_grid_track); each integrand then has one row per
-    family.
+    grid nodes F_c + i*pi/n without x), one row per family or one row for
+    all, whose phases are then reduced exactly (_grid_track); each integrand
+    then has one row per family.
     """
     if n is None:
         r, theta, _ = _one_track(f, F)

@@ -155,8 +155,8 @@ class TestTrack:
 
     def test_batched_float_track_rows_match_track_arrays(self):
         # A batch of both directions, n_l and n_g each 0 and 1, and q = 1, 3
-        # and 7, each shared by several families: as one shared (stride-0)
-        # row of F, which takes sin E and cos E once per q, and as one row
+        # and 7, each shared by several families: as a broadcast row of F per
+        # family, as a single (1, N) row for all, and as one row of its own
         # per family, every row is track_arrays of its family, bit for bit.
         fams = [
             f
@@ -167,8 +167,9 @@ class TestTrack:
         F = np.linspace(0.0, 2.0 * math.pi, 9)  # F[4] is pi
         shared = np.broadcast_to(F, (len(fams), F.size))
         own = F + 0.01 * np.arange(len(fams))[:, None]
-        for rows in (shared, own):
-            got = float_track(fams, rows)
+        for given, rows in ((shared, shared), (F[None, :], shared), (own, own)):
+            got = float_track(fams, given)
+            assert all(x.shape == rows.shape for x in got)
             for f, Ff, *row in zip(fams, rows, *got):
                 for a, b in zip(row, track_arrays(f, Ff)[:3]):
                     assert a.tobytes() == b.tobytes(), f
