@@ -24,7 +24,7 @@ import tempfile
 import time
 
 from . import __version__
-from .coefficient import SweepRow, compute_Cs, quadrature_status, sweep_e
+from .coefficient import QUAD_TOL, SweepRow, compute_Cs, quadrature_status, sweep_e
 from .errors import RtbpError, ValidationError
 from .levi_civita import regularization_checks
 from .perturbation import ResonantFamily, canonical_families
@@ -128,7 +128,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("coeff", parents=[common], help="stability coefficient of both families")
     _family_args(sp)
     sp.add_argument("--e", type=float, required=True, help="eccentricity in (0, 1)")
-    sp.add_argument("--tol", type=float, default=1e-10, help=_QUAD_TOL_HELP)
+    sp.add_argument("--tol", type=float, default=QUAD_TOL, help=_QUAD_TOL_HELP)
     sp.set_defaults(run=cmd_coeff)
 
     sp = sub.add_parser("sweep", parents=[common], help="CSV sweep of C over an eccentricity grid")
@@ -137,7 +137,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--e-min", type=float, default=None)
     sp.add_argument("--e-max", type=float, default=None)
     sp.add_argument("--e-step", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=1e-10, help=_QUAD_TOL_HELP)
+    sp.add_argument("--tol", type=float, default=QUAD_TOL, help=_QUAD_TOL_HELP)
     sp.add_argument(
         "--jobs", type=int, default=0,
         help="accepted for compatibility (0 or positive); a sweep runs in one process",
@@ -163,7 +163,7 @@ def build_parser() -> _Parser:
         help="Newton closure tolerance on y and p_x at the half period and on every "
         "segment defect",
     )
-    sp.add_argument("--tol", type=float, default=1e-10, help=_QUAD_TOL_HELP)
+    sp.add_argument("--tol", type=float, default=QUAD_TOL, help=_QUAD_TOL_HELP)
     sp.add_argument("--cache-dir", default=None, help="cache directory for verification runs")
     sp.set_defaults(run=cmd_verify)
 
@@ -244,17 +244,7 @@ def cmd_coeff(args) -> int:
         if isinstance(res, Exception):
             raise res
         outputs["families"].append(
-            {
-                "family": dataclasses.asdict(f),
-                "C": res.C,
-                "C1": res.C1,
-                "C2": res.C2,
-                "nodes": res.nodes,
-                "err_estimate": res.err_estimate,
-                "min_delta1": res.min_delta1,
-                "rule": res.rule,
-            }
-            | _leading(f)
+            {"family": dataclasses.asdict(f)} | dataclasses.asdict(res) | _leading(f)
         )
     inputs = {"p": args.p, "q": args.q, "e": args.e, "direction": args.direction, "tol": args.tol}
     _emit(_record("coeff", inputs, outputs, "ok", t0), args.output)

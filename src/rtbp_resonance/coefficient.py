@@ -164,6 +164,8 @@ from .perturbation import (
 )
 
 COLLISION_DELTA = 1e-6
+# The default tolerance on C1 + C2 (relative where |C1 + C2| > 1).
+QUAD_TOL = 1e-10
 # A level evaluates at most NODE_CAP / 4 new nodes per family, summed in rows
 # of at most _CHUNK values: within the 2**13 a row (_ROW) up to which
 # _exact_sums' folds of 13 exponent bins are exact.
@@ -372,7 +374,7 @@ class _Track:
     d_prev2: float = math.nan  # d_{n/4}
 
 
-def compute_Cs(families, tol: float = 1e-10) -> list:
+def compute_Cs(families, tol: float = QUAD_TOL) -> list:
     """compute_C(f, tol) for each of the families, in lockstep.
 
     The collision guard runs on the whole batch at once (_guard_minima), and
@@ -690,7 +692,7 @@ def _panel_minima(grid):
     return track, centre, dmin / track_speed(grid[track], at[:, None])[:, 0], twice
 
 
-def compute_C(f: ResonantFamily, tol: float = 1e-10) -> CoefficientResult:
+def compute_C(f: ResonantFamily, tol: float = QUAD_TOL) -> CoefficientResult:
     """Evaluate C(e,p,q) for one family by spectral quadrature: the
     trapezoid rule below, or the panel rule of the module docstring for a
     family whose trapezoid would need 62/sigma > _SWITCH nodes or is still
@@ -835,7 +837,7 @@ def quadrature_status(res) -> str:
     return "ok"
 
 
-def sweep_e(p, q, direction, e_grid, tol: float = 1e-10):
+def sweep_e(p, q, direction, e_grid, tol: float = QUAD_TOL):
     """Evaluate both canonical families over an e grid as one compute_Cs
     lockstep, in one process: its integrand calls hold at most
     _CHUNK // _N_START families each, so the time grows linearly with the grid.

@@ -273,19 +273,6 @@ class _Batch:
             setattr(self, name, getattr(self, name)[mask])
         self.dead = []
 
-    def within_budget(self) -> bool:
-        """Whether one more step keeps the live rows within MAX_ROW_EVALS;
-        if not, every live row fails and leaves.  Every live row is
-        evaluated in every call, so its count is the batch's calls."""
-        if self.calls + N_STAGES <= MAX_ROW_EVALS:
-            return True
-        for k in range(len(self)):
-            self.fail(k, ConvergenceError(
-                f"integration failed: a step would pass the budget of {MAX_ROW_EVALS} "
-                "evaluations per row"))
-        self.retire(self.dead)
-        return False
-
     def initial_steps(self, tol):
         """scipy's select_initial_step for every live row (one evaluation)."""
         y0, f0 = self.y, self.f
@@ -327,15 +314,24 @@ class _Batch:
 
     def step(self, tol):
         """One step of every live row, its control as numpy operations over
-        the rows: scipy's RungeKutta._step_impl with DOP853's error norm."""
-        if not self.within_budget():
-            return
+        the rows: scipy's RungeKutta._step_impl with DOP853's error norm.
+
+        Where rows must stop, the call only fails them and returns: every
+        live row when one more step would take it past MAX_ROW_EVALS (every
+        live row is evaluated in every call, so its count is the batch's
+        calls), else the rows whose rejected step fell below ten ulps of t;
+        the others take this step at the next call, from the same state.
+        """
         t, rejected = self.t, self.rejected
         min_step = 10 * np.spacing(t)  # ten ulps of t, nextafter(t, inf) - t
-        small = np.flatnonzero(rejected & (self.h < min_step)).tolist()
-        if small:  # the others take this step again, from the same state
-            for k in small:
-                self.fail(k, ConvergenceError(f"integration failed: {TOO_SMALL_STEP}"))
+        if self.calls + N_STAGES > MAX_ROW_EVALS:
+            stop = range(len(self))
+            why = f"a step would pass the budget of {MAX_ROW_EVALS} evaluations per row"
+        else:
+            stop, why = np.flatnonzero(rejected & (self.h < min_step)).tolist(), TOO_SMALL_STEP
+        if stop:
+            for k in stop:
+                self.fail(k, ConvergenceError(f"integration failed: {why}"))
             self.retire(self.dead)
             return
         t_new = np.minimum(t + np.maximum(self.h, min_step), self.t_end)

@@ -179,7 +179,9 @@ def _leading_c1_operator(p: int, q: int, direction: str) -> tuple:
     polynomial sign X (X-1) ... (X-i+1) h^i t^(m-i) binom(m, i) over the one
     denominator 2^m m!.  The numerators are summed in Python integers, O(m^2)
     operations on integers of O(m log m) bits, and each coefficient is
-    reduced once, at the end.
+    reduced once, at the end.  The D^m coefficient comes from i = m alone,
+    sign h^m x1^m / (2^m m!) = +-1/(2^m m!) with |h| = |x1| = 1, so the
+    tuple has m + 1 entries and len - 1 is the degree.
 
     Memoized: the operator depends on neither e nor the family, and it is
     immutable.
@@ -198,8 +200,6 @@ def _leading_c1_operator(p: int, q: int, direction: str) -> tuple:
             total[k] += c * w
         # times X - i = (x0 - i) + x1*D
         falling = [c * (x0 - i) + b * x1 for c, b in zip(falling + [0], [0, *falling])]
-    while total and total[-1] == 0:  # len(P) - 1 is the degree
-        total.pop()
     den = 2**m * math.factorial(m)
     return tuple(Fraction(c, den) for c in total)
 

@@ -37,9 +37,12 @@ same recursion, with w_k in place of d_k, gives the shooting matrix, the
 residual's mu derivative and the starts' (natural-parameter continuation's
 predictor step: Allgower and Georg, *Introduction to Numerical Continuation
 Methods*, 1990, ch. 2), so the first defects and residual are O(mu^2)
-instead of O(mu).  One field, `_variational_rhs`, and one integration,
-`_flow`, serve the predictor and Newton: the row width picks the field, 20
-entries (state, Phi) at any mu and 24 (state, Phi, w) at mu = 0 only.
+instead of O(mu).  The predictor is Newton's own step, `_step`, from the
+seed's residual, with mu in place of 1 as the multiplier of the carry's
+third column (w_k in place of d_k).  One field, `_variational_rhs`, and one
+integration, `_flow`, serve the predictor and Newton: the row width picks
+the field, 20 entries (state, Phi) at any mu and 24 (state, Phi, w) at
+mu = 0 only.
 
 `verify_families` corrects every (family, mu) orbit of a request in
 lockstep: each Newton iteration integrates all segments of all unfinished
@@ -339,23 +342,20 @@ def _flow(s0: np.ndarray, t_end, mus):
 
 
 def _seed(f: ResonantFamily):
-    """The mu = 0 seed (G0, x0, T/2) of the family: its angular momentum,
+    """The mu = 0 seed (G0, x0, T/2, S) of the family: its angular momentum,
     its start on the section y = 0, p_x = 0 (a perihelion or aphelion on
-    the x axis) and its half period p*pi, from one Delaunay state."""
+    the x axis), its half period p*pi and its states S at the starts
+    t_k = k (T/2)/K of segments 1 .. K-1.  All come from one pass over the
+    Kepler states at t_k, k = 0 .. K-1, in closed form: in the rotating
+    frame the Kepler ellipse has l = l0 + t/L^3 and g = g0 - t, and x0 is
+    the x of the state at t_0 = 0."""
     d = delaunay_initial_state(f)
-    return d.G, delaunay_to_cartesian(d).x, math.pi * f.p
-
-
-def _kepler_starts(f: ResonantFamily, Th: float) -> np.ndarray:
-    """The family's mu = 0 states at the starts t_k = k (T/2)/K of segments
-    1 .. K-1, in closed form: in the rotating frame the Kepler ellipse has
-    l = l0 + t/L^3 and g = g0 - t."""
-    d = delaunay_initial_state(f)
-    ts = [k * Th / _SEGMENTS for k in range(1, _SEGMENTS)]
-    return np.array([
+    Th = math.pi * f.p
+    Z = np.array([
         delaunay_to_cartesian(DelaunayState(d.L, d.G, d.l + t / d.L**3, d.g - t)).as_array()
-        for t in ts
+        for t in (k * Th / _SEGMENTS for k in range(_SEGMENTS))
     ])
+    return d.G, Z[0, 2], Th, Z[1:]
 
 
 def _start(G0: float, x0: float) -> np.ndarray:
@@ -384,34 +384,45 @@ def _carry(phis, fs, ds, G0: float, x0: float) -> np.ndarray:
     return out
 
 
-def _correction(XK, r, x0: float, Th: float, f, mu: float):
-    """The step (dx0, d(T/2)) that cancels the end residual r by the (y, p_x)
-    rows of the last carry XK, or the ConvergenceError of a singular matrix,
-    of a step that moves x0 by more than half of it, or of one that leaves
-    T/2 <= 0."""
+def _step(o, X, r, c=1.0):
+    """Move orbit o by the step that cancels its end residual, or return the
+    ConvergenceError of a singular matrix, of a step that moves x0 by more
+    than half of it, or of one that leaves T/2 <= 0.
+
+    X is the carry of `_carry` and c the multiplier of its third column: the
+    (y, p_x) rows of X_K give (dx0, d(T/2)) that cancel r + c X_K[:, 2], and
+    x0, T/2 and every start s_k move by X_k . (dx0, d(T/2), c).  Newton takes
+    c = 1, the defects in the third column; the mu-predictor takes c = mu,
+    w = dz/dmu there, and r the residual of the seed.  Returns None when o
+    has moved.
+    """
+    XK = X[-1]
     try:
-        delta = np.linalg.solve(XK[_TARGETS, :2], -r)
+        delta = np.linalg.solve(XK[_TARGETS, :2], -(r + c * XK[_TARGETS, 2]))
     except np.linalg.LinAlgError:
         return ConvergenceError("singular shooting Jacobian")
-    if (not np.all(np.isfinite(delta)) or abs(delta[0]) > 0.5 * abs(x0)
-            or Th + delta[1] <= 0.0):
-        return ConvergenceError(f"Newton correction diverged for {f} at mu={mu}")
-    return delta
+    if (not np.all(np.isfinite(delta)) or abs(delta[0]) > 0.5 * abs(o.x0)
+            or o.Th + delta[1] <= 0.0):
+        return ConvergenceError(f"Newton correction diverged for {o.f} at mu={o.mu}")
+    o.x0, o.Th = o.x0 + delta[0], o.Th + delta[1]
+    o.S = o.S + X[:-1] @ np.array([delta[0], delta[1], c])
+    return None
 
 
 def _predictors(seeds: dict) -> dict:
     """The first-order mu-predictor of each family's orbit.
 
-    seeds maps a family to its mu = 0 seed (G0, x0, T/2, Z), Z the Kepler
-    starts of segments 1 .. K-1.  One batched `_flow` at mu = 0 carries
-    (state, Phi, w = dz/dmu) over every segment of every family from its
-    closed-form start, 24 entries a row, so that the rows stay independent
-    (see `dop853`); w starts at 0 on each segment, the Kepler starts not
-    depending on mu.  Returns per family (X, r0): the carry of `_carry`
+    seeds maps a family to its mu = 0 seed (G0, x0, T/2, Z) of `_seed`, Z
+    the Kepler starts of segments 1 .. K-1.  One batched `_flow` at mu = 0
+    carries (state, Phi, w = dz/dmu) over every segment of every family
+    from its closed-form start, 24 entries a row, so that the rows stay
+    independent (see `dop853`); w starts at 0 on each segment, the Kepler
+    starts not depending on mu.  Returns per family (X, r0): the carry of `_carry`
     with w in the third column, and the residual (y, p_x)(T/2) of the seed,
     which is at roundoff level.  The residual at (seed + (dx0, d(T/2)), mu)
     is r0 + X_K . (dx0, d(T/2), mu) in its (y, p_x) rows, and the starts
-    Z + X_k . (dx0, d(T/2), mu) make the first defects O(mu^2).  A family
+    Z + X_k . (dx0, d(T/2), mu) make the first defects O(mu^2): the
+    predictor of an orbit at mu is `_step` on (X, r0) with c = mu.  A family
     whose mu = 0 integration fails is left out.
     """
     K = _SEGMENTS
@@ -443,7 +454,6 @@ class _Orbit:
     def __init__(self, i, f, mu, G0, x0, Th, S):
         self.i, self.f, self.mu, self.G0 = i, f, mu, G0
         self.x0, self.Th, self.S = x0, Th, S
-        self.restart = (x0, Th)
         self.best, self.stale = math.inf, 0
 
     def rows(self) -> np.ndarray:
@@ -458,13 +468,14 @@ def _shoot(orbits, tol: float) -> list:
     keeps the angular momentum at its mu = 0 family value, and the targets
     are y(T/2) = 0, p_x(T/2) = 0 and zero defects.  Each orbit starts from
     its family's mu = 0 seed and Kepler starts moved by the first-order
-    mu-predictor of `_predictors` (a guarded Newton step on the predicted
-    residual), or from the bare seed where the family's mu = 0 integration
-    failed.  Each iteration integrates every segment of every unfinished
-    orbit in one batch.  An orbit leaves when its end residual and defects
-    are within tol or it fails; it fails as stalled when its residual (the
-    largest of those) has not fallen below its best for _NEWTON_STALL
-    successive integrations.  A segmented orbit whose residual exceeds
+    mu-predictor of `_predictors`, or from the bare seed where the family's
+    mu = 0 integration failed.  The predictor and every Newton step are one
+    guarded step, `_step`: the predictor with c = mu on the predicted
+    residual, Newton with c = 1.  Each iteration integrates every segment
+    of every unfinished orbit in one batch.  An orbit leaves when its end
+    residual and defects are within tol or it fails; it fails as stalled
+    when its residual (the largest of those) has not fallen below its best
+    for _NEWTON_STALL successive integrations.  A segmented orbit whose residual exceeds
     _SEGMENT_GUARD after a Newton step goes back to its predictor's
     (x0, T/2) as one segment.
     Returns one PeriodicOrbit or RtbpError per entry, each as the orbit's
@@ -476,24 +487,19 @@ def _shoot(orbits, tol: float) -> list:
         if not 0.0 < mu <= 1e-3:
             out[i] = ValidationError(f"mu must be in (0, 1e-3], got {mu}")
         elif f not in seeds:
-            G0, x0, Th = _seed(f)
-            seeds[f] = (G0, x0, Th, _kepler_starts(f, Th))
+            seeds[f] = _seed(f)
     predictors = _predictors(seeds) if seeds else {}
 
     live = []
     for i, (f, mu) in enumerate(orbits):
         if out[i] is not None:
             continue
-        G0, x0, Th, S = seeds[f]
+        o = _Orbit(i, f, mu, *seeds[f])
         if f in predictors:
-            X, r0 = predictors[f]
-            delta = _correction(X[-1], r0 + mu * X[-1, _TARGETS, 2], x0, Th, f, mu)
-            if isinstance(delta, RtbpError):
-                out[i] = delta
-                continue
-            step = np.array([delta[0], delta[1], mu])
-            x0, Th, S = x0 + delta[0], Th + delta[1], S + X[:-1] @ step
-        live.append(_Orbit(i, f, mu, G0, x0, Th, S))
+            out[i] = _step(o, *predictors[f], mu)
+        if out[i] is None:
+            o.restart = (o.x0, o.Th)
+            live.append(o)
 
     for _ in range(_NEWTON_MAX_ITER):
         if not live:
@@ -542,13 +548,9 @@ def _shoot(orbits, tol: float) -> list:
                 )
                 continue
             X = _carry(phis, sol.f[seg, :4] / K, np.vstack([defects, np.zeros(4)]), o.G0, o.x0)
-            delta = _correction(X[-1], res + X[-1, _TARGETS, 2], o.x0, o.Th, o.f, o.mu)
-            if isinstance(delta, RtbpError):
-                out[o.i] = delta
-                continue
-            o.x0, o.Th = o.x0 + delta[0], o.Th + delta[1]
-            o.S = o.S + X[:-1] @ np.array([delta[0], delta[1], 1.0])
-            still.append(o)
+            out[o.i] = _step(o, X, res)
+            if out[o.i] is None:
+                still.append(o)
         live = still
     for o in live:
         out[o.i] = ConvergenceError(

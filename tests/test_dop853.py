@@ -40,7 +40,7 @@ def _first_iterates():
     at the default mu: both families, eight rows."""
     rows = []
     for f in canonical_families(1, 3, 0.3):
-        G0, x0, Th = verifier._seed(f)
+        G0, x0, Th, _ = verifier._seed(f)
         z0 = np.concatenate([[0.0, G0 / x0, x0, 0.0], np.eye(4).ravel()])
         rows += [(z0, Th, mu) for mu in DEFAULT_MU_LIST]
     return rows

@@ -182,6 +182,16 @@ class TestLaurentMachinery:
             degrees.add(len(P) - 1)
         assert max(degrees) == (39 if direction == "direct" else 79)
 
+    @pytest.mark.parametrize("direction", ["direct", "retrograde"])
+    def test_degree_is_the_order(self, direction):
+        # the D^m coefficient is +-1/(2^m m!): never zero, so the operator
+        # of order m has m + 1 coefficients and degree m
+        for p, q in _COPRIME_15:
+            m = abs(p - q) if direction == "direct" else p + q
+            P = series._leading_c1_operator(p, q, direction)
+            assert len(P) == m + 1, (p, q)
+            assert abs(P[-1]) == Fraction(1, 2**m * math.factorial(m)), (p, q)
+
     @pytest.mark.parametrize("p,q", [(p, q) for p, q in _COPRIME_15 if p < q])
     def test_interior_resonance_printed_formula(self, p, q):
         # Orbit inside the unit circle (p < q): the assembled machinery

@@ -233,8 +233,7 @@ class TestPredictor:
         # the closed-form segment starts against one integration at mu = 0
         # (measured 2.1e-11)
         for f in canonical_families(1, 3, 0.3) + canonical_families(2, 3, 0.4, "retrograde"):
-            G0, x0, Th = verifier._seed(f)
-            starts = verifier._kepler_starts(f, Th)
+            G0, x0, Th, starts = verifier._seed(f)
             sol = _integrate([0.0, G0 / x0, x0, 0.0], Th, 0.0, tol=1e-13)
             for k, z in enumerate(starts, start=1):
                 assert np.max(np.abs(sol.sol(k * Th / K) - z)) <= 1e-10
@@ -262,10 +261,10 @@ class TestPredictor:
 
         monkeypatch.setattr(verifier, "_variational_rhs", fail_with_w)
         o = refine_periodic_orbit(f, MU)
-        G0, x0, Th = verifier._seed(f)
+        G0, x0, Th, starts = verifier._seed(f)
         first = calls[0][0]
         assert np.array_equal(first[0], [0.0, G0 / x0, x0, 0.0])
-        assert np.array_equal(first[1:], verifier._kepler_starts(f, Th))
+        assert np.array_equal(first[1:], starts)
         assert max(o.residual_y, o.residual_px) <= verifier.CORRECTOR_TOL
 
 
@@ -384,6 +383,29 @@ class TestRefinement:
                 str(err),
             )
         assert len([c for c in calls if c[0] == "_variational_rhs"]) <= 10
+
+    def test_failed_newton_row_is_its_orbits_result(self, monkeypatch):
+        # the 3e-5 orbit's Newton rows collide; the 1e-4 orbit of the same
+        # batch is the orbit it is alone
+        f = ResonantFamily(1, 3, 0.3)
+        alone = refine_periodic_orbit(f, 1e-4)
+        collision = CollisionError("trajectory reached a primary")
+
+        def collide(Z, mus):
+            if Z.shape[1] == 20 and np.any(np.asarray(mus) == 3e-5):
+                raise collision
+            return _variational_rhs(Z, mus)
+
+        monkeypatch.setattr(verifier, "_variational_rhs", collide)
+        o, err = verifier._shoot([(f, 1e-4), (f, 3e-5)], verifier.CORRECTOR_TOL)
+        assert err is collision
+        assert o == alone
+        assert np.array_equal(o.half_period_stm, alone.half_period_stm)
+
+    def test_iteration_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match=r"^shooting did not converge to tol="):
+            refine_periodic_orbit(ResonantFamily(1, 3, 0.3), MU)
 
 
 @pytest.fixture(scope="module")
