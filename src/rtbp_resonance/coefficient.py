@@ -29,26 +29,28 @@ fallback catches the under-predictions of 62/sigma (n*sigma at the
 trapezoid's stop runs up to about 91): 9:11 retrograde e=0.06 family 2 is
 predicted at 15,579 nodes, would take 32,768 on the trapezoid and takes
 2,580 on panels.  The switch level was chosen by timing the benchmark's
-sweep and coeff panels: at 2**13 the median sweep
-request paid the panel rule's fixed cost (its minimum search and its first
-levels) on families the trapezoid finishes at 2**14, and at 2**15 the
-panels' totals were 7% slower.  Every family the sigma-start does not send
-to panels runs on the trapezoid as it did without it, with the same bits.
-A result's rule field names the rule that produced it ("trapezoid" or
-"panels") and its nodes that rule's node count over the whole period (the
-panel rule counts a panel that stands for its mirror image twice, though it
-evaluates it once); neither rule passes NODE_CAP nodes so counted, and a
-family that would fails with the same ConvergenceError.
+sweep and coeff panels: at 2**13 the median sweep request paid the panel
+rule's fixed cost (its minimum search and its first levels) on families the
+trapezoid finishes at 2**14, and at 2**15 the panels' totals were 7% slower.
+Every family the sigma-start does not send to panels runs on the trapezoid
+as it did without it, with the same bits.
 
-The trapezoid: both integrands are even about F_c = n_l*pi/q (the family's reversing
-symmetry), so on the grid F_c + j*2*pi/n the sum over a period is the sum
-over [F_c, F_c + pi] with its two end nodes counted once and every interior
-node twice: an n-node level evaluates the integrands n/2 + 1 times.  The
-grid is nested: each doubling evaluates the integrands only at the new
-midpoints of that half period and adds them, doubled, to an exact running
-sum, so every level value is the correctly rounded trapezoid sum (the
-value fsum would give over the n node values) and no node value is kept.
-Every node is F_c + i*pi/n for an integer i, and the integrands are
+Both rules fold the period onto the half period [F_c, F_c + pi],
+F_c = n_l*pi/q: the integrands are even about both of its ends (the
+family's reversing symmetry), so a node or panel inside it counts twice, by
+an exact *2 in the exact sums, and one on an end once.  A result's rule
+field names the rule that produced it ("trapezoid" or "panels") and its
+nodes that rule's node count over the whole period, folded the same way;
+neither rule passes NODE_CAP nodes so counted, and a family that would
+fails with the same ConvergenceError.
+
+The trapezoid: the n-node grid F_c + j*2*pi/n has the nodes F_c + i*pi/n,
+i = 0, 2, ..., n, on the half period, the ends i = 0 and n counted once: a
+level evaluates the integrands n/2 + 1 times.  The grid is nested: each
+doubling evaluates the integrands only at the new midpoints of that half
+period (the odd i) and adds them, folded, to an exact running sum, so every
+level value is the correctly rounded trapezoid sum (the value fsum would
+give over the n node values) and no node value is kept.  The integrands are
 evaluated from i with their phases reduced exactly, from one tangent of
 each half phase, tan(E/2) and tan(theta/2) (track_integrand with n given;
 see perturbation).
@@ -92,32 +94,32 @@ values' roundoff, amplified by the cancellation between their large
 positive and negative parts, can exceed it.  The panel rule stops by the
 same rule, its levels being n = _CC_START, 2*_CC_START, ... nodes a panel.
 
-The panel rule: both integrands are even about F_c and F_c + pi, so it
-covers [F_c, F_c + pi] only.  The local minima F_k of Delta1 there are
-those of the sample F_c + j*2*pi/_SAMPLES, j = 0 ... _SAMPLES/2 (the
-collision guard's spacing, and for n_l = 0 its own half sample, below), each
-end compared with its mirror neighbour.  A minimum at an end lies exactly
-on its symmetry point; the others are refined by the guard's parabolic
-steps on Delta1^2 (_refine_min), so every minimum of Delta1 has one
-sampler, one refinement and one stopping rule; sigma_k = Delta1(F_k) /
-|d(r e^(i theta))/dF| from the closed-form speed (perturbation.track_speed).
-The panel of F_k runs between the midpoints to its neighbouring minima, or
-to F_c or F_c + pi past the first or last, and a minimum on a symmetry
-point takes one panel symmetric about it.  Every other panel stands for
-itself and its mirror image, so its weighted node values count twice, by
-an exact *2, in the exact sums.  Each panel is mapped by F = F_k +
-sigma_k*sinh(mu_k*y - eta_k), y in [-1, 1].  Its nodes are off the grid
-but in its integer form, F_c + (i + x)*pi/_BASE with i an integer and
-|x| <= 1/2, evaluated by the off-grid kernel (track_integrand with x): F_k
-is split into its nearest grid index and a fraction, the fraction plus
-sigma_k*sinh(.) is carried in grid units and rounded to i and x per node,
-so E/2 and theta/2 keep the integer-phase roundoff (reduced about 0, see
-perturbation._grid_track) where float nodes put C 1e-10 to 1e-8 off.  The
-Clenshaw-Curtis weights come from one FFT a level (_cc_weights, cached per
-n), and each level's node values times weights are summed exactly
-(_exact_sums), so that a family's result does not depend on its batch.
-Every panel of every family on the panel rule is one row of each level's
-integrand calls.
+The panel rule covers the half period [F_c, F_c + pi] only.  The local
+minima F_k of Delta1 there are those of the sample F_c + j*2*pi/_SAMPLES,
+j = 0 ... _SAMPLES/2 (the collision guard's spacing, and for n_l = 0 its
+own half sample, below), each end compared with its mirror neighbour.  A
+minimum at an end lies exactly on its symmetry point; the others are
+refined by the guard's parabolic steps on Delta1^2 (_refine_min), so every
+minimum of Delta1 has one sampler, one refinement and one stopping rule;
+sigma_k = Delta1(F_k) / |d(r e^(i theta))/dF| from the closed-form speed
+(perturbation.track_speed).  The panel of F_k runs between the midpoints to
+its neighbouring minima, or to F_c or F_c + pi past the first or last, and
+a minimum on a symmetry point takes one panel symmetric about it.  Each
+panel's fold (2, or 1 on a symmetry point) multiplies its weights and its
+node count.  Each panel is mapped by F = F_k + sigma_k*sinh(mu_k*y - eta_k),
+y in [-1, 1].  Its nodes are off the grid but in its integer form,
+F_c + (i + x)*pi/_BASE with i an integer and |x| <= 1/2, evaluated by the
+off-grid kernel (track_integrand with x): F_k is split into its nearest
+grid index and a fraction, the fraction plus sigma_k*sinh(.) is carried in
+grid units and rounded to i and x per node, so E/2 and theta/2 keep the
+integer-phase roundoff (reduced about 0, see perturbation._grid_track)
+where float nodes put C 1e-10 to 1e-8 off.  The Clenshaw-Curtis weights
+come from one FFT a level (_cc_weights, cached per n), and each level's
+node values times weights are summed exactly (_exact_sums), so that a
+family's result does not depend on its batch.  Every panel of every family
+on the panel rule is one row of each level's integrand calls.  A family
+that leaves the trapezoid at the _SWITCH fallback enters as a fresh track,
+and each keeps its place in the batch until the last one stops.
 
 The collision guard takes the track's minimum Delta1 (min_delta1) from a
 uniform sample of _SAMPLES points, half of it for n_l = 0 by the same
@@ -147,7 +149,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -392,10 +394,11 @@ def compute_Cs(families, tol: float = QUAD_TOL) -> list:
     the guard and the kernel, and are cut to the live families whenever one
     collides or leaves.  Each family leaves on its own stopping rule, at the
     node cap or at the collision guard; the families still running when the
-    trapezoid would double past _SWITCH nodes join the waiting ones in the
-    batch's one call of the panel rule (_panels).  The list holds, in the
-    order of families, each one's CoefficientResult or the CollisionError or
-    ConvergenceError compute_C would raise, whatever else is in the batch.
+    trapezoid would double past _SWITCH nodes join the waiting ones, as
+    fresh tracks, in the batch's one call of the panel rule (_panels).  The
+    list holds, in the order of families, each one's CoefficientResult or
+    the CollisionError or ConvergenceError compute_C would raise, whatever
+    else is in the batch.
     """
     table = GridFamilies.of(families)  # one row per family
     out = [None] * len(families)
@@ -414,18 +417,16 @@ def compute_Cs(families, tol: float = QUAD_TOL) -> list:
             live.append(_Track(k, f, md))
     grid = table if len(live) == len(families) else table[[t.index for t in live]]
     # The first levels' nodes F_c + j*2*pi/n, j = 0 ... n/2, are the even
-    # indices 0 ... top of the top-node grid; the two ends count once, the
-    # others twice.  Level m (_N_START << m nodes) adds the entries at the
-    # odd multiples of top / (_N_START << m) along that row.
+    # indices 0 ... top of the top-node grid.  Level m (_N_START << m nodes)
+    # adds the entries at the odd multiples of top / (_N_START << m) along
+    # that row.
     top = min(_N_FIRST, NODE_CAP)
-    doubled = np.ones(top // 2 + 1, dtype=np.int64)
-    doubled[0] = doubled[-1] = 0
     levels = (top // _N_START).bit_length()
-    level = np.zeros(doubled.size, dtype=np.int64)
+    level = np.zeros(top // 2 + 1, dtype=np.int64)
     for m in range(1, levels):
         s = top // (_N_START << m)
         level[s :: 2 * s] = m
-    _add_node_sums(live, grid, top, 0, doubled, level, levels)
+    _add_node_sums(live, grid, top, 0, level.size, level, levels)
     n = _N_START
     while live:
         keep = []
@@ -447,11 +448,10 @@ def compute_Cs(families, tol: float = QUAD_TOL) -> list:
                 _fail(live, tol, n, out)
                 break
             if 2 * n > _SWITCH:
-                panels += live
+                panels += [_Track(t.index, t.family, t.md) for t in live]
                 break
-            # The midpoints are the odd grid indices inside (F_c, F_c + pi),
-            # each standing for itself and its mirror image.
-            _add_node_sums(live, grid, n, 1, np.broadcast_to(1, n // 2))
+            # the midpoints: the odd grid indices inside (F_c, F_c + pi)
+            _add_node_sums(live, grid, n, 1, n // 2)
         n *= 2
     if panels:
         _panels(panels, table[[t.index for t in panels]], tol, out)
@@ -493,8 +493,8 @@ def _fail(tracks, tol: float, nodes: int, out):
 
 
 def _panels(live, grid, tol: float, out):
-    """The panel rule for the tracks live (grid their GridFamilies), which
-    run it together; each one's result or ConvergenceError goes to out.
+    """The panel rule for the fresh tracks live (grid their GridFamilies),
+    which run it together; each one's result or ConvergenceError goes to out.
 
     The half period [F_c, F_c + pi] is cut midway between adjacent minima F_k
     of Delta1 (_panel_minima) and at its ends, a minimum on F_c or F_c + pi
@@ -506,14 +506,13 @@ def _panels(live, grid, tol: float, out):
     J. Numer. Meth. Engng 62, 2005).  Nested Clenshaw-Curtis rules of n + 1
     nodes a panel, n = _CC_START, 2*_CC_START, ..., evaluate only the new
     nodes at each doubling, every panel of every live track as one row of
-    the level's integrand calls (_panel_values).  A panel off the symmetry
-    points stands for its mirror image too: its weights are doubled.  A
-    track stops by the rule of the module docstring on T_n = C1 + C2; its
-    node count is its panels over the period (the doubled ones twice) times
-    n + 1, and it fails when the next level would pass NODE_CAP.
+    the level's integrand calls (_panel_values).  A panel's fold (2 off the
+    symmetry points, else 1) multiplies its weights and counts its panels
+    over the period.  A track stops by the rule of the module docstring on
+    T_n = C1 + C2; its node count is its panels over the period times n + 1,
+    and it fails when the next level would pass NODE_CAP.  Each track keeps
+    its place in live, the index of its rows, until the last one stops.
     """
-    for t in live:
-        t.c1 = t.c2 = t.d_prev = t.d_prev2 = math.nan
     track, centre, sigma, twice = _panel_minima(grid)
     # each panel runs from the cut before its minimum to the cut after it,
     # within [F_c, F_c + pi] (0 ... _BASE grid units), and a panel on a
@@ -535,19 +534,20 @@ def _panels(live, grid, tol: float, out):
         grid[track], track, I.astype(np.int64)[:, None], (centre - I)[:, None], s,
         0.5 * (ub - ua), -0.5 * (ub + ua), np.where(twice, 2.0, 1.0)[:, None],
     )
-    # the period's panels: each panel of [F_c, F_c + pi] and its mirror image
-    panels = np.bincount(track, minlength=len(live))
-    panels += np.bincount(track[twice], minlength=len(live))
+    # the period's panels: fold counts each one and its mirror image
+    panels = np.bincount(track, rows.fold[:, 0], len(live))
     n = _CC_START
     # dF/dy times each integrand at the nodes cos(j*pi/n), one row a panel
     v1, v2 = _panel_values(rows, np.cos(np.arange(n + 1) * (math.pi / n)))
+    running = list(range(len(live)))  # the places of the tracks still running
     while True:
         weights = _cc_weights(n) * rows.fold  # a mirror image counts by an exact *2
         with_c2 = np.flatnonzero(rows.g.q[:, 0] == 1)  # C2 is 0 for q >= 2
         s1 = _panel_sums(v1 * weights, rows.track, len(live))
         s2 = _panel_sums(v2[with_c2] * weights[with_c2], rows.track[with_c2], len(live))
         keep = []
-        for k, t in enumerate(live):
+        for k in running:
+            t = live[k]
             err = _stop(t, s1[k] / _UNIT, s2[k] / _UNIT, tol)
             nodes = int(panels[k]) * (n + 1)
             if err is not None:
@@ -558,10 +558,10 @@ def _panels(live, grid, tol: float, out):
                 keep.append(k)
         if not keep:
             return
-        if len(keep) < len(live):
-            live, panels = [live[k] for k in keep], panels[keep]
+        if len(keep) < len(running):
+            running = keep
             cut = np.isin(rows.track, keep)
-            rows = rows.cut(cut, keep)
+            rows = rows.cut(cut)
             v1, v2 = v1[cut], v2[cut]
         n *= 2
         w1, w2 = _panel_values(rows, np.cos(np.arange(1, n, 2) * (math.pi / n)))
@@ -584,11 +584,11 @@ def _panel_sums(v, track, tracks: int) -> list:
 
 @dataclass
 class _PanelRows:
-    """The panels of the live tracks in _panels, one row each: their
-    families' GridFamilies g, their track's place in the live list, and the
-    map's constants I (int64), c, s, mu and eta, and fold, 2.0 for a panel
-    that stands for its mirror image too and 1.0 for one on a symmetry point,
-    (panels, 1) columns."""
+    """The panels of the running tracks in _panels, one row each: their
+    families' GridFamilies g, their track's place in _panels' live list, and
+    the map's constants I (int64), c, s, mu and eta, and the symmetry fold,
+    2.0 for a panel that stands for its mirror image too and 1.0 for one on
+    a symmetry point, (panels, 1) columns."""
 
     g: GridFamilies
     track: np.ndarray
@@ -599,14 +599,9 @@ class _PanelRows:
     eta: np.ndarray
     fold: np.ndarray
 
-    def cut(self, rows, keep) -> "_PanelRows":
-        """The rows (a mask) of the tracks keep (their old places, in order)."""
-        place = np.zeros(int(self.track.max()) + 1, dtype=np.int64)
-        place[keep] = np.arange(len(keep))
-        return _PanelRows(
-            self.g[rows], place[self.track[rows]],
-            *(x[rows] for x in (self.I, self.c, self.s, self.mu, self.eta, self.fold)),
-        )
+    def cut(self, rows) -> "_PanelRows":
+        """The rows (a mask), each track keeping its place."""
+        return _PanelRows(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 def _panel_values(rows: _PanelRows, y):
@@ -723,13 +718,14 @@ def compute_C(f: ResonantFamily, tol: float = QUAD_TOL) -> CoefficientResult:
     return res
 
 
-def _add_node_sums(tracks, grid, n: int, first: int, shift, level=0, levels: int = 1):
+def _add_node_sums(tracks, grid, n: int, first: int, count: int, level=0, levels: int = 1):
     """Append to each track's ahead the exact sums of its two integrands at
-    the grid indices first, first + 2, ... (base n), one per entry of shift,
-    each value times 2**shift, split into levels sums by the level of each
-    index (level broadcasts along shift).  cos(theta)/r is summed for the
-    q = 1 tracks only; a q >= 2 track's C2 sums are 0.  grid holds the
-    tracks' GridFamilies, one row per track.
+    the count grid indices i = first, first + 2, ... (base n, first 0 or 1)
+    of [F_c, F_c + pi], split into levels sums by the level of each index
+    (level[i // 2]; level broadcasts along the indices).  The fold doubles
+    each value but those at the ends (i a multiple of n).
+    cos(theta)/r is summed for the q = 1 tracks only; a q >= 2 track's C2
+    sums are 0.  grid holds the tracks' GridFamilies, one row per track.
 
     Each integrand call takes a block of at most _CHUNK // _N_START tracks
     (see the module docstring), the indices passed as one row for all of
@@ -737,18 +733,18 @@ def _add_node_sums(tracks, grid, n: int, first: int, shift, level=0, levels: int
     nodes on a later level.
     """
     per_call = max(1, _CHUNK // _N_START)
-    level = np.broadcast_to(level, shift.shape)
+    level = np.broadcast_to(level, count)
     for a in range(0, len(tracks), per_call):
         block = tracks[a : a + per_call]
         fams = grid[a : a + per_call] if len(tracks) > per_call else grid
         with_c2 = np.flatnonzero(fams.q[:, 0] == 1)  # C2 is 0 for q >= 2
-        step = shift.size if levels > 1 else _CHUNK // len(block)
+        step = count if levels > 1 else _CHUNK // len(block)
         total = [0] * ((len(block) + with_c2.size) * levels)
-        for b in range(0, shift.size, step):
-            i = first + 2 * np.arange(b, min(b + step, shift.size))
+        for b in range(0, count, step):
+            i = first + 2 * np.arange(b, min(b + step, count))
             w1, w2 = track_integrand(fams, i[None, :], n)
-            cut = slice(b, b + step)
-            sums = _exact_sums(np.concatenate((w1, w2[with_c2])), shift[cut], level[cut], levels)
+            shift = i % n != 0  # the symmetry fold: 2**1, or 2**0 at an end
+            sums = _exact_sums(np.concatenate((w1, w2[with_c2])), shift, level[i // 2], levels)
             total = [x + y for x, y in zip(total, sums)]
         s2 = [[0] * levels] * len(block)
         for j, k in enumerate(with_c2.tolist(), len(block)):

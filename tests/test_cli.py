@@ -223,6 +223,34 @@ class TestSweep:
         assert row[1] == ""  # no value, flagged instead of dropped
         assert float(row[3]) < 1e-6
 
+    def test_every_row_failed_exits_2_with_the_csv(self, capsys, monkeypatch):
+        # a node cap of 2**7 stops every family before its stopping rule
+        monkeypatch.setattr(coefficient, "NODE_CAP", 2**7)
+        code, out, err = _run(
+            capsys, ["sweep", "--p", "1", "--q", "3", "--e-grid", "0.2,0.3", "--jobs", "1"]
+        )
+        assert code == 2 and err == ""
+        lines = out.rstrip("\n").split("\n")
+        assert lines[0] == "e,C_family1,C_family2,min_delta1_1,min_delta1_2,status_1,status_2"
+        assert len(lines) == 3
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert cells[1] == cells[2] == ""
+            assert float(cells[3]) > 0.0 and float(cells[4]) > 0.0
+            assert cells[5] == cells[6] == "no-convergence"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--e-min", "0.1", "--e-max", "0.3", "--e-step", "0"], "--e-step must be positive"),
+            (["--e-grid", "0.3,1.2"], "eccentricity grid must lie in (0, 1)"),
+        ],
+        ids=["zero-step", "e-outside"],
+    )
+    def test_bad_grid_rejected(self, capsys, flags, message):
+        code, out, err = _run(capsys, ["sweep", "--p", "1", "--q", "3", *flags, "--jobs", "1"])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("jobs", ["0", "2", "3", "100000"])
     def test_jobs_accepted_and_output_unchanged(self, capsys, tmp_path, jobs):
         # --jobs still parses, and a sweep runs in one process whatever it is.
@@ -260,6 +288,14 @@ class TestConfig:
         cfg.write_text("p 1\n")
         code, _, err = _run(capsys, ["coeff", "--config", str(cfg)])
         assert code == 1 and "error" in err
+
+    def test_comment_and_blank_lines_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a 1:3 family\n\np = 1\n   # indented comment\nq = 3\ne = 0.3\n")
+        code, out, _ = _run(capsys, ["coeff", "--config", str(cfg)])
+        assert code == 0
+        inputs = json.loads(out)["inputs"]
+        assert (inputs["p"], inputs["q"], inputs["e"]) == (1, 3, 0.3)
 
     def test_file_not_text(self, capsys, tmp_path):
         # bytes that are not UTF-8 make one error line and exit 1, no traceback
@@ -554,6 +590,12 @@ class TestVerify:
         )
         assert code == 1
 
+    def test_unparsable_mu_rejected(self, capsys):
+        code, out, err = _run(
+            capsys, ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--mu-list", "1e-4,abc"]
+        )
+        assert (code, out, err) == (1, "", "error: bad number list '1e-4,abc'\n")
+
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
     def test_non_finite_mu_rejected(self, capsys, tmp_path, value):
         # A non-finite mu would be written as Infinity/NaN, which is not JSON.
@@ -596,6 +638,10 @@ class TestRegularize:
     def test_unbound_rejected(self, capsys):
         code, _, err = _run(capsys, ["regularize", "--jacobi-constant", "0.5"])
         assert code == 1 and "G + 2C" in err
+
+    def test_non_positive_action_rejected(self, capsys):
+        code, out, err = _run(capsys, ["regularize", "--action", "-1"])
+        assert (code, out, err) == (1, "", "error: need L > 0 and |G| < 2L\n")
 
     @pytest.mark.parametrize(
         "flag", ["--jacobi-constant=nan", "--jacobi-constant=-inf", "--action=inf"]

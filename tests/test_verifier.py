@@ -86,6 +86,11 @@ class TestDerivatives:
         with pytest.raises(CollisionError):
             rtbp_derivatives(np.array([0.0, 0.0, 1.0 - 1e-3, 0.0]), 1e-3)
 
+    def test_hamiltonian_at_the_large_primary(self):
+        mu = 1e-3
+        with pytest.raises(CollisionError, match="^state at a primary$"):
+            rtbp_hamiltonian(np.array([0.0, 0.0, -mu, 0.0]), mu)
+
 
 class TestFusedVariationalRhs:
     def test_matches_rtbp_derivatives(self):
@@ -308,6 +313,44 @@ class TestMultipleShooting:
         assert j >= 2 and set(widths[:j]) == {K} and set(widths[j:]) == {1}
         assert max(_residuals(*calls[j - 1])) > verifier._SEGMENT_GUARD
         assert max(o.residual_y, o.residual_px) <= verifier.CORRECTOR_TOL
+
+
+class TestNewtonStep:
+    """`_step`'s guards, called directly on the 1:3 e=0.3 seed orbit."""
+
+    @staticmethod
+    def _orbit():
+        f = ResonantFamily(1, 3, 0.3)
+        return verifier._Orbit(0, f, MU, *verifier._seed(f))
+
+    @staticmethod
+    def _with_end_block(block):
+        """A carry whose X_K has the (y, p_x) block `block` and zeros elsewhere."""
+        X = np.zeros((K, 4, 3))
+        X[-1, verifier._TARGETS, :2] = block
+        return X
+
+    def test_singular_jacobian(self):
+        o = self._orbit()
+        err = verifier._step(o, np.zeros((K, 4, 3)), np.zeros(2))
+        assert type(err) is ConvergenceError and str(err) == "singular shooting Jacobian"
+
+    def test_step_of_more_than_half_x0_diverges_and_leaves_the_orbit(self):
+        o = self._orbit()
+        x0, Th, S = o.x0, o.Th, o.S.copy()
+        err = verifier._step(o, self._with_end_block(np.eye(2)), np.array([-x0, 0.0]))
+        assert type(err) is ConvergenceError
+        assert str(err) == f"Newton correction diverged for {o.f} at mu={MU}"
+        assert o.x0.hex() == x0.hex() and o.Th.hex() == Th.hex()
+        assert np.array_equal(o.S, S)
+
+    def test_small_step_moves_the_orbit(self):
+        o = self._orbit()
+        x0, Th = o.x0, o.Th
+        err = verifier._step(o, self._with_end_block(np.eye(2)), np.array([-0.1 * x0, 0.0]))
+        assert err is None
+        assert o.x0 == pytest.approx(1.1 * x0, rel=1e-15)
+        assert o.Th == Th
 
 
 class TestRefinement:
