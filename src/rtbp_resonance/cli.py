@@ -194,7 +194,8 @@ def _inject_config(argv, parser):
     """
     commands = next(a.choices for a in parser._actions if a.dest == "command")
     command = commands.get(argv[0]) if argv else None
-    if command is None:
+    # Every spelling of --config starts with `--c`; without one no file is read.
+    if command is None or not any(a.startswith("--c") for a in argv[1:]):
         return argv
     # A finder with the command's own option strings resolves the option, so
     # `--config=FILE` and abbreviations such as `--conf FILE` count too.  An
@@ -230,6 +231,12 @@ def _inject_config(argv, parser):
 # ---------------------------------------------------------------------------
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, as dataclasses.asdict gives them for
+    fields that hold numbers and strings, without its deep copy."""
+    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
+
+
 def _leading(f: ResonantFamily) -> dict:
     """The leading series fields of a family's coeff and series entries."""
     lead = leading_coefficient(f)
@@ -244,7 +251,7 @@ def cmd_coeff(args) -> int:
         if isinstance(res, Exception):
             raise res
         outputs["families"].append(
-            {"family": dataclasses.asdict(f)} | dataclasses.asdict(res) | _leading(f)
+            {"family": _fields(f)} | _fields(res) | _leading(f)
         )
     inputs = {"p": args.p, "q": args.q, "e": args.e, "direction": args.direction, "tol": args.tol}
     _emit(_record("coeff", inputs, outputs, "ok", t0), args.output)
@@ -306,7 +313,7 @@ def cmd_series(args) -> int:
     outputs = {"families": []}
     for f in families:
         lead = _leading(f)
-        entry = {"family": dataclasses.asdict(f) | {"e": args.e}} | lead
+        entry = {"family": _fields(f) | {"e": args.e}} | lead
         if args.e is not None:
             entry["leading_term"] = lead["leading_coefficient"] * args.e**lead["leading_exponent"]
         outputs["families"].append(entry)
@@ -346,7 +353,7 @@ def _verify_entry(f: ResonantFamily, res, quad) -> dict:
         }
         for mu, est, err in zip(res.mu_list, res.estimates, res.errors)
     ]
-    entry = {"family": dataclasses.asdict(f), "per_mu": per_mu}
+    entry = {"family": _fields(f), "per_mu": per_mu}
     if res.C is None:
         # No fit: a mu diverged, or the list held fewer than two distinct mu.
         diverged = any(err is not None for err in res.errors)
@@ -381,7 +388,7 @@ def cmd_verify(args) -> int:
 
     key = {
         "command": "verify",
-        "families": [dataclasses.asdict(f) for f in selected],
+        "families": [_fields(f) for f in selected],
         "mu_list": mu_list,
         "corrector_tol": args.corrector_tol,
         "quad_tol": args.tol,

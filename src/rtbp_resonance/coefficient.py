@@ -33,7 +33,8 @@ sweep and coeff panels: at 2**13 the median sweep request paid the panel
 rule's fixed cost (its minimum search and its first levels) on families the
 trapezoid finishes at 2**14, and at 2**15 the panels' totals were 7% slower.
 Every family the sigma-start does not send to panels runs on the trapezoid
-as it did without it, with the same bits.
+as it did without it, with the same bits; sigma also sets how deep the
+trapezoid's first pass goes and the level below which it may not stop.
 
 Both rules fold the period onto the half period [F_c, F_c + pi],
 F_c = n_l*pi/q: the integrands are even about both of its ends (the
@@ -58,26 +59,32 @@ see perturbation).
 compute_Cs runs a batch of families in lockstep: all start at _N_START
 nodes and double together, each leaving on its own stopping rule, node cap
 or collision, so each result is the one compute_C (the one-family case)
-gives alone.  The levels _N_START ... _N_FIRST = 512 come from one pass over
-the even indices 0 ... 512 of the 512-node grid, each value summed into the
-first level it lies on: a phase reduced at base 512 is the one reduced at
-the lower base times a power of two, so every node keeps its bits, and most
-families (those that stop at 512 nodes) make one integrand call where four
-level calls cost more in fixed numpy overhead than in nodes.  A family that
-stops at 128 or 256 nodes evaluates the nodes up to 512 all the same.  Each
-later level evaluates its new midpoints.  A pass evaluates the integrands of
-the families still in the batch in blocks of at most _CHUNK // _N_START = 128
-families (a call's Python work is linear in its families, so without that
-bound a level of a large batch would cost its families squared times the
-indices over _CHUNK): the first pass in one call per block, its 257 indices
-a family far below the _ROW values an exact row sum holds, and each later
-level in one call per _CHUNK nodes (the bound is on families times indices
-per call, so memory does not grow with the batch).  The indices go as one
-row for all the block's families.  The call's values go through one
-exact-sum pass (_exact_sums) of (r/Delta1)_thetatheta for every family and
-cos(theta)/r for the q = 1 families only, which bins every (family,
-integrand, level) value by exponent at once and folds the bins into a few
-floats per family, integrand and level before the Python integer sum.
+gives alone.  The levels _N_START ... top come from one first pass over the
+even indices 0 ... top of the top-node grid, each value summed into the
+first level it lies on: a phase reduced at base 2**k*n is the one reduced
+at base n times 2**k, so every node keeps its bits, and one integrand call
+replaces a call a level, whose fixed numpy overhead costs more than its
+nodes at these sizes.  top is the largest power of two within the count
+sigma predicts for every family of the batch, _N_SIGMA / sigma with the
+_N_SIGMA = 62 scaled by ln(tol) / ln(QUAD_TOL) (a looser tol stops sooner),
+and at least _N_FIRST = 512; it is at most _SWITCH, its top/2 + 1 indices
+a family at most the _ROW values an exact row sum holds, and a call at most
+the 128 x 257 nodes of a full block at 512 (_first_pass_nodes): 2**13 for
+the 2 families of a coeff request, 2**10 for the 34 of a sweep request.  A
+family that stops below top evaluates the nodes up to top all the same.
+Each later level evaluates its new midpoints.  A pass evaluates the
+integrands of the families still in the batch in blocks of at most
+_CHUNK // _N_START = 128 families (a call's Python work is linear in its
+families, so without that bound a level of a large batch would cost its
+families squared times the indices over _CHUNK): the first pass in one call
+per block, and each later level in one call per _CHUNK nodes (the bound is
+on families times indices per call, so memory does not grow with the
+batch).  The indices go as one row for all the block's families.  The
+call's values go through one exact-sum pass (_exact_sums) of
+(r/Delta1)_thetatheta for every family and cos(theta)/r for the q = 1
+families only, which bins every (family, integrand, level) value by
+exponent at once and folds the bins into a few floats per family, integrand
+and level before the Python integer sum.
 
 With T_n = C1 + C2 on n nodes (T_n = C1 for q >= 2), d_n = |T_n - T_{n/2}|
 and b = tol * max(1, |T_n|) (absolute for small sums, relative for the large
@@ -91,8 +98,13 @@ and predicts the error of T_n from the ratio d_n / d_{n/2}, which saves the
 last doubling, about half of a family's evaluations.  err_estimate is a
 truncation error only, with no roundoff floor: on a close pass the node
 values' roundoff, amplified by the cancellation between their large
-positive and negative parts, can exceed it.  The panel rule stops by the
-same rule, its levels being n = _CC_START, 2*_CC_START, ... nodes a panel.
+positive and negative parts, can exceed it.  Neither rule stops the
+trapezoid below n*sigma = _N_SIGMA_MIN = 20: levels that all alias one
+slowly decaying harmonic alike agree to tol far from the integral (8:13
+retrograde e=0.05 family 1 reads C1 = 0.3047965 at 128 ... 512 nodes, where
+n*sigma is at most 7.8, and roundoff at 4,096).  The panel rule stops by
+the same rule, its levels being n = _CC_START, 2*_CC_START, ... nodes a
+panel.
 
 The panel rule covers the half period [F_c, F_c + pi] only.  The local
 minima F_k of Delta1 there are those of the sample F_c + j*2*pi/_SAMPLES,
@@ -116,7 +128,10 @@ integer-phase roundoff (reduced about 0, see perturbation._grid_track)
 where float nodes put C 1e-10 to 1e-8 off.  The Clenshaw-Curtis weights
 come from one FFT a level (_cc_weights, cached per n), and each level's
 node values times weights are summed exactly (_exact_sums), so that a
-family's result does not depend on its batch.  Every panel of every family
+family's result does not depend on its batch.  The levels _CC_START ...
+_CC_FIRST = 128 read every (128/n)-th of one call's nodes cos(j*pi/128),
+j = 0 ... 128, a panel (cos(j*pi/n) is cos(j*(128/n)*pi/128) to the bit),
+and each later level evaluates its new nodes.  Every panel of every family
 on the panel rule is one row of each level's integrand calls.  A family
 that leaves the trapezoid at the _SWITCH fallback enters as a fresh track,
 and each keeps its place in the batch until the last one stops.
@@ -173,15 +188,17 @@ QUAD_TOL = 1e-10
 # _exact_sums' folds of 13 exponent bins are exact.
 NODE_CAP = 2**20
 _N_START = 64
-# The levels _N_START ... _N_FIRST come from one pass over the even grid
-# indices 0 ... _N_FIRST at base _N_FIRST (at most NODE_CAP).
+# The levels _N_START ... top come from one pass over the even grid indices
+# 0 ... top at base top, a power of two from _N_FIRST up to the count sigma
+# predicts (_first_pass_nodes; at most NODE_CAP).
 _N_FIRST = 512
 # Nodes per integrand call of a later level across a compute_Cs batch
 # (families times indices): bounds a level's memory.  At most _ROW.  A call
 # holds at most _CHUNK // _N_START = 128 families (_add_node_sums), and the
-# first pass makes one call per block of them.  The exact sums are additive,
-# so the result does not depend on either bound.  A guard call holds at most
-# _CHUNK points, or one row (_guard_delta1).
+# first pass makes one call per block of them, of at most 128 x 257 nodes.
+# The exact sums are additive, so the result does not depend on either
+# bound.  A guard call holds at most _CHUNK points, or one row
+# (_guard_delta1).
 _CHUNK = 2**13
 # frexp exponents of finite doubles lie in [-1073, 1024]; _EXP_OFFSET makes
 # them bit offsets, and an exact sum counts units of 1 / _UNIT.  _exact_sums
@@ -201,15 +218,32 @@ _REFINE_STEPS = 40
 _REFINE_RTOL = 1e-16
 _REFINE_XTOL = 1e-10
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-# The panel rule (_panels): a family whose trapezoid would need 62/sigma >
-# _SWITCH nodes starts on it, and one still short of tol when the trapezoid
-# would double past _SWITCH nodes moves to it.  Its nodes are
+# _N_SIGMA / sigma predicts the trapezoid's node count, sigma the height of
+# the nearest complex collision (compute_Cs): over the sweep benchmark's
+# panel n*sigma at the stop is 43 at the 5th percentile and 72 at the median
+# (more where the large primary, not sigma, sets the rate).  A family whose
+# trapezoid would need _N_SIGMA / sigma > _SWITCH nodes starts on the panel
+# rule (_panels), and the first pass runs to at most _N_SIGMA / sigma nodes.
+# No family stops on the trapezoid below _N_SIGMA_MIN / sigma nodes: of the
+# 5,397 trapezoid families of the benchmark's sweep and coeff panels and the
+# grid of coprime p != q <= 15, both directions, e = 0.05 ... 0.85 step 0.1,
+# the 19 that stopped below it (n*sigma 7.0-19.9, all retrograde at
+# e = 0.05) stopped on aliased levels that agree (8:13 r family 1: C = -367.7
+# at 512 nodes, roundoff at 4,096), and the least n*sigma of a sound stop is
+# 21.0 (11:3 r e = 0.05).
+_N_SIGMA = 62.0
+_N_SIGMA_MIN = 20.0
+# The panel rule: a family still short of tol when the trapezoid would
+# double past _SWITCH nodes moves to it too.  Its nodes are
 # F_c + (i + x)*pi/_BASE; it takes the minima of Delta1 on the half period
 # at the guard's spacing 2*pi/_SAMPLES, refined by _refine_min, and starts at
-# _CC_START + 1 Clenshaw-Curtis nodes a panel.
+# _CC_START + 1 Clenshaw-Curtis nodes a panel.  Its levels up to _CC_FIRST
+# read one call's _CC_FIRST + 1 nodes a panel: every panel family of the
+# panels and grid above stops at 128 or 256.
 _SWITCH = 2**14
 _BASE = 2**20
 _CC_START = 16
+_CC_FIRST = 128
 
 
 @dataclass(frozen=True)
@@ -367,6 +401,7 @@ class _Track:
     index: int
     family: ResonantFamily
     md: float
+    v: float  # |d(r e^(i theta))/dF| where the guard found md: sigma = md / v
     s1: int = 0
     s2: int = 0
     ahead: list = field(default_factory=list)  # (s1, s2) added by each next level
@@ -383,13 +418,14 @@ def compute_Cs(families, tol: float = QUAD_TOL) -> list:
     a family whose trapezoid would need 62/sigma > _SWITCH nodes (sigma =
     min_delta1 / track_speed at the guard's F) waits for the panel rule.
     Every other family starts at _N_START nodes and all double together.
-    The levels _N_START ... _N_FIRST come from one pass over the nodes of
-    the _N_FIRST grid, one integrand call and one exact-sum pass per block
-    of at most _CHUNK // _N_START families (all their _N_FIRST // 2 + 1
-    indices, so up to 128 x 257 nodes a call), that sums each family's nodes
-    by the first level they lie on; each later level costs one integrand
-    call and one exact-sum pass per chunk of its midpoints, at most _CHUNK
-    nodes of one block.
+    The levels _N_START ... top come from one pass over the nodes of the
+    top-node grid, top the count sigma predicts for every one of them
+    (_first_pass_nodes), one integrand call and one exact-sum pass per block
+    of at most _CHUNK // _N_START families (all their top // 2 + 1 indices,
+    up to 128 x 257 nodes a call), that sums each family's nodes by the
+    first level they lie on; each later level costs one integrand call and
+    one exact-sum pass per chunk of its midpoints, at most _CHUNK nodes of
+    one block.  No family stops on a level below _N_SIGMA_MIN / sigma nodes.
     The batch's per-family constants (GridFamilies) are built once, serve
     the guard and the kernel, and are cut to the live families whenever one
     collides or leaves.  Each family leaves on its own stopping rule, at the
@@ -411,16 +447,16 @@ def compute_Cs(families, tol: float = QUAD_TOL) -> list:
             out[k] = _with_min_delta1(
                 CollisionError(f"track reaches Delta1 = {md:.3e} <= {COLLISION_DELTA} for {f}"), md
             )
-        elif 62.0 * v > _SWITCH * md:  # the trapezoid would need 62/sigma > _SWITCH nodes
-            panels.append(_Track(k, f, md))
+        elif _N_SIGMA * v > _SWITCH * md:  # the trapezoid would need 62/sigma > _SWITCH nodes
+            panels.append(_Track(k, f, md, v))
         else:
-            live.append(_Track(k, f, md))
+            live.append(_Track(k, f, md, v))
     grid = table if len(live) == len(families) else table[[t.index for t in live]]
     # The first levels' nodes F_c + j*2*pi/n, j = 0 ... n/2, are the even
     # indices 0 ... top of the top-node grid.  Level m (_N_START << m nodes)
     # adds the entries at the odd multiples of top / (_N_START << m) along
     # that row.
-    top = min(_N_FIRST, NODE_CAP)
+    top = _first_pass_nodes(live, tol)
     levels = (top // _N_START).bit_length()
     level = np.zeros(top // 2 + 1, dtype=np.int64)
     for m in range(1, levels):
@@ -434,7 +470,8 @@ def compute_Cs(families, tol: float = QUAD_TOL) -> list:
             s1, s2 = t.ahead.pop(0)
             t.s1 += s1
             t.s2 += s2
-            err = _stop(t, *_level(t.s1, t.s2, n), tol)  # the first level never stops
+            # the first level never stops, nor one below _N_SIGMA_MIN / sigma nodes
+            err = _stop(t, *_level(t.s1, t.s2, n), tol, n * t.md >= _N_SIGMA_MIN * t.v)
             if err is None:
                 keep.append(k)
             else:
@@ -448,7 +485,7 @@ def compute_Cs(families, tol: float = QUAD_TOL) -> list:
                 _fail(live, tol, n, out)
                 break
             if 2 * n > _SWITCH:
-                panels += [_Track(t.index, t.family, t.md) for t in live]
+                panels += [_Track(t.index, t.family, t.md, t.v) for t in live]
                 break
             # the midpoints: the odd grid indices inside (F_c, F_c + pi)
             _add_node_sums(live, grid, n, 1, n // 2)
@@ -458,16 +495,36 @@ def compute_Cs(families, tol: float = QUAD_TOL) -> list:
     return out
 
 
-def _stop(t: _Track, c1: float, c2: float, tol: float):
+def _first_pass_nodes(live, tol: float) -> int:
+    """The top of the trapezoid's first pass over the tracks live: the
+    largest power of two within _N_SIGMA / sigma nodes of every track, that
+    count scaled by ln(tol) / ln(QUAD_TOL) (the error falls like
+    e^(-sigma*n), so a looser tol stops sooner), and at least _N_FIRST.  It
+    is bounded by _SWITCH, NODE_CAP, _ROW values a row and the memory of a
+    pass at _N_FIRST: a block of families times top/2 + 1 indices a call."""
+    scale = math.log(tol) / math.log(QUAD_TOL) if tol > 0.0 else math.inf
+    need = min((_N_SIGMA * scale * t.v / t.md for t in live), default=0.0)
+    per_call = max(1, _CHUNK // _N_START)  # families a call
+    block = max(1, min(len(live), per_call))
+    indices = min(_ROW, per_call * (_N_FIRST // 2 + 1) // block)  # top/2 + 1 at most
+    bound = min(need, _SWITCH, NODE_CAP, 2 * (indices - 1))
+    top = _N_FIRST
+    while 2 * top <= bound:
+        top *= 2
+    return min(top, NODE_CAP)
+
+
+def _stop(t: _Track, c1: float, c2: float, tol: float, ready: bool = True):
     """Take the level values (c1, c2) into the track t: its err_estimate if
-    the stopping rule of the module docstring stops it there, else None."""
+    the stopping rule of the module docstring stops it there (never unless
+    ready), else None."""
     prev = t.c1 + t.c2  # nan on a rule's first level
     t.c1, t.c2 = c1, c2
     d = abs((c1 + c2) - prev)
     bound = tol * max(1.0, abs(c1 + c2))
-    if d * d < bound * t.d_prev and 4.0 * d < t.d_prev and 4.0 * t.d_prev < t.d_prev2:
+    if ready and d * d < bound * t.d_prev and 4.0 * d < t.d_prev and 4.0 * t.d_prev < t.d_prev2:
         return d * d / t.d_prev
-    if d < bound:
+    if ready and d < bound:
         return d
     t.d_prev, t.d_prev2 = d, t.d_prev
     return None
@@ -504,9 +561,10 @@ def _panels(live, grid, tol: float, out):
     collision above the real axis: the map spreads the close pass over a
     width in y that does not shrink with sigma_k (Johnston and Elliott, Int.
     J. Numer. Meth. Engng 62, 2005).  Nested Clenshaw-Curtis rules of n + 1
-    nodes a panel, n = _CC_START, 2*_CC_START, ..., evaluate only the new
-    nodes at each doubling, every panel of every live track as one row of
-    the level's integrand calls (_panel_values).  A panel's fold (2 off the
+    nodes a panel, n = _CC_START, 2*_CC_START, ..., read the levels up to
+    _CC_FIRST off one call's _CC_FIRST + 1 nodes and evaluate only the new
+    nodes at each later doubling, every panel of every live track as one row
+    of the integrand calls (_panel_values).  A panel's fold (2 off the
     symmetry points, else 1) multiplies its weights and counts its panels
     over the period.  A track stops by the rule of the module docstring on
     T_n = C1 + C2; its node count is its panels over the period times n + 1,
@@ -536,15 +594,18 @@ def _panels(live, grid, tol: float, out):
     )
     # the period's panels: fold counts each one and its mirror image
     panels = np.bincount(track, rows.fold[:, 0], len(live))
+    # dF/dy times each integrand at the nodes cos(j*pi/held), one row a
+    # panel: level n reads every (held/n)-th of them
+    held = _CC_FIRST
+    v1, v2 = _panel_values(rows, np.cos(np.arange(held + 1) * (math.pi / held)))
     n = _CC_START
-    # dF/dy times each integrand at the nodes cos(j*pi/n), one row a panel
-    v1, v2 = _panel_values(rows, np.cos(np.arange(n + 1) * (math.pi / n)))
     running = list(range(len(live)))  # the places of the tracks still running
     while True:
         weights = _cc_weights(n) * rows.fold  # a mirror image counts by an exact *2
         with_c2 = np.flatnonzero(rows.g.q[:, 0] == 1)  # C2 is 0 for q >= 2
-        s1 = _panel_sums(v1 * weights, rows.track, len(live))
-        s2 = _panel_sums(v2[with_c2] * weights[with_c2], rows.track[with_c2], len(live))
+        u1, u2 = v1[:, :: held // n], v2[:, :: held // n]
+        s1 = _panel_sums(u1 * weights, rows.track, len(live))
+        s2 = _panel_sums(u2[with_c2] * weights[with_c2], rows.track[with_c2], len(live))
         keep = []
         for k in running:
             t = live[k]
@@ -564,8 +625,9 @@ def _panels(live, grid, tol: float, out):
             rows = rows.cut(cut)
             v1, v2 = v1[cut], v2[cut]
         n *= 2
-        w1, w2 = _panel_values(rows, np.cos(np.arange(1, n, 2) * (math.pi / n)))
-        v1, v2 = _nest(v1, w1), _nest(v2, w2)
+        if n > held:
+            w1, w2 = _panel_values(rows, np.cos(np.arange(1, n, 2) * (math.pi / n)))
+            v1, v2, held = _nest(v1, w1), _nest(v2, w2), n
 
 
 def _panel_sums(v, track, tracks: int) -> list:
@@ -608,19 +670,20 @@ def _panel_values(rows: _PanelRows, y):
     """Both integrands times dF/dy at the points y of [-1, 1] of every panel
     of rows, as (panels, len(y)) arrays.  Each node is F_c + (i + x)*pi/_BASE
     with i an integer and |x| <= 1/2, evaluated by the off-grid kernel
-    (track_integrand with x).  The calls hold at most _CHUNK nodes, or one
-    panel, so that memory does not grow with the batch."""
-    arg = rows.mu * y - rows.eta
-    u = rows.c + rows.s * np.sinh(arg)
-    shift = np.rint(u)
-    i, x = rows.I + shift.astype(np.int64), u - shift
+    (track_integrand with x).  The nodes go in chunks of at most _CHUNK, or
+    one panel, so that no temporary grows with the batch."""
     step = max(1, _CHUNK // y.size)
-    parts = [
-        track_integrand(rows.g[a : a + step], i[a : a + step], _BASE, x[a : a + step])
-        for a in range(0, len(i), step)
-    ]
-    jac = (math.pi / _BASE) * rows.s * rows.mu * np.cosh(arg)
-    return [jac * np.concatenate([p[k] for p in parts]) for k in (0, 1)]
+    out = np.empty((2, len(rows.track), y.size))
+    for a in range(0, len(rows.track), step):
+        b = slice(a, a + step)
+        arg = rows.mu[b] * y - rows.eta[b]
+        u = rows.c[b] + rows.s[b] * np.sinh(arg)
+        shift = np.rint(u)
+        w = track_integrand(rows.g[b], rows.I[b] + shift.astype(np.int64), _BASE, u - shift)
+        jac = (math.pi / _BASE) * rows.s[b] * rows.mu[b] * np.cosh(arg)
+        for k in (0, 1):
+            np.multiply(jac, w[k], out=out[k, b])
+    return out[0], out[1]
 
 
 def _nest(old, new):
@@ -698,15 +761,16 @@ def compute_C(f: ResonantFamily, tol: float = QUAD_TOL) -> CoefficientResult:
     [F_c, F_c + pi] are evaluated: the two ends count once and the others
     twice.  Each doubling adds twice the sum of the n/2 new midpoints
     F_c + (2k+1)*pi/n to one exact integer sum per integrand (the nodes of
-    the levels up to _N_FIRST are evaluated in one pass); the level values
-    round those sums once, exactly as fsum over all 2n node values would.
-    For q >= 2, C2 is 0.0 (see the module docstring) and only C1 is summed.
-    ``nodes`` is the full-period n.  It stops by either rule of the module
-    docstring on T_n = C1 + C2 (C1 for q >= 2): a predicted error within
-    tol * max(1, |T_n|) after two contractions by more than 4, or successive
-    values of T_n within it (an absolute tolerance below |T_n| = 1, a
-    relative one above it); tol = 0 never stops.  This is the one-family
-    case of compute_Cs.
+    the levels up to the count sigma predicts, at least _N_FIRST, are
+    evaluated in one pass); the level values round those sums once, exactly
+    as fsum over all 2n node values would.  For q >= 2, C2 is 0.0 (see the
+    module docstring) and only C1 is summed.  ``nodes`` is the full-period
+    n.  It stops, on no level below _N_SIGMA_MIN / sigma nodes, by either
+    rule of the module docstring on T_n = C1 + C2 (C1 for q >= 2): a
+    predicted error within tol * max(1, |T_n|) after two contractions by
+    more than 4, or successive values of T_n within it (an absolute
+    tolerance below |T_n| = 1, a relative one above it); tol = 0 never
+    stops.  This is the one-family case of compute_Cs.
 
     Raises CollisionError when the track comes within COLLISION_DELTA of the
     small primary, and ConvergenceError if the node cap is hit first; both

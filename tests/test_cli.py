@@ -2,6 +2,7 @@
 mechanism, determinism, the sweep's `--jobs` compatibility, caching, and the
 regularization self-check battery."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from oracles import compute_C_via_omega_gg
 from rtbp_resonance import cli, coefficient, levi_civita, series
 from rtbp_resonance.cli import main
+from rtbp_resonance.coefficient import compute_Cs
 from rtbp_resonance.perturbation import canonical_families
 from rtbp_resonance.verifier import verify_families
 
@@ -321,6 +323,42 @@ class TestConfig:
         )
         assert code == 1 and out == ""
         assert "ambiguous option: --co could match --config, --corrector-tol" in err
+
+    def test_finder_runs_only_for_a_c_flag(self, capsys, tmp_path, monkeypatch):
+        # Every spelling of --config starts with `--c`: `--config=FILE`,
+        # `--conf FILE` and the ambiguous `--co` go through the finder, and a
+        # command line without such a flag reads no file and parses once.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p = 1\nq = 3\ne = 0.3\n")
+        found, finder = [], cli._config_finder
+
+        def counted(command):
+            found.append(command.prog)
+            return finder(command)
+
+        monkeypatch.setattr(cli, "_config_finder", counted)
+        code, out, _ = _run(capsys, ["coeff", "--p", "1", "--q", "3", "--e", "0.3"])
+        assert code == 0 and found == []
+        plain = json.loads(out)["outputs"]
+        for spelling in (["--config=" + str(cfg)], ["--conf", str(cfg)]):
+            code, out, _ = _run(capsys, ["coeff", *spelling])
+            assert code == 0 and json.loads(out)["outputs"] == plain
+        code, out, err = _run(
+            capsys, ["verify", "--p", "1", "--q", "3", "--e", "0.3", "--co", str(cfg)]
+        )
+        assert code == 1 and out == ""
+        assert "ambiguous option: --co could match --config, --corrector-tol" in err
+        assert found == ["rtbp-resonance coeff"] * 2 + ["rtbp-resonance verify"]
+
+    def test_family_fields_match_asdict(self, capsys):
+        # The records' family and result fields are dataclasses.asdict's,
+        # key for key and value for value.
+        code, out, _ = _run(capsys, ["coeff", "--p", "3", "--q", "1", "--e", "0.3"])
+        assert code == 0
+        fams = canonical_families(3, 1, 0.3, "direct")
+        for entry, f, res in zip(json.loads(out)["outputs"]["families"], fams, compute_Cs(fams)):
+            ref = {"family": dataclasses.asdict(f)} | dataclasses.asdict(res)
+            assert {k: entry[k] for k in ref} == json.loads(json.dumps(ref))
 
 
 class TestParserReuse:

@@ -220,16 +220,12 @@ class TestComputeC:
         assert res.rule == "panels" and res.C2 == 0.0
         assert abs(res.C1 + res.C2 - ref) <= 2 * 1e-10 * max(1.0, abs(ref))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the trapezoid's stopping rule accepts aliased levels (CHANGES.md FOUND: "
-        "8:13 r e=0.05 family 1 stops at 512 nodes on C1 = 0.3047965 with err_estimate "
-        "4.3e-17, every level 128 ... 512 aliasing its harmonic 512 alike); the fix moves "
-        "trapezoid bits (ROADMAP items 2 and 3)",
-    )
     def test_trapezoid_stop_is_not_aliased(self):
-        # The long double trapezoid at 2**13 nodes gives C1 = -2.3e-18, and
-        # the panel rule 3.8e-16.
+        # Every level 128 ... 512 aliases the harmonic 512 alike (C1 =
+        # 0.3047965), so the levels agree to 1e-10 and the stopping rule
+        # would stop at 512 nodes, where n*sigma is 7.8: no family stops
+        # below _N_SIGMA_MIN / sigma nodes.  The long double trapezoid at
+        # 2**13 nodes gives C1 = -2.3e-18, and the panel rule 3.8e-16.
         f = canonical_families(8, 13, 0.05, "retrograde")[0]
         res = compute_C(f)
         ref, _ = trapezoid_pair_longdouble(f, 2**13)
@@ -814,6 +810,119 @@ class TestSigmaStart:
             calls.clear()
             assert compute_Cs([fams[k] for k in order]) == [alone[k] for k in order]
             assert calls == [sorted(order.index(k) for k in (1, 2))]
+
+
+class TestPredictedLevels:
+    """The trapezoid's first pass runs to the largest power of two within
+    62/sigma nodes of every family of the batch (the 62 scaled by
+    ln(tol) / ln(QUAD_TOL)), and the panel rule's levels up to _CC_FIRST
+    come from one call; every result keeps the bits of level-by-level
+    passes."""
+
+    # q = 1 and q >= 2, n_l = 0 and 1, n_g = 1, both directions; stops at
+    # 512 ... 8,192 trapezoid nodes, panel families (1:2 r e=0.6 and 5:7 r
+    # e=0.55 family 1) and an aliased level that n*sigma >= 20 turns down
+    # (8:13 r e=0.05).
+    FAMILIES = [
+        ResonantFamily(2, 1, 0.3, direction="retrograde"),
+        *canonical_families(3, 1, 0.2),
+        *canonical_families(4, 5, 0.55, "retrograde"),
+        *canonical_families(9, 5, 0.21166008640516337, "retrograde"),
+        *canonical_families(1, 2, 0.6, "retrograde"),
+        *canonical_families(5, 7, 0.55, "retrograde"),
+        canonical_families(8, 13, 0.05, "retrograde")[0],
+    ]
+
+    @staticmethod
+    def _tops(monkeypatch, predict=True):
+        """Record the top of every first pass; without predict, every first
+        pass runs to _N_FIRST nodes as before the prediction."""
+        tops, first = [], coefficient._first_pass_nodes
+
+        def recorded(live, tol):
+            top = first(live, tol) if predict else coefficient._N_FIRST
+            tops.append(top)
+            return top
+
+        monkeypatch.setattr(coefficient, "_first_pass_nodes", recorded)
+        return tops
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    def test_prediction_keeps_every_bit(self, tol, monkeypatch):
+        fams = self.FAMILIES
+        wide = [f for e in np.linspace(0.05, 0.5, 70) for f in canonical_families(1, 3, e)]
+        assert len(wide) > coefficient._CHUNK // coefficient._N_START
+        tops = self._tops(monkeypatch)
+        on = [compute_Cs([f], tol)[0] for f in fams], compute_Cs(fams, tol), compute_Cs(wide, tol)
+        assert max(tops) >= 2**12 and tops[-1] == coefficient._N_FIRST
+        self._tops(monkeypatch, predict=False)
+        off = [compute_Cs([f], tol)[0] for f in fams], compute_Cs(fams, tol), compute_Cs(wide, tol)
+        assert on == off
+        alone, batch, _ = on
+        assert batch == alone
+        assert {r.rule for r in alone} == {"trapezoid", "panels"}
+        assert all(isinstance(r, coefficient.CoefficientResult) for r in on[2])
+
+    def test_tol_and_batch_bound_the_first_pass(self):
+        # 62/sigma = 5,000: 4,096 nodes at the default tol, 3,000 and so
+        # 2,048 at tol 1e-6.  62/sigma = 1e6: _ROW values a row hold 8,192
+        # nodes for 2 families; 34 and 128 families keep the pass's memory
+        # at 1,024 and 512.
+        f = ResonantFamily(1, 3, 0.3)
+
+        def tracks(k, need):
+            return [coefficient._Track(j, f, 62.0, need) for j in range(k)]
+
+        first = coefficient._first_pass_nodes
+        assert first(tracks(2, 5000.0), 1e-10) == 4096
+        assert first(tracks(2, 5000.0), 1e-6) == 2048
+        assert first(tracks(2, 100.0), 1e-10) == coefficient._N_FIRST
+        assert first(tracks(1, 100.0) + tracks(1, 5000.0), 1e-10) == coefficient._N_FIRST
+        assert [first(tracks(k, 1e6), 1e-10) for k in (1, 2, 34, 128, 200)] == [
+            8192, 8192, 1024, 512, 512,
+        ]
+        assert first([], 1e-10) == coefficient._N_FIRST
+
+    def test_one_first_pass_call_to_4096_nodes(self, monkeypatch):
+        # 4:5 r e=0.55: both families stop at 4,096 nodes, within 62/sigma of
+        # each, and all their grid nodes come from one integrand call.
+        fams = canonical_families(4, 5, 0.55, "retrograde")
+        calls = []
+        integrand = coefficient.track_integrand
+
+        def counted(families, i, n, x=None):
+            calls.append((len(families), i.shape, n))
+            return integrand(families, i, n, x)
+
+        monkeypatch.setattr(coefficient, "track_integrand", counted)
+        out = compute_Cs(fams)
+        assert [(r.rule, r.nodes) for r in out] == [("trapezoid", 4096)] * 2
+        assert calls == [(2, (1, 2049), 4096)]
+
+    @pytest.mark.parametrize(
+        "p,q,e,which,calls",
+        [(1, 2, 0.6, 1, [129]), (5, 7, 0.25, 0, [129, 128])],
+        ids=["stops at 128", "stops at 256"],
+    )
+    def test_one_panel_call_up_to_128(self, p, q, e, which, calls, monkeypatch):
+        # The levels 16 ... 128 read one call's 129 nodes a panel; the level
+        # 256 evaluates its 128 new ones.  Level by level, from 17 nodes a
+        # panel, every field is the same.
+        f = canonical_families(p, q, e, "retrograde")[which]
+        sizes, values = [], coefficient._panel_values
+
+        def counted(rows, y):
+            sizes.append(y.size)
+            return values(rows, y)
+
+        monkeypatch.setattr(coefficient, "_panel_values", counted)
+        res = compute_C(f)
+        assert res.rule == "panels" and sizes == calls
+        assert res.nodes % (coefficient._CC_FIRST * len(calls) + 1) == 0
+        sizes.clear()
+        monkeypatch.setattr(coefficient, "_CC_FIRST", coefficient._CC_START)
+        assert compute_C(f) == res
+        assert sizes == [17, 16, 32, 64, 128][: len(calls) + 3]
 
 
 _SUMMAND = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_subnormal=True)
